@@ -36,9 +36,9 @@ BITMAP = "bitmap"
 RUN = "run"
 
 #: Fixed byte cost of a bitmap container (2^16 bits).
-_BITMAP_BYTES = CHUNK_SIZE // 8
+BITMAP_BYTES = CHUNK_SIZE // 8
 #: Per-container header: chunk key + type tag + cardinality.
-_CONTAINER_HEADER = 8
+CONTAINER_HEADER = 8
 
 
 class _Container:
@@ -98,7 +98,7 @@ class _Container:
         runs = self._as_runs(bits)
         array_bytes = 2 * cardinality if cardinality <= ARRAY_LIMIT else None
         run_bytes = 4 * len(runs)
-        candidates = [(run_bytes, RUN), (_BITMAP_BYTES, BITMAP)]
+        candidates = [(run_bytes, RUN), (BITMAP_BYTES, BITMAP)]
         if array_bytes is not None:
             candidates.append((array_bytes, ARRAY))
         candidates.sort()
@@ -142,8 +142,8 @@ class _Container:
         elif self.kind == RUN:
             payload = 4 * len(self.runs)
         else:
-            payload = _BITMAP_BYTES
-        return _CONTAINER_HEADER + payload
+            payload = BITMAP_BYTES
+        return CONTAINER_HEADER + payload
 
 
 class RoaringBitset(Bitset):

@@ -68,7 +68,7 @@ class LowerBoundCache:
 
     def __init__(self, max_entries: int = 8) -> None:
         self.max_entries = max_entries
-        #: ``r -> (values, tau_max, bitset_ints)`` in LRU order.
+        #: ``r -> (values, tau_max, bitset_ints, path)`` in LRU order.
         self._entries: "OrderedDict[float, tuple]" = OrderedDict()
         self._lock = threading.RLock()
         self.hits = 0
@@ -86,7 +86,7 @@ class LowerBoundCache:
             observe_cache("lower_bounds", hit=False)
             return None
         observe_cache("lower_bounds", hit=True)
-        values, tau_max, bitset_ints = entry
+        values, tau_max, bitset_ints, path = entry
         return LowerBoundResult(
             values=list(values),
             tau_max=tau_max,
@@ -94,6 +94,8 @@ class LowerBoundCache:
                 bitset_cls.from_int(value) if value else None
                 for value in bitset_ints
             ],
+            # A hit reports the implementation that produced the entry.
+            path=path,
         )
 
     def put(self, r: float, result: LowerBoundResult) -> None:
@@ -105,7 +107,9 @@ class LowerBoundCache:
             bitset.to_int() if bitset is not None else 0 for bitset in result.bitsets
         ]
         with self._lock:
-            self._entries[r] = (list(result.values), result.tau_max, bitset_ints)
+            self._entries[r] = (
+                list(result.values), result.tau_max, bitset_ints, result.path
+            )
             self._entries.move_to_end(r)
             while len(self._entries) > self.max_entries:
                 self._entries.popitem(last=False)

@@ -21,7 +21,7 @@ never pass them.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Set, Type
+from typing import Callable, Dict, List, Optional, Set, Tuple, Type
 
 import numpy as np
 
@@ -156,14 +156,26 @@ class BIGrid:
 
     def memory_bytes(self) -> int:
         """Index footprint: both grids plus the key lists and groupings."""
-        total = self.small_grid.memory_bytes() + self.large_grid.memory_bytes()
-        for keys in self.key_lists:
-            total += 16 + (8 * self.collection.dimension) * len(keys)
-        for groups in self.object_groups:
-            # Group index entries reference the posting lists already charged
-            # to the large grid: key plus one pointer per group.
-            total += 16 + (8 * self.collection.dimension + 8) * len(groups)
-        return total
+        key_bytes = 8 * self.collection.dimension
+        keys, groups = self.index_entry_counts()
+        return (
+            self.small_grid.memory_bytes()
+            + self.large_grid.memory_bytes()
+            # One header per key list, plus one key per entry.
+            + 16 * len(self.key_lists)
+            + key_bytes * keys
+            # Group index entries reference the posting lists already
+            # charged to the large grid: key plus one pointer per group.
+            + 16 * len(self.object_groups)
+            + (key_bytes + 8) * groups
+        )
+
+    def index_entry_counts(self) -> Tuple[int, int]:
+        """``(key-list entries, group entries)`` summed over every object."""
+        return (
+            sum(len(keys) for keys in self.key_lists),
+            sum(len(groups) for groups in self.object_groups),
+        )
 
     def __repr__(self) -> str:
         return (

@@ -18,7 +18,7 @@ one fancy-index per posting list.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Type
+from typing import Dict, List, Optional, Tuple, Type
 
 import numpy as np
 
@@ -137,11 +137,36 @@ class LargeGrid:
         excluded, as is the collection itself.
         """
         per_entry = 8 * self.dimension + 8 + 8
-        total = per_entry * len(self.cells)
+        lists, entries = self.posting_counts()
+        return (
+            per_entry * len(self.cells)
+            + self.bitset_bytes()
+            + self.adjacency_bytes()
+            + 16 * lists
+            + 8 * entries
+        )
+
+    # The terms of ``memory_bytes``; grids that keep their bitsets in
+    # another form may compute them without building any bitset.
+
+    def bitset_bytes(self) -> int:
+        """Encoded size of every cell bitset ``b(c_K)``."""
+        return sum(cell.bitset.size_in_bytes() for cell in self.cells.values())
+
+    def adjacency_bytes(self) -> int:
+        """Encoded size of every adjacent union computed so far."""
+        total = 0
         for cell in self.cells.values():
-            total += cell.bitset.size_in_bytes()
-            if cell.adj_bitset is not None:
-                total += cell.adj_bitset.size_in_bytes()
-            for posting in cell.postings.values():
-                total += 16 + 8 * len(posting)
+            adj_bitset = cell.adj_bitset
+            if adj_bitset is not None:
+                total += adj_bitset.size_in_bytes()
         return total
+
+    def posting_counts(self) -> Tuple[int, int]:
+        """``(posting lists, posting entries)`` over every cell."""
+        lists = entries = 0
+        for cell in self.cells.values():
+            lists += len(cell.postings)
+            for posting in cell.postings.values():
+                entries += len(posting)
+        return lists, entries

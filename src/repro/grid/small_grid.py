@@ -86,7 +86,10 @@ class SmallGrid:
         and the fixed cell header (counts), mirroring a compact C++ layout.
         """
         per_entry = 8 * self.dimension + 8 + 12
-        total = per_entry * len(self.cells)
-        for cell in self.cells.values():
-            total += cell.bitset.size_in_bytes()
-        return total
+        return per_entry * len(self.cells) + self.bitset_bytes()
+
+    def bitset_bytes(self) -> int:
+        """Encoded size of every cell bitset (the term ``memory_bytes``
+        charges beyond the table); grids that keep their bitsets in
+        another form may compute it without building them."""
+        return sum(cell.bitset.size_in_bytes() for cell in self.cells.values())

@@ -26,6 +26,10 @@ structures and results (the conformance suite enforces it):
   authoritative walk then replays the reference's visit order over the
   precomputed hit booleans, so early termination, Labeling-3 marks, and
   every work counter match the oracle bit-for-bit.
+* **Memory accounting** sizes every cell bitset and adjacent union from
+  its packed row (:func:`packed_bitset_bytes`: the EWAH, plain and
+  Roaring ``size_in_bytes`` formulas evaluated over whole matrices), so
+  ``memory_bytes()`` never materializes a lazy cell.
 
 The packed matrices ride on private ``SmallGrid``/``LargeGrid``/``BIGrid``
 subclasses; every public structure (cells, postings, key lists, group
@@ -45,7 +49,16 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro.bitset.ewah import EWAHBitset
 from repro.bitset.factory import bitset_class
+from repro.bitset.plain import PlainBitset
+from repro.bitset.roaring import (
+    ARRAY_LIMIT,
+    BITMAP_BYTES,
+    CHUNK_SIZE,
+    CONTAINER_HEADER,
+    RoaringBitset,
+)
 from repro.core.lower_bound import LowerBoundResult
 from repro.core.upper_bound import Candidate, UpperBoundResult
 from repro.core.verification import (
@@ -98,6 +111,94 @@ except ImportError:  # pragma: no cover - older numpy core layout
 def _row_int(words: np.ndarray) -> int:
     """One packed uint64 row -> the big-int bitset value (word i at bit 64*i)."""
     return int.from_bytes(words.astype("<u8", copy=False).tobytes(), "little")
+
+
+def _int_rows(values: List[int], width: int) -> np.ndarray:
+    """Big-int bitset values -> a packed ``(len(values), width)`` matrix."""
+    data = b"".join(value.to_bytes(8 * width, "little") for value in values)
+    return np.frombuffer(data, dtype="<u8").reshape(len(values), width)
+
+
+_ALL_ONES = np.uint64(0xFFFFFFFFFFFFFFFF)
+#: 64-bit words per Roaring chunk.
+_ROARING_CHUNK_WORDS = CHUNK_SIZE // 64
+
+
+def _ewah_bytes(words: np.ndarray) -> int:
+    """Stream bytes (markers + dirty words) of every row's EWAH encoding.
+
+    ``from_int`` opens a marker at each clean word (all zeros or all ones)
+    whose predecessor differs, plus one before a dirty first word, and
+    drops the trailing zero run: a row ending in a zero word has exactly
+    one clean-run start in that run.  Each segment is one marker word: a
+    marker only splits past 2^32 clean or 2^31 dirty words, far wider
+    than any row of ``n`` bits can be.
+    """
+    clean = (words == 0) | (words == _ALL_ONES)
+    run_starts = clean.copy()
+    run_starts[:, 1:] &= words[:, 1:] != words[:, :-1]
+    dirty = ~clean
+    markers = (
+        int(np.count_nonzero(run_starts))
+        - int(np.count_nonzero(words[:, -1] == 0))
+        + int(np.count_nonzero(dirty[:, 0]))
+    )
+    return 8 * (markers + int(np.count_nonzero(dirty)))
+
+
+def _plain_bytes(words: np.ndarray) -> int:
+    """Whole words up to each row's highest set bit, summed over rows."""
+    nonzero = words != 0
+    last = words.shape[1] - np.argmax(nonzero[:, ::-1], axis=1)
+    return 8 * int(np.where(nonzero.any(axis=1), last, 0).sum())
+
+
+def _roaring_bytes(words: np.ndarray) -> int:
+    """Container bytes of every row's Roaring encoding.
+
+    Per non-empty 1024-word chunk: the header plus the cheapest of an
+    array (2 bytes per value, up to ``ARRAY_LIMIT`` values), runs (4
+    bytes per maximal run of set bits, runs continuing across word
+    boundaries inside the chunk) and the fixed bitmap.
+    """
+    width = words.shape[1]
+    # A set bit starts a run unless the bit below it (within the chunk)
+    # is set too; bit 0 of a word looks at bit 63 of the word before.
+    below = words << np.uint64(1)
+    below[:, 1:] |= words[:, :-1] >> np.uint64(63)
+    below[:, ::_ROARING_CHUNK_WORDS] &= ~np.uint64(1)
+    chunk_starts = np.arange(0, width, _ROARING_CHUNK_WORDS)
+    cards = np.add.reduceat(
+        np.bitwise_count(words), chunk_starts, axis=1, dtype=np.int64
+    )
+    runs = np.add.reduceat(
+        np.bitwise_count(words & ~below), chunk_starts, axis=1, dtype=np.int64
+    )
+    payload = np.minimum(4 * runs, BITMAP_BYTES)
+    payload = np.where(
+        cards <= ARRAY_LIMIT, np.minimum(payload, 2 * cards), payload
+    )
+    return int(np.where(cards > 0, CONTAINER_HEADER + payload, 0).sum())
+
+
+#: ``size_in_bytes`` of each registered bitset backend, over packed rows.
+_PACKED_BYTES = {
+    EWAHBitset: _ewah_bytes,
+    PlainBitset: _plain_bytes,
+    RoaringBitset: _roaring_bytes,
+}
+
+
+def packed_bitset_bytes(bitset_cls, words: np.ndarray) -> int:
+    """``sum(bitset_cls.from_int(row).size_in_bytes())`` over packed rows.
+
+    Memory accounting for numpy-built grids: the same sizes the bitset
+    classes report, evaluated in bulk over a ``(rows, words)`` uint64
+    matrix (word ``i`` holds bits ``64i..64i+63``) so no bitset is built.
+    """
+    if words.shape[0] == 0:
+        return 0
+    return _PACKED_BYTES[bitset_cls](words)
 
 
 def encode_keys(keys: np.ndarray) -> Optional[Tuple[np.ndarray, np.ndarray]]:
@@ -162,6 +263,21 @@ class LazyBitsetSmallCell(SmallGridCell):
         raise AttributeError(name)
 
 
+class _Adjacency:
+    """A large grid's bulk adjacency matrix, shared with its lazy cells.
+
+    Cells read the matrix through this holder, not through the grid: a
+    cell -> grid reference would close a grid -> cells -> grid cycle and
+    leave every discarded grid to the cyclic garbage collector instead
+    of freeing it with its last reference.
+    """
+
+    __slots__ = ("words",)
+
+    def __init__(self) -> None:
+        self.words: Optional[np.ndarray] = None
+
+
 class LazyBitsetLargeCell(LargeGridCell):
     """A large-grid cell with the same lazy-bitset scheme (see above).
 
@@ -177,25 +293,27 @@ class LazyBitsetLargeCell(LargeGridCell):
 
     __slots__ = ("_lazy_bitset", "_row")
 
-    def __init__(self, bitset_cls, grid: "PackedLargeGrid", row: int) -> None:
-        self._lazy_bitset = (bitset_cls, grid)
+    def __init__(
+        self, bitset_cls, packed: np.ndarray, adjacency: _Adjacency, row: int
+    ) -> None:
+        self._lazy_bitset = (bitset_cls, packed, adjacency)
         self._row = row
         self.postings = {}
         self.last_oid = -1
 
     def __getattr__(self, name: str):
         if name == "bitset":
-            bitset_cls, grid = self._lazy_bitset
-            bitset = bitset_cls.from_int(_row_int(grid.packed[self._row]))
+            bitset_cls, packed, _ = self._lazy_bitset
+            bitset = bitset_cls.from_int(_row_int(packed[self._row]))
             self.bitset = bitset
             return bitset
         if name == "adj_int":
-            _, grid = self._lazy_bitset
-            if grid.adj_words is None:
+            adj_words = self._lazy_bitset[2].words
+            if adj_words is None:
                 # Not cached: the bulk matrix may appear later (upper
                 # bounding), and a stored None would mask it forever.
                 return None
-            value = _row_int(grid.adj_words[self._row])
+            value = _row_int(adj_words[self._row])
             self.adj_int = value
             return value
         if name == "_point_cache":
@@ -216,6 +334,10 @@ class PackedSmallGrid(SmallGrid):
     packed ``(cells, words)`` uint64 matrix for vectorized lower bounds."""
 
     __slots__ = ("packed",)
+
+    def bitset_bytes(self) -> int:
+        # Row ``i`` is cell ``i``'s bitset: size the rows, build nothing.
+        return packed_bitset_bytes(self.bitset_cls, self.packed)
 
 
 class PackedLargeGrid(LargeGrid):
@@ -241,13 +363,26 @@ class PackedLargeGrid(LargeGrid):
         "codes",
         "strides",
         "row_cells",
-        "adj_words",
+        "_adjacency",
         "seg_cell",
         "seg_oid",
         "seg_bounds",
         "seg_coords",
         "verify_tables",
     )
+
+    def __init__(self, width: float, dimension: int, bitset_cls) -> None:
+        super().__init__(width, dimension, bitset_cls)
+        self._adjacency = _Adjacency()
+
+    @property
+    def adj_words(self) -> Optional[np.ndarray]:
+        """Every cell's ``b_adj`` as packed rows, once upper bounding ran."""
+        return self._adjacency.words
+
+    @adj_words.setter
+    def adj_words(self, words: Optional[np.ndarray]) -> None:
+        self._adjacency.words = words
 
     def adjacent_union_int(self, key) -> int:
         cell = self.cells[key]
@@ -259,6 +394,32 @@ class PackedLargeGrid(LargeGrid):
                 if (neighbor := cells.get(neighbor_key)) is not None
             ]
         return super().adjacent_union_int(key)
+
+    # Memory accounting straight from the packed rows: the base-class
+    # terms, with no cell bitset or adjacent union materialized.
+
+    def bitset_bytes(self) -> int:
+        return packed_bitset_bytes(self.bitset_cls, self.packed)
+
+    def adjacency_bytes(self) -> int:
+        if self.adj_words is not None:
+            # Bulk upper bounding computed every cell's union.
+            return packed_bitset_bytes(self.bitset_cls, self.adj_words)
+        if not self.adj_computed:
+            return 0
+        # Unions the reference pass memoized cell by cell (labeled runs);
+        # without ``adj_words`` an unset ``adj_int`` reads None, resolving
+        # nothing.
+        values = [
+            value for cell in self.row_cells if (value := cell.adj_int) is not None
+        ]
+        return packed_bitset_bytes(
+            self.bitset_cls, _int_rows(values, self.packed.shape[1])
+        )
+
+    def posting_counts(self) -> Tuple[int, int]:
+        # One posting list per (cell, oid) segment.
+        return len(self.seg_oid), int(self.seg_bounds[-1])
 
 
 class PackedBIGrid(BIGrid):
@@ -279,6 +440,11 @@ class PackedBIGrid(BIGrid):
         "group_flat",
         "group_counts",
     )
+
+    def index_entry_counts(self) -> Tuple[int, int]:
+        # ``len(key_lists[oid]) == shared_counts[oid]`` and
+        # ``len(object_groups[oid]) == group_counts[oid]`` by construction.
+        return int(self.shared_counts.sum()), int(self.group_counts.sum())
 
 
 class NumpyKernel(KernelBackend):
@@ -364,7 +530,6 @@ class NumpyKernel(KernelBackend):
             large_grid.codes = np.empty(0, dtype=np.int64)
             large_grid.strides = np.ones(dimension, dtype=np.int64)
             large_grid.row_cells = []
-            large_grid.adj_words = None
             large_grid.seg_cell = np.empty(0, dtype=np.int64)
             large_grid.seg_oid = np.empty(0, dtype=np.int64)
             large_grid.seg_bounds = np.zeros(1, dtype=np.int64)
@@ -532,7 +697,6 @@ class NumpyKernel(KernelBackend):
         large_grid.packed = packed
         large_grid.codes = uniq_codes
         large_grid.strides = strides
-        large_grid.adj_words = None
         large_grid.seg_cell = segment_cell
         large_grid.seg_oid = segment_oid
         large_grid.seg_bounds = np.concatenate(
@@ -546,7 +710,9 @@ class NumpyKernel(KernelBackend):
         cells = large_grid.cells
         row_cells: List[LargeGridCell] = []
         for row in range(cell_count):
-            cell = LazyBitsetLargeCell(bitset_cls, large_grid, row)
+            cell = LazyBitsetLargeCell(
+                bitset_cls, packed, large_grid._adjacency, row
+            )
             cells[cell_keys[row]] = cell
             row_cells.append(cell)
         large_grid.row_cells = row_cells

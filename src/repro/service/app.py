@@ -414,12 +414,18 @@ class ServiceApp:
                 request, cause="admission_queue",
                 note="deadline expired waiting in the admission queue",
             )
-            return self._result_response(request, result, deadline, decision.queue_wait_s)
+            return self._result_response(
+                request, result, deadline, decision.queue_wait_s, 0.0
+            )
+        started = time.perf_counter()
         try:
             result = self._execute_chain(request, deadline)
         finally:
             self.admission.release()
-        return self._result_response(request, result, deadline, decision.queue_wait_s)
+        return self._result_response(
+            request, result, deadline, decision.queue_wait_s,
+            time.perf_counter() - started,
+        )
 
     def handle_batch(self, payload: dict) -> Response:
         """``/batch``: one admission slot, per-request deadline isolation."""
@@ -441,6 +447,7 @@ class ServiceApp:
         decision = self.admission.admit(deadline)
         if decision.outcome in (SHED, DRAINING):
             return self._shed_response(decision.outcome)
+        started = time.perf_counter()
         if decision.outcome == EXPIRED:
             results = [
                 self._vacuous_result(
@@ -457,13 +464,17 @@ class ServiceApp:
                 results = self._batch_fallback(requests)
             finally:
                 self.admission.release()
+        elapsed_s = time.perf_counter() - started
         payload_out = {
             "count": len(results),
             "queue_wait_ms": round(decision.queue_wait_s * 1000.0, 3),
-            "results": [self._result_payload(req, res)
+            # The batch shares one execution, so its wall clock is the
+            # only one measured; entries report their phase sums.
+            "elapsed_ms": round(elapsed_s * 1000.0, 3),
+            "results": [self._result_payload(req, res, res.total_time)
                         for req, res in zip(requests, results)],
         }
-        self._observe_served(results)
+        self._observe_served(results, elapsed_s)
         return Response(status=200, payload=payload_out)
 
     def _with_default_timeout(self, request: QueryRequest) -> QueryRequest:
@@ -579,7 +590,9 @@ class ServiceApp:
     # Responses
     # ------------------------------------------------------------------
 
-    def _result_payload(self, request: QueryRequest, result: MIOResult) -> dict:
+    def _result_payload(
+        self, request: QueryRequest, result: MIOResult, elapsed_s: float
+    ) -> dict:
         payload = {
             "r": result.r,
             "k": request.k,
@@ -588,7 +601,7 @@ class ServiceApp:
             "score": result.score,
             "exact": result.exact,
             "notes": result.notes,
-            "elapsed_ms": round(result.total_time * 1000.0, 3),
+            "elapsed_ms": round(elapsed_s * 1000.0, 3),
         }
         if result.topk is not None:
             payload["topk"] = [[oid, score] for oid, score in result.topk]
@@ -600,15 +613,20 @@ class ServiceApp:
         result: MIOResult,
         deadline: Optional[Deadline],
         queue_wait_s: float,
+        elapsed_s: float,
     ) -> Response:
-        payload = self._result_payload(request, result)
+        """``elapsed_s``: wall clock of the execution chain, finalize and
+        fallbacks included (0 when the request never executed)."""
+        payload = self._result_payload(request, result, elapsed_s)
         payload["queue_wait_ms"] = round(queue_wait_s * 1000.0, 3)
         if deadline is not None:
             payload["budget_remaining_ms"] = round(deadline.remaining_ms(), 3)
-        self._observe_served([result])
+        self._observe_served([result], elapsed_s)
         return Response(status=200, payload=payload)
 
-    def _observe_served(self, results: List[MIOResult]) -> None:
+    def _observe_served(self, results: List[MIOResult], elapsed_s: float) -> None:
+        """Count served results; ``elapsed_s`` is the wall clock of the
+        admission slot they shared, one latency sample for Retry-After."""
         degraded = sum(1 for result in results if result is not None and not result.exact)
         with self._stats_lock:
             self.stats["served"] += len(results)
@@ -617,7 +635,7 @@ class ServiceApp:
             if result is not None and not result.exact:
                 if "degraded_deadline" in result.notes:
                     self._degraded.inc(cause="deadline")
-            self._note_latency(result.total_time if result is not None else 0.0)
+        self._note_latency(elapsed_s)
 
     def _note_latency(self, seconds: float) -> None:
         # EWMA with alpha=0.2: recent service time dominates Retry-After.

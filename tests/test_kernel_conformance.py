@@ -10,12 +10,16 @@ backends, and traced/untraced pipelines.  Kernel-name resolution policy
 (``auto``, the env kill switch, quiet degradation) is covered at the end.
 """
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.engine import MIOEngine
+from repro.core.labels import PointLabels
 from repro.core.objects import ObjectCollection
 from repro.core.query import PhaseStats
 from repro.errors import InvalidQueryError
@@ -77,7 +81,12 @@ def assert_large_grids_equal(a, b):
 
 
 def assert_bigrids_equal(a, b):
-    """Bit-exact index equality: the grid-mapping half of the contract."""
+    """Bit-exact index equality: the grid-mapping half of the contract.
+
+    Memory accounting is compared first, while no cell bitset has been
+    read: the structural checks below materialize every lazy cell.
+    """
+    assert a.memory_bytes() == b.memory_bytes()
     assert a.r == b.r
     assert a.mapped_points == b.mapped_points
     assert a.key_lists == b.key_lists
@@ -195,6 +204,119 @@ class TestOperationConformance:
         point = np.zeros(2)
         assert numpy_kernel().any_within(candidates, point, 1.0)
         assert not numpy_kernel().any_within(candidates[:-1], point, 1.0)
+
+
+# ----------------------------------------------------------------------
+# Memory accounting on cold grids
+# ----------------------------------------------------------------------
+
+#: Grid states memory accounting must size without reading a cell:
+#: ``bulk`` is an unlabeled upper-bound pass (the numpy kernel's bulk
+#: ``adj_words``), ``labeled`` a label-producing pass over half the
+#: objects (per-cell ``adj_int`` on the cells it touched only).
+GRID_STATES = ("fresh", "bulk", "labeled", "labeled+bulk")
+
+
+def advance_grid(kernel, grid, state):
+    """Run the upper-bound passes ``state`` names on ``grid``."""
+    if state == "fresh":
+        return
+    tau = kernel.lower_bounds(grid).tau_max
+    if "labeled" in state:
+        collection = grid.collection
+        kernel.upper_bounds(
+            grid,
+            tau,
+            upper_masks=lambda oid: np.full(
+                collection[oid].num_points, oid % 2 == 0
+            ),
+            labeler=PointLabels.for_collection(collection, grid.r),
+        )
+    if "bulk" in state:
+        kernel.upper_bounds(grid, tau)
+
+
+def counting_from_int(monkeypatch, bitset_cls):
+    """Patch ``bitset_cls.from_int`` to record every call; returns the log."""
+    calls = []
+    original = bitset_cls.from_int.__func__
+
+    def from_int(cls, value):
+        calls.append(value)
+        return original(cls, value)
+
+    monkeypatch.setattr(bitset_cls, "from_int", classmethod(from_int))
+    return calls
+
+
+class TestColdMemoryAccounting:
+    """``memory_bytes()`` before any cell bitset is read.
+
+    The kernel under test is the one ``auto`` resolves to, so with the
+    numpy kernel masked these cases pin the reference against itself on
+    cold grids.
+    """
+
+    @pytest.mark.parametrize("state", GRID_STATES)
+    @pytest.mark.parametrize("backend", BITSET_BACKENDS)
+    @pytest.mark.parametrize("dimension", [2, 3])
+    def test_cold_memory_matches_reference(self, state, backend, dimension):
+        # n = 90: two-word rows, so word boundaries are exercised.
+        collection = random_collection(
+            n=90, mean_points=6, dimension=dimension, seed=11 + dimension
+        )
+        kernel = resolve_kernel("auto")
+        ref = PYTHON_KERNEL.build_bigrid(collection, 2.5, backend=backend)
+        got = kernel.build_bigrid(collection, 2.5, backend=backend)
+        advance_grid(PYTHON_KERNEL, ref, state)
+        advance_grid(kernel, got, state)
+        assert got.memory_bytes() == ref.memory_bytes()
+        assert_bigrids_equal(ref, got)
+
+    @needs_numpy
+    @pytest.mark.parametrize("state", GRID_STATES)
+    @pytest.mark.parametrize("backend", BITSET_BACKENDS)
+    @pytest.mark.parametrize("dimension", [2, 3])
+    def test_numpy_memory_builds_no_bitset(
+        self, monkeypatch, state, backend, dimension
+    ):
+        collection = random_collection(
+            n=90, mean_points=6, dimension=dimension, seed=11 + dimension
+        )
+        grid = numpy_kernel().build_bigrid(collection, 2.5, backend=backend)
+        advance_grid(numpy_kernel(), grid, state)
+        calls = counting_from_int(monkeypatch, grid.small_grid.bitset_cls)
+        grid.memory_bytes()
+        assert calls == []
+
+    @needs_numpy
+    def test_numpy_memory_of_empty_grid(self):
+        collection = random_collection(n=5, mean_points=3, seed=2)
+        def nothing(oid):
+            return np.zeros(collection[oid].num_points, dtype=bool)
+
+        ref = PYTHON_KERNEL.build_bigrid(collection, 2.0, point_filter=nothing)
+        got = numpy_kernel().build_bigrid(collection, 2.0, point_filter=nothing)
+        assert got.memory_bytes() == ref.memory_bytes()
+
+    @needs_numpy
+    def test_discarded_numpy_grid_needs_no_cyclic_gc(self):
+        # With memory accounting no longer allocating a bitset per cell,
+        # the cyclic collector runs rarely; a grid freed only by it would
+        # pile up across queries.  Its last reference must free it.
+        collection = random_collection(n=90, mean_points=6, seed=13)
+        grid = numpy_kernel().build_bigrid(collection, 2.5)
+        lower = numpy_kernel().lower_bounds(grid)
+        upper = numpy_kernel().upper_bounds(grid, lower.tau_max)
+        numpy_kernel().verify_candidates(grid, upper.candidates, 2.5)
+        grid.memory_bytes()
+        coords = weakref.ref(grid.large_grid.seg_coords)
+        gc.disable()
+        try:
+            del grid, lower, upper
+            assert coords() is None
+        finally:
+            gc.enable()
 
 
 # ----------------------------------------------------------------------

@@ -189,3 +189,17 @@ class TestNumpyDispatch:
         assert reference.path == "reference"
         assert seq.values == reference.values
         assert seq.tau_max == reference.tau_max
+
+    @pytest.mark.parametrize(
+        "n, path", [(20, "numpy-seq"), (70, "numpy-reduceat")]
+    )
+    def test_cache_hit_reports_the_producing_path(self, n, path):
+        from repro.session import QuerySession
+
+        collection = random_collection(n=n, mean_points=4, seed=65)
+        session = QuerySession(collection, kernel="numpy")
+        first = session.query(3.0)
+        repeat = session.query(3.0)
+        assert session.stats()["lower_cache_hits"] == 1
+        assert first.notes["lower_bound_path"] == path
+        assert repeat.notes["lower_bound_path"] == path

@@ -10,6 +10,7 @@ is what keeps these tests from reconfiguring the real one.
 """
 
 import json
+import time
 
 import pytest
 
@@ -202,6 +203,48 @@ class TestLatencyEwmaGauge:
         post(app, "/query", {"r": 4.0})
         assert gauge.value() == pytest.approx(app._ewma_seconds)
         assert gauge.value() != pytest.approx(0.05)
+
+
+class TestElapsedIsWallClock:
+    """``elapsed_ms`` times the whole execution, not just the phases.
+
+    Work outside the phase timers -- finalize, the degradation chain --
+    stands in here as a sleep after the chain returns.
+    """
+
+    OUTSIDE_S = 0.02
+
+    def test_query_elapsed_covers_phases_and_the_rest(
+        self, collection, fresh_telemetry, monkeypatch
+    ):
+        app = make_app(collection, fresh_telemetry)
+        results = []
+        execute_chain = app._execute_chain
+
+        def slow_chain(request, deadline):
+            result = execute_chain(request, deadline)
+            results.append(result)
+            time.sleep(self.OUTSIDE_S)
+            return result
+
+        monkeypatch.setattr(app, "_execute_chain", slow_chain)
+        payload = json.loads(post(app, "/query", {"r": 4.0}).body_bytes())
+        (result,) = results
+        phase_ms = 1000.0 * sum(result.phases.values())
+        assert payload["elapsed_ms"] >= phase_ms + 1000.0 * self.OUTSIDE_S
+        # The Retry-After EWMA takes the same sample (seeded at 0.05 s).
+        assert app._ewma_seconds == pytest.approx(
+            0.05 + 0.2 * (payload["elapsed_ms"] / 1000.0 - 0.05), abs=1e-6
+        )
+
+    def test_batch_elapsed_covers_every_entry(self, collection, fresh_telemetry):
+        app = make_app(collection, fresh_telemetry)
+        payload = json.loads(
+            post(app, "/batch", {"queries": [4.0, 3.0, 4.5]}).body_bytes()
+        )
+        assert payload["elapsed_ms"] >= sum(
+            entry["elapsed_ms"] for entry in payload["results"]
+        )
 
 
 class TestOverHttp:
