@@ -14,7 +14,7 @@ makespan at t=8 is well below t=1), and UB-greedy-p beats UB-greedy-d.
 import pytest
 
 from repro.bench.reporting import format_series
-from repro.parallel.engine import ParallelMIOEngine
+from repro.bench.schedule import simulate_query
 
 from conftest import DEFAULT_R
 
@@ -31,11 +31,11 @@ def test_fig8_partitioning(dataset_name, datasets, report, benchmark):
         ub = {"UB-greedy-p": [], "UB-greedy-d": []}
         for cores in CORE_COUNTS:
             for label, strategy in (("LB-greedy-d", "greedy-d"), ("LB-hash-p", "hash-p")):
-                engine = ParallelMIOEngine(collection, cores=cores, lb_strategy=strategy, mode="simulated")
-                lb[label].append(engine.query(DEFAULT_R).phases["lower_bounding"])
+                result = simulate_query(collection, DEFAULT_R, cores, lb_strategy=strategy)
+                lb[label].append(result.phases["lower_bounding"])
             for label, strategy in (("UB-greedy-p", "greedy-p"), ("UB-greedy-d", "greedy-d")):
-                engine = ParallelMIOEngine(collection, cores=cores, ub_strategy=strategy, mode="simulated")
-                ub[label].append(engine.query(DEFAULT_R).phases["upper_bounding"])
+                result = simulate_query(collection, DEFAULT_R, cores, ub_strategy=strategy)
+                ub[label].append(result.phases["upper_bounding"])
         return lb, ub
 
     lb, ub = benchmark.pedantic(sweep, rounds=1, iterations=1)

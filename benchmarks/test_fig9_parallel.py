@@ -11,13 +11,13 @@ Simulated makespans across core counts.  Paper shapes asserted:
 import pytest
 
 from repro.bench.reporting import format_series
-from repro.core.engine import MIOEngine
-from repro.core.labels import LabelStore
-from repro.parallel.engine import (
-    ParallelMIOEngine,
+from repro.bench.schedule import (
     parallel_nested_loop,
     parallel_simple_grid,
+    simulate_query,
 )
+from repro.core.engine import MIOEngine
+from repro.core.labels import LabelStore
 
 from conftest import DEFAULT_R, best_of
 
@@ -45,15 +45,14 @@ def test_fig9_parallel_algorithms(dataset_name, datasets, report, benchmark):
                 return result.total_time
 
             def run_bigrid():
-                result = ParallelMIOEngine(collection, cores=cores, mode="simulated").query(DEFAULT_R)
+                result = simulate_query(collection, DEFAULT_R, cores)
                 assert result.score == expected
                 return result.total_time
 
             def run_labeled():
-                result = ParallelMIOEngine(
-                    collection, cores=cores, label_store=store,
-                    mode="simulated",
-                ).query(DEFAULT_R)
+                result = simulate_query(
+                    collection, DEFAULT_R, cores, label_store=store
+                )
                 assert result.algorithm == "bigrid-label-parallel"
                 assert result.score == expected
                 return result.total_time

@@ -136,7 +136,7 @@ def test_service_throughput_and_overload(report):
         "provenance": bench_provenance(
             cores=app.primary.cores,
             parallel_mode=(
-                app.primary.parallel_mode if app.primary.cores > 1 else "serial"
+                "sharded" if app.primary.cores > 1 else "serial"
             ),
             shards=(
                 (app.primary.shards or app.primary.cores)

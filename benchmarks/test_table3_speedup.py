@@ -12,9 +12,9 @@ Table III datasets), t in {1, 2, 4, 6, 8, 10, 12}.  Paper shapes asserted:
 import pytest
 
 from repro.bench.reporting import format_series
+from repro.bench.schedule import simulate_query
 from repro.core.engine import MIOEngine
 from repro.core.labels import LabelStore
-from repro.parallel.engine import ParallelMIOEngine
 
 from conftest import DEFAULT_R, best_of
 
@@ -32,7 +32,7 @@ def test_table3_speedup(dataset_name, datasets, report, benchmark):
         # Warm-up: the very first query pays cache/allocator warm-up that
         # would otherwise inflate the t=1 baseline (and fake superlinear
         # speedups).
-        ParallelMIOEngine(collection, cores=1, mode="simulated").query(DEFAULT_R)
+        simulate_query(collection, DEFAULT_R, 1)
         speedups = {"bigrid": [], "bigrid-label": []}
         base = {}
         for cores in CORE_COUNTS:
@@ -41,9 +41,9 @@ def test_table3_speedup(dataset_name, datasets, report, benchmark):
                 ("bigrid-label", {"label_store": store}),
             ):
                 def run_once(name=name, kwargs=kwargs, cores=cores):
-                    result = ParallelMIOEngine(
-                        collection, cores=cores, mode="simulated", **kwargs
-                    ).query(DEFAULT_R)
+                    result = simulate_query(
+                        collection, DEFAULT_R, cores, **kwargs
+                    )
                     assert result.score == expected
                     return result.total_time
 

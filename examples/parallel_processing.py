@@ -2,14 +2,20 @@
 
 Shows the partitioning schemes behind the paper's parallel speedups: the
 cost-based greedy plans balance load where naive hash/object partitioning
-cannot, and the simulated-makespan executor quantifies each plan's quality
-deterministically (see DESIGN.md §5 for why speedups are simulated rather
-than thread-measured under CPython's GIL).
+cannot.  The schedule study (``repro.bench.schedule``) quantifies each
+plan's quality deterministically: every task runs serially, its measured
+cost is charged to the core the plan chose, and a phase reports the
+makespan of that schedule (see DESIGN.md §5 for why speedups are simulated
+rather than thread-measured under CPython's GIL).
+
+Real multi-core execution is ``repro.ParallelMIOEngine``, which runs
+sharded worker processes (see docs/sharding.md).
 
 Run:  python examples/parallel_processing.py
 """
 
-from repro import MIOEngine, ParallelMIOEngine, make_powerlaw
+from repro import MIOEngine, make_powerlaw
+from repro.bench.schedule import simulate_query
 
 
 def main() -> None:
@@ -25,21 +31,23 @@ def main() -> None:
 
     print("\nsimulated parallel run time by core count "
           "(LB-greedy-d + UB-greedy-p, the paper's winners):")
-    print(f"{'cores':>5} | {'makespan [ms]':>13} | speedup")
-    base = None
+    print(f"{'cores':>5} | {'makespan [ms]':>13} | {'serial [ms]':>11} | speedup")
     for cores in (1, 2, 4, 8, 12):
-        result = ParallelMIOEngine(collection, cores=cores).query(r)
+        result = simulate_query(collection, r, cores)
         assert result.score == serial.score  # exactness is never traded
         makespan = result.total_time
-        base = base or makespan
-        print(f"{cores:>5} | {makespan * 1e3:>13.1f} | {base / makespan:.2f}x")
+        serial_cost = sum(
+            seconds for key, seconds in result.extra.items()
+            if key.startswith("serial:")
+        )
+        print(f"{cores:>5} | {makespan * 1e3:>13.1f} | {serial_cost * 1e3:>11.1f} | "
+              f"{serial_cost / makespan:.2f}x")
 
     print("\npartitioning strategies at 8 cores (phase makespans, ms):")
     print(f"{'strategy':<28} | {'lower':>8} | {'upper':>8}")
     for lb, ub in (("greedy-d", "greedy-p"), ("hash-p", "greedy-p"),
                    ("greedy-d", "greedy-d")):
-        engine = ParallelMIOEngine(collection, cores=8, lb_strategy=lb, ub_strategy=ub)
-        result = engine.query(r)
+        result = simulate_query(collection, r, 8, lb_strategy=lb, ub_strategy=ub)
         print(f"LB-{lb:<10} UB-{ub:<10} | "
               f"{result.phases['lower_bounding'] * 1e3:>8.2f} | "
               f"{result.phases['upper_bounding'] * 1e3:>8.2f}")

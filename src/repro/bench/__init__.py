@@ -4,6 +4,8 @@
   collect times, answers, memory, and phase breakdowns
 * :mod:`repro.bench.reporting` -- ascii tables/series formatted like the
   paper's figures and tables
+* :mod:`repro.bench.schedule`  -- the Section IV schedule study: simulated
+  makespans of the paper's partitioning plans (Figs. 8/9, Table III)
 """
 
 from repro.bench.harness import ALGORITHMS, BenchRecord, run_algorithm

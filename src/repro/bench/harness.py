@@ -48,9 +48,8 @@ def bench_provenance(
     ``repro report --check-bench`` can tell which floors legitimately
     apply to the recorded numbers.
 
-    ``parallel_mode`` is ``"serial"`` for single-engine runs, else one
-    of :data:`repro.parallel.engine.PARALLEL_MODES`; ``shards`` is 0
-    whenever the run was not sharded.
+    ``parallel_mode`` is ``"serial"`` for single-engine runs, else
+    ``"sharded"``; ``shards`` is 0 whenever the run was not sharded.
     """
     return {
         "cpu_count": int(os.cpu_count() or 1),

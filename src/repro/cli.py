@@ -121,10 +121,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="per-task retry budget (parallel engine)")
     query.add_argument("--cores", type=int, default=1,
                        help="worker processes; >1 uses the parallel engine")
-    query.add_argument("--parallel-mode", default="sharded",
-                       choices=("sharded", "simulated"),
-                       help="parallel execution: real shard workers "
-                            "(default) or the legacy makespan simulation")
     query.add_argument("--shards", type=int, default=None,
                        help="shards per sharded query (default: one per core)")
     _add_planner_flag(query)
@@ -158,10 +154,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "feature-detects numpy (default: auto)")
     batch.add_argument("--cores", type=int, default=1,
                        help="worker processes; >1 fans with-label queries out")
-    batch.add_argument("--parallel-mode", default="sharded",
-                       choices=("sharded", "simulated"),
-                       help="parallel execution: real shard workers "
-                            "(default) or the legacy makespan simulation")
     batch.add_argument("--shards", type=int, default=None,
                        help="shards per sharded query (default: one per core)")
     batch.add_argument("--retries", type=int, default=2,
@@ -193,9 +185,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="compute kernel for the primary execution path")
     serve.add_argument("--cores", type=int, default=1,
                        help="worker processes for the primary path")
-    serve.add_argument("--parallel-mode", default="sharded",
-                       choices=("sharded", "simulated"),
-                       help="parallel execution for the primary path")
     serve.add_argument("--shards", type=int, default=None,
                        help="shards per sharded query (default: one per core)")
     _add_planner_flag(serve)
@@ -234,10 +223,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="compute kernel for the query phases")
     explain.add_argument("--cores", type=int, default=1,
                          help="worker processes; >1 uses the parallel engine")
-    explain.add_argument("--parallel-mode", default="sharded",
-                         choices=("sharded", "simulated"),
-                         help="parallel execution: real shard workers "
-                              "(default) or the legacy makespan simulation")
     explain.add_argument("--shards", type=int, default=None,
                          help="shards per sharded query (default: one per core)")
     _add_planner_flag(explain)
@@ -377,7 +362,7 @@ def _run_query(args: argparse.Namespace) -> int:
             engine = ParallelMIOEngine(
                 collection, cores=args.cores, backend=args.backend,
                 retries=args.retries, tracer=tracer, kernel=args.kernel,
-                mode=args.parallel_mode, shards=args.shards,
+                shards=args.shards,
                 planner=args.planner,
             )
         else:
@@ -423,7 +408,7 @@ def _cmd_explain(args: argparse.Namespace) -> int:
     if args.cores != 1:
         engine = ParallelMIOEngine(
             collection, cores=args.cores, backend=args.backend, tracer=tracer,
-            kernel=args.kernel, mode=args.parallel_mode, shards=args.shards,
+            kernel=args.kernel, shards=args.shards,
             planner=args.planner,
         )
     else:
@@ -540,8 +525,7 @@ def _run_batch(args: argparse.Namespace) -> int:
     tracer = Tracer() if args.trace_out else None
     session = QuerySession(
         collection, backend=backend, cores=args.cores, retries=args.retries,
-        tracer=tracer, kernel=args.kernel, parallel_mode=args.parallel_mode,
-        shards=args.shards, planner=args.planner,
+        tracer=tracer, kernel=args.kernel, shards=args.shards, planner=args.planner,
     )
     log_stream = None
     try:
@@ -628,7 +612,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         sample_rate=args.sample_rate,
         slow_query_ms=args.slow_ms,
         cores=args.cores,
-        parallel_mode=args.parallel_mode,
         shards=args.shards,
         planner=args.planner,
     )

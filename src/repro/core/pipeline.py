@@ -23,20 +23,14 @@ different ways.  This module factors the skeleton out:
   recording, and (for the parallel engine) the serial-fallback handler.
 
 An engine is then just a stage list plus a pipeline configuration: the
-parallel engine is the *same* orchestrator with parallel stage
+parallel engine is the *same* orchestrator with sharded stage
 implementations (see :mod:`repro.parallel.stages`), the temporal engine
 swaps in ``(bin, key)``-indexed stages, and the progressive iterator runs
 the filter prefix of the serial stage list.  Serial fallback is the
 pipeline's ``fallback`` hook swapping stage implementations mid-run.
-A future sharded or async executor is one more stage-implementation set,
-not a sixth copy of the skeleton.
 
-Two middleware orderings exist in the wild and both are preserved
-exactly: the serial engine trips faults and checkpoints *before* opening
-a phase span (a fault aborts the query before the span exists), while
-the parallel engine trips them *inside* the span (the span records the
-error and the engine-level fallback handles it).  The
-``trip_inside_span`` flag selects the ordering per pipeline.
+Faults are tripped and deadlines checkpointed *before* a phase span
+opens: a fault aborts the query before the span exists.
 """
 
 from __future__ import annotations
@@ -628,23 +622,6 @@ class PhasePipeline:
         recorder (``"serial"``, ``"parallel"``, ``"temporal"``, ...).
     root_attributes:
         ``ctx -> dict`` of extra attributes for the root ``query`` span.
-    trip_inside_span:
-        False (serial ordering): trip/checkpoint run *before* the phase
-        span opens.  True (parallel ordering): they run as the first
-        thing *inside* the span, so an injected fault is recorded on the
-        span before the fallback handles it.
-    derive_phases:
-        With a real tracer, overwrite ``result.phases`` from the span
-        tree after the root closes -- the trace is the source of truth,
-        so tree and result can never disagree.  Off for makespan-reporting
-        pipelines, whose spans already carry the reported durations.
-    makespan_root:
-        Override the root span's wall-clock duration with the result's
-        ``total_time`` (simulated-parallel trees must sum like the
-        simulated phases, not like host wall-clock).
-    observe:
-        Feed the finished result to the metrics registry
-        (:func:`~repro.obs.recorders.observe_query`).
     fallback / fallback_errors:
         Mid-run stage-implementation swap: when a stage raises one of
         ``fallback_errors``, ``fallback(ctx, cause, root_span)`` produces
@@ -659,20 +636,12 @@ class PhasePipeline:
         *,
         engine: str,
         root_attributes: Optional[Callable[[QueryContext], Dict[str, Any]]] = None,
-        trip_inside_span: bool = False,
-        derive_phases: bool = True,
-        makespan_root: bool = False,
-        observe: bool = True,
         fallback: Optional[Callable[[QueryContext, Exception, Any], MIOResult]] = None,
         fallback_errors: Tuple[type, ...] = (),
     ) -> None:
         self.stages = tuple(stages)
         self.engine = engine
         self.root_attributes = root_attributes
-        self.trip_inside_span = trip_inside_span
-        self.derive_phases = derive_phases
-        self.makespan_root = makespan_root
-        self.observe = observe
         self.fallback = fallback
         self.fallback_errors = tuple(fallback_errors)
 
@@ -688,18 +657,12 @@ class PhasePipeline:
             if not stage.active(ctx):
                 continue
             name = stage.name
-            if not self.trip_inside_span:
-                if stage.trips_fault:
-                    faults.trip(name)
-                if stage.checks_deadline:
-                    checkpoint(ctx.deadline, name)
+            if stage.trips_fault:
+                faults.trip(name)
+            if stage.checks_deadline:
+                checkpoint(ctx.deadline, name)
             if stage.traced:
                 with tracer.span(name, **stage.span_attributes(ctx)) as span:
-                    if self.trip_inside_span:
-                        if stage.trips_fault:
-                            faults.trip(name)
-                        if stage.checks_deadline:
-                            checkpoint(ctx.deadline, name)
                     self._invoke(stage, ctx, span)
             else:
                 self._invoke(stage, ctx, None)
@@ -724,12 +687,8 @@ class PhasePipeline:
         slow-query log -- alongside the metrics recorder.
         """
         tracer = ctx.tracer
-        telemetry = get_telemetry() if self.observe else None
-        if (
-            telemetry is not None
-            and not tracer.enabled
-            and telemetry.should_sample()
-        ):
+        telemetry = get_telemetry()
+        if not tracer.enabled and telemetry.should_sample():
             # Sampled-in: this query carries a full span tree that lands
             # in the hub's trace ring (the caller's NULL tracer is only
             # replaced for this one context, never shared back).
@@ -746,27 +705,22 @@ class PhasePipeline:
             root.set_attributes(
                 winner=result.winner, score=result.score, exact=result.exact
             )
-            if self.makespan_root:
-                # Phase spans carry simulated makespans; override the
-                # root's wall-clock too so the tree sums like total_time.
-                root.set_duration(result.total_time)
         if not fell_back:
-            if self.derive_phases and tracer.enabled:
+            if tracer.enabled:
                 # The trace is the source of truth: the reported per-phase
                 # times ARE the span durations, so tree and result agree.
                 result.phases = phase_durations(root)
-            if self.observe:
-                observe_query(result, engine=self.engine)
-                telemetry.observe_result(
-                    result,
-                    engine=self.engine,
-                    r=ctx.r,
-                    k=ctx.k,
-                    ceil_r=ctx.ceil_r,
-                    n=getattr(ctx.collection, "n", 0),
-                    sampled=tracer.enabled,
-                    span_root=root if tracer.enabled else None,
-                )
+            observe_query(result, engine=self.engine)
+            telemetry.observe_result(
+                result,
+                engine=self.engine,
+                r=ctx.r,
+                k=ctx.k,
+                ceil_r=ctx.ceil_r,
+                n=getattr(ctx.collection, "n", 0),
+                sampled=tracer.enabled,
+                span_root=root if tracer.enabled else None,
+            )
             if ctx.planner is not None and ctx.plan is not None:
                 # The planner's online feedback loop: fold the finished
                 # query's phase timings back into the cost model.  Like
@@ -813,6 +767,4 @@ FILTER_PIPELINE = PhasePipeline(
         UpperBoundingStage(trips_fault=False, checks_deadline=False),
     ),
     engine="progressive",
-    derive_phases=False,
-    observe=False,
 )

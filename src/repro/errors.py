@@ -80,7 +80,7 @@ class BackendUnavailableError(ReproError, ValueError):
 
 
 class PartitionTaskError(ReproError, RuntimeError):
-    """A partitioned parallel task kept failing after all retries."""
+    """A shard task kept failing after all retries."""
 
     exit_code = 15
     http_status = 500

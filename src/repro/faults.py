@@ -1,7 +1,7 @@
 """Deterministic, seeded fault injection for robustness testing.
 
 Production code calls :func:`trip` at *named injection points* (one per
-pipeline phase, one per partition task, one per backend probe).  With no
+pipeline phase, one per shard task dispatch, one per backend probe).  With no
 injector installed — the default — a trip is a no-op costing one global
 read, so the harness is safe to leave compiled into the hot paths.
 
@@ -15,7 +15,7 @@ Everything is deterministic under a fixed seed.
 
 ``REPRO_FAULTS`` grammar (``;``-separated)::
 
-    seed=42;verification:fail;partition_task:latency:0.5:10
+    seed=42;verification:fail;shard_task:latency:0.5:10
 
 i.e. ``point:kind[:rate[:latency_ms[:match]]]``.  A value containing only
 ``seeds=...`` (as the CI chaos job sets) configures no specs here; the test
@@ -38,7 +38,6 @@ INJECTION_POINTS = (
     "lower_bounding",
     "upper_bounding",
     "verification",
-    "partition_task",
     "shard_task",
     "backend",
     "io",

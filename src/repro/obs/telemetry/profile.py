@@ -26,7 +26,7 @@ field              meaning
                    ``lower_bound_path``, ``degraded_*``)
 ``memory_bytes``   index size
 ``shards``         shard fan-out of a sharded parallel query (0 for
-                   serial/simulated execution)
+                   serial execution)
 =================  =====================================================
 
 :class:`ProfileStore` keeps the most recent ``capacity`` profiles in a

@@ -17,12 +17,10 @@ enter/exit, which keeps the hot paths within noise of the
 pre-instrumentation pipeline (the overhead guard in
 ``benchmarks/test_obs_overhead.py`` enforces this).
 
-Simulated-parallel phases report *makespans*, not wall-clock, so a span's
-measured duration can be overridden with :meth:`Span.set_duration`; the
-parallel engine uses this to keep the trace consistent with the
-``phases`` it reports.  Completed work whose duration is already known
-(e.g. a baseline's phase breakdown) is attached with
-:meth:`Tracer.record`.
+Completed work whose duration is already known (e.g. a baseline's phase
+breakdown, or a shard worker's run) is attached with
+:meth:`Tracer.record`, which stamps the known duration on the span with
+:meth:`Span.set_duration` instead of measuring it.
 """
 
 from __future__ import annotations
@@ -87,7 +85,7 @@ class Span:
         self.attributes.update(attributes)
 
     def set_duration(self, seconds: float) -> None:
-        """Override the measured duration (simulated-parallel makespans)."""
+        """Override the measured duration with a known one."""
         self._override = float(seconds)
 
     def rename(self, name: str) -> None:

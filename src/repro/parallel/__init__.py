@@ -6,15 +6,15 @@
 * :mod:`repro.parallel.plans`        -- per-phase partitioning plans:
   LB-greedy-d / LB-hash-p for lower-bounding, UB-greedy-p / UB-greedy-d
   for upper-bounding, the point-splitting plan for verification.
-* :mod:`repro.parallel.executor`     -- a deterministic simulated-makespan
-  executor (the measurement device for Figs. 8/9 and Table III; see
-  DESIGN.md §5) and a real-thread executor for functional parity.
-* :mod:`repro.parallel.engine`       -- the parallel engine plus parallel
-  renditions of the NL and SG competitors.
+* :mod:`repro.parallel.stages`       -- the sharded pipeline stages.
+* :mod:`repro.parallel.engine`       -- the sharded parallel engine.
+
+The paper's schedule study (Figs. 8/9, Table III), which applies the
+partitioning plans to measured per-task costs, is the bench-only module
+:mod:`repro.bench.schedule`.
 """
 
-from repro.parallel.engine import ParallelMIOEngine, parallel_nested_loop, parallel_simple_grid
-from repro.parallel.executor import CoreReport, SimulatedExecutor, ThreadExecutor
+from repro.parallel.engine import ParallelMIOEngine
 from repro.parallel.partitioning import (
     greedy_partition,
     hash_partition,
@@ -25,16 +25,11 @@ from repro.parallel.partitioning import (
 )
 
 __all__ = [
-    "CoreReport",
     "ParallelMIOEngine",
-    "SimulatedExecutor",
-    "ThreadExecutor",
     "greedy_partition",
     "hash_partition",
     "karmarkar_karp_partition",
     "load_balance_ratio",
-    "parallel_nested_loop",
-    "parallel_simple_grid",
     "streaming_greedy_partition",
     "upper_bounding_group_cost",
 ]

@@ -1,40 +1,28 @@
 """Parallel MIO query processing (Section IV).
 
 :class:`ParallelMIOEngine` is the shared
-:class:`~repro.core.pipeline.PhasePipeline` configured with one of two
-parallel stage sets:
-
-``mode="sharded"`` (the default) is *real* multiprocess execution: the
-collection is routed onto curve-contiguous shards with exact Lemma-2
-halos (:mod:`repro.shard.router`), each shard runs the full vectorized
-phase chain in a persistent worker process over shared-memory
-coordinates (:mod:`repro.shard.executor`), and the coordinator replays
-the serial best-first loop over the shards' answers
-(:mod:`repro.shard.merge`) — so the answer is bit-identical to the
+:class:`~repro.core.pipeline.PhasePipeline` configured with the sharded
+stage set: the collection is routed onto curve-contiguous shards with
+exact Lemma-2 halos (:mod:`repro.shard.router`), each shard runs the
+full vectorized phase chain in a persistent worker process over
+shared-memory coordinates (:mod:`repro.shard.executor`), and the
+coordinator replays the serial best-first loop over the shards' answers
+(:mod:`repro.shard.merge`) -- so the answer is bit-identical to the
 serial engine, including tie selection, while the phases are genuine
-wall-clock times that shrink with cores.
+wall-clock times that shrink with cores.  The engine always runs
+label-free: labels encode the canonical serial access order of the
+*whole* collection.
 
-``mode="simulated"`` is the legacy single-process engine kept for the
-paper's Fig. 9 schedule study: the same four BIGrid phases run under
-the paper's partitioning schemes on a
-:class:`~repro.parallel.executor.SimulatedExecutor` (DESIGN.md §5), and
-each phase reports the simulated *makespan* of its schedule while
-``extra["serial:..."]`` keeps the serial cost so speedups can be
-computed.  Only this mode consumes labels (the Fig. 9 "BIGrid-label"
-configuration); the sharded mode always runs label-free, because labels
-encode the canonical serial access order of the *whole* collection.
+Serial fallback is the pipeline's ``fallback`` hook: when a shard task
+dies past its retry budget, the query re-runs through the serial stage
+set -- a mid-run stage-implementation swap, not a separate code path.
+The serial engine opens its own ``query`` span (a child of ours) and
+observes itself as ``engine="serial"``, so the fallback is visible in
+both the trace and the metrics without double counting.
 
-Serial fallback is the pipeline's ``fallback`` hook in both modes: when
-a task dies past its retry budget (a shard worker in sharded mode, a
-partition task in simulated mode), the query re-runs through the serial
-stage set — a mid-run stage-implementation swap, not a separate code
-path.  The serial engine opens its own ``query`` span (a child of ours)
-and observes itself as ``engine="serial"``, so the fallback is visible
-in both the trace and the metrics without double counting.
-
-:func:`parallel_nested_loop` and :func:`parallel_simple_grid` (re-exported
-from :mod:`repro.parallel.competitors`) are the paper's parallel
-renditions of the competitors.
+The paper's Fig. 8/9 and Table III schedule study (simulated makespans
+of the partitioning schemes) is a benchmark device, not an engine mode:
+see :mod:`repro.bench.schedule`.
 """
 
 from __future__ import annotations
@@ -52,28 +40,19 @@ from repro.kernels import numpy_kernel_available, resolve_kernel
 from repro.obs import metrics as obs_metrics
 from repro.obs.trace import ensure_tracer
 from repro.planner import Plan, capture_statistics, resolve_planner
-from repro.parallel.competitors import (  # noqa: F401  (public re-exports)
-    parallel_nested_loop,
-    parallel_simple_grid,
-)
-from repro.parallel.executor import SimulatedExecutor
-from repro.parallel.stages import PARALLEL_STAGES, SHARDED_STAGES
+from repro.parallel.stages import SHARDED_STAGES
 from repro.resilience import Deadline
 from repro.shard.curves import CURVES
 from repro.shard.executor import ShardExecutor
 from repro.shard.router import ShardPlanCache
 
-LB_STRATEGIES = ("greedy-d", "hash-p")
-UB_STRATEGIES = ("greedy-p", "greedy-d")
-PARALLEL_MODES = ("sharded", "simulated")
-
 
 def _fall_back_to_serial(ctx: QueryContext, cause: Exception, root) -> MIOResult:
     """Swap in the serial stage set mid-run (the pipeline's fallback hook).
 
-    A parallel task died past its retry budget (or a fault fired in an
-    unretried inline loop).  The answer is still computable: degrade to
-    the serial engine rather than crash the query.
+    A shard task died past its retry budget.  The answer is still
+    computable: degrade to the serial engine rather than crash the query.  The serial engine
+    reads this engine's label store, label policy, and key cache.
     """
     engine = ctx.engine
     if not engine.serial_fallback:
@@ -104,29 +83,9 @@ def _fall_back_to_serial(ctx: QueryContext, cause: Exception, root) -> MIOResult
     return result
 
 
-#: The orchestrator configured for simulated-parallel execution (legacy
-#: ``mode="simulated"``; see the module docstring).
-PARALLEL_PIPELINE = PhasePipeline(
-    PARALLEL_STAGES,
-    engine="parallel",
-    root_attributes=lambda ctx: {
-        "cores": ctx.engine.cores,
-        "mode": "simulated",
-        "r": ctx.r,
-        "k": ctx.k,
-        "backend": ctx.backend,
-    },
-    trip_inside_span=True,
-    derive_phases=False,
-    makespan_root=True,
-    fallback=_fall_back_to_serial,
-    fallback_errors=(PartitionTaskError, InjectedFault),
-)
-
-#: The orchestrator configured for real shard-parallel execution
-#: (``mode="sharded"``, the default).  Stages are wall-clock-timed like
-#: the serial pipeline's, so ``derive_phases`` stays on and the root
-#: span keeps its measured duration.
+#: The orchestrator configured for real shard-parallel execution.  Stages
+#: are wall-clock-timed like the serial pipeline's, and the root span
+#: keeps its measured duration.
 SHARDED_PIPELINE = PhasePipeline(
     SHARDED_STAGES,
     engine="parallel",
@@ -144,12 +103,12 @@ SHARDED_PIPELINE = PhasePipeline(
 
 
 class ParallelMIOEngine:
-    """Multi-core MIO query processing.
+    """Multi-core MIO query processing over sharded worker processes.
 
-    ``mode="sharded"`` (default) runs each query across a persistent
-    pool of ``cores`` worker processes (exact, serial-identical answers;
-    real wall-clock speedup); ``mode="simulated"`` keeps the legacy
-    single-process schedule simulation with makespan accounting.
+    Each query runs across a persistent pool of ``cores`` worker
+    processes: exact, serial-identical answers with real wall-clock
+    speedup.  ``mode`` only accepts ``"sharded"``; the simulated
+    schedule study lives in :mod:`repro.bench.schedule`.
     """
 
     def __init__(
@@ -157,8 +116,6 @@ class ParallelMIOEngine:
         collection: ObjectCollection,
         cores: int,
         backend: str = "ewah",
-        lb_strategy: str = "greedy-d",
-        ub_strategy: str = "greedy-p",
         label_store: Optional[LabelStore] = None,
         label_reuse: str = "safe",
         retries: int = 2,
@@ -171,14 +128,13 @@ class ParallelMIOEngine:
         curve: str = "hilbert",
         planner=None,
     ) -> None:
-        if lb_strategy not in LB_STRATEGIES:
-            raise InvalidQueryError(f"lb_strategy must be one of {LB_STRATEGIES}")
-        if ub_strategy not in UB_STRATEGIES:
-            raise InvalidQueryError(f"ub_strategy must be one of {UB_STRATEGIES}")
+        if mode != "sharded":
+            raise InvalidQueryError(
+                f'mode must be "sharded" (got {mode!r}); the simulated schedule '
+                "study is repro.bench.schedule.simulate_query"
+            )
         if label_reuse not in ("safe", "paper"):
             raise InvalidQueryError('label_reuse must be "safe" or "paper"')
-        if mode not in PARALLEL_MODES:
-            raise InvalidQueryError(f"mode must be one of {PARALLEL_MODES}")
         if curve not in CURVES:
             raise InvalidQueryError(f"curve must be one of {CURVES}")
         if shards is not None and shards < 1:
@@ -187,46 +143,37 @@ class ParallelMIOEngine:
             raise InvalidQueryError("cores must be at least 1")
         resolve_kernel(kernel)  # validate the name up front
         self.collection = collection
-        self.executor = SimulatedExecutor(cores, retries=retries)
         self.cores = cores
         self.backend = backend
-        self.lb_strategy = lb_strategy
-        self.ub_strategy = ub_strategy
+        #: Label store, label policy, and key cache serve only the serial
+        #: paths -- the serial fallback engine, and (key cache) a
+        #: planner-chosen serial run.  Shard workers run label-free and
+        #: build their own grids.
         self.label_store = label_store
         self.label_reuse = label_reuse
-        #: Re-executions granted to a failing task before the round
-        #: aborts (and, with ``serial_fallback``, the query degrades to
-        #: the serial engine instead of crashing).
+        self.key_cache = key_cache
+        #: Re-executions granted to a failing shard task before the query
+        #: aborts (and, with ``serial_fallback``, degrades to the serial
+        #: engine instead of crashing).
         self.retries = retries
         self.serial_fallback = serial_fallback
-        #: Optional session-shared large-grid key cache (see
-        #: :class:`~repro.grid.cache.LargeKeyCache`): the key computation in
-        #: grid mapping is reused across same-ceiling queries, exactly as in
-        #: the serial engine.  The serial fallback engine shares it too.
-        #: (Simulated mode only; shard workers build their own grids.)
-        self.key_cache = key_cache
-        #: Optional tracer: each query records phase spans (wall-clock in
-        #: sharded mode with one child span per shard; simulated makespans
-        #: in simulated mode with one child span per simulated core).
+        #: Optional tracer: each query records phase spans (wall-clock,
+        #: with one child span per shard).
         self.tracer = tracer
         #: Compute-kernel backend (see :mod:`repro.kernels`); shard
-        #: workers run its full phase chain, the simulated stages use its
-        #: key computation and distance primitive, and the serial
-        #: fallback engine inherits it.
+        #: workers run its full phase chain and the serial fallback
+        #: engine inherits it.
         self.kernel = kernel
-        #: Execution mode: "sharded" (real processes) or "simulated".
-        self.mode = mode
-        #: Shards per query in sharded mode (default: one per core).
+        #: Shards per query (default: one per core).
         self.shards = shards if shards is not None else cores
         #: Space-filling curve the shard router orders cells by.
         self.curve = curve
         #: Routing decisions cached per ``(ceil_r, shards, curve)``.
         self.plan_cache = ShardPlanCache()
-        #: Optional query planner (see :mod:`repro.planner`).  Sharded
-        #: mode only: per query the planner picks mode (a small query
-        #: degenerates to the serial pipeline in-process), shard count,
-        #: and kernel, against this engine's static configuration as the
-        #: baseline.  The simulated schedule study is never re-planned.
+        #: Optional query planner (see :mod:`repro.planner`): per query it
+        #: picks sharded or serial (a small query degenerates to the
+        #: serial pipeline in-process), shard count, and kernel, against
+        #: this engine's static configuration as the baseline.
         self.planner = resolve_planner(planner)
         self._shard_executor: Optional[ShardExecutor] = None
 
@@ -266,7 +213,7 @@ class ParallelMIOEngine:
         deadline: Optional[Deadline] = None,
         tracer=None,
     ) -> MIOResult:
-        """The MIO answer plus per-phase parallel times."""
+        """The MIO answer plus per-phase wall-clock times."""
         if deadline is None:
             deadline = Deadline.from_timeout_ms(timeout_ms)
         return self._run(r, k=1, want_ranking=False, deadline=deadline, tracer=tracer)
@@ -302,13 +249,13 @@ class ParallelMIOEngine:
             raise InvalidQueryError("the distance threshold r must be positive")
         tracer = ensure_tracer(tracer if tracer is not None else self.tracer)
         plan = decision = stats = None
-        if self.planner is not None and self.mode == "sharded":
-            # Engine-level planning: mode and shard count must be known
-            # before a pipeline is even selected, so the decision happens
-            # here and rides into the context pre-pinned (the planning
-            # stage then only applies it).  The baseline is this engine's
-            # static configuration — the planner must predict a real win
-            # to deviate from it.
+        if self.planner is not None:
+            # Engine-level planning: sharded-vs-serial and the shard count
+            # must be known before a pipeline is even selected, so the
+            # decision happens here and rides into the context pre-pinned
+            # (the planning stage then only applies it).  The baseline is
+            # this engine's static configuration -- the planner must
+            # predict a real win to deviate from it.
             stats = capture_statistics(
                 self.collection,
                 r,
@@ -326,7 +273,6 @@ class ParallelMIOEngine:
             decision = self.planner.decide(stats, baseline)
             plan = decision.plan
         run_serial = plan is not None and plan.mode == "serial"
-        sharded = self.mode == "sharded" and not run_serial
         ctx = QueryContext(
             collection=self.collection,
             r=r,
@@ -335,32 +281,24 @@ class ParallelMIOEngine:
             deadline=deadline,
             tracer=tracer,
             backend=self.backend,
-            # The sharded path (and a planner-degenerated serial run of
-            # it) stays label-free: labels encode the canonical serial
-            # access order of the whole collection (module docstring).
-            label_store=self.label_store if self.mode == "simulated" else None,
+            # Label-free, including a planner-degenerated serial run
+            # (module docstring).
+            label_store=None,
             label_reuse=self.label_reuse,
             key_cache=self.key_cache,
             engine=self,
             kernel=self.kernel,
             shards=(
-                (plan.shards if plan is not None else self.shards)
-                if sharded
-                else None
+                None
+                if run_serial
+                else (plan.shards if plan is not None else self.shards)
             ),
-            planner=self.planner if self.mode == "sharded" else None,
+            planner=self.planner,
             plan=plan,
         )
         ctx.plan_decision = decision
         ctx.plan_stats = stats
-        if run_serial:
-            # The planner judged the fan-out overhead not worth it for
-            # this query: run the serial stage set in-process.  Answers
-            # are bit-identical either way (the merge replays the serial
-            # loop); only the wall-clock differs.
-            pipeline = SERIAL_PIPELINE
-        elif self.mode == "sharded":
-            pipeline = SHARDED_PIPELINE
-        else:
-            pipeline = PARALLEL_PIPELINE
+        # A planner-chosen serial run skips the fan-out overhead; answers
+        # are bit-identical either way (the merge replays the serial loop).
+        pipeline = SERIAL_PIPELINE if run_serial else SHARDED_PIPELINE
         return pipeline.run(ctx)

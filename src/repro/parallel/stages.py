@@ -1,241 +1,33 @@
-"""Parallel stage implementations for the shared phase pipeline.
+"""Sharded stage implementations for the shared phase pipeline.
 
 The parallel engine is the same :class:`~repro.core.pipeline.PhasePipeline`
-as the serial engine with this stage set swapped in: each stage runs its
-phase under the paper's partitioning schemes on the engine's
-:class:`~repro.parallel.executor.SimulatedExecutor` (DESIGN.md §5) and
-reports the simulated *makespan* of its schedule rather than wall-clock.
-The stages therefore do their own time accounting (``timed = False``):
-the makespan goes to ``PhaseStats`` and onto the phase span via
-:func:`finish_phase_span`, and the serial cost of the same work lands in
-``extra["serial:..."]`` so speedups can be computed.
+as the serial engine with this stage set swapped in: route the collection
+onto curve-contiguous shards with exact halos, fan the per-shard phase
+chain out to the engine's worker pool, replay the serial best-first loop
+over the shards' answers, and assemble the result.  Stages are
+wall-clock-timed by the pipeline like the serial ones.
 
-Phase parallelization mirrors the paper exactly:
-
-* grid mapping   -- points of each object hash-partitioned (barrier per
-  object; parallelizing the object loop is NP-complete, Theorem 3);
-* lower-bounding -- ``lb_strategy="greedy-d"`` (objects by ``|o_i.L|``,
-  no synchronization) or ``"hash-p"`` (per-object key split with local
-  bitsets merged at each object barrier);
-* upper-bounding -- ``ub_strategy="greedy-p"`` (Eq. (3) cost-based key
-  groups with single-core key ownership) or ``"greedy-d"`` (naive split
-  of objects by point count);
-* verification   -- best-first candidate loop with each candidate's point
-  groups split across cores and local bitsets merged per candidate.
-
-Inline (unretried) chunks trip the ``partition_task`` fault point; an
-injected failure there -- like a task dying past the executor's retry
-budget -- surfaces as the pipeline's fallback (see
-:data:`~repro.parallel.engine.PARALLEL_PIPELINE`), which swaps in the
+Sharded fault injection is the ``shard_task`` point, tripped by the
+shard executor before each dispatch; a task dying past its retry budget
+surfaces as the pipeline's fallback (see
+:data:`~repro.parallel.engine.SHARDED_PIPELINE`), which swaps in the
 serial stage set mid-run.
 """
 
 from __future__ import annotations
 
-import math
-import time
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
-import numpy as np
-
-from repro import faults
-from repro.bitset.factory import resolve_backend
-from repro.core.labels import PointLabels, labels_match_collection
 from repro.core.pipeline import (
     BackendResolutionStage,
     PlanningStage,
     QueryContext,
     Stage,
-    kth_largest,
 )
 from repro.core.query import MIOResult
-from repro.core.verification import bits_of
 from repro.errors import QueryTimeout
-from repro.grid.bigrid import BIGrid
-from repro.grid.keys import large_cell_width, small_cell_width
-from repro.grid.large_grid import LargeGrid
-from repro.grid.small_grid import SmallGrid
-from repro.kernels import resolve_kernel
-from repro.parallel.executor import CoreReport, gc_paused
-from repro.parallel.partitioning import hash_partition
-from repro.parallel.plans import (
-    plan_lower_bounding_greedy_d,
-    plan_upper_bounding_greedy_d,
-    plan_upper_bounding_greedy_p,
-    plan_verification_chunks,
-)
 from repro.shard.executor import ShardTimeout
 from repro.shard.merge import merge_outcomes
-
-
-def finish_phase_span(tracer, span, report: CoreReport) -> None:
-    """Seal a parallel phase span so the trace matches ``phases``.
-
-    The span's wall-clock measurement is replaced by the simulated
-    makespan, and one child span per simulated core carries that core's
-    charged load, so ``repro explain`` shows the schedule's balance.
-    """
-    span.set_duration(report.makespan)
-    span.set_attributes(
-        serial_seconds=report.serial_seconds,
-        barrier_seconds=report.barrier_seconds,
-        merge_seconds=report.merge_seconds,
-    )
-    # Barrier-accumulated phases charge rounds, not cores: their
-    # per-core vector is all zeros and would only add noise.
-    if tracer.enabled and any(report.per_core_seconds):
-        for core, seconds in enumerate(report.per_core_seconds):
-            tracer.record(f"core-{core}", seconds, core=core)
-
-
-class ParallelStage(Stage):
-    """Base for parallel phases: makespan accounting replaces the timer."""
-
-    timed = False
-
-    def seal(self, ctx: QueryContext, span, report: CoreReport) -> None:
-        """Common epilogue: span makespan, phase time, serial cost."""
-        finish_phase_span(ctx.tracer, span, report)
-        ctx.stats.add_time(self.name, report.makespan)
-        ctx.extra[f"serial:{self.name}"] = report.serial_seconds
-
-
-class ParallelLabelInputStage(Stage):
-    """Consume labels produced by earlier *serial* queries (Fig. 9
-    "BIGrid-label"); the parallel engine never writes labels, because
-    labeling requires the canonical serial access order."""
-
-    trips_fault = False
-    checks_deadline = False
-    traced = False
-    timed = False
-
-    def active(self, ctx: QueryContext) -> bool:
-        return ctx.label_store is not None
-
-    def run(self, ctx: QueryContext, span) -> None:
-        labels = ctx.label_store.get(ctx.ceil_r)
-        if labels is not None and not labels_match_collection(labels, ctx.collection):
-            labels = None  # stale store: relabeling is the serial engine's job
-        ctx.labels = labels
-
-
-class ParallelGridMappingStage(ParallelStage):
-    """PARALLEL-GRID-MAPPING: hash-partition each object's points."""
-
-    name = "grid_mapping"
-
-    def run(self, ctx: QueryContext, span) -> None:
-        bigrid, report = _parallel_grid_mapping(ctx.engine, ctx.r, ctx.labels)
-        ctx.bigrid = bigrid
-        self.seal(ctx, span, report)
-        span.set_attributes(
-            small_cells=len(bigrid.small_grid.cells),
-            large_cells=len(bigrid.large_grid.cells),
-            mapped_points=bigrid.mapped_points,
-        )
-
-
-class ParallelLowerBoundingStage(ParallelStage):
-    """PARALLEL-LOWER-BOUNDING under the engine's ``lb_strategy``."""
-
-    name = "lower_bounding"
-
-    def span_attributes(self, ctx: QueryContext) -> Dict[str, str]:
-        return {"strategy": ctx.engine.lb_strategy}
-
-    def run(self, ctx: QueryContext, span) -> None:
-        values, bitsets, report = _parallel_lower_bounding(
-            ctx.engine, ctx.bigrid, ctx.labels
-        )
-        ctx.lower_values = values
-        ctx.lower_bitsets = bitsets
-        ctx.threshold = kth_largest(values, ctx.k)
-        self.seal(ctx, span, report)
-        span.set_attributes(tau_max_low=ctx.threshold)
-
-
-class ParallelUpperBoundingStage(ParallelStage):
-    """PARALLEL-UPPER-BOUNDING under the engine's ``ub_strategy``."""
-
-    name = "upper_bounding"
-
-    def span_attributes(self, ctx: QueryContext) -> Dict[str, str]:
-        return {"strategy": ctx.engine.ub_strategy}
-
-    def run(self, ctx: QueryContext, span) -> None:
-        candidates, report = _parallel_upper_bounding(
-            ctx.engine, ctx.bigrid, ctx.threshold, ctx.labels
-        )
-        ctx.candidates = candidates
-        self.seal(ctx, span, report)
-        span.set_attributes(candidates=len(candidates))
-
-
-class ParallelVerificationStage(ParallelStage):
-    """PARALLEL-VERIFICATION: per-candidate point groups split over cores."""
-
-    name = "verification"
-
-    def run(self, ctx: QueryContext, span) -> None:
-        ranking, report, verified = _parallel_verification(
-            ctx.engine, ctx.bigrid, ctx.candidates, ctx.r,
-            ctx.lower_bitsets, ctx.labels, ctx.k,
-        )
-        ctx.ranking = ranking
-        ctx.verified = verified
-        ctx.notes["verification_path"] = "parallel-chunked"
-        self.seal(ctx, span, report)
-        span.set_attributes(settled=verified)
-
-
-class ParallelFinalizeStage(Stage):
-    """Assemble the parallel :class:`MIOResult` (makespan phases)."""
-
-    trips_fault = False
-    checks_deadline = False
-    traced = False
-    timed = False
-
-    def run(self, ctx: QueryContext, span) -> None:
-        ranking = ctx.ranking
-        candidates = ctx.candidates
-        winner, score = (
-            ranking[0] if ranking else (candidates[0][1] if candidates else 0, 0)
-        )
-        ctx.result = MIOResult(
-            algorithm="bigrid-parallel" if ctx.labels is None else "bigrid-label-parallel",
-            r=ctx.r,
-            winner=winner,
-            score=score,
-            topk=ranking if ctx.want_ranking else None,
-            phases=ctx.stats.phases,
-            counters={
-                "cores": ctx.engine.cores,
-                "candidates": len(candidates),
-                "verified_objects": ctx.verified,
-            },
-            memory_bytes=ctx.bigrid.memory_bytes(),
-            notes=ctx.notes,
-            extra=ctx.extra,
-        )
-
-
-#: The parallel engine's stage set, consumed by
-#: :data:`repro.parallel.engine.PARALLEL_PIPELINE`.
-PARALLEL_STAGES: Tuple[Stage, ...] = (
-    ParallelLabelInputStage(),
-    ParallelGridMappingStage(),
-    ParallelLowerBoundingStage(),
-    ParallelUpperBoundingStage(),
-    ParallelVerificationStage(),
-    ParallelFinalizeStage(),
-)
-
-
-# ----------------------------------------------------------------------
-# Sharded stages: real multiprocess execution (repro.shard)
-# ----------------------------------------------------------------------
 
 
 def _merge_paths(paths: List[str]) -> str:
@@ -459,389 +251,3 @@ SHARDED_STAGES: Tuple[Stage, ...] = (
     ShardMergeStage(),
     ShardFinalizeStage(),
 )
-
-
-# ----------------------------------------------------------------------
-# PARALLEL-GRID-MAPPING: hash-partition each object's points
-# ----------------------------------------------------------------------
-
-
-def _parallel_grid_mapping(
-    engine, r: float, labels: Optional[PointLabels]
-) -> Tuple[BIGrid, CoreReport]:
-    collection = engine.collection
-    bitset_cls, _ = resolve_backend(engine.backend)
-    dimension = collection.dimension
-    s_width = small_cell_width(r, dimension)
-    l_width = large_cell_width(r)
-    small_grid = SmallGrid(s_width, dimension, bitset_cls)
-    large_grid = LargeGrid(l_width, dimension, bitset_cls)
-    key_lists = [set() for _ in range(collection.n)]
-    object_groups: List[Dict] = [{} for _ in range(collection.n)]
-
-    report = CoreReport(engine.cores)
-    with gc_paused():
-        _map_objects(
-            engine, collection, labels, small_grid, large_grid, key_lists,
-            object_groups, s_width, l_width, report, r,
-        )
-    mapped_points = sum(
-        len(points)
-        for groups in object_groups
-        for points in groups.values()
-    )
-
-    bigrid = BIGrid(
-        collection, r, small_grid, large_grid, key_lists, object_groups, mapped_points
-    )
-    return bigrid, report
-
-
-def _map_objects(
-    engine, collection, labels, small_grid, large_grid, key_lists,
-    object_groups, s_width, l_width, report, r,
-) -> None:
-    keys_provider = (
-        engine.key_cache.provider(collection, math.ceil(r))
-        if engine.key_cache is not None
-        else None
-    )
-    kernel = resolve_kernel(engine.kernel)
-    for obj in collection:
-        oid = obj.oid
-        if labels is not None:
-            indices = np.nonzero(labels.grid_mask(oid))[0]
-        else:
-            indices = np.arange(obj.num_points)
-        if len(indices) == 0:
-            continue
-        small_keys = kernel.cell_keys(obj.points[indices], s_width)
-        if keys_provider is not None:
-            large_keys = keys_provider(oid, indices)
-        else:
-            large_keys = kernel.cell_keys(obj.points[indices], l_width)
-        chunks = hash_partition(len(indices), engine.cores)
-        round_max = 0.0
-        for core, chunk in enumerate(chunks):
-            if not chunk:
-                continue
-            # Inline (unretried) chunk: an injected failure here is
-            # handled by the pipeline-level serial fallback.
-            faults.trip("partition_task", detail=("grid_mapping", oid, core))
-            started = time.perf_counter()
-            for position in chunk:
-                point_index = int(indices[position])
-                reached, first_oid = small_grid.add_point(oid, small_keys[position])
-                if reached == 2:
-                    key_lists[first_oid].add(small_keys[position])
-                    key_lists[oid].add(small_keys[position])
-                elif reached is not None and reached > 2:
-                    key_lists[oid].add(small_keys[position])
-                large_key = large_keys[position]
-                large_grid.add_point(oid, large_key, point_index)
-                object_groups[oid].setdefault(large_key, []).append(point_index)
-            elapsed = time.perf_counter() - started
-            report.serial_seconds += elapsed
-            round_max = max(round_max, elapsed)
-        report.barrier_seconds += round_max
-
-
-# ----------------------------------------------------------------------
-# PARALLEL-LOWER-BOUNDING
-# ----------------------------------------------------------------------
-
-
-def _parallel_lower_bounding(
-    engine, bigrid: BIGrid, labels: Optional[PointLabels]
-) -> Tuple[List[int], Optional[List], CoreReport]:
-    keep_bitsets = labels is not None
-    if engine.lb_strategy == "greedy-d":
-        return _lower_bounding_greedy_d(engine, bigrid, keep_bitsets)
-    return _lower_bounding_hash_p(engine, bigrid, keep_bitsets)
-
-
-def _lower_bounding_greedy_d(
-    engine, bigrid: BIGrid, keep_bitsets: bool
-) -> Tuple[List[int], Optional[List], CoreReport]:
-    """Objects split by ``|o_i.L|``; no synchronization, no merge."""
-    plan = plan_lower_bounding_greedy_d(bigrid, engine.cores)
-    small_grid = bigrid.small_grid
-    values = [0] * bigrid.collection.n
-    bitsets = [None] * bigrid.collection.n if keep_bitsets else None
-
-    def make_task(oid: int):
-        def task() -> None:
-            union = 0
-            for key in bigrid.key_lists[oid]:
-                union |= small_grid.cells[key].bitset.to_int()
-            cardinality = union.bit_count()
-            values[oid] = cardinality - 1 if cardinality else 0
-            if bitsets is not None and cardinality:
-                bitsets[oid] = union
-        return task
-
-    tasks = [make_task(oid) for oid in range(bigrid.collection.n)]
-    _, report = engine.executor.run(tasks, plan.assignment)
-    return values, bitsets, report
-
-
-def _lower_bounding_hash_p(
-    engine, bigrid: BIGrid, keep_bitsets: bool
-) -> Tuple[List[int], Optional[List], CoreReport]:
-    """Per-object key split with per-core local bitsets merged at a barrier."""
-    values = [0] * bigrid.collection.n
-    bitsets = [None] * bigrid.collection.n if keep_bitsets else None
-    report = CoreReport(engine.cores)
-
-    with gc_paused():
-        _hash_p_rounds(engine, bigrid, values, bitsets, report)
-    return values, bitsets, report
-
-
-def _hash_p_rounds(engine, bigrid, values, bitsets, report) -> None:
-    small_grid = bigrid.small_grid
-    for oid in range(bigrid.collection.n):
-        keys = list(bigrid.key_lists[oid])
-        if not keys:
-            continue
-        chunks = hash_partition(len(keys), engine.cores)
-        locals_: List = [None] * engine.cores
-        round_max = 0.0
-        for core, chunk in enumerate(chunks):
-            if not chunk:
-                continue
-            faults.trip("partition_task", detail=("lower_bounding", oid, core))
-            started = time.perf_counter()
-            union = 0
-            for position in chunk:
-                union |= small_grid.cells[keys[position]].bitset.to_int()
-            locals_[core] = union
-            elapsed = time.perf_counter() - started
-            report.serial_seconds += elapsed
-            round_max = max(round_max, elapsed)
-        started = time.perf_counter()
-        merged = 0
-        for local in locals_:
-            if local is not None:
-                merged |= local
-        cardinality = merged.bit_count()
-        values[oid] = cardinality - 1 if cardinality else 0
-        if bitsets is not None and cardinality:
-            bitsets[oid] = merged
-        merge_elapsed = time.perf_counter() - started
-        report.serial_seconds += merge_elapsed
-        report.barrier_seconds += round_max + merge_elapsed
-
-
-# ----------------------------------------------------------------------
-# PARALLEL-UPPER-BOUNDING
-# ----------------------------------------------------------------------
-
-
-def _parallel_upper_bounding(
-    engine, bigrid: BIGrid, tau_max: int, labels: Optional[PointLabels]
-) -> Tuple[List[Tuple[int, int]], CoreReport]:
-    if engine.ub_strategy == "greedy-p":
-        report, unions = _upper_bounding_greedy_p(engine, bigrid, labels)
-    else:
-        report, unions = _upper_bounding_greedy_d(engine, bigrid, labels)
-    # Pruning + best-first sort stay serial (their cost is dominated by
-    # the bounding work); charge them to the barrier.
-    started = time.perf_counter()
-    candidates = []
-    for oid, union in enumerate(unions):
-        cardinality = union.bit_count() if union is not None else 0
-        upper = cardinality - 1 if cardinality else 0
-        if upper >= tau_max:
-            candidates.append((upper, oid))
-    candidates.sort(key=lambda entry: (-entry[0], entry[1]))
-    elapsed = time.perf_counter() - started
-    report.barrier_seconds += elapsed
-    report.serial_seconds += elapsed
-    return candidates, report
-
-
-def _upper_bounding_greedy_p(
-    engine, bigrid: BIGrid, labels: Optional[PointLabels]
-) -> Tuple[CoreReport, List]:
-    """Eq. (3) cost-based group assignment with key ownership."""
-    plan = plan_upper_bounding_greedy_p(
-        bigrid, engine.cores, include_labeling=labels is None
-    )
-    large_grid = bigrid.large_grid
-    #: local_unions[core][oid] -- per-core partial unions (big ints).
-    local_unions: List[Dict[int, int]] = [{} for _ in range(engine.cores)]
-
-    masks = (
-        [labels.upper_mask(oid).tolist() for oid in range(bigrid.collection.n)]
-        if labels is not None
-        else None
-    )
-
-    def make_task(core: int, oid: int, key, point_indices):
-        def task() -> None:
-            if masks is not None and not any(masks[oid][i] for i in point_indices):
-                return
-            adjacent = large_grid.adjacent_union_int(key)
-            local_unions[core][oid] = local_unions[core].get(oid, 0) | adjacent
-        return task
-
-    tasks = [
-        make_task(core, oid, key, points)
-        for (oid, key, points), core in zip(plan.tasks, plan.assignment)
-    ]
-    unions: List = [None] * bigrid.collection.n
-
-    def merge() -> None:
-        for core in range(engine.cores):
-            for oid, partial in local_unions[core].items():
-                if unions[oid] is None:
-                    unions[oid] = partial
-                else:
-                    unions[oid] |= partial
-
-    _, report = engine.executor.run(tasks, plan.assignment, merge=merge)
-    return report, unions
-
-
-def _upper_bounding_greedy_d(
-    engine, bigrid: BIGrid, labels: Optional[PointLabels]
-) -> Tuple[CoreReport, List]:
-    """Naive competitor: whole objects assigned by point count."""
-    plan = plan_upper_bounding_greedy_d(bigrid, engine.cores)
-    large_grid = bigrid.large_grid
-    unions: List = [None] * bigrid.collection.n
-
-    def make_task(oid: int):
-        def task() -> None:
-            union = 0
-            mask = labels.upper_mask(oid).tolist() if labels is not None else None
-            for key, point_indices in bigrid.object_groups[oid].items():
-                if mask is not None and not any(mask[i] for i in point_indices):
-                    continue
-                union |= large_grid.adjacent_union_int(key)
-            if union:
-                unions[oid] = union
-        return task
-
-    tasks = [make_task(oid) for oid in range(bigrid.collection.n)]
-    _, report = engine.executor.run(tasks, plan.assignment)
-    return report, unions
-
-
-# ----------------------------------------------------------------------
-# PARALLEL-VERIFICATION
-# ----------------------------------------------------------------------
-
-
-def _parallel_verification(
-    engine,
-    bigrid: BIGrid,
-    candidates: List[Tuple[int, int]],
-    r: float,
-    lower_bitsets: Optional[List],
-    labels: Optional[PointLabels],
-    k: int = 1,
-) -> Tuple[List[Tuple[int, int]], CoreReport, int]:
-    r_squared = r * r
-    report = CoreReport(engine.cores)
-    use_verify_mask = labels is not None and (
-        engine.label_reuse == "paper" or labels.r == r
-    )
-
-    with gc_paused():
-        ranking, verified = _verify_rounds(
-            engine, bigrid, candidates, r_squared, lower_bitsets, labels,
-            use_verify_mask, report, k, resolve_kernel(engine.kernel),
-        )
-    return ranking, report, verified
-
-
-def _verify_rounds(
-    engine, bigrid, candidates, r_squared, lower_bitsets, labels,
-    use_verify_mask, report, k, kernel,
-):
-    from heapq import heappush, heappushpop
-
-    best_heap: List[Tuple[int, int]] = []  # (score, -oid), min-heap
-    verified = 0
-    for upper, oid in candidates:
-        threshold = best_heap[0][0] if len(best_heap) >= k else -1
-        if upper <= threshold:
-            break
-        verified += 1
-        groups = bigrid.object_groups[oid]
-        if use_verify_mask:
-            mask = labels.verify_mask(oid).tolist()
-            groups = {
-                key: [p for p in points if mask[p]]
-                for key, points in groups.items()
-            }
-            groups = {key: points for key, points in groups.items() if points}
-        per_core = plan_verification_chunks(groups, engine.cores)
-        seed = lower_bitsets[oid] if lower_bitsets is not None else None
-        locals_: List = [None] * engine.cores
-        round_max = 0.0
-        for core, chunk_list in enumerate(per_core):
-            if not chunk_list:
-                continue
-            faults.trip("partition_task", detail=("verification", oid, core))
-            started = time.perf_counter()
-            locals_[core] = _verify_chunks(
-                bigrid, oid, chunk_list, r_squared, seed, kernel
-            )
-            elapsed = time.perf_counter() - started
-            report.serial_seconds += elapsed
-            round_max = max(round_max, elapsed)
-        started = time.perf_counter()
-        merged = (seed or 0) | (1 << oid)
-        for local in locals_:
-            if local is not None:
-                merged |= local
-        score = merged.bit_count() - 1
-        merge_elapsed = time.perf_counter() - started
-        report.serial_seconds += merge_elapsed
-        report.barrier_seconds += round_max + merge_elapsed
-        entry = (score, -oid)
-        if len(best_heap) < k:
-            heappush(best_heap, entry)
-        elif entry > best_heap[0]:
-            heappushpop(best_heap, entry)
-    ranking = sorted(
-        ((-neg_oid, score) for score, neg_oid in best_heap),
-        key=lambda item: (-item[1], item[0]),
-    )
-    return ranking, verified
-
-
-def _verify_chunks(
-    bigrid: BIGrid,
-    oid: int,
-    chunk_list,
-    r_squared: float,
-    seed,
-    kernel,
-) -> int:
-    """One core's share of a candidate's exact-score computation."""
-    collection = bigrid.collection
-    large_grid = bigrid.large_grid
-    points = collection[oid].points
-    confirmed = (seed or 0) | (1 << oid)
-    for key, point_indices in chunk_list:
-        for point_index in point_indices:
-            pending = large_grid.adjacent_union_int(key) & ~confirmed
-            if not pending:
-                continue
-            remaining = bits_of(pending)
-            point = points[point_index]
-            for cell in large_grid.cells[key].neighbor_cells:
-                for candidate_oid in remaining.intersection(cell.postings):
-                    candidate_points = cell.posting_points(
-                        candidate_oid, collection[candidate_oid].points
-                    )
-                    if kernel.any_within(candidate_points, point, r_squared):
-                        confirmed |= 1 << candidate_oid
-                        remaining.discard(candidate_oid)
-                if not remaining:
-                    break
-    return confirmed

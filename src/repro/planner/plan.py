@@ -13,8 +13,7 @@ knob            bit-exactness guarantee
                 reference keys, bounds, candidates, scores, counters
 ``mode``        shard conformance suite: the sharded merge replays the
                 serial best-first loop (``tests/test_shard_
-                conformance.py``), simulated mode shares the phase
-                functions outright
+                conformance.py``)
 ``shards``      the shard router's exact Lemma-2 halos make the answer
                 independent of the shard count
 ``lb_dispatch`` both lower-bounding paths are pinned bit-identical in
@@ -43,8 +42,6 @@ PLAN_KERNELS = ("python", "numpy")
 
 #: Execution modes a plan may name.  ``"serial"`` is the single-process
 #: reference pipeline; ``"sharded"`` fans out over worker processes.
-#: (The legacy ``"simulated"`` schedule study is not plannable: it
-#: exists to *measure* schedules, not to win wall-clock.)
 PLAN_MODES = ("serial", "sharded")
 
 #: LOWER-BOUNDING dispatch: ``"auto"`` keeps the measured row-count

@@ -168,7 +168,6 @@ class ServiceApp:
             kernel=kernel,
             cores=cores if cores is not None else self.config.cores,
             label_dir=label_dir,
-            parallel_mode=self.config.parallel_mode,
             shards=self.config.shards,
             planner=self.config.planner,
         )
@@ -710,7 +709,7 @@ class ServiceApp:
             "session": self.primary.stats(),
             "parallel": {
                 "cores": self.primary.cores,
-                "mode": self.primary.parallel_mode,
+                "mode": "sharded",
                 "shards": self.primary.shards or self.primary.cores,
             },
         }

@@ -67,9 +67,6 @@ class ServiceConfig:
     #: Worker processes for the primary session's parallel engine
     #: (``1`` keeps every query on the serial engine).
     cores: int = 1
-    #: Parallel execution mode: ``"sharded"`` (real shard workers) or
-    #: ``"simulated"`` (legacy makespan simulation).
-    parallel_mode: str = "sharded"
     #: Shards per sharded query (None: one per core).
     shards: Optional[int] = None
     #: Query planner for the primary session: ``"static"`` keeps the
@@ -109,10 +106,6 @@ class ServiceConfig:
             raise InvalidQueryError("slow_query_ms must be >= 0")
         if self.cores < 1:
             raise InvalidQueryError("cores must be at least 1")
-        if self.parallel_mode not in ("sharded", "simulated"):
-            raise InvalidQueryError(
-                'parallel_mode must be "sharded" or "simulated"'
-            )
         if self.shards is not None and self.shards < 1:
             raise InvalidQueryError("shards must be at least 1")
         if self.planner not in PLANNER_NAMES:

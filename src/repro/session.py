@@ -59,7 +59,7 @@ from repro.obs.logging import get_logger, new_id
 from repro.obs.recorders import register_cache_metrics
 from repro.obs.telemetry import bind_trace_id, get_telemetry
 from repro.obs.trace import ensure_tracer
-from repro.parallel.engine import PARALLEL_MODES, ParallelMIOEngine
+from repro.parallel.engine import ParallelMIOEngine
 from repro.planner import AdaptivePlanner, resolve_planner
 from repro.resilience import Deadline
 
@@ -166,11 +166,10 @@ class QuerySession:
         ``1`` runs everything on the serial engine.  ``> 1`` routes
         with-label queries through the parallel engine while labeling runs
         stay serial (the parallel engine never writes labels).
-    parallel_mode / shards:
-        Forwarded to :class:`ParallelMIOEngine`: ``"sharded"`` (default)
-        runs real worker processes over curve-routed shards (``shards``
-        per query, default one per core); ``"simulated"`` keeps the
-        legacy makespan simulation.  A dynamic source's mutations also
+    shards:
+        Forwarded to :class:`ParallelMIOEngine`, which runs real worker
+        processes over curve-routed shards (``shards`` per query, default
+        one per core).  A dynamic source's mutations also
         retire the sharded worker pool — workers hold the *previous*
         snapshot's coordinates in shared memory, so engine rebuild is the
         shard tier's invalidation point.
@@ -199,14 +198,11 @@ class QuerySession:
         lower_cache_entries: int = 8,
         tracer=None,
         kernel: str = "python",
-        parallel_mode: str = "sharded",
         shards: Optional[int] = None,
         planner: str = "static",
     ) -> None:
         if cores < 1:
             raise InvalidQueryError("cores must be at least 1")
-        if parallel_mode not in PARALLEL_MODES:
-            raise InvalidQueryError(f"parallel_mode must be one of {PARALLEL_MODES}")
         if shards is not None and shards < 1:
             raise InvalidQueryError("shards must be at least 1")
         resolve_kernel(kernel)  # validate the name up front
@@ -214,7 +210,6 @@ class QuerySession:
         self.label_reuse = label_reuse
         self.cores = cores
         self.retries = retries
-        self.parallel_mode = parallel_mode
         self.shards = shards
         #: Compute-kernel backend forwarded to both engines
         #: (see :mod:`repro.kernels`).
@@ -317,7 +312,6 @@ class QuerySession:
                 key_cache=self.key_cache,
                 tracer=self.tracer,
                 kernel=self.kernel,
-                mode=self.parallel_mode,
                 shards=self.shards,
                 planner=self.planner,
             )
@@ -328,8 +322,8 @@ class QuerySession:
     def close(self) -> None:
         """Release the parallel engine's worker pool (idempotent).
 
-        Only the sharded mode holds external resources (processes plus a
-        shared-memory block); serial-only sessions make this a no-op.
+        Only the parallel engine holds external resources (processes plus
+        a shared-memory block); serial-only sessions make this a no-op.
         """
         if self._parallel is not None:
             self._parallel.close()
@@ -583,7 +577,7 @@ class QuerySession:
         merged["label_store_hits"] = self.label_store.hits
         merged["label_store_misses"] = self.label_store.misses
         merged["label_ceilings"] = len(self.label_store.ceilings())
-        if self._parallel is not None and self.parallel_mode == "sharded":
+        if self._parallel is not None:
             merged["shard_plan_hits"] = self._parallel.plan_cache.hits
             merged["shard_plan_misses"] = self._parallel.plan_cache.misses
         if isinstance(self.planner, AdaptivePlanner):

@@ -1,7 +1,7 @@
 """Space-filling-curve sharding: routing, curves, and the process executor.
 
-The subsystem behind the sharded parallel engine (``--parallel-mode
-sharded``): :mod:`repro.shard.curves` orders grid cells along a Hilbert
+The subsystem behind the parallel engine
+(:class:`~repro.parallel.engine.ParallelMIOEngine`): :mod:`repro.shard.curves` orders grid cells along a Hilbert
 or Z-order curve, :mod:`repro.shard.router` cuts collections into
 curve-contiguous shards with exact Lemma-2 halos, and
 :mod:`repro.shard.executor` runs the vectorized phase chain per shard in

@@ -17,13 +17,13 @@ like the serial pipeline's (pre-verification expiry raises
 :class:`QueryTimeout`; mid-verification expiry degrades to an anytime
 prefix).
 
-Failure semantics mirror the simulated executor's contract: the
-coordinator trips the ``shard_task`` fault point before each dispatch, a
-dead or failing worker is respawned and its task retried, and exhausted
-retries raise :class:`PartitionTaskError` — which the sharded pipeline's
-fallback hook turns into a serial re-run, exactly like the legacy
-parallel path.  ``repro_shard_tasks_total{outcome}`` counts every task
-landing (``ok`` / ``retried`` / ``failed`` / ``timeout``).
+Failure semantics: the coordinator trips the ``shard_task`` fault point
+before each dispatch, a dead or failing worker is respawned and its task
+retried, and exhausted retries raise :class:`PartitionTaskError` (with the
+shard index as ``task_index``) — which the sharded pipeline's fallback
+hook turns into a serial re-run.  ``repro_shard_tasks_total{outcome}``
+counts every task landing (``ok`` / ``retried`` / ``failed`` /
+``timeout``).
 """
 
 from __future__ import annotations

@@ -148,15 +148,13 @@ class TestHostileInputs:
 
 class TestStaleLabelsParallel:
     def test_parallel_engine_ignores_stale_labels(self):
-        from repro.parallel.engine import ParallelMIOEngine
+        from repro.bench.schedule import simulate_query
 
         first = random_collection(n=15, mean_points=5, seed=136)
         second = random_collection(n=20, mean_points=6, seed=137)
         store = LabelStore()
         MIOEngine(first, label_store=store).query(2.0)
-        result = ParallelMIOEngine(
-            second, cores=3, label_store=store, mode="simulated"
-        ).query(2.0)
+        result = simulate_query(second, 2.0, 3, label_store=store)
         assert result.algorithm == "bigrid-parallel"  # labels rejected
         assert result.score == max(oracle_scores(second, 2.0))
 
@@ -237,14 +235,18 @@ class TestInjectionPoints:
             with pytest.raises(InjectedFault):
                 load_collection(path)
 
-    def test_partition_task_failure_is_injectable(self):
+    def test_shard_task_failure_is_injectable(self, monkeypatch):
         from repro.errors import PartitionTaskError
-        from repro.parallel.executor import SimulatedExecutor
 
-        spec = FaultSpec("partition_task", match=1)
+        monkeypatch.setenv("REPRO_SHARD_INLINE", "1")
+        collection = random_collection(n=12, mean_points=5, seed=140)
+        engine = ParallelMIOEngine(
+            collection, cores=2, retries=0, serial_fallback=False
+        )
+        spec = FaultSpec("shard_task", match=(1,))
         with faults.injected(FaultInjector([spec])):
             with pytest.raises(PartitionTaskError) as info:
-                SimulatedExecutor(2).run([lambda: 0, lambda: 1], [0, 1])
+                engine.query(2.0)
         assert info.value.task_index == 1
 
     def test_trip_is_noop_without_injector(self):
@@ -404,24 +406,32 @@ class TestBackendFallback:
 
 
 class TestParallelFaultTolerance:
+    """Shard-task faults under inline shard execution (no worker processes)."""
+
+    @pytest.fixture(autouse=True)
+    def _inline_shards(self, monkeypatch):
+        monkeypatch.setenv("REPRO_SHARD_INLINE", "1")
+
     def test_single_task_kill_recovers_by_retry(self):
         collection = random_collection(n=15, mean_points=5, seed=149)
         truth = max(oracle_scores(collection, 2.0))
-        engine = ParallelMIOEngine(collection, cores=3, retries=1, mode="simulated")
-        spec = FaultSpec("partition_task", match=2, max_triggers=1)
+        engine = ParallelMIOEngine(collection, cores=3, retries=1)
+        spec = FaultSpec("shard_task", match=(2,), max_triggers=1)
         with faults.injected(FaultInjector([spec])) as injector:
             result = engine.query(2.0)
-        assert injector.fired["partition_task"] == 1
+        assert injector.fired["shard_task"] == 1
         assert result.score == truth
+        assert result.algorithm == "bigrid-sharded"
         assert "serial_fallback" not in result.counters
 
     def test_persistent_task_kill_falls_back_to_serial(self):
         collection = random_collection(n=15, mean_points=5, seed=149)
         truth = max(oracle_scores(collection, 2.0))
-        engine = ParallelMIOEngine(collection, cores=3, retries=2, mode="simulated")
-        spec = FaultSpec("partition_task", match=2)
-        with faults.injected(FaultInjector([spec])):
+        engine = ParallelMIOEngine(collection, cores=3, retries=2)
+        spec = FaultSpec("shard_task", match=(2,))
+        with faults.injected(FaultInjector([spec])) as injector:
             result = engine.query(2.0)
+        assert injector.fired["shard_task"] == 3  # first attempt + 2 retries
         assert result.score == truth
         assert result.counters["serial_fallback"] == 1
         assert result.counters["failed_task_index"] == 2
@@ -432,9 +442,9 @@ class TestParallelFaultTolerance:
 
         collection = random_collection(n=15, mean_points=5, seed=149)
         engine = ParallelMIOEngine(
-            collection, cores=3, retries=0, serial_fallback=False, mode="simulated"
+            collection, cores=3, retries=0, serial_fallback=False
         )
-        spec = FaultSpec("partition_task", match=2)
+        spec = FaultSpec("shard_task", match=(2,))
         with faults.injected(FaultInjector([spec])):
             with pytest.raises(PartitionTaskError) as info:
                 engine.query(2.0)
@@ -444,16 +454,22 @@ class TestParallelFaultTolerance:
         collection = random_collection(n=15, mean_points=5, seed=150)
 
         def run_once():
-            engine = ParallelMIOEngine(collection, cores=3, retries=1, mode="simulated")
-            injector = FaultInjector(
-                [FaultSpec("partition_task", rate=0.3)], seed=99
-            )
+            engine = ParallelMIOEngine(collection, cores=3, retries=1)
+            injector = FaultInjector([FaultSpec("shard_task", rate=0.3)], seed=99)
             with faults.injected(injector):
                 result = engine.query(2.0)
-            return result.score, result.counters.get("serial_fallback", 0), dict(injector.fired)
+            return (
+                result.score,
+                result.counters.get("serial_fallback", 0),
+                result.counters.get("failed_task_index"),
+                injector.fired.get("shard_task", 0),
+            )
 
-        assert run_once() == run_once()
-        assert run_once()[0] == max(oracle_scores(collection, 2.0))
+        outcomes = {run_once() for _ in range(3)}
+        assert len(outcomes) == 1
+        (outcome,) = outcomes
+        assert outcome[0] == max(oracle_scores(collection, 2.0))
+        assert outcome[3] >= 1  # the seed does fire
 
 
 def _chaos_seeds():
@@ -474,18 +490,19 @@ class TestChaos:
         specs = [
             FaultSpec(point, rate=0.15)
             for point in ("grid_mapping", "lower_bounding", "upper_bounding",
-                          "verification", "partition_task", "backend")
+                          "verification", "shard_task", "backend")
         ]
-        for engine in (
-            MIOEngine(collection),
-            ParallelMIOEngine(collection, cores=3, retries=1),
-        ):
-            with faults.injected(FaultInjector(specs, seed=seed)):
-                try:
-                    result = engine.query(2.0)
-                except ReproError:
-                    continue
-                if result.exact:
-                    assert result.score == max(oracle)
-                else:
-                    assert result.score <= max(oracle)
+        parallel = ParallelMIOEngine(collection, cores=3, retries=1)
+        try:
+            for engine in (MIOEngine(collection), parallel):
+                with faults.injected(FaultInjector(specs, seed=seed)):
+                    try:
+                        result = engine.query(2.0)
+                    except ReproError:
+                        continue
+                    if result.exact:
+                        assert result.score == max(oracle)
+                    else:
+                        assert result.score <= max(oracle)
+        finally:
+            parallel.close()

@@ -125,7 +125,7 @@ class TestSerialParallelConsistency:
         store = LabelStore()
         serial = MIOEngine(collection, label_store=store).query(r)
         labeled = MIOEngine(collection, label_store=store).query(r)
-        parallel = ParallelMIOEngine(collection, cores=4, label_store=store).query(r)
+        parallel = ParallelMIOEngine(collection, cores=4).query(r)
         assert serial.score == labeled.score == parallel.score
 
     def test_backends_agree_everywhere(self):

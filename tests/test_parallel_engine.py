@@ -1,14 +1,21 @@
-"""Tests for the parallel MIO engine and parallel competitors (Section IV)."""
+"""Tests for the parallel MIO engine and the Section IV schedule study.
+
+The sharded engine is checked for exactness; the partitioning strategies,
+label consumption, and makespan reporting are properties of the schedule
+study (:mod:`repro.bench.schedule`), checked through ``simulate_query``
+and the parallel competitors.
+"""
 
 import pytest
 
-from repro.core.engine import MIOEngine
-from repro.core.labels import LabelStore
-from repro.parallel.engine import (
-    ParallelMIOEngine,
+from repro.bench.schedule import (
     parallel_nested_loop,
     parallel_simple_grid,
+    simulate_query,
 )
+from repro.core.engine import MIOEngine
+from repro.core.labels import LabelStore
+from repro.parallel.engine import ParallelMIOEngine
 
 from conftest import oracle_scores, random_collection
 
@@ -33,8 +40,9 @@ class TestExactness:
     @pytest.mark.parametrize("lb", ["greedy-d", "hash-p"])
     @pytest.mark.parametrize("ub", ["greedy-p", "greedy-d"])
     def test_every_strategy_combination_is_exact(self, collection, truth, lb, ub):
-        engine = ParallelMIOEngine(collection, cores=3, lb_strategy=lb, ub_strategy=ub)
-        assert engine.query(2.0).score == max(truth)
+        result = simulate_query(collection, 2.0, 3, lb_strategy=lb, ub_strategy=ub)
+        assert result.score == max(truth)
+        assert truth[result.winner] == result.score
 
     def test_matches_serial_engine(self, collection):
         for r in (1.0, 3.0):
@@ -52,34 +60,29 @@ class TestLabels:
     def test_consumes_labels_from_serial_run(self, collection, truth):
         store = LabelStore()
         MIOEngine(collection, label_store=store).query(2.0)  # labeling run
-        engine = ParallelMIOEngine(
-            collection, cores=4, label_store=store, mode="simulated"
-        )
-        result = engine.query(2.0)
+        result = simulate_query(collection, 2.0, 4, label_store=store)
         assert result.algorithm == "bigrid-label-parallel"
         assert result.score == max(truth)
 
     def test_label_free_when_store_empty(self, collection):
-        engine = ParallelMIOEngine(
-            collection, cores=2, label_store=LabelStore(), mode="simulated"
-        )
-        assert engine.query(2.0).algorithm == "bigrid-parallel"
+        result = simulate_query(collection, 2.0, 2, label_store=LabelStore())
+        assert result.algorithm == "bigrid-parallel"
 
     @pytest.mark.parametrize("lb", ["greedy-d", "hash-p"])
     @pytest.mark.parametrize("ub", ["greedy-p", "greedy-d"])
     def test_label_runs_exact_for_all_strategies(self, collection, truth, lb, ub):
         store = LabelStore()
         MIOEngine(collection, label_store=store).query(2.0)
-        engine = ParallelMIOEngine(
-            collection, cores=3, lb_strategy=lb, ub_strategy=ub,
-            label_store=store, mode="simulated",
+        result = simulate_query(
+            collection, 2.0, 3, lb_strategy=lb, ub_strategy=ub, label_store=store
         )
-        assert engine.query(2.0).score == max(truth)
+        assert result.algorithm == "bigrid-label-parallel"
+        assert result.score == max(truth)
 
 
 class TestReporting:
     def test_phases_and_extras(self, collection):
-        result = ParallelMIOEngine(collection, cores=4, mode="simulated").query(2.0)
+        result = simulate_query(collection, 2.0, 4)
         for phase in ("grid_mapping", "lower_bounding", "upper_bounding", "verification"):
             assert phase in result.phases
             assert f"serial:{phase}" in result.extra
@@ -88,7 +91,7 @@ class TestReporting:
         assert result.counters["cores"] == 4
 
     def test_single_core_makespan_equals_serial(self, collection):
-        result = ParallelMIOEngine(collection, cores=1, mode="simulated").query(2.0)
+        result = simulate_query(collection, 2.0, 1)
         for phase in ("lower_bounding", "upper_bounding"):
             assert result.phases[phase] == pytest.approx(
                 result.extra[f"serial:{phase}"], rel=0.05, abs=1e-5
@@ -98,15 +101,23 @@ class TestReporting:
 class TestValidation:
     def test_invalid_strategies(self, collection):
         with pytest.raises(ValueError):
-            ParallelMIOEngine(collection, cores=2, lb_strategy="magic")
+            simulate_query(collection, 2.0, 2, lb_strategy="magic")
         with pytest.raises(ValueError):
-            ParallelMIOEngine(collection, cores=2, ub_strategy="magic")
+            simulate_query(collection, 2.0, 2, ub_strategy="magic")
         with pytest.raises(ValueError):
             ParallelMIOEngine(collection, cores=2, label_reuse="magic")
+
+    def test_simulated_mode_points_at_the_schedule_study(self, collection):
+        from repro.errors import InvalidQueryError
+
+        with pytest.raises(InvalidQueryError, match="repro.bench.schedule"):
+            ParallelMIOEngine(collection, cores=2, mode="simulated")
 
     def test_invalid_r(self, collection):
         with pytest.raises(ValueError):
             ParallelMIOEngine(collection, cores=2).query(-1.0)
+        with pytest.raises(ValueError):
+            simulate_query(collection, -1.0, 2)
 
 
 class TestParallelCompetitors:
@@ -138,6 +149,8 @@ class TestParallelTopK:
         truth = sorted(oracle_scores(collection, 2.0), reverse=True)
         result = ParallelMIOEngine(collection, cores=4).query_topk(2.0, k)
         assert [score for _, score in result.topk] == truth[:k]
+        simulated = simulate_query(collection, 2.0, 4, k=k)
+        assert [score for _, score in simulated.topk] == truth[:k]
 
     def test_matches_serial_topk(self, collection):
         from repro.core.engine import MIOEngine
@@ -153,16 +166,16 @@ class TestParallelTopK:
         store = LabelStore()
         MIOEngine(collection, label_store=store).query(2.0)
         truth = sorted(oracle_scores(collection, 2.0), reverse=True)[:4]
-        engine = ParallelMIOEngine(
-            collection, cores=4, label_store=store, mode="simulated"
-        )
-        result = engine.query_topk(2.0, 4)
+        result = simulate_query(collection, 2.0, 4, k=4, label_store=store)
         assert result.algorithm == "bigrid-label-parallel"
         assert [score for _, score in result.topk] == truth
 
     def test_invalid_k(self, collection):
         with pytest.raises(ValueError):
             ParallelMIOEngine(collection, cores=2).query_topk(2.0, 0)
+        with pytest.raises(ValueError):
+            simulate_query(collection, 2.0, 2, k=0)
 
     def test_query_has_no_topk_field(self, collection):
         assert ParallelMIOEngine(collection, cores=2).query(2.0).topk is None
+        assert simulate_query(collection, 2.0, 2).topk is None

@@ -23,6 +23,7 @@ import pytest
 from conftest import oracle_scores, random_collection
 
 from repro import faults
+from repro.bench.schedule import simulate_query
 from repro.core.engine import MIOEngine
 from repro.core.pipeline import batch_order, kth_largest, run_grouped_sweep
 from repro.errors import InjectedFault, QueryTimeout
@@ -35,7 +36,8 @@ BACKENDS = ("ewah", "plain", "roaring")
 
 #: Answers captured from the pre-refactor engines (commit 33bc27e) on
 #: ``random_collection(n=40, mean_points=8, seed=4242)``.  They are
-#: backend-independent, and serial == parallel by Section IV exactness.
+#: backend-independent, and serial == sharded == the schedule study by
+#: Section IV exactness.
 GOLDEN = {
     2.0: {"winner": (5, 15), "topk": [(5, 15), (18, 15), (22, 15)]},
     3.5: {"winner": (15, 15), "topk": [(15, 15), (20, 15), (36, 15)]},
@@ -70,12 +72,13 @@ class TestGoldenAnswers:
     @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("r", sorted(GOLDEN))
     def test_parallel_matches_prerefactor(self, golden_collection, backend, r):
-        engine = ParallelMIOEngine(
-            golden_collection, cores=4, backend=backend, mode="simulated"
-        )
-        result = engine.query(r)
+        # The schedule study (repro.bench.schedule) runs the partitioned
+        # phase functions the pre-refactor parallel engine ran.
+        result = simulate_query(golden_collection, r, 4, backend=backend)
         assert (result.winner, result.score) == GOLDEN[r]["winner"]
         assert result.algorithm == "bigrid-parallel"
+        topk = simulate_query(golden_collection, r, 4, k=3, backend=backend)
+        assert topk.topk == GOLDEN[r]["topk"]
 
     @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("r", sorted(GOLDEN))
@@ -141,18 +144,21 @@ class TestTracedEqualsUntraced:
             ]
             assert traced.phases is not None  # derived from the trace tree
 
-    def test_parallel(self, golden_collection):
+    def test_parallel(self, golden_collection, monkeypatch):
+        monkeypatch.setenv("REPRO_SHARD_INLINE", "1")
         tracer = Tracer()
-        plain = ParallelMIOEngine(
-            golden_collection, cores=4, mode="simulated"
-        ).query(2.0)
+        plain = ParallelMIOEngine(golden_collection, cores=4).query(2.0)
         traced = ParallelMIOEngine(
-            golden_collection, cores=4, tracer=tracer, mode="simulated"
+            golden_collection, cores=4, tracer=tracer
         ).query(2.0)
         assert (traced.winner, traced.score) == (plain.winner, plain.score)
         root = tracer.root
-        # makespan_root: the trace tree sums like the simulated total.
-        assert root.duration == pytest.approx(traced.total_time)
+        assert root.name == "query"
+        assert [child.name for child in root.children] == [
+            "shard_route",
+            "shard_execute",
+            "shard_merge",
+        ]
 
 
 # ----------------------------------------------------------------------
@@ -190,24 +196,27 @@ class TestFaultsThroughPipeline:
                 MIOEngine(golden_collection).query(2.0)
         assert info.value.point == point
 
-    def test_parallel_task_fault_falls_back_to_serial(self, golden_collection):
-        engine = ParallelMIOEngine(
-            golden_collection, cores=4, retries=0, mode="simulated"
-        )
-        with faults.injected(FaultInjector([FaultSpec("partition_task")])):
+    def test_parallel_task_fault_falls_back_to_serial(
+        self, golden_collection, monkeypatch
+    ):
+        monkeypatch.setenv("REPRO_SHARD_INLINE", "1")
+        engine = ParallelMIOEngine(golden_collection, cores=4, retries=0)
+        with faults.injected(FaultInjector([FaultSpec("shard_task")])):
             result = engine.query(2.0)
         assert result.counters.get("serial_fallback") == 1
         assert "serial_fallback" in result.notes
         assert (result.winner, result.score) == GOLDEN[2.0]["winner"]
         assert result.exact
 
-    def test_parallel_fallback_disabled_raises(self, golden_collection):
+    def test_parallel_fallback_disabled_raises(self, golden_collection, monkeypatch):
+        from repro.errors import PartitionTaskError
+
+        monkeypatch.setenv("REPRO_SHARD_INLINE", "1")
         engine = ParallelMIOEngine(
-            golden_collection, cores=4, retries=0, serial_fallback=False,
-            mode="simulated",
+            golden_collection, cores=4, retries=0, serial_fallback=False
         )
-        with faults.injected(FaultInjector([FaultSpec("partition_task")])):
-            with pytest.raises(Exception):
+        with faults.injected(FaultInjector([FaultSpec("shard_task")])):
+            with pytest.raises(PartitionTaskError):
                 engine.query(2.0)
 
 

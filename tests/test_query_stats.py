@@ -3,7 +3,7 @@
 import gc
 
 from repro.core.query import MIOResult, PhaseStats
-from repro.parallel.executor import CoreReport, gc_paused
+from repro.bench.schedule import CoreReport, gc_paused
 
 
 class TestPhaseStats:
@@ -50,27 +50,6 @@ class TestCoreReport:
         report.merge_seconds = 0.5
         report.barrier_seconds = 2.0
         assert report.makespan == 6.5
-
-    def test_speedup_zero_makespan(self):
-        report = CoreReport(2)
-        assert report.speedup() == 1.0
-
-    def test_speedup_ratio(self):
-        report = CoreReport(4)
-        report.per_core_seconds = [1.0, 1.0, 1.0, 1.0]
-        report.serial_seconds = 4.0
-        assert report.speedup() == 4.0
-
-    def test_merge_with_adds_makespans(self):
-        first = CoreReport(2)
-        first.per_core_seconds = [1.0, 0.5]
-        first.serial_seconds = 1.5
-        second = CoreReport(2)
-        second.per_core_seconds = [2.0, 2.0]
-        second.serial_seconds = 4.0
-        combined = first.merge_with(second)
-        assert combined.makespan == 3.0
-        assert combined.serial_seconds == 5.5
 
 
 class TestGcPaused:

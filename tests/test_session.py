@@ -164,20 +164,6 @@ class TestBatchPlanning:
         fresh = MIOEngine(clustered_collection).query_topk(4.2, 3)
         assert results[1].topk == fresh.topk
 
-    def test_parallel_session_matches_serial(self, clustered_collection):
-        serial = QuerySession(clustered_collection)
-        parallel = QuerySession(
-            clustered_collection, cores=4, parallel_mode="simulated"
-        )
-        rs = [4.9, 4.1, 4.3]
-        got_serial = serial.query_many(rs)
-        got_parallel = parallel.query_many(rs)
-        for a, b in zip(got_serial, got_parallel):
-            assert (a.winner, a.score) == (b.winner, b.score)
-        # The labeling run stays serial; the rest fan out.
-        assert parallel.stats()["parallel_queries"] == 2
-        assert got_parallel[1].algorithm == "bigrid-label-parallel"
-
     def test_sharded_session_matches_serial(self, clustered_collection, monkeypatch):
         monkeypatch.setenv("REPRO_SHARD_INLINE", "1")
         serial = QuerySession(clustered_collection)
@@ -188,9 +174,8 @@ class TestBatchPlanning:
             got_sharded = sharded.query_many(rs)
             for a, b in zip(got_serial, got_sharded):
                 assert (a.winner, a.score) == (b.winner, b.score)
-            # Same routing rule as simulated mode: the labeling run stays
-            # serial, later same-ceiling queries fan out -- now as real
-            # shard tasks.
+            # The labeling run stays serial; later same-ceiling queries
+            # fan out as shard tasks.
             assert sharded.stats()["parallel_queries"] == 2
             assert got_sharded[1].algorithm == "bigrid-sharded"
             assert got_sharded[1].counters["shards"] == 2
