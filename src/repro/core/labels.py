@@ -46,17 +46,47 @@ ALL_BITS = GRID_BIT | UPPER_BIT | VERIFY_BIT
 
 
 class PointLabels:
-    """Per-point three-bit labels for one ``ceil(r)`` bucket."""
+    """Per-point three-bit labels for one ``ceil(r)`` bucket.
 
-    __slots__ = ("r", "arrays")
+    Every label lives in one flat ``uint8`` buffer, object after object;
+    ``arrays[oid]`` is a view of object ``oid``'s slice, starting at flat
+    index ``offsets[oid]``.  Per-object marks and bulk :meth:`clear_flat`
+    writes therefore land in the same storage.
+    """
+
+    __slots__ = ("r", "arrays", "offsets", "_flat")
 
     def __init__(self, point_counts: Sequence[int], r: float) -> None:
-        self.r = float(r)
-        self.arrays = [np.full(count, ALL_BITS, dtype=np.uint8) for count in point_counts]
+        counts = np.asarray(point_counts, dtype=np.int64)
+        self._adopt(np.full(int(counts.sum()), ALL_BITS, dtype=np.uint8), counts, r)
 
     @classmethod
     def for_collection(cls, collection: ObjectCollection, r: float) -> "PointLabels":
         return cls([obj.num_points for obj in collection], r)
+
+    @classmethod
+    def from_arrays(cls, arrays: Sequence[np.ndarray], r: float) -> "PointLabels":
+        """Labels holding a copy of per-object label arrays (a store load)."""
+        labels = cls.__new__(cls)
+        counts = np.asarray([len(array) for array in arrays], dtype=np.int64)
+        flat = (
+            np.concatenate(arrays).astype(np.uint8, copy=False)
+            if len(arrays)
+            else np.empty(0, dtype=np.uint8)
+        )
+        labels._adopt(flat, counts, r)
+        return labels
+
+    def _adopt(self, flat: np.ndarray, counts: np.ndarray, r: float) -> None:
+        self.r = float(r)
+        offsets = np.zeros(len(counts) + 1, dtype=np.int64)
+        np.cumsum(counts, out=offsets[1:])
+        self.offsets = offsets
+        self._flat = flat
+        bounds = offsets.tolist()
+        self.arrays = [
+            flat[bounds[oid] : bounds[oid + 1]] for oid in range(len(counts))
+        ]
 
     # ------------------------------------------------------------------
     # Labeling (clearing bits during a labeling run)
@@ -73,6 +103,15 @@ class PointLabels:
     def mark_verify_skippable(self, oid: int, point_indices: Iterable[int]) -> None:
         """Labeling-3: ``label(p) = 1*0`` (third bit cleared)."""
         self.arrays[oid][list(point_indices)] &= ~VERIFY_BIT & 0xFF
+
+    def clear_flat(self, bit: int, flat_indices: np.ndarray) -> None:
+        """Clear ``bit`` on many points of any objects at once.
+
+        ``flat_indices`` index the flat buffer: point ``p`` of object
+        ``oid`` is ``offsets[oid] + p``.  The bulk form of the three
+        ``mark_*`` methods, for kernels that label whole phases at once.
+        """
+        self._flat[flat_indices] &= ~bit & 0xFF
 
     # ------------------------------------------------------------------
     # Masks (which points to process during a with-label run)
@@ -98,15 +137,19 @@ class PointLabels:
 
     def count_cleared(self) -> Dict[str, int]:
         """How many points each labeling pruned (reported by experiments)."""
-        grid = upper = verify = 0
-        for labels in self.arrays:
-            grid += int(np.count_nonzero((labels & GRID_BIT) == 0))
-            upper += int(np.count_nonzero((labels & UPPER_BIT) == 0))
-            verify += int(np.count_nonzero((labels & VERIFY_BIT) == 0))
-        return {"grid": grid, "upper": upper, "verify": verify}
+        # One pass: a histogram of the 8 label values, then per bit the
+        # sum over the values that have it cleared.
+        histogram = np.bincount(self._flat, minlength=ALL_BITS + 1)
+        values = np.arange(ALL_BITS + 1)
+        return {
+            kind: int(histogram[(values & bit) == 0].sum())
+            for kind, bit in (
+                ("grid", GRID_BIT), ("upper", UPPER_BIT), ("verify", VERIFY_BIT)
+            )
+        }
 
     def total_points(self) -> int:
-        return sum(len(labels) for labels in self.arrays)
+        return len(self._flat)
 
     def size_in_bytes(self) -> int:
         """One byte per point: the O(nm) label space cost."""
@@ -186,9 +229,10 @@ class LabelStore:
             try:
                 with np.load(path) as archive:
                     count = int(archive["count"])
-                    labels = PointLabels.__new__(PointLabels)
-                    labels.r = float(archive["r"])
-                    labels.arrays = [archive[f"o{i}"] for i in range(count)]
+                    labels = PointLabels.from_arrays(
+                        [archive[f"o{i}"] for i in range(count)],
+                        float(archive["r"]),
+                    )
             except Exception as exc:
                 raise CorruptDataError(
                     f"{path}: not a valid label archive ({exc})"

@@ -72,16 +72,20 @@ class LargeGridCell:
 class LargeGrid:
     """Hash-table grid of :class:`LargeGridCell`."""
 
-    __slots__ = ("width", "dimension", "bitset_cls", "cells", "adj_computed")
+    __slots__ = ("width", "dimension", "bitset_cls", "cells", "_adj_count")
 
     def __init__(self, width: float, dimension: int, bitset_cls: Type[Bitset]) -> None:
         self.width = width
         self.dimension = dimension
         self.bitset_cls = bitset_cls
         self.cells: Dict[Key, LargeGridCell] = {}
-        #: Number of adjacent-union bitsets materialized so far (a stat the
-        #: label experiments report).
-        self.adj_computed = 0
+        self._adj_count = 0
+
+    @property
+    def adj_computed(self) -> int:
+        """Number of adjacent-union bitsets materialized so far (a stat the
+        label experiments report)."""
+        return self._adj_count
 
     def add_point(self, oid: int, key: Key, point_index: int) -> None:
         """Map one point into the grid (Algorithm 3, lines 15-21)."""
@@ -117,7 +121,7 @@ class LargeGrid:
                     neighbors.append(neighbor)
             cell.adj_int = union
             cell.neighbor_cells = neighbors
-            self.adj_computed += 1
+            self._adj_count += 1
         return cell.adj_int
 
     def adjacent_union(self, key: Key) -> Bitset:

@@ -16,11 +16,11 @@ oracle — it delegates to the original per-point implementations — and
 ``tests/test_kernel_conformance.py`` holds every other backend to it on
 randomized workloads.
 
-Operations that a backend cannot accelerate for a given input (e.g. the
-label-producing upper-bounding pass, whose Labeling-1/2 bookkeeping
-depends on the serial scan order) must *delegate to the reference
-implementation*, never approximate it.  ``docs/kernels.md`` spells out
-the full contract and how to add a backend.
+Operations that a backend cannot accelerate for a given input (e.g. any
+phase over a grid the backend could not build in its own layout) must
+*delegate to the reference implementation*, never approximate it.
+``docs/kernels.md`` spells out the full contract and how to add a
+backend.
 """
 
 from __future__ import annotations

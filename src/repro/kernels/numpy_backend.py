@@ -13,9 +13,10 @@ structures and results (the conformance suite enforces it):
 * **Upper bounding** computes *all* adjacent unions at once: one
   ``searchsorted`` per neighbour offset aligns every cell with its
   neighbour's packed row, so the ``3^d`` dictionary walks per cell
-  disappear.  Label-producing or label-consuming passes delegate to the
-  reference backend — Labeling-1/2 bookkeeping depends on the serial
-  scan order.
+  disappear.  Label-producing and label-consuming passes stay on the
+  packed rows too: ``upper_masks`` group selection is an OR per posting
+  segment, Labeling-1 a popcount over the cells first unioned, and
+  Labeling-2's running union a segmented prefix-OR scan.
 * **Verification** keeps the reference's best-first outer loop (shared
   via :func:`repro.core.verification.best_first_verification`) but scores
   each candidate with *batched* distance blocks: per large cell, the
@@ -26,8 +27,8 @@ structures and results (the conformance suite enforces it):
   authoritative walk then replays the reference's visit order over the
   precomputed hit booleans, so early termination, Labeling-3 marks, and
   every work counter match the oracle bit-for-bit.
-* **Memory accounting** sizes every cell bitset and adjacent union from
-  its packed row (:func:`packed_bitset_bytes`: the EWAH, plain and
+* **Memory accounting** sizes every cell bitset and memoized adjacent
+  union from its packed row (:func:`packed_bitset_bytes`: the EWAH, plain and
   Roaring ``size_in_bytes`` formulas evaluated over whole matrices), so
   ``memory_bytes()`` never materializes a lazy cell.
 
@@ -59,6 +60,7 @@ from repro.bitset.roaring import (
     CONTAINER_HEADER,
     RoaringBitset,
 )
+from repro.core.labels import GRID_BIT, UPPER_BIT
 from repro.core.lower_bound import LowerBoundResult
 from repro.core.upper_bound import Candidate, UpperBoundResult
 from repro.core.verification import (
@@ -111,12 +113,6 @@ except ImportError:  # pragma: no cover - older numpy core layout
 def _row_int(words: np.ndarray) -> int:
     """One packed uint64 row -> the big-int bitset value (word i at bit 64*i)."""
     return int.from_bytes(words.astype("<u8", copy=False).tobytes(), "little")
-
-
-def _int_rows(values: List[int], width: int) -> np.ndarray:
-    """Big-int bitset values -> a packed ``(len(values), width)`` matrix."""
-    data = b"".join(value.to_bytes(8 * width, "little") for value in values)
-    return np.frombuffer(data, dtype="<u8").reshape(len(values), width)
 
 
 _ALL_ONES = np.uint64(0xFFFFFFFFFFFFFFFF)
@@ -264,31 +260,34 @@ class LazyBitsetSmallCell(SmallGridCell):
 
 
 class _Adjacency:
-    """A large grid's bulk adjacency matrix, shared with its lazy cells.
+    """A large grid's bulk adjacency matrix and memo, shared with its cells.
 
-    Cells read the matrix through this holder, not through the grid: a
-    cell -> grid reference would close a grid -> cells -> grid cycle and
-    leave every discarded grid to the cyclic garbage collector instead
-    of freeing it with its last reference.
+    ``words`` holds every cell's ``b_adj`` once any pass needed one;
+    ``memo[row]`` says whether the reference would have memoized that
+    row's union by now (the ``K not in KeySet`` state of Algorithm 5).
+    Cells read both through this holder, not through the grid: a cell ->
+    grid reference would close a grid -> cells -> grid cycle and leave
+    every discarded grid to the cyclic garbage collector instead of
+    freeing it with its last reference.
     """
 
-    __slots__ = ("words",)
+    __slots__ = ("words", "memo")
 
     def __init__(self) -> None:
         self.words: Optional[np.ndarray] = None
+        self.memo = np.zeros(0, dtype=bool)
 
 
 class LazyBitsetLargeCell(LargeGridCell):
     """A large-grid cell with the same lazy-bitset scheme (see above).
 
     The adjacent union is lazy too: ``adj_int`` resolves from the grid's
-    bulk adjacency matrix (``PackedLargeGrid.adj_words``) once
-    upper-bounding has computed it, so upper-bounding never pays the
-    per-cell big-int conversions — only the cells verification actually
-    touches convert their row.  Before the matrix exists the attribute
-    reads as None (uncached, so it resolves correctly later), which is
-    exactly the base-class state that makes ``adjacent_union_int``
-    compute the union on demand.
+    bulk adjacency matrix (``PackedLargeGrid.adj_words``) once the row
+    is memoized, so upper-bounding never pays the per-cell big-int
+    conversions — only the cells verification actually touches convert
+    their row.  Until then the attribute reads as None (uncached, so it
+    resolves correctly later), which is exactly the base-class state of
+    a union not computed yet.
     """
 
     __slots__ = ("_lazy_bitset", "_row")
@@ -308,12 +307,12 @@ class LazyBitsetLargeCell(LargeGridCell):
             self.bitset = bitset
             return bitset
         if name == "adj_int":
-            adj_words = self._lazy_bitset[2].words
-            if adj_words is None:
-                # Not cached: the bulk matrix may appear later (upper
-                # bounding), and a stored None would mask it forever.
+            adjacency = self._lazy_bitset[2]
+            if adjacency.words is None or not adjacency.memo[self._row]:
+                # Not cached: the row is memoized later, and a stored
+                # None would mask it forever.
                 return None
-            value = _row_int(adj_words[self._row])
+            value = _row_int(adjacency.words[self._row])
             self.adj_int = value
             return value
         if name == "_point_cache":
@@ -343,19 +342,21 @@ class PackedSmallGrid(SmallGrid):
 class PackedLargeGrid(LargeGrid):
     """A :class:`LargeGrid` whose adjacent unions are computed in bulk.
 
-    ``adjacent_union_int`` keeps the base-class semantics; the only
-    difference is that when upper-bounding has already computed the bulk
-    adjacency matrix (``adj_words`` — per-cell ``adj_int`` values resolve
-    lazily from its rows), the neighbour-cell list (which the base class
-    builds as a side effect of the lazy union) is materialized on first
-    demand instead.
+    ``adjacent_union_int`` keeps the base-class semantics: the first
+    request for a cell's union memoizes it and counts it in
+    ``adj_computed``.  The values come from one bulk matrix
+    (``adj_words``, computed for every cell on first need); what the
+    reference would have memoized is tracked per row in ``adj_memo``,
+    which ``adj_computed``, ``adjacency_bytes`` and the cells' lazy
+    ``adj_int`` all read.
 
     The ``seg_*`` arrays are the flat segment view of the grid that the
-    batched verifier consumes: segment ``s`` is one ``(cell, oid)``
-    posting list, sorted cell-major/oid-ascending, with its point
-    *coordinates* at rows ``seg_bounds[s]:seg_bounds[s+1]`` of
-    ``seg_coords`` (in posting order).  ``verify_tables`` caches the
-    derived per-cell neighbourhood specs.
+    batched verifier and the labeled upper-bounding pass consume:
+    segment ``s`` is one ``(cell, oid)`` posting list, sorted
+    cell-major/oid-ascending, with its point indices at
+    ``seg_points[seg_bounds[s]:seg_bounds[s+1]]`` and their
+    *coordinates* at the same rows of ``seg_coords`` (posting order).
+    ``verify_tables`` caches the derived per-cell neighbourhood specs.
     """
 
     __slots__ = (
@@ -367,6 +368,7 @@ class PackedLargeGrid(LargeGrid):
         "seg_cell",
         "seg_oid",
         "seg_bounds",
+        "seg_points",
         "seg_coords",
         "verify_tables",
     )
@@ -377,23 +379,66 @@ class PackedLargeGrid(LargeGrid):
 
     @property
     def adj_words(self) -> Optional[np.ndarray]:
-        """Every cell's ``b_adj`` as packed rows, once upper bounding ran."""
+        """Every cell's ``b_adj`` as packed rows, once any pass needed one."""
         return self._adjacency.words
 
-    @adj_words.setter
-    def adj_words(self, words: Optional[np.ndarray]) -> None:
-        self._adjacency.words = words
+    @property
+    def adj_memo(self) -> np.ndarray:
+        """Per-row flags: whose adjacent union the reference has memoized."""
+        return self._adjacency.memo
+
+    @property
+    def adj_computed(self) -> int:
+        return int(np.count_nonzero(self._adjacency.memo))
+
+    def bulk_adjacency(self) -> np.ndarray:
+        """``b_adj`` of every cell as packed rows, computed on first call.
+
+        One searchsorted per neighbour offset aligns each cell with that
+        neighbour's packed row.  Computing a row memoizes nothing: passes
+        mark ``adj_memo`` for the rows the reference would have unioned.
+        """
+        adjacency = self._adjacency.words
+        if adjacency is None:
+            packed = self.packed
+            codes = self.codes
+            cell_count = len(codes)
+            adjacency = packed.copy()
+            if cell_count:
+                for offset in neighbor_offsets(self.dimension):
+                    delta = int(np.asarray(offset, dtype=np.int64) @ self.strides)
+                    targets = codes + delta
+                    positions = np.searchsorted(codes, targets)
+                    positions[positions == cell_count] = 0
+                    hit = codes[positions] == targets
+                    if hit.any():
+                        adjacency[hit] |= packed[positions[hit]]
+            self._adjacency.words = adjacency
+        return adjacency
+
+    def row_adjacency(self, row: int) -> int:
+        """Cell ``row``'s ``b_adj`` as a big int, memoizing it (the
+        reference's on-demand union, minus the neighbour walk)."""
+        value = self.row_cells[row].adj_int
+        if value is None:
+            self.bulk_adjacency()
+            self._adjacency.memo[row] = True
+            value = self.row_cells[row].adj_int
+        return value
 
     def adjacent_union_int(self, key) -> int:
         cell = self.cells[key]
-        if cell.adj_int is not None and cell.neighbor_cells is None:
+        value = self.row_adjacency(cell._row)
+        if cell.neighbor_cells is None:
+            # The base class lists the neighbourhood as a side effect of
+            # the union; the reference verifier walks it.
             cells = self.cells
             cell.neighbor_cells = [
                 neighbor
                 for neighbor_key in cell_and_adjacent_keys(key)
                 if (neighbor := cells.get(neighbor_key)) is not None
             ]
-        return super().adjacent_union_int(key)
+        return value
 
     # Memory accounting straight from the packed rows: the base-class
     # terms, with no cell bitset or adjacent union materialized.
@@ -402,19 +447,13 @@ class PackedLargeGrid(LargeGrid):
         return packed_bitset_bytes(self.bitset_cls, self.packed)
 
     def adjacency_bytes(self) -> int:
-        if self.adj_words is not None:
-            # Bulk upper bounding computed every cell's union.
-            return packed_bitset_bytes(self.bitset_cls, self.adj_words)
-        if not self.adj_computed:
+        # The memoized unions only, as the reference sizes them.
+        memo = self._adjacency.memo
+        if not memo.any():
             return 0
-        # Unions the reference pass memoized cell by cell (labeled runs);
-        # without ``adj_words`` an unset ``adj_int`` reads None, resolving
-        # nothing.
-        values = [
-            value for cell in self.row_cells if (value := cell.adj_int) is not None
-        ]
+        words = self._adjacency.words
         return packed_bitset_bytes(
-            self.bitset_cls, _int_rows(values, self.packed.shape[1])
+            self.bitset_cls, words if memo.all() else words[memo]
         )
 
     def posting_counts(self) -> Tuple[int, int]:
@@ -428,7 +467,9 @@ class PackedBIGrid(BIGrid):
     ``shared_flat``/``group_flat`` are the oid-major concatenations of
     the per-object row groups (``shared_rows``/``group_rows`` are views
     into them); the bounding phases reduce over the flat arrays directly
-    so no per-call gather is needed.
+    so no per-call gather is needed.  ``group_segments[g]`` is the large
+    grid's posting segment of group ``g`` (in ``group_flat`` order): its
+    points are the group's ``object_groups`` list.
     """
 
     __slots__ = (
@@ -439,6 +480,7 @@ class PackedBIGrid(BIGrid):
         "shared_words",
         "group_flat",
         "group_counts",
+        "group_segments",
     )
 
     def index_entry_counts(self) -> Tuple[int, int]:
@@ -523,6 +565,7 @@ class NumpyKernel(KernelBackend):
         bigrid.shared_words = np.zeros((0, words), dtype=np.uint64)
         bigrid.group_flat = empty_rows
         bigrid.group_counts = np.zeros(n, dtype=np.int64)
+        bigrid.group_segments = empty_rows
 
         if mapped_points == 0:
             small_grid.packed = np.zeros((0, words), dtype=np.uint64)
@@ -533,6 +576,7 @@ class NumpyKernel(KernelBackend):
             large_grid.seg_cell = np.empty(0, dtype=np.int64)
             large_grid.seg_oid = np.empty(0, dtype=np.int64)
             large_grid.seg_bounds = np.zeros(1, dtype=np.int64)
+            large_grid.seg_points = np.empty(0, dtype=np.int64)
             large_grid.seg_coords = np.empty((0, dimension))
             large_grid.verify_tables = None
             return bigrid
@@ -702,6 +746,8 @@ class NumpyKernel(KernelBackend):
         large_grid.seg_bounds = np.concatenate(
             (starts, np.asarray([len(sorted_points)], dtype=np.int64))
         )
+        large_grid.seg_points = sorted_points
+        large_grid._adjacency.memo = np.zeros(cell_count, dtype=bool)
         #: Posting-order coordinates: segment s's rows are its posting
         #: list's points, exactly what ``posting_points`` would gather.
         large_grid.seg_coords = points[order]
@@ -757,6 +803,7 @@ class NumpyKernel(KernelBackend):
             group_rows[oid] = rows2[g_start:g_end]
         bigrid.group_flat = rows2
         bigrid.group_counts = (g_ends - g_starts).astype(np.int64)
+        bigrid.group_segments = order2
 
     # ------------------------------------------------------------------
     # LOWER-BOUNDING (Algorithm 4), packed
@@ -897,13 +944,9 @@ class NumpyKernel(KernelBackend):
         self, bigrid, tau_max_low, upper_masks=None, labeler=None, stats=None,
         deadline=None,
     ):
-        if (
-            upper_masks is not None
-            or labeler is not None
-            or not isinstance(bigrid, PackedBIGrid)
-        ):
-            # Labeling-1/2 (and mask filtering) depend on the serial scan
-            # order; the contract demands delegation, not approximation.
+        if not isinstance(bigrid, PackedBIGrid):
+            # A build that fell back to the reference (int64 key overflow)
+            # has no packed matrices to reduce over.
             return PYTHON_KERNEL.upper_bounds(
                 bigrid,
                 tau_max_low,
@@ -913,45 +956,34 @@ class NumpyKernel(KernelBackend):
                 deadline=deadline,
             )
         large_grid = bigrid.large_grid
-        packed = large_grid.packed
-        codes = large_grid.codes
-        cell_count = len(codes)
         n = bigrid.collection.n
         checkpoint(deadline, "upper_bounding")
 
-        # b_adj for every cell at once: one searchsorted per neighbour
-        # offset aligns each cell with that neighbour's packed row.  The
-        # matrix stays on the grid; per-cell ``adj_int`` big ints resolve
-        # lazily from its rows only if verification actually reads them.
-        adjacency = large_grid.adj_words
-        if adjacency is None:
-            adjacency = packed.copy()
-            if cell_count:
-                strides = large_grid.strides
-                for offset in neighbor_offsets(bigrid.collection.dimension):
-                    delta = int(np.asarray(offset, dtype=np.int64) @ strides)
-                    targets = codes + delta
-                    positions = np.searchsorted(codes, targets)
-                    positions[positions == cell_count] = 0
-                    hit = codes[positions] == targets
-                    if hit.any():
-                        adjacency[hit] |= packed[positions[hit]]
-            large_grid.adj_words = adjacency
+        # b_adj for every cell at once.  The matrix stays on the grid;
+        # per-cell ``adj_int`` big ints resolve lazily from its rows only
+        # if verification actually reads them.
+        adjacency = large_grid.bulk_adjacency()
+        memo = large_grid.adj_memo
+        if upper_masks is None and labeler is None:
+            # Every group is processed, so the reference pass unions every
+            # cell it has not already memoized (each holds a posting).
+            fresh_unions = len(memo) - int(np.count_nonzero(memo))
+            memo[:] = True
+            flat = bigrid.group_flat
+            counts = bigrid.group_counts
+            group_words = adjacency[flat]
+        else:
+            flat, counts, group_words, fresh_unions = _labeled_upper_pass(
+                bigrid, adjacency, upper_masks, labeler
+            )
 
-        # Every cell holds at least one posting, so the reference pass
-        # unions every cell it has not already memoized.
-        fresh_unions = cell_count - large_grid.adj_computed
-        large_grid.adj_computed = cell_count
-
-        counts = bigrid.group_counts
-        flat = bigrid.group_flat
         groups_processed = int(flat.shape[0])
         nonzero = np.flatnonzero(counts)
         cards: List[int] = []
         if len(nonzero):
             offsets = np.zeros(len(nonzero), dtype=np.int64)
             offsets[1:] = np.cumsum(counts[nonzero])[:-1]
-            unions = np.bitwise_or.reduceat(adjacency[flat], offsets, axis=0)
+            unions = np.bitwise_or.reduceat(group_words, offsets, axis=0)
             cards = np.bitwise_count(unions).sum(axis=1).astype(np.int64).tolist()
 
         values: List[int] = []
@@ -1038,6 +1070,107 @@ class NumpyKernel(KernelBackend):
         return False
 
 
+def _labeled_upper_pass(bigrid, adjacency, upper_masks, labeler):
+    """Group selection and Labeling-1/2 of one upper-bounding pass.
+
+    The reference (:func:`repro.core.upper_bound.compute_upper_bounds`)
+    walks each object's groups in order; every effect it has is
+    order-free except Labeling-2's running union, which a segmented
+    prefix-OR reproduces:
+
+    * ``upper_masks``: a group is processed iff any of its points is
+      selected -- an OR per ``(cell, oid)`` posting segment;
+    * memoization: the cells of processed groups; those not memoized
+      before this pass are its fresh unions;
+    * Labeling-1: fresh cells whose ``b_adj`` holds one object clear
+      ``GRID_BIT`` on every posting in the cell;
+    * Labeling-2: a processed group whose ``b_adj`` adds nothing to the
+      union of its object's earlier processed groups clears
+      ``UPPER_BIT`` on all its points, any other on all but the first.
+
+    Returns ``(rows, counts, group_words, fresh_unions)``: the cell rows
+    of the processed groups in group order, processed groups per object,
+    their adjacency rows, and the number of unions memoized fresh.
+    """
+    large_grid = bigrid.large_grid
+    collection = bigrid.collection
+    n = collection.n
+    seg_bounds = large_grid.seg_bounds
+    seg_starts = seg_bounds[:-1]
+    seg_lengths = np.diff(seg_bounds)
+    segments = bigrid.group_segments
+    rows = bigrid.group_flat
+    counts = bigrid.group_counts
+
+    # Flat label index of every mapped point in posting order: point p
+    # of object oid sits at ``offsets[oid] + p`` (PointLabels' layout).
+    offsets = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(
+        np.fromiter((obj.num_points for obj in collection), np.int64, n),
+        out=offsets[1:],
+    )
+    point_flat = (
+        np.repeat(offsets[:-1][large_grid.seg_oid], seg_lengths)
+        + large_grid.seg_points
+    )
+
+    if upper_masks is not None and len(segments):
+        masks = np.concatenate([upper_masks(oid) for oid in range(n)])
+        selected = np.logical_or.reduceat(masks[point_flat], seg_starts)[segments]
+        segments = segments[selected]
+        rows = rows[selected]
+        counts = np.bincount(large_grid.seg_oid[segments], minlength=n)
+    group_words = adjacency[rows]
+
+    memo = large_grid.adj_memo
+    visited = np.zeros(len(memo), dtype=bool)
+    visited[rows] = True
+    fresh = visited & ~memo
+    memo |= visited
+
+    if labeler is not None:
+        fresh_rows = np.flatnonzero(fresh)
+        lone = fresh_rows[np.bitwise_count(adjacency[fresh_rows]).sum(axis=1) == 1]
+        if len(lone):
+            lone_cells = np.zeros(len(memo), dtype=bool)
+            lone_cells[lone] = True
+            labeler.clear_flat(
+                GRID_BIT,
+                point_flat[np.repeat(lone_cells[large_grid.seg_cell], seg_lengths)],
+            )
+        changed = _extends_prefix(group_words, counts)
+        cleared = np.zeros(len(seg_starts), dtype=bool)
+        cleared[segments] = True
+        cleared = np.repeat(cleared, seg_lengths)
+        cleared[seg_starts[segments[changed]]] = False
+        labeler.clear_flat(UPPER_BIT, point_flat[cleared])
+    return rows, counts, group_words, int(np.count_nonzero(fresh))
+
+
+def _extends_prefix(group_words: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Whether each row adds a bit to the OR of the rows before it.
+
+    Rows are grouped into runs of ``counts[i]`` consecutive rows, and
+    "before" stops at the run start.  A log-step (Hillis-Steele)
+    segmented scan builds every row's inclusive prefix-OR in
+    ``ceil(log2(max(counts)))`` array passes.
+    """
+    total = group_words.shape[0]
+    run_starts = np.cumsum(counts) - counts
+    position = np.arange(total) - np.repeat(run_starts, counts)
+    zero = np.uint64(0)
+    prefix = group_words.copy()
+    step = 1
+    longest = int(counts.max()) if len(counts) else 0
+    while step < longest:
+        reach = (position[step:] >= step)[:, None]
+        prefix[step:] |= np.where(reach, prefix[:-step], zero)
+        step *= 2
+    novel = group_words.copy()
+    novel[1:] &= ~np.where((position[1:] > 0)[:, None], prefix[:-1], zero)
+    return novel.any(axis=1)
+
+
 def _ragged_arange(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """Concatenation of ``arange(starts[i], starts[i] + counts[i])`` for all
     ``i``, without a python loop.  Every ``counts[i]`` must be >= 1."""
@@ -1083,6 +1216,7 @@ class _BatchedVerifier:
         "deadline",
         "tables",
         "fused",
+        "memo",
     )
 
     def __init__(
@@ -1105,6 +1239,11 @@ class _BatchedVerifier:
         self.counters = counters
         self.deadline = deadline
         self.tables = self._grid_tables()
+        # Rows the upper-bounding pass left unmemoized (a masked pass skips
+        # groups) are memoized by the first read here, as the reference's
+        # on-demand ``adjacent_union_int`` would; None once all are.
+        memo = self.large_grid.adj_memo
+        self.memo = None if memo.all() else memo
         # The fused int-mask walk (``_score_fused``) covers the plain
         # regime only: no labels to mark, no masks to honor, no deadline
         # to checkpoint, bulk adjacency present, and every bitset in one
@@ -1342,6 +1481,9 @@ class _BatchedVerifier:
         # grows), so the walk skips it on a precomputed flag.  Only the
         # surviving rows get a neighbourhood built.
         group_rows_arr = self.bigrid.group_rows[oid]
+        if self.memo is not None:
+            # No mask and no deadline: the reference reads every group.
+            self.memo[group_rows_arr] = True
         rows_list = group_rows_arr.tolist()
         flags = (
             adj_np[group_rows_arr]
@@ -1439,6 +1581,7 @@ class _BatchedVerifier:
         )
 
         deadline = self.deadline
+        memo = self.memo
         row_cells = large_grid.row_cells
         group_rows = bigrid.group_rows[oid].tolist()
         tables = self.tables
@@ -1473,23 +1616,22 @@ class _BatchedVerifier:
                 counters.points_skipped += len(point_indices) - len(unmasked)
             if not unmasked:
                 continue
-            # Adjacency resolves exactly as in the reference: from the
-            # bulk matrix when upper-bounding produced one, via the
-            # on-demand dictionary walk otherwise (label runs delegate
-            # upper-bounding, so some cells are untouched).
+            # Reading the adjacency memoizes the row, exactly as in the
+            # reference (a masked upper-bounding pass skips some cells).
             if adj_ints is not None:
                 adj = adj_ints[row]
+                if memo is not None:
+                    memo[row] = True
             else:
                 adj = row_cells[row].adj_int
                 if adj is None:
-                    adj = large_grid.adjacent_union_int(key)
+                    adj = large_grid.row_adjacency(row)
             pending = adj & ~confirmed
             if not pending:
                 # No point in this group can confirm anything new (the
                 # pending set only shrinks as ``confirmed`` grows).
                 if labeler is not None:
-                    for point_index in unmasked:
-                        labeler.mark_verify_skippable(oid, (point_index,))
+                    labeler.mark_verify_skippable(oid, unmasked)
                 continue
 
             spec = specs.get(row)
@@ -1499,11 +1641,10 @@ class _BatchedVerifier:
                 # the *current* confirmed set.  ``confirmed`` only grows,
                 # so rows screened out here stay skippable forever and
                 # their specs would never be read; rows that pass are a
-                # (tight) superset of the reads.  The screen uses only
-                # already-materialized adjacency — no
-                # ``adjacent_union_int`` calls — so the reference's
-                # memoization order is untouched; delegated upper-bounding
-                # runs (no bulk matrix) build one row at a time.
+                # (tight) superset of the reads.  The screen reads the
+                # bulk matrix without memoizing, so the reference's
+                # memoization order is untouched; without a matrix (no
+                # upper-bounding pass ran) rows build one at a time.
                 if adj_ints is not None:
                     need = [row] + [
                         later
@@ -1515,7 +1656,8 @@ class _BatchedVerifier:
                         later
                         for later in group_rows[position + 1 :]
                         if later not in specs
-                        and row_cells[later].adj_int & ~confirmed
+                        and _unmemoized_adj(row_cells[later], adj_words, later)
+                        & ~confirmed
                     ]
                 else:
                     need = [row]
@@ -1547,9 +1689,10 @@ class _BatchedVerifier:
             pending_set = bits_of(pending)
             for batch_row, point_index in enumerate(unmasked):
                 if not pending_set:
+                    # It stays empty: every later point is skippable.
                     if labeler is not None:
-                        labeler.mark_verify_skippable(oid, (point_index,))
-                    continue
+                        labeler.mark_verify_skippable(oid, unmasked[batch_row:])
+                    break
                 hit_row = hits[batch_row]
                 for owner_map, col_base in cell_descs:
                     # Same snapshot the reference takes per cell
@@ -1569,6 +1712,12 @@ class _BatchedVerifier:
                         break
 
         return confirmed.bit_count() - 1
+
+
+def _unmemoized_adj(cell, adj_words: np.ndarray, row: int) -> int:
+    """Cell ``row``'s ``b_adj`` big int, read without memoizing it."""
+    value = cell.adj_int
+    return _row_int(adj_words[row]) if value is None else value
 
 
 def _selected(num_points: int, point_filter, oid: int) -> np.ndarray:

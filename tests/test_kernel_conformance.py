@@ -180,6 +180,27 @@ class TestOperationConformance:
             assert cell.adj_int == got_grid.large_grid.cells[key].adj_int, key
         assert ref_grid.large_grid.adj_computed == got_grid.large_grid.adj_computed
 
+    def test_labeled_upper_pass_needs_no_reference_or_bitset(self, monkeypatch):
+        # On a packed grid the labeled pass runs on the packed matrices:
+        # no hand-off to the reference, no lazy cell bitset built.
+        collection = random_collection(n=90, mean_points=6, seed=19)
+        grid = numpy_kernel().build_bigrid(collection, 2.5)
+        tau = numpy_kernel().lower_bounds(grid).tau_max
+
+        def no_reference(*args, **kwargs):
+            raise AssertionError("handed off to the reference kernel")
+
+        monkeypatch.setattr(PYTHON_KERNEL, "upper_bounds", no_reference)
+        calls = counting_from_int(monkeypatch, grid.small_grid.bitset_cls)
+        numpy_kernel().upper_bounds(
+            grid, tau, labeler=PointLabels.for_collection(collection, grid.r)
+        )
+        numpy_kernel().upper_bounds(
+            grid, tau, upper_masks=upper_masks_for(collection, seed=1),
+            labeler=PointLabels.for_collection(collection, grid.r),
+        )
+        assert calls == []
+
     def test_any_within_boundary_is_inclusive(self):
         point = np.zeros(2)
         exact = np.array([[3.0, 4.0]])  # distance exactly 5
@@ -207,14 +228,163 @@ class TestOperationConformance:
 
 
 # ----------------------------------------------------------------------
+# Labeled upper bounding: Labeling-1/2 and upper_masks group selection
+# ----------------------------------------------------------------------
+
+
+def upper_masks_for(collection, seed):
+    """A deterministic ``upper_masks`` provider: about half of each
+    object's points selected, and every seventh object selects none."""
+
+    def upper_masks(oid):
+        count = collection[oid].num_points
+        if oid % 7 == 3:
+            return np.zeros(count, dtype=bool)
+        return np.random.default_rng(seed * 1000 + oid).random(count) < 0.5
+
+    return upper_masks
+
+
+#: ``labeler`` only is the label-producing pass, ``masks`` only the
+#: with-label pass; the pipeline never passes both, the contract allows it.
+LABELED_MODES = ("labeler", "masks", "both")
+
+
+def run_labeled_upper(kernel, collection, r, mode, backend="ewah", prior=None):
+    """One upper-bounding pass in ``mode``; returns everything it produced.
+
+    ``prior`` first runs an unlabeled (``"bulk"``) or masked
+    (``"masks"``) pass, so the pass under test starts from a grid with
+    every or some unions memoized.
+    """
+    grid = kernel.build_bigrid(collection, r, backend=backend)
+    tau = kernel.lower_bounds(grid).tau_max
+    if prior is not None:
+        kernel.upper_bounds(
+            grid,
+            tau,
+            upper_masks=upper_masks_for(collection, seed=9) if prior == "masks" else None,
+        )
+    labeler = (
+        PointLabels.for_collection(collection, r) if mode != "masks" else None
+    )
+    stats = PhaseStats("upper")
+    result = kernel.upper_bounds(
+        grid,
+        tau,
+        upper_masks=upper_masks_for(collection, seed=3) if mode != "labeler" else None,
+        labeler=labeler,
+        stats=stats,
+    )
+    return grid, result, stats, labeler
+
+
+def assert_labeled_upper_equal(ref, got):
+    ref_grid, ref_result, ref_stats, ref_labels = ref
+    got_grid, got_result, got_stats, got_labels = got
+    assert ref_result.values == got_result.values
+    assert ref_result.candidates == got_result.candidates
+    # upper_groups_processed, adj_unions_computed, candidates, pruned_objects
+    assert ref_stats.counters == got_stats.counters
+    assert ref_grid.large_grid.adj_computed == got_grid.large_grid.adj_computed
+    assert ref_grid.memory_bytes() == got_grid.memory_bytes()
+    if ref_labels is not None:
+        assert len(ref_labels.arrays) == len(got_labels.arrays)
+        for ref_array, got_array in zip(ref_labels.arrays, got_labels.arrays):
+            assert ref_array.tobytes() == got_array.tobytes()
+
+
+@needs_numpy
+class TestLabeledUpperBoundsConformance:
+    """``upper_bounds`` with ``labeler``/``upper_masks``, op against op."""
+
+    @pytest.mark.parametrize("mode", LABELED_MODES)
+    @pytest.mark.parametrize("backend", BITSET_BACKENDS)
+    @pytest.mark.parametrize("dimension", [2, 3])
+    @pytest.mark.parametrize("n", [63, 64, 65, 90])
+    def test_labeled_upper_bounds_bit_exact(self, mode, backend, dimension, n):
+        # n straddles 64 so rows cross a word boundary.  The sparse set
+        # has neighbourhoods holding a single object (Labeling-1 fires);
+        # the dense one has objects of many groups whose later unions
+        # often add nothing (Labeling-2 needs every scan step).
+        sparse = random_collection(
+            n=n, mean_points=6, dimension=dimension, extent=120.0, seed=n + dimension
+        )
+        dense = random_collection(
+            n=n, mean_points=30, dimension=dimension, extent=30.0, seed=n
+        )
+        for collection in (sparse, dense):
+            for r in (1.5, 4.0):
+                ref = run_labeled_upper(PYTHON_KERNEL, collection, r, mode, backend)
+                got = run_labeled_upper(numpy_kernel(), collection, r, mode, backend)
+                assert_labeled_upper_equal(ref, got)
+
+    @pytest.mark.parametrize("mode", LABELED_MODES)
+    @pytest.mark.parametrize("prior", ["bulk", "masks"])
+    @pytest.mark.parametrize("dimension", [2, 3])
+    def test_labeled_pass_on_memoized_grid(self, mode, prior, dimension):
+        # Labeling-1 only fires on a cell's first union, and only unions
+        # not memoized before the pass count as computed by it.
+        collection = random_collection(
+            n=65, mean_points=6, dimension=dimension, extent=120.0, seed=dimension
+        )
+        for r in (1.5, 4.0):
+            ref = run_labeled_upper(PYTHON_KERNEL, collection, r, mode, prior=prior)
+            got = run_labeled_upper(numpy_kernel(), collection, r, mode, prior=prior)
+            assert_labeled_upper_equal(ref, got)
+
+    def test_labeling2_reads_the_whole_prefix(self):
+        # Object 0 leaves its home cell for six lone far cells, then comes
+        # back next door: that last group adds nothing to the union of all
+        # its earlier groups, but does to the last few -- only a scan over
+        # the whole prefix clears its first point.
+        trip = [[0.5, 0.5]] + [[20.5 * step, 0.5] for step in range(1, 7)]
+        trip.append([1.5, 0.5])
+        collection = ObjectCollection.from_point_arrays(
+            [np.array(trip), np.array([[0.5, 0.5]]), np.array([[1.2, 0.8]])]
+        )
+        ref = run_labeled_upper(PYTHON_KERNEL, collection, 1.0, "labeler")
+        got = run_labeled_upper(numpy_kernel(), collection, 1.0, "labeler")
+        assert_labeled_upper_equal(ref, got)
+        assert got[3].upper_mask(0).tolist() == [True] + [False] * 7
+
+    def test_every_labeling_fires(self):
+        # Guard the parametrization above against vacuity.
+        collection = random_collection(
+            n=90, mean_points=6, dimension=2, extent=120.0, seed=92
+        )
+        _, _, stats, labels = run_labeled_upper(
+            numpy_kernel(), collection, 1.5, "labeler"
+        )
+        cleared = labels.count_cleared()
+        assert cleared["grid"] > 0 and cleared["upper"] > 0
+        _, _, masked, _ = run_labeled_upper(numpy_kernel(), collection, 1.5, "masks")
+        assert 0 < masked.counters["upper_groups_processed"] < stats.counters[
+            "upper_groups_processed"
+        ]
+
+    @given(
+        collection=collections(),
+        r=radii,
+        mode=st.sampled_from(LABELED_MODES),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_hypothesis_labeled_upper_parity(self, collection, r, mode):
+        ref = run_labeled_upper(PYTHON_KERNEL, collection, r, mode)
+        got = run_labeled_upper(numpy_kernel(), collection, r, mode)
+        assert_labeled_upper_equal(ref, got)
+
+
+# ----------------------------------------------------------------------
 # Memory accounting on cold grids
 # ----------------------------------------------------------------------
 
-#: Grid states memory accounting must size without reading a cell:
-#: ``bulk`` is an unlabeled upper-bound pass (the numpy kernel's bulk
-#: ``adj_words``), ``labeled`` a label-producing pass over half the
-#: objects (per-cell ``adj_int`` on the cells it touched only).
-GRID_STATES = ("fresh", "bulk", "labeled", "labeled+bulk")
+#: Grid states memory accounting must size without reading a cell, as
+#: ``+``-joined upper-bound passes in order: ``bulk`` is an unlabeled pass
+#: (every union memoized), ``labeled`` a label-producing pass over half
+#: the objects (the unions of the cells it touched only).  ``bulk+labeled``
+#: labels an already memoized grid, where Labeling-1 never fires.
+GRID_STATES = ("fresh", "bulk", "labeled", "labeled+bulk", "bulk+labeled")
 
 
 def advance_grid(kernel, grid, state):
@@ -222,18 +392,19 @@ def advance_grid(kernel, grid, state):
     if state == "fresh":
         return
     tau = kernel.lower_bounds(grid).tau_max
-    if "labeled" in state:
-        collection = grid.collection
-        kernel.upper_bounds(
-            grid,
-            tau,
-            upper_masks=lambda oid: np.full(
-                collection[oid].num_points, oid % 2 == 0
-            ),
-            labeler=PointLabels.for_collection(collection, grid.r),
-        )
-    if "bulk" in state:
-        kernel.upper_bounds(grid, tau)
+    collection = grid.collection
+    for step in state.split("+"):
+        if step == "labeled":
+            kernel.upper_bounds(
+                grid,
+                tau,
+                upper_masks=lambda oid: np.full(
+                    collection[oid].num_points, oid % 2 == 0
+                ),
+                labeler=PointLabels.for_collection(collection, grid.r),
+            )
+        else:
+            kernel.upper_bounds(grid, tau)
 
 
 def counting_from_int(monkeypatch, bitset_cls):
@@ -288,6 +459,32 @@ class TestColdMemoryAccounting:
         calls = counting_from_int(monkeypatch, grid.small_grid.bitset_cls)
         grid.memory_bytes()
         assert calls == []
+
+    @needs_numpy
+    @pytest.mark.parametrize("masked_verify", [False, True])
+    @pytest.mark.parametrize("n", [40, 90])
+    def test_masked_pass_then_verification_memory(self, n, masked_verify):
+        # A masked upper pass leaves some unions unmemoized; verification
+        # memoizes those it reads, so the grid's accounting must track the
+        # reference's after both phases (n=40 one-word rows take the fused
+        # or adj_ints walks, n=90 the per-cell one).
+        collection = random_collection(n=n, mean_points=6, seed=17 + n)
+        verify_masks = upper_masks_for(collection, seed=5) if masked_verify else None
+        grids = []
+        for kernel in (PYTHON_KERNEL, numpy_kernel()):
+            grid = kernel.build_bigrid(collection, 2.5)
+            tau = kernel.lower_bounds(grid).tau_max
+            upper = kernel.upper_bounds(
+                grid, tau, upper_masks=upper_masks_for(collection, seed=4)
+            )
+            kernel.verify_candidates(
+                grid, upper.candidates, 2.5, verify_masks=verify_masks
+            )
+            grids.append(grid)
+        ref, got = grids
+        assert got.large_grid.adj_computed == ref.large_grid.adj_computed
+        assert got.large_grid.adj_computed < len(got.large_grid)
+        assert got.memory_bytes() == ref.memory_bytes()
 
     @needs_numpy
     def test_numpy_memory_of_empty_grid(self):

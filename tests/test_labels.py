@@ -34,6 +34,43 @@ class TestPointLabels:
         cleared = labels.count_cleared()
         assert cleared == {"grid": 2, "upper": 0, "verify": 1}
 
+    def test_count_cleared_counts_each_bit_across_objects(self):
+        labels = PointLabels([3, 0, 4], r=4.0)
+        labels.mark_grid_useless(0, [0, 2])
+        labels.mark_upper_skippable(0, [2])
+        labels.mark_upper_skippable(2, [0, 1, 3])
+        labels.mark_verify_skippable(2, [1])
+        per_object = {
+            kind: sum(int(np.count_nonzero((array & bit) == 0)) for array in labels.arrays)
+            for kind, bit in (("grid", 0b100), ("upper", 0b010), ("verify", 0b001))
+        }
+        assert labels.count_cleared() == per_object == {
+            "grid": 2, "upper": 4, "verify": 1
+        }
+
+    def test_clear_flat_matches_per_object_marks(self):
+        # Flat index of point p of object oid is offsets[oid] + p.
+        bulk = PointLabels([3, 2, 4], r=4.0)
+        marked = PointLabels([3, 2, 4], r=4.0)
+        assert bulk.offsets.tolist() == [0, 3, 5, 9]
+        bulk.clear_flat(0b010, np.array([1, 3, 8]))
+        bulk.clear_flat(0b100, np.array([4, 4]))
+        marked.mark_upper_skippable(0, [1])
+        marked.mark_upper_skippable(1, [0])
+        marked.mark_upper_skippable(2, [3])
+        marked.mark_grid_useless(1, [1])
+        for got, want in zip(bulk.arrays, marked.arrays):
+            assert got.tobytes() == want.tobytes()
+        assert bulk.total_points() == 9
+
+    def test_from_arrays_copies_into_one_buffer(self):
+        source = [np.array([7, 5], dtype=np.uint8), np.array([3], dtype=np.uint8)]
+        labels = PointLabels.from_arrays(source, r=2.5)
+        assert labels.r == 2.5
+        labels.clear_flat(0b001, np.array([0, 2]))
+        assert [array.tolist() for array in labels.arrays] == [[6, 5], [2]]
+        assert source[0].tolist() == [7, 5]
+
 
 class TestLabelStore:
     def test_memory_store_round_trip(self):
