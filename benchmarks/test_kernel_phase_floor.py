@@ -7,7 +7,8 @@ fails CI instead of silently eroding the recorded numbers:
 
 * **verification** and **lower_bounding** must not lose to the python
   reference on *any* recorded workload (these were the two losing ops
-  before the batched verifier and the size-dispatched lower bounder);
+  before the batched verifier and the size-dispatched lower bounder),
+  and neither may **grid_mapping**, which builds packed arrays only;
 * **end-to-end** must clear 5x on at least one Fig. 6 ``s=0.5`` workload
   and stay above the headline 3x target on the best workload overall.
 
@@ -36,6 +37,7 @@ NOISE_MARGIN = 0.8
 
 #: Phase floors enforced on every recorded workload.
 PHASE_FLOORS = {
+    "grid_mapping": 1.0,
     "verification": 1.0,
     "lower_bounding": 1.0,
 }

@@ -28,17 +28,24 @@ import numpy as np
 from repro.bitset.base import Bitset
 from repro.bitset.factory import bitset_class
 from repro.core.objects import ObjectCollection
-from repro.grid.keys import Key, compute_keys, large_cell_width, small_cell_width
+from repro.grid.keys import (
+    Key,
+    compute_keys,
+    key_tuples,
+    large_cell_width,
+    small_cell_width,
+)
 from repro.grid.large_grid import LargeGrid
 from repro.grid.small_grid import SmallGrid
 from repro.resilience import Deadline, checkpoint
 
 PointFilter = Callable[[int], Optional[np.ndarray]]
 
-#: ``(oid, selected_indices) -> large-grid keys`` for the selected points.
-#: Supplied by a session's :class:`~repro.grid.cache.LargeKeyCache` so the
-#: per-point large-key computation is shared across same-ceiling queries.
-LargeKeysProvider = Callable[[int, np.ndarray], List[Key]]
+#: ``(oid, selected_indices) -> large-grid key rows`` (``int64 (points,
+#: d)``) for the selected points.  Supplied by a session's
+#: :class:`~repro.grid.cache.LargeKeyCache` so the per-point large-key
+#: computation is shared across same-ceiling queries.
+LargeKeysProvider = Callable[[int, np.ndarray], np.ndarray]
 
 
 class BIGrid:
@@ -118,7 +125,7 @@ class BIGrid:
             mapped_points += len(indices)
             small_keys = compute_keys(obj.points[indices], s_width)
             if large_keys_provider is not None and large_width is None:
-                large_keys = large_keys_provider(oid, indices)
+                large_keys = key_tuples(large_keys_provider(oid, indices))
             else:
                 large_keys = compute_keys(obj.points[indices], l_width)
             groups = object_groups[oid]
@@ -161,12 +168,12 @@ class BIGrid:
         return (
             self.small_grid.memory_bytes()
             + self.large_grid.memory_bytes()
-            # One header per key list, plus one key per entry.
-            + 16 * len(self.key_lists)
+            # One header per object's key list, plus one key per entry.
+            + 16 * self.collection.n
             + key_bytes * keys
             # Group index entries reference the posting lists already
             # charged to the large grid: key plus one pointer per group.
-            + 16 * len(self.object_groups)
+            + 16 * self.collection.n
             + (key_bytes + 8) * groups
         )
 

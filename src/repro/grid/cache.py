@@ -9,11 +9,13 @@ point into that grid, but across a batched workload the key computation --
 session can cache once per ceiling.
 
 :class:`LargeKeyCache` holds, per ``(ceil(r), oid)``, the full per-point
-large-grid key list of one object and hands :meth:`provider` callables to
-``BIGrid.build`` (and the parallel engine's grid mapping).  A with-label
-query maps only a filtered subset of points; the provider therefore indexes
-the cached full key list by the surviving point indices, which keeps one
-cache entry valid for label-free and with-label runs alike.
+large-grid key rows of one object -- one read-only ``int64 (points, d)``
+array -- and hands :meth:`provider` callables to the kernels' grid
+mapping.  A with-label query maps only a filtered subset of points; the
+provider therefore returns the cached rows of the surviving point
+indices, which keeps one cache entry valid for label-free and with-label
+runs alike.  The numpy build consumes the rows as they are; the
+reference build turns them into key tuples.
 
 The cache is keyed by *position* (object ids), exactly like point labels;
 it must be cleared whenever the collection changes.  :class:`~repro.session.
@@ -29,16 +31,16 @@ deterministic, so last-write-wins is harmless.
 from __future__ import annotations
 
 import threading
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Tuple
 
 import numpy as np
 
 from repro.core.objects import ObjectCollection
-from repro.grid.keys import Key, compute_keys, large_cell_width
+from repro.grid.keys import key_rows, large_cell_width
 from repro.obs.recorders import cache_request_counter, observe_cache_invalidation
 
-#: ``provider(oid, selected_indices) -> keys`` for the selected points.
-LargeKeysProvider = Callable[[int, np.ndarray], List[Key]]
+#: ``provider(oid, selected_indices) -> key rows`` for the selected points.
+LargeKeysProvider = Callable[[int, np.ndarray], np.ndarray]
 
 
 class LargeKeyCache:
@@ -47,8 +49,8 @@ class LargeKeyCache:
     __slots__ = ("_keys", "_lock", "hits", "misses")
 
     def __init__(self) -> None:
-        #: ``(ceil_r, oid) -> per-point key list`` (all points of the object).
-        self._keys: Dict[Tuple[int, int], List[Key]] = {}
+        #: ``(ceil_r, oid) -> per-point key rows`` (all points of the object).
+        self._keys: Dict[Tuple[int, int], np.ndarray] = {}
         self._lock = threading.RLock()
         self.hits = 0
         self.misses = 0
@@ -68,13 +70,15 @@ class LargeKeyCache:
         hit_metric = cache_request_counter("grid_keys", hit=True)
         miss_metric = cache_request_counter("grid_keys", hit=False)
 
-        def provide(oid: int, indices: np.ndarray) -> List[Key]:
+        def provide(oid: int, indices: np.ndarray) -> np.ndarray:
             with self._lock:
                 entry = self._keys.get((ceil_r, oid))
             if entry is None:
                 # Computed outside the lock: a concurrent miss on the same
                 # key recomputes the identical deterministic entry.
-                entry = compute_keys(collection[oid].points, width)
+                entry = key_rows(collection[oid].points, width)
+                # Shared by every later query of this ceiling.
+                entry.flags.writeable = False
                 with self._lock:
                     self.misses += 1
                     self._keys[(ceil_r, oid)] = entry
@@ -85,7 +89,7 @@ class LargeKeyCache:
                 hit_metric.inc()
             if len(indices) == len(entry):
                 return entry
-            return [entry[i] for i in indices]
+            return entry[indices]
 
         return provide
 

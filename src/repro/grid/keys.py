@@ -57,10 +57,19 @@ def large_cell_width(r: float) -> float:
     return float(math.ceil(r)) * (1.0 + WIDTH_GUARD)
 
 
+def key_rows(points: np.ndarray, width: float) -> np.ndarray:
+    """Cell keys for every row of ``points`` as an ``int64 (points, d)`` array."""
+    return np.floor(points / width).astype(np.int64)
+
+
+def key_tuples(rows: np.ndarray) -> List[Key]:
+    """Integer key rows as hashable :data:`Key` tuples."""
+    return [tuple(row) for row in rows.tolist()]
+
+
 def compute_keys(points: np.ndarray, width: float) -> List[Key]:
     """Cell keys for every row of ``points`` under the given cell width."""
-    indices = np.floor(points / width).astype(np.int64)
-    return [tuple(row) for row in indices.tolist()]
+    return key_tuples(key_rows(points, width))
 
 
 def point_key(point: np.ndarray, width: float) -> Key:

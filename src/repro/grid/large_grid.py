@@ -143,7 +143,7 @@ class LargeGrid:
         per_entry = 8 * self.dimension + 8 + 8
         lists, entries = self.posting_counts()
         return (
-            per_entry * len(self.cells)
+            per_entry * len(self)
             + self.bitset_bytes()
             + self.adjacency_bytes()
             + 16 * lists

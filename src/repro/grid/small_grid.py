@@ -86,7 +86,7 @@ class SmallGrid:
         and the fixed cell header (counts), mirroring a compact C++ layout.
         """
         per_entry = 8 * self.dimension + 8 + 12
-        return per_entry * len(self.cells) + self.bitset_bytes()
+        return per_entry * len(self) + self.bitset_bytes()
 
     def bitset_bytes(self) -> int:
         """Encoded size of every cell bitset (the term ``memory_bytes``

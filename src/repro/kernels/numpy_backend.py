@@ -4,10 +4,13 @@ Where the reference backend walks points one at a time, this backend
 batches whole phases into array operations while producing *bit-identical*
 structures and results (the conformance suite enforces it):
 
-* **Grid mapping** floors every coordinate in one shot, encodes cell keys
-  as mixed-radix ``int64`` codes, and rebuilds both grids from sorted
-  ``(cell, object)`` pair groups — per-cell bitsets come from a packed
-  ``(cells, words)`` ``uint64`` matrix filled with ``np.bitwise_or.at``.
+* **Grid mapping** floors every coordinate in one shot (or takes a
+  session's cached large-key rows as they are), encodes cell keys as
+  mixed-radix ``int64`` codes, and builds both grids as packed arrays
+  from sorted ``(cell, object)`` pair groups: a ``(cells, words)``
+  ``uint64`` bitset matrix filled with ``np.bitwise_or.at``, cell key
+  rows, posting segments, and per-object key-list and group rows.  No
+  per-cell, per-segment or per-group python object is built.
 * **Lower bounding** OR-reduces the packed small-grid rows of each
   object's key list and popcounts with ``np.bitwise_count``.
 * **Upper bounding** computes *all* adjacent unions at once: one
@@ -32,11 +35,14 @@ structures and results (the conformance suite enforces it):
   Roaring ``size_in_bytes`` formulas evaluated over whole matrices), so
   ``memory_bytes()`` never materializes a lazy cell.
 
-The packed matrices ride on private ``SmallGrid``/``LargeGrid``/``BIGrid``
-subclasses; every public structure (cells, postings, key lists, group
-maps, counters, memory accounting) matches the serial build exactly, so
-downstream phases — including the pure-python ones — run unchanged on a
-numpy-built grid.
+The packed arrays ride on private ``SmallGrid``/``LargeGrid``/``BIGrid``
+subclasses, and the vectorized phases read nothing else.  The reference
+layout (cells, postings, key lists, group maps) is a view materialized
+from those arrays on first read, equal to what the serial build makes;
+counters and memory accounting never need it.  Downstream consumers that
+read the reference layout — the pure-python phases, the schedule study,
+analysis helpers, tests — therefore run unchanged on a numpy-built grid
+and pay for the view only when they use it.
 
 Requires numpy >= 2.0 (``np.bitwise_count``); the registry in
 :mod:`repro.kernels` feature-detects this and falls back to the python
@@ -72,6 +78,8 @@ from repro.grid.bigrid import BIGrid
 from repro.grid.keys import (
     cell_and_adjacent_keys,
     compute_keys,
+    key_rows,
+    key_tuples,
     large_cell_width,
     neighbor_offsets,
     small_cell_width,
@@ -224,10 +232,6 @@ def encode_keys(keys: np.ndarray) -> Optional[Tuple[np.ndarray, np.ndarray]]:
     return shifted @ strides, strides
 
 
-#: Back-compat alias; prefer the public name.
-_encode_keys = encode_keys
-
-
 class LazyBitsetSmallCell(SmallGridCell):
     """A small-grid cell whose compressed bitset is built on first access.
 
@@ -329,10 +333,53 @@ class LazyBitsetLargeCell(LargeGridCell):
 
 
 class PackedSmallGrid(SmallGrid):
-    """A :class:`SmallGrid` that also keeps its cells' bitsets as one
-    packed ``(cells, words)`` uint64 matrix for vectorized lower bounds."""
+    """A :class:`SmallGrid` held as packed arrays; ``cells`` materializes
+    on first read.
 
-    __slots__ = ("packed",)
+    Row ``i`` is one cell: ``packed[i]`` its bitset, ``key_rows[i]`` its
+    key, ``cell_objects[i]`` its distinct-object count.  ``pair_oid``
+    lists each cell's objects (cell-major, oid ascending), so a cell's
+    first and last oid sit at the ends of its run.  The vectorized phases
+    read only these arrays; the inherited ``cells`` slot stays unset until
+    something asks for it (:meth:`__getattr__`), and then holds the
+    reference build's cells, listed in ascending key order.
+    """
+
+    __slots__ = ("packed", "key_rows", "cell_objects", "pair_oid")
+
+    def __init__(self, width: float, dimension: int, bitset_cls) -> None:
+        # Deliberately skip the parent __init__: ``cells`` stays unset.
+        self.width = width
+        self.dimension = dimension
+        self.bitset_cls = bitset_cls
+
+    def __getattr__(self, name: str):
+        if name != "cells":
+            raise AttributeError(name)
+        cells = self._materialize_cells()
+        self.cells = cells
+        return cells
+
+    def _materialize_cells(self) -> Dict:
+        """The reference's ``cells`` dict, in row (ascending code) order."""
+        packed = self.packed
+        bitset_cls = self.bitset_cls
+        distinct = self.cell_objects
+        ends = np.cumsum(distinct)
+        distinct_list = distinct.tolist()
+        first_list = self.pair_oid[ends - distinct].tolist()
+        last_list = self.pair_oid[ends - 1].tolist()
+        cells = {}
+        for row, key in enumerate(key_tuples(self.key_rows)):
+            cell = LazyBitsetSmallCell(bitset_cls, packed, row)
+            cell.distinct_objects = distinct_list[row]
+            cell.first_oid = first_list[row]
+            cell.last_oid = last_list[row]
+            cells[key] = cell
+        return cells
+
+    def __len__(self) -> int:
+        return self.packed.shape[0]
 
     def bitset_bytes(self) -> int:
         # Row ``i`` is cell ``i``'s bitset: size the rows, build nothing.
@@ -340,7 +387,18 @@ class PackedSmallGrid(SmallGrid):
 
 
 class PackedLargeGrid(LargeGrid):
-    """A :class:`LargeGrid` whose adjacent unions are computed in bulk.
+    """A :class:`LargeGrid` held as packed arrays, with bulk adjacent unions.
+
+    Row ``i`` is one cell: ``packed[i]`` its bitset, ``codes[i]`` its
+    mixed-radix key code (ascending), ``key_rows[i]`` its key.  The
+    ``seg_*`` arrays are the flat segment view of the postings that the
+    upper-bounding passes and the batched verifier consume: segment ``s``
+    is one ``(cell, oid)`` posting list, sorted cell-major/oid-ascending,
+    with its point indices at ``seg_points[seg_bounds[s]:seg_bounds[s+1]]``
+    and their *coordinates* at the same rows of ``seg_coords`` (posting
+    order).  ``verify_tables`` caches the derived per-cell neighbourhood
+    specs.  The inherited ``cells`` slot (cells with their postings)
+    stays unset until something asks for it (:meth:`__getattr__`).
 
     ``adjacent_union_int`` keeps the base-class semantics: the first
     request for a cell's union memoizes it and counts it in
@@ -349,21 +407,13 @@ class PackedLargeGrid(LargeGrid):
     reference would have memoized is tracked per row in ``adj_memo``,
     which ``adj_computed``, ``adjacency_bytes`` and the cells' lazy
     ``adj_int`` all read.
-
-    The ``seg_*`` arrays are the flat segment view of the grid that the
-    batched verifier and the labeled upper-bounding pass consume:
-    segment ``s`` is one ``(cell, oid)`` posting list, sorted
-    cell-major/oid-ascending, with its point indices at
-    ``seg_points[seg_bounds[s]:seg_bounds[s+1]]`` and their
-    *coordinates* at the same rows of ``seg_coords`` (posting order).
-    ``verify_tables`` caches the derived per-cell neighbourhood specs.
     """
 
     __slots__ = (
         "packed",
         "codes",
         "strides",
-        "row_cells",
+        "key_rows",
         "_adjacency",
         "seg_cell",
         "seg_oid",
@@ -374,8 +424,42 @@ class PackedLargeGrid(LargeGrid):
     )
 
     def __init__(self, width: float, dimension: int, bitset_cls) -> None:
-        super().__init__(width, dimension, bitset_cls)
+        # Deliberately skip the parent __init__: ``cells`` stays unset.
+        self.width = width
+        self.dimension = dimension
+        self.bitset_cls = bitset_cls
         self._adjacency = _Adjacency()
+        self.verify_tables = None
+
+    def __getattr__(self, name: str):
+        if name != "cells":
+            raise AttributeError(name)
+        cells = self._materialize_cells()
+        self.cells = cells
+        return cells
+
+    def _materialize_cells(self) -> Dict:
+        """The reference's ``cells`` dict with postings, in row order."""
+        cells = {}
+        row_cells: List[LargeGridCell] = []
+        for row, key in enumerate(key_tuples(self.key_rows)):
+            cell = LazyBitsetLargeCell(
+                self.bitset_cls, self.packed, self._adjacency, row
+            )
+            cells[key] = cell
+            row_cells.append(cell)
+        points_list = self.seg_points.tolist()
+        bounds = self.seg_bounds.tolist()
+        for index, (row, oid) in enumerate(
+            zip(self.seg_cell.tolist(), self.seg_oid.tolist())
+        ):
+            cell = row_cells[row]
+            cell.postings[oid] = points_list[bounds[index] : bounds[index + 1]]
+            cell.last_oid = oid  # segments arrive oid-ascending per cell
+        return cells
+
+    def __len__(self) -> int:
+        return self.packed.shape[0]
 
     @property
     def adj_words(self) -> Optional[np.ndarray]:
@@ -419,12 +503,9 @@ class PackedLargeGrid(LargeGrid):
     def row_adjacency(self, row: int) -> int:
         """Cell ``row``'s ``b_adj`` as a big int, memoizing it (the
         reference's on-demand union, minus the neighbour walk)."""
-        value = self.row_cells[row].adj_int
-        if value is None:
-            self.bulk_adjacency()
-            self._adjacency.memo[row] = True
-            value = self.row_cells[row].adj_int
-        return value
+        words = self.bulk_adjacency()
+        self._adjacency.memo[row] = True
+        return _row_int(words[row])
 
     def adjacent_union_int(self, key) -> int:
         cell = self.cells[key]
@@ -464,17 +545,19 @@ class PackedLargeGrid(LargeGrid):
 class PackedBIGrid(BIGrid):
     """A :class:`BIGrid` carrying row indices into the packed matrices.
 
-    ``shared_flat``/``group_flat`` are the oid-major concatenations of
-    the per-object row groups (``shared_rows``/``group_rows`` are views
-    into them); the bounding phases reduce over the flat arrays directly
-    so no per-call gather is needed.  ``group_segments[g]`` is the large
-    grid's posting segment of group ``g`` (in ``group_flat`` order): its
-    points are the group's ``object_groups`` list.
+    ``shared_flat`` lists each object's shared small-grid rows (its key
+    list ``o_i.L``), oid-major with cells ascending, ``shared_counts[oid]``
+    rows each; ``shared_words`` are those rows' packed words.
+    ``group_flat`` lists each object's large-grid group rows in
+    first-occurrence order, ``group_counts[oid]`` rows each, and
+    ``group_segments[g]`` is group ``g``'s posting segment in the large
+    grid: its points are the group's ``object_groups`` list.  The
+    bounding phases and the verifier read only these arrays; the
+    inherited ``key_lists`` and ``object_groups`` slots stay unset until
+    something asks for them (:meth:`__getattr__`).
     """
 
     __slots__ = (
-        "shared_rows",
-        "group_rows",
         "shared_flat",
         "shared_counts",
         "shared_words",
@@ -482,6 +565,59 @@ class PackedBIGrid(BIGrid):
         "group_counts",
         "group_segments",
     )
+
+    def __init__(
+        self,
+        collection,
+        r: float,
+        small_grid: PackedSmallGrid,
+        large_grid: PackedLargeGrid,
+        mapped_points: int,
+    ) -> None:
+        # Deliberately skip the parent __init__: the lazy slots stay unset.
+        self.collection = collection
+        self.r = r
+        self.small_grid = small_grid
+        self.large_grid = large_grid
+        self.mapped_points = mapped_points
+
+    def __getattr__(self, name: str):
+        if name == "key_lists":
+            value = self._materialize_key_lists()
+        elif name == "object_groups":
+            value = self._materialize_object_groups()
+        else:
+            raise AttributeError(name)
+        setattr(self, name, value)
+        return value
+
+    def _materialize_key_lists(self) -> List[set]:
+        """``o_i.L`` per object; each set gets its keys in ascending cell
+        order, as the reference's cell-major scan inserts them."""
+        n = self.collection.n
+        cell_keys = key_tuples(self.small_grid.key_rows)
+        key_lists: List[set] = [set() for _ in range(n)]
+        owners = np.repeat(np.arange(n), self.shared_counts).tolist()
+        for row, oid in zip(self.shared_flat.tolist(), owners):
+            key_lists[oid].add(cell_keys[row])
+        return key_lists
+
+    def _materialize_object_groups(self) -> List[Dict]:
+        """``P_{i,K}`` per object, groups in first-occurrence order."""
+        n = self.collection.n
+        large_grid = self.large_grid
+        cell_keys = key_tuples(large_grid.key_rows)
+        points_list = large_grid.seg_points.tolist()
+        bounds = large_grid.seg_bounds.tolist()
+        object_groups: List[Dict] = [{} for _ in range(n)]
+        owners = np.repeat(np.arange(n), self.group_counts).tolist()
+        for oid, row, segment in zip(
+            owners, self.group_flat.tolist(), self.group_segments.tolist()
+        ):
+            object_groups[oid][cell_keys[row]] = points_list[
+                bounds[segment] : bounds[segment + 1]
+            ]
+        return object_groups
 
     def index_entry_counts(self) -> Tuple[int, int]:
         # ``len(key_lists[oid]) == shared_counts[oid]`` and
@@ -542,53 +678,48 @@ class NumpyKernel(KernelBackend):
             if provided is not None:
                 # The session's LargeKeyCache must see the same per-object
                 # calls (and hit/miss accounting) as the serial build.
-                provided.append(
-                    np.asarray(
-                        large_keys_provider(oid, indices), dtype=np.int64
-                    ).reshape(len(indices), dimension)
-                )
+                provided.append(large_keys_provider(oid, indices))
 
         small_grid = PackedSmallGrid(s_width, dimension, bitset_cls)
         large_grid = PackedLargeGrid(l_width, dimension, bitset_cls)
-        key_lists: List[set] = [set() for _ in range(n)]
-        object_groups: List[Dict] = [{} for _ in range(n)]
         bigrid = PackedBIGrid(
-            collection, r, small_grid, large_grid, key_lists, object_groups,
-            mapped_points,
+            collection, r, small_grid, large_grid, mapped_points
         )
         words = (n + 63) // 64 if n else 1
-        empty_rows = np.empty(0, dtype=np.int64)
-        bigrid.shared_rows = [empty_rows] * n
-        bigrid.group_rows = [empty_rows] * n
-        bigrid.shared_flat = empty_rows
-        bigrid.shared_counts = np.zeros(n, dtype=np.int64)
-        bigrid.shared_words = np.zeros((0, words), dtype=np.uint64)
-        bigrid.group_flat = empty_rows
-        bigrid.group_counts = np.zeros(n, dtype=np.int64)
-        bigrid.group_segments = empty_rows
 
         if mapped_points == 0:
-            small_grid.packed = np.zeros((0, words), dtype=np.uint64)
-            large_grid.packed = np.zeros((0, words), dtype=np.uint64)
-            large_grid.codes = np.empty(0, dtype=np.int64)
+            empty = np.empty(0, dtype=np.int64)
+            no_rows = np.zeros((0, words), dtype=np.uint64)
+            no_keys = np.empty((0, dimension), dtype=np.int64)
+            small_grid.packed = no_rows
+            small_grid.key_rows = no_keys
+            small_grid.cell_objects = empty
+            small_grid.pair_oid = empty
+            bigrid.shared_flat = empty
+            bigrid.shared_counts = np.zeros(n, dtype=np.int64)
+            bigrid.shared_words = no_rows
+            large_grid.packed = no_rows
+            large_grid.codes = empty
             large_grid.strides = np.ones(dimension, dtype=np.int64)
-            large_grid.row_cells = []
-            large_grid.seg_cell = np.empty(0, dtype=np.int64)
-            large_grid.seg_oid = np.empty(0, dtype=np.int64)
+            large_grid.key_rows = no_keys
+            large_grid.seg_cell = empty
+            large_grid.seg_oid = empty
             large_grid.seg_bounds = np.zeros(1, dtype=np.int64)
-            large_grid.seg_points = np.empty(0, dtype=np.int64)
+            large_grid.seg_points = empty
             large_grid.seg_coords = np.empty((0, dimension))
-            large_grid.verify_tables = None
+            bigrid.group_flat = empty
+            bigrid.group_counts = np.zeros(n, dtype=np.int64)
+            bigrid.group_segments = empty
             return bigrid
 
         points = np.concatenate(point_blocks)
         point_idx = np.concatenate(index_blocks)
         oids = np.concatenate(oid_blocks)
-        small_keys = np.floor(points / s_width).astype(np.int64)
+        small_keys = key_rows(points, s_width)
         large_keys = (
             np.concatenate(provided)
             if provided is not None
-            else np.floor(points / l_width).astype(np.int64)
+            else key_rows(points, l_width)
         )
 
         encoded_small = encode_keys(small_keys)
@@ -606,13 +737,10 @@ class NumpyKernel(KernelBackend):
             )
 
         checkpoint(deadline, "grid_mapping")
-        self._populate_small(
-            bigrid, small_keys, encoded_small[0], oids, bitset_cls, n, words
-        )
+        self._populate_small(bigrid, small_keys, encoded_small[0], oids, n, words)
         checkpoint(deadline, "grid_mapping")
         self._populate_large(
-            bigrid, large_keys, encoded_large, oids, point_idx, points,
-            bitset_cls, n, words,
+            bigrid, large_keys, encoded_large, oids, point_idx, points, n, words
         )
         return bigrid
 
@@ -622,17 +750,16 @@ class NumpyKernel(KernelBackend):
         small_keys: np.ndarray,
         codes: np.ndarray,
         oids: np.ndarray,
-        bitset_cls,
         n: int,
         words: int,
     ) -> None:
-        """Rebuild the small grid + key lists from sorted (cell, oid) pairs."""
+        """Pack the small grid and the key-list rows from sorted (cell,
+        oid) pairs; cells and key lists materialize from them on read."""
         small_grid = bigrid.small_grid
         uniq_codes, first_pos, inverse = np.unique(
             codes, return_index=True, return_inverse=True
         )
         cell_count = len(uniq_codes)
-        cell_keys = [tuple(row) for row in small_keys[first_pos].tolist()]
 
         # Distinct (cell, oid) pairs, sorted: cell-major, oid ascending —
         # exactly the per-cell object order of the serial scan.
@@ -646,52 +773,30 @@ class NumpyKernel(KernelBackend):
             (pair_cell, pair_oid >> 6),
             np.left_shift(np.uint64(1), (pair_oid & 63).astype(np.uint64)),
         )
+        distinct = np.bincount(pair_cell, minlength=cell_count)
         small_grid.packed = packed
-
-        rows = np.arange(cell_count)
-        starts = np.searchsorted(pair_cell, rows)
-        ends = np.searchsorted(pair_cell, rows, side="right")
-        distinct = ends - starts
-        first_oids = pair_oid[starts]
-        last_oids = pair_oid[ends - 1]
-
-        cells = small_grid.cells
-        distinct_list = distinct.tolist()
-        first_list = first_oids.tolist()
-        last_list = last_oids.tolist()
-        for row in range(cell_count):
-            cell = LazyBitsetSmallCell(bitset_cls, packed, row)
-            cell.distinct_objects = distinct_list[row]
-            cell.first_oid = first_list[row]
-            cell.last_oid = last_list[row]
-            cells[cell_keys[row]] = cell
+        small_grid.key_rows = small_keys[first_pos]
+        small_grid.cell_objects = distinct
+        small_grid.pair_oid = pair_oid
 
         # Key lists (o_i.L): every object present in a cell shared by >= 2
         # distinct objects records that cell's key (Algorithm 3, lines 7-10).
         shared_pair = (distinct >= 2)[pair_cell]
         shared_cells = pair_cell[shared_pair]
         shared_oids = pair_oid[shared_pair]
-        key_lists = bigrid.key_lists
-        for row, oid in zip(shared_cells.tolist(), shared_oids.tolist()):
-            key_lists[oid].add(cell_keys[row])
         # Flat oid-major row groups (cells ascending within each object):
         # LOWER-BOUNDING reduces over this array directly, so the per-call
         # cost is one fancy index + one reduceat, no gather loop.
         order = np.argsort(shared_oids, kind="stable")
         flat = shared_cells[order]
-        counts = np.bincount(shared_oids, minlength=n).astype(np.int64)
-        bounds = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(counts, out=bounds[1:])
         bigrid.shared_flat = flat
-        bigrid.shared_counts = counts
+        bigrid.shared_counts = np.bincount(shared_oids, minlength=n).astype(
+            np.int64
+        )
         # The packed words of those rows, gathered once at build time --
         # LOWER-BOUNDING reads them straight off, paying no cold fancy
         # index on its own clock.
         bigrid.shared_words = packed[flat]
-        bounds_list = bounds.tolist()
-        bigrid.shared_rows = [
-            flat[bounds_list[oid] : bounds_list[oid + 1]] for oid in range(n)
-        ]
 
     @staticmethod
     def _populate_large(
@@ -701,20 +806,19 @@ class NumpyKernel(KernelBackend):
         oids: np.ndarray,
         point_idx: np.ndarray,
         points: np.ndarray,
-        bitset_cls,
         n: int,
         words: int,
     ) -> None:
-        """Rebuild the large grid (postings + per-object groups) from sorted
-        (cell, oid) segments; point order inside each posting list is the
-        scan order (the stable sort preserves it)."""
+        """Pack the large grid's (cell, oid) posting segments and the
+        per-object group rows; point order inside each posting list is the
+        scan order (the stable sort preserves it).  Cells, postings and
+        object groups materialize from these arrays on read."""
         large_grid = bigrid.large_grid
         codes, strides = encoded
         uniq_codes, first_pos, inverse = np.unique(
             codes, return_index=True, return_inverse=True
         )
         cell_count = len(uniq_codes)
-        cell_keys = [tuple(row) for row in large_keys[first_pos].tolist()]
 
         pair_codes = inverse.astype(np.int64) * n + oids
         order = np.argsort(pair_codes, kind="stable")
@@ -736,11 +840,10 @@ class NumpyKernel(KernelBackend):
             np.left_shift(np.uint64(1), (segment_oid & 63).astype(np.uint64)),
         )
 
-        # The flat segment view (and the lazy-cell backing) must exist
-        # before any cell attribute resolves, so set the grid arrays first.
         large_grid.packed = packed
         large_grid.codes = uniq_codes
         large_grid.strides = strides
+        large_grid.key_rows = large_keys[first_pos]
         large_grid.seg_cell = segment_cell
         large_grid.seg_oid = segment_oid
         large_grid.seg_bounds = np.concatenate(
@@ -751,58 +854,14 @@ class NumpyKernel(KernelBackend):
         #: Posting-order coordinates: segment s's rows are its posting
         #: list's points, exactly what ``posting_points`` would gather.
         large_grid.seg_coords = points[order]
-        large_grid.verify_tables = None
-
-        cells = large_grid.cells
-        row_cells: List[LargeGridCell] = []
-        for row in range(cell_count):
-            cell = LazyBitsetLargeCell(
-                bitset_cls, packed, large_grid._adjacency, row
-            )
-            cells[cell_keys[row]] = cell
-            row_cells.append(cell)
-        large_grid.row_cells = row_cells
-
-        cell_list = segment_cell.tolist()
-        oid_list = segment_oid.tolist()
-        points_list = sorted_points.tolist()
-        bounds = starts.tolist()
-        bounds.append(len(points_list))
-        posting_lists: List[List[int]] = []
-        for index in range(len(cell_list)):
-            posting = points_list[bounds[index] : bounds[index + 1]]
-            cell = row_cells[cell_list[index]]
-            oid = oid_list[index]
-            cell.postings[oid] = posting
-            cell.last_oid = oid  # segments arrive oid-ascending per cell
-            # postings and object_groups may share the list: both sides are
-            # read-only after construction, and equality is what the serial
-            # build guarantees.
-            posting_lists.append(posting)
 
         # Per-object groups in first-occurrence scan order: one lexsort
         # (oid-major, then first scan position) replaces n per-object sorts.
         order2 = np.lexsort((segment_first, segment_oid))
-        sorted_oid2 = segment_oid[order2]
-        rows2 = segment_cell[order2]
-        oid_range = np.arange(n)
-        g_starts = np.searchsorted(sorted_oid2, oid_range)
-        g_ends = np.searchsorted(sorted_oid2, oid_range, side="right")
-        group_rows = bigrid.group_rows
-        object_groups = bigrid.object_groups
-        order2_list = order2.tolist()
-        for oid, (g_start, g_end) in enumerate(
-            zip(g_starts.tolist(), g_ends.tolist())
-        ):
-            if g_start == g_end:
-                continue
-            groups = object_groups[oid]
-            for position in range(g_start, g_end):
-                index = order2_list[position]
-                groups[cell_keys[cell_list[index]]] = posting_lists[index]
-            group_rows[oid] = rows2[g_start:g_end]
-        bigrid.group_flat = rows2
-        bigrid.group_counts = (g_ends - g_starts).astype(np.int64)
+        bigrid.group_flat = segment_cell[order2]
+        bigrid.group_counts = np.bincount(segment_oid, minlength=n).astype(
+            np.int64
+        )
         bigrid.group_segments = order2
 
     # ------------------------------------------------------------------
@@ -1269,6 +1328,8 @@ class _BatchedVerifier:
                     np.asarray(offset, dtype=np.int64) @ grid.strides
                 )
             cell_range = np.arange(len(grid.codes))
+            group_bounds = np.zeros(self.collection.n + 1, dtype=np.int64)
+            np.cumsum(self.bigrid.group_counts, out=group_bounds[1:])
             tables = {
                 # Self first, then ``neighbor_offsets`` product order —
                 # the reference's ``cell_and_adjacent_keys`` walk.
@@ -1281,6 +1342,12 @@ class _BatchedVerifier:
                     grid.seg_bounds[1:] - grid.seg_bounds[:-1]
                 ).tolist(),
                 "seg_oids": grid.seg_oid.tolist(),
+                "seg_bounds_list": grid.seg_bounds.tolist(),
+                # A group's point list is its posting segment's slice.
+                "seg_points": grid.seg_points.tolist(),
+                "group_bounds": group_bounds.tolist(),
+                # Big-int ``b_adj`` of rows the general walk has read.
+                "adj_row_ints": {},
                 "owner_maps": {},
                 "rows": {},
             }
@@ -1397,7 +1464,6 @@ class _BatchedVerifier:
         grid = self.large_grid
         tables["cmask"] = grid.packed[:, 0].tolist()
         tables["seg_start_list"] = tables["seg_start"].tolist()
-        tables["seg_bounds_list"] = grid.seg_bounds.tolist()
         tables["neighbors"] = {}
         return tables["cmask"]
 
@@ -1466,6 +1532,7 @@ class _BatchedVerifier:
         seg_lengths = tables["seg_lengths"]
         seg_start_list = tables["seg_start_list"]
         seg_bounds = tables["seg_bounds_list"]
+        seg_points = tables["seg_points"]
         seg_coords = grid.seg_coords
         adj_ints = tables.get("adj_ints")
         if adj_ints is None:
@@ -1480,7 +1547,9 @@ class _BatchedVerifier:
         # set can never check or confirm anything (``confirmed`` only
         # grows), so the walk skips it on a precomputed flag.  Only the
         # surviving rows get a neighbourhood built.
-        group_rows_arr = self.bigrid.group_rows[oid]
+        low = tables["group_bounds"][oid]
+        high = tables["group_bounds"][oid + 1]
+        group_rows_arr = self.bigrid.group_flat[low:high]
         if self.memo is not None:
             # No mask and no deadline: the reference reads every group.
             self.memo[group_rows_arr] = True
@@ -1501,8 +1570,8 @@ class _BatchedVerifier:
         distance_rows = 0
         einsum = _c_einsum
         reduce_min = np.minimum.reduce
-        for flag, point_indices, row in zip(
-            flags, self.bigrid.object_groups[oid].values(), rows_list
+        for flag, segment, row in zip(
+            flags, self.bigrid.group_segments[low:high].tolist(), rows_list
         ):
             if not flag:
                 continue
@@ -1516,7 +1585,9 @@ class _BatchedVerifier:
             active = [
                 cell for cell in neighborhoods[row] if cmask[cell] & pending
             ]
-            for point_index in point_indices:
+            for point_index in seg_points[
+                seg_bounds[segment] : seg_bounds[segment + 1]
+            ]:
                 remaining = adj & ~confirmed
                 if not remaining:
                     continue
@@ -1582,11 +1653,16 @@ class _BatchedVerifier:
 
         deadline = self.deadline
         memo = self.memo
-        row_cells = large_grid.row_cells
-        group_rows = bigrid.group_rows[oid].tolist()
         tables = self.tables
+        low = tables["group_bounds"][oid]
+        high = tables["group_bounds"][oid + 1]
+        group_rows = bigrid.group_flat[low:high].tolist()
+        group_segments = bigrid.group_segments[low:high].tolist()
+        seg_points = tables["seg_points"]
+        seg_bounds = tables["seg_bounds_list"]
         specs = tables["rows"]
         seg_lengths = tables["seg_lengths"]
+        adj_cache = tables["adj_row_ints"]
         adj_words = large_grid.adj_words
         adj_ints = tables.get("adj_ints")
         if adj_ints is None and adj_words is not None and adj_words.shape[1] == 1:
@@ -1595,11 +1671,12 @@ class _BatchedVerifier:
             adj_ints = adj_words[:, 0].tolist()
             tables["adj_ints"] = adj_ints
 
-        position = -1
-        for (key, point_indices), row in zip(
-            bigrid.object_groups[oid].items(), group_rows
+        for position, (row, segment) in enumerate(
+            zip(group_rows, group_segments)
         ):
-            position += 1
+            point_indices = seg_points[
+                seg_bounds[segment] : seg_bounds[segment + 1]
+            ]
             if deadline is not None:
                 # checkpoint() is a no-op without a deadline; skipping the
                 # call entirely keeps clock-read parity with the reference
@@ -1623,9 +1700,10 @@ class _BatchedVerifier:
                 if memo is not None:
                     memo[row] = True
             else:
-                adj = row_cells[row].adj_int
+                # A cached row was memoized by the read that cached it.
+                adj = adj_cache.get(row)
                 if adj is None:
-                    adj = large_grid.row_adjacency(row)
+                    adj = adj_cache[row] = large_grid.row_adjacency(row)
             pending = adj & ~confirmed
             if not pending:
                 # No point in this group can confirm anything new (the
@@ -1656,7 +1734,7 @@ class _BatchedVerifier:
                         later
                         for later in group_rows[position + 1 :]
                         if later not in specs
-                        and _unmemoized_adj(row_cells[later], adj_words, later)
+                        and _unmemoized_adj(adj_cache, adj_words, later)
                         & ~confirmed
                     ]
                 else:
@@ -1714,9 +1792,9 @@ class _BatchedVerifier:
         return confirmed.bit_count() - 1
 
 
-def _unmemoized_adj(cell, adj_words: np.ndarray, row: int) -> int:
+def _unmemoized_adj(cache: dict, adj_words: np.ndarray, row: int) -> int:
     """Cell ``row``'s ``b_adj`` big int, read without memoizing it."""
-    value = cell.adj_int
+    value = cache.get(row)
     return _row_int(adj_words[row]) if value is None else value
 
 

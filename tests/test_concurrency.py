@@ -62,7 +62,10 @@ class TestLargeKeyCacheConcurrency:
             provide = cache.provider(collection, ceil_r)
             oid = (index + round_index) % collection.n
             indices = np.arange(collection[oid].num_points)
-            assert provide(oid, indices) == expected[(ceil_r, oid)]
+            # The provider hands back int64 key rows; as key tuples they
+            # are exactly compute_keys' output.
+            rows = provide(oid, indices)
+            assert [tuple(row) for row in rows.tolist()] == expected[(ceil_r, oid)]
 
         hammer(worker)
         # Every (ceiling, oid) pair is cached; accounting stayed coherent

@@ -386,9 +386,14 @@ class TestLabeledUpperBoundsConformance:
 #: labels an already memoized grid, where Labeling-1 never fires.
 GRID_STATES = ("fresh", "bulk", "labeled", "labeled+bulk", "bulk+labeled")
 
+#: ``GRID_STATES`` plus verification of every object after a masked
+#: upper pass, without and with verify masks: the verifier memoizes the
+#: unions it reads that the pass skipped.
+VERIFIED_STATES = ("labeled+verify", "labeled+masked-verify")
+
 
 def advance_grid(kernel, grid, state):
-    """Run the upper-bound passes ``state`` names on ``grid``."""
+    """Run the upper-bound (and verification) passes ``state`` names."""
     if state == "fresh":
         return
     tau = kernel.lower_bounds(grid).tau_max
@@ -403,8 +408,53 @@ def advance_grid(kernel, grid, state):
                 ),
                 labeler=PointLabels.for_collection(collection, grid.r),
             )
+        elif step in ("verify", "masked-verify"):
+            # Equal upper bounds: best-first verification scores everyone.
+            kernel.verify_candidates(
+                grid,
+                [(collection.n, oid) for oid in range(collection.n)],
+                grid.r,
+                verify_masks=(
+                    upper_masks_for(collection, seed=9)
+                    if step == "masked-verify"
+                    else None
+                ),
+            )
         else:
             kernel.upper_bounds(grid, tau)
+
+
+def materialize(grid):
+    """Read every lazy reference-layout structure of ``grid``."""
+    grid.small_grid.cells
+    grid.large_grid.cells
+    grid.key_lists
+    grid.object_groups
+
+
+def filled_lazy_slots(grid):
+    """The lazy slots of a packed grid that something has filled.
+
+    Reads each slot through its member descriptor, which (unlike plain
+    attribute access) never falls back to the materializing
+    ``__getattr__``.
+    """
+    filled = []
+    for owner, label, names in (
+        (grid, "bigrid", ("key_lists", "object_groups")),
+        (grid.small_grid, "small_grid", ("cells",)),
+        (grid.large_grid, "large_grid", ("cells",)),
+    ):
+        for name in names:
+            slot = next(
+                vars(cls)[name] for cls in type(owner).__mro__ if name in vars(cls)
+            )
+            try:
+                slot.__get__(owner)
+            except AttributeError:
+                continue
+            filled.append(f"{label}.{name}")
+    return filled
 
 
 def counting_from_int(monkeypatch, bitset_cls):
@@ -500,20 +550,133 @@ class TestColdMemoryAccounting:
     def test_discarded_numpy_grid_needs_no_cyclic_gc(self):
         # With memory accounting no longer allocating a bitset per cell,
         # the cyclic collector runs rarely; a grid freed only by it would
-        # pile up across queries.  Its last reference must free it.
+        # pile up across queries.  Its last reference must free it, also
+        # once its cells, postings and groups have materialized.
         collection = random_collection(n=90, mean_points=6, seed=13)
+        for materialized in (False, True):
+            grid = numpy_kernel().build_bigrid(collection, 2.5)
+            lower = numpy_kernel().lower_bounds(grid)
+            upper = numpy_kernel().upper_bounds(grid, lower.tau_max)
+            numpy_kernel().verify_candidates(grid, upper.candidates, 2.5)
+            grid.memory_bytes()
+            if materialized:
+                materialize(grid)
+                for cell in grid.large_grid.cells.values():
+                    cell.bitset, cell.adj_int, cell.adj_bitset
+                for cell in grid.small_grid.cells.values():
+                    cell.bitset
+                assert len(filled_lazy_slots(grid)) == 4
+            coords = weakref.ref(grid.large_grid.seg_coords)
+            gc.disable()
+            try:
+                del grid, lower, upper
+                assert coords() is None, f"materialized={materialized}"
+            finally:
+                gc.enable()
+
+
+@needs_numpy
+class TestLateMaterialization:
+    """The reference layout of a numpy grid, read only after passes ran.
+
+    A numpy-built grid keeps packed arrays only; its cells, postings, key
+    lists and object groups materialize on first read.  Whenever that
+    read happens, it must yield what the reference grid advanced through
+    the same passes holds: same cells (listed in ascending key order, the
+    packed row order), bitsets, postings, memoized adjacent unions, key
+    lists, and object groups in first-occurrence order.
+    """
+
+    @pytest.mark.parametrize("state", GRID_STATES + VERIFIED_STATES)
+    @pytest.mark.parametrize("n", [63, 64, 65, 90])
+    @pytest.mark.parametrize("backend", BITSET_BACKENDS)
+    @pytest.mark.parametrize("dimension", [2, 3])
+    def test_materialized_grid_matches_reference(
+        self, state, n, backend, dimension
+    ):
+        collection = random_collection(
+            n=n, mean_points=6, dimension=dimension, seed=n + dimension
+        )
+        ref = PYTHON_KERNEL.build_bigrid(collection, 2.5, backend=backend)
+        got = numpy_kernel().build_bigrid(collection, 2.5, backend=backend)
+        advance_grid(PYTHON_KERNEL, ref, state)
+        advance_grid(numpy_kernel(), got, state)
+        assert filled_lazy_slots(got) == []
+
+        assert list(got.small_grid.cells) == sorted(ref.small_grid.cells)
+        assert list(got.large_grid.cells) == sorted(ref.large_grid.cells)
+        assert_bigrids_equal(ref, got)
+        for key, cell in ref.large_grid.cells.items():
+            assert got.large_grid.cells[key].adj_int == cell.adj_int, key
+        for ref_groups, got_groups in zip(ref.object_groups, got.object_groups):
+            assert list(got_groups.items()) == list(ref_groups.items())
+        assert got.large_grid.adj_computed == ref.large_grid.adj_computed
+
+
+@needs_numpy
+class TestNumpyPathNeverMaterializes:
+    """No numpy query path reads the reference layout of its grids."""
+
+    @pytest.fixture
+    def grids(self, monkeypatch):
+        """Every grid the numpy kernel builds during the test."""
+        built = []
+        kernel_cls = type(numpy_kernel())
+        build = kernel_cls.build_bigrid
+
+        def recording_build(self, *args, **kwargs):
+            grid = build(self, *args, **kwargs)
+            built.append(grid)
+            return grid
+
+        monkeypatch.setattr(kernel_cls, "build_bigrid", recording_build)
+        return built
+
+    @staticmethod
+    def assert_untouched(grids, count):
+        from repro.kernels.numpy_backend import PackedBIGrid
+
+        assert len(grids) == count
+        for grid in grids:
+            assert isinstance(grid, PackedBIGrid)
+            assert filled_lazy_slots(grid) == []
+
+    # n = 40: one-word rows (the fused verifier); n = 90: two-word rows.
+    @pytest.mark.parametrize("n", [40, 90])
+    def test_engine_query_and_topk(self, grids, n):
+        collection = random_collection(n=n, mean_points=6, seed=n)
+        engine = MIOEngine(collection, kernel="numpy")
+        engine.query(3.0)
+        engine.query_topk(3.0, k=3)
+        self.assert_untouched(grids, 2)
+
+    @pytest.mark.parametrize("n", [40, 90])
+    def test_session_label_producing_and_with_label(self, grids, n):
+        collection = random_collection(n=n, mean_points=6, seed=n)
+        session = QuerySession(collection, kernel="numpy")
+        assert session.query(3.0).algorithm == "bigrid"
+        assert session.query(2.6).algorithm == "bigrid-label"
+        session.topk(2.8, k=2)
+        self.assert_untouched(grids, 3)
+
+    def test_inline_shard_worker(self, grids, monkeypatch):
+        monkeypatch.setenv("REPRO_SHARD_INLINE", "1")
+        collection = random_collection(n=60, mean_points=6, seed=3)
+        engine = ParallelMIOEngine(collection, cores=2, kernel="numpy", shards=3)
+        assert engine.query(3.0).algorithm == "bigrid-sharded"
+        assert grids
+        self.assert_untouched(grids, len(grids))
+
+    def test_memory_bytes(self, grids):
+        collection = random_collection(n=90, mean_points=6, seed=5)
         grid = numpy_kernel().build_bigrid(collection, 2.5)
-        lower = numpy_kernel().lower_bounds(grid)
-        upper = numpy_kernel().upper_bounds(grid, lower.tau_max)
-        numpy_kernel().verify_candidates(grid, upper.candidates, 2.5)
-        grid.memory_bytes()
-        coords = weakref.ref(grid.large_grid.seg_coords)
-        gc.disable()
-        try:
-            del grid, lower, upper
-            assert coords() is None
-        finally:
-            gc.enable()
+        for state in ("labeled", "bulk"):
+            advance_grid(numpy_kernel(), grid, state)
+            grid.memory_bytes()
+            grid.index_entry_counts()
+            grid.large_grid.posting_counts()
+            len(grid.small_grid), len(grid.large_grid)
+        self.assert_untouched(grids, 1)
 
 
 # ----------------------------------------------------------------------

@@ -17,6 +17,8 @@ from repro.core.labels import LabelStore, labels_match_collection
 from repro.core.objects import ObjectCollection
 from repro.dynamic import DynamicMIO
 from repro.errors import InvalidQueryError
+from repro.grid.cache import LargeKeyCache
+from repro.grid.keys import compute_keys, key_tuples, large_cell_width
 from repro.session import QueryRequest, QuerySession, normalize_request as _normalize
 
 from conftest import oracle_scores, random_collection
@@ -137,6 +139,52 @@ class TestSessionBasics:
         result = session.query(1.2)
         assert result.counters["session_points_skipped"] > 0
         assert session.stats()["points_skipped_by_labels"] > 0
+
+
+class TestLargeKeyCache:
+    """The large-key tier: one int64 key-row array per ``(ceil(r), oid)``."""
+
+    @pytest.mark.parametrize("filtered", [False, True])
+    def test_provider_rows_match_compute_keys(self, filtered):
+        collection = random_collection(n=12, mean_points=7, seed=43)
+        cache = LargeKeyCache()
+        provide = cache.provider(collection, 3)
+        width = large_cell_width(3.0)
+        rng = np.random.default_rng(7)
+        for oid in range(collection.n):
+            points = collection[oid].points
+            indices = np.arange(len(points))
+            if filtered:
+                # A with-label build asks for the surviving points only.
+                indices = np.flatnonzero(rng.random(len(points)) < 0.5)
+            for _ in range(2):  # a miss, then a hit
+                rows = provide(oid, indices)
+                assert rows.dtype == np.int64
+                assert rows.shape == (len(indices), collection.dimension)
+                assert key_tuples(rows) == compute_keys(points[indices], width)
+                if not filtered:
+                    # The whole-object answer is the shared cached entry.
+                    assert not rows.flags.writeable
+        assert (cache.hits, cache.misses) == (collection.n, collection.n)
+
+    @pytest.mark.parametrize("kernel", ["python", "numpy"])
+    def test_hit_and_miss_counts_on_a_session_replay(self, kernel):
+        # Pinned counts: the provider is called once per mapped object of
+        # every grid build, whatever form the cached keys take.
+        collection = random_collection(n=40, mean_points=6, seed=41)
+        dynamic = DynamicMIO()
+        for obj in collection:
+            dynamic.add_object(obj.points)
+        session = QuerySession(dynamic, kernel=kernel)
+        for r in (3.4, 3.1, 4.2, 3.9):
+            session.query(r)
+        dynamic.add_object(np.array([[1.0, 2.0], [2.0, 2.5]]))
+        for r in (3.4, 3.2, 2.5):
+            session.query(r)
+        stats = session.stats()
+        assert stats["grid_key_cache_hits"] == 120
+        assert stats["grid_key_cache_misses"] == 162
+        assert len(session.key_cache) == 82
 
 
 class TestBatchPlanning:
