@@ -47,9 +47,10 @@ class VerificationResult:
     #: of them is a *verified lower bound* on the optimum (Corollary 1) and
     #: the engine can return it as an anytime answer.
     timed_out: bool = False
-    #: Which implementation scored the candidates ("reference",
-    #: "numpy-batch", "parallel-chunked").  Informational only — every path
-    #: is bit-exact — surfaced through ``repro explain`` notes.
+    #: Which implementation scored the candidates: "reference" (the
+    #: per-point walk below) or "numpy-batch" (the numpy kernel's
+    #: first-hit scorer).  Informational only — every path is bit-exact —
+    #: surfaced through ``repro explain`` notes.
     path: str = "reference"
     #: Every settled ``(oid, exact_score)`` pair in dequeue order (not just
     #: the top-k).  The sharded merge replays the serial best-first loop

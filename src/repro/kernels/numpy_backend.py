@@ -22,14 +22,14 @@ structures and results (the conformance suite enforces it):
   Labeling-2's running union a segmented prefix-OR scan.
 * **Verification** keeps the reference's best-first outer loop (shared
   via :func:`repro.core.verification.best_first_verification`) but scores
-  each candidate with *batched* distance blocks: per large cell, the
-  posting coordinates of the whole ``3^d`` neighbourhood are gathered
-  once into a contiguous array (cached per cell), all candidate-point ×
-  posting-row squared distances are computed in one einsum, and
-  per-posting minima fall out of one ``np.minimum.reduceat``.  The
-  authoritative walk then replays the reference's visit order over the
-  precomputed hit booleans, so early termination, Labeling-3 marks, and
-  every work counter match the oracle bit-for-bit.
+  each candidate in two waves of groups, each one flat batch: every
+  candidate point against every posting, in its group's ``3^d``
+  neighbourhood, of an owner still unconfirmed -- one coordinate gather,
+  one einsum, one ``np.minimum.reduceat``.  Nothing replays the walk:
+  each owner's first hit decides which checks the reference makes, what
+  it confirms and which points it labels (:func:`first_hit_scan`), so
+  early termination, Labeling-3 marks and every work counter match the
+  oracle bit-for-bit.
 * **Memory accounting** sizes every cell bitset and memoized adjacent
   union from its packed row (:func:`packed_bitset_bytes`: the EWAH, plain and
   Roaring ``size_in_bytes`` formulas evaluated over whole matrices), so
@@ -69,11 +69,7 @@ from repro.bitset.roaring import (
 from repro.core.labels import GRID_BIT, UPPER_BIT
 from repro.core.lower_bound import LowerBoundResult
 from repro.core.upper_bound import Candidate, UpperBoundResult
-from repro.core.verification import (
-    VerifyCounters,
-    best_first_verification,
-    bits_of,
-)
+from repro.core.verification import VerifyCounters, best_first_verification
 from repro.grid.bigrid import BIGrid
 from repro.grid.keys import (
     cell_and_adjacent_keys,
@@ -95,6 +91,12 @@ from repro.resilience import checkpoint
 #: enough that the loop overhead stays invisible for short ones.
 DISTANCE_CHUNK = 256
 
+#: Distance pairs (candidate point x posting row) per verification batch.
+#: A wave of groups past this is evaluated in slices of at most this many
+#: pairs (~90 bytes each in flight), so a dense candidate cannot spike
+#: peak memory.
+VERIFY_BATCH_PAIRS = 1 << 14
+
 #: Size-based dispatch for LOWER-BOUNDING: below this many packed-row OR
 #: operations in total, the fixed numpy dispatch overhead (``flatnonzero``,
 #: ``cumsum``, ``reduceat`` setup) exceeds the work itself, and running the
@@ -106,16 +108,6 @@ DISTANCE_CHUNK = 256
 #: it.  ``tests/test_lower_bound.py`` pins the dispatch behavior on both
 #: sides.  Module-level and read at call time so tests can monkeypatch it.
 LOWER_BOUND_DISPATCH_MIN_ROWS = 768
-
-
-try:
-    # The core of ``np.einsum``: the public wrapper forwards unoptimized
-    # two-operand calls here verbatim, so results are bit-identical to the
-    # reference's ``np.einsum`` -- only the per-call python dispatch layer
-    # (~1us, material at verification's call rates) is skipped.
-    from numpy._core._multiarray_umath import c_einsum as _c_einsum
-except ImportError:  # pragma: no cover - older numpy core layout
-    _c_einsum = np.einsum
 
 
 def _row_int(words: np.ndarray) -> int:
@@ -396,8 +388,8 @@ class PackedLargeGrid(LargeGrid):
     is one ``(cell, oid)`` posting list, sorted cell-major/oid-ascending,
     with its point indices at ``seg_points[seg_bounds[s]:seg_bounds[s+1]]``
     and their *coordinates* at the same rows of ``seg_coords`` (posting
-    order).  ``verify_tables`` caches the derived per-cell neighbourhood
-    specs.  The inherited ``cells`` slot (cells with their postings)
+    order).  ``verify_tables`` caches the verifier's per-grid lookup
+    tables.  The inherited ``cells`` slot (cells with their postings)
     stays unset until something asks for it (:meth:`__getattr__`).
 
     ``adjacent_union_int`` keeps the base-class semantics: the first
@@ -1108,7 +1100,7 @@ class NumpyKernel(KernelBackend):
             counters,
             stats=stats,
             deadline=deadline,
-            path="numpy-fused" if scorer.fused else "numpy-batch",
+            path="numpy-batch",
         )
 
     # ------------------------------------------------------------------
@@ -1233,34 +1225,104 @@ def _extends_prefix(group_words: np.ndarray, counts: np.ndarray) -> np.ndarray:
 def _ragged_arange(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """Concatenation of ``arange(starts[i], starts[i] + counts[i])`` for all
     ``i``, without a python loop.  Every ``counts[i]`` must be >= 1."""
-    ends = np.cumsum(counts)
+    ends = counts.cumsum()
     out = np.ones(int(ends[-1]), dtype=np.int64)
     out[0] = starts[0]
     if len(starts) > 1:
         out[ends[:-1]] = starts[1:] - starts[:-1] - counts[:-1] + 1
-    return np.cumsum(out)
+    return out.cumsum()
+
+
+def first_hit_scan(
+    point_group, col_bounds, col_owner, confirmed, hit_of, split=None, marks=True
+):
+    """Algorithm 6's per-point walk over one candidate, from first-hit keys.
+
+    The candidate's points to visit are listed group-major in visit order
+    (``point_group``, ascending); each group's neighbourhood posting
+    segments, "columns", are ``col_bounds[g]:col_bounds[g+1]`` in the
+    reference's cell walk order, owned by ``col_owner``.  Key the
+    entries ``(point, column)`` by (group, point, column).  The reference
+    checks an owner's column exactly while the owner is unconfirmed and
+    confirms it at its first hit, so with owners unique per cell:
+
+    * an entry is checked iff its key is <= its owner's first-hit key;
+    * an owner with a first hit is confirmed;
+    * a point is Labeling-3 skippable iff every owner still pending in its
+      group has its first hit at an earlier point.
+
+    Hits are asked in two waves, by ``hit_of(entry_point, entry_col)``:
+    first the entries of groups ``[0, split)``, then those of the rest
+    whose owner the first wave left unconfirmed.  An entry left out is
+    never checked: its owner's first hit comes earlier.  ``split=None``
+    ends the first wave after the first group with a point and a pending
+    owner.  ``confirmed`` (bool per object) is updated in place.
+    Returns ``(checked_point, checked_col, skippable)``: the checked
+    entries in key order and, if ``marks``, a flag per point (else None).
+    """
+    # Every point against each column of an owner pending at the start.
+    live = ~confirmed.take(col_owner)
+    live_before = np.zeros(len(live) + 1, dtype=np.int64)
+    live.cumsum(out=live_before[1:])
+    group_live = live_before.take(col_bounds)
+    counts = (group_live[1:] - group_live[:-1]).take(point_group)
+    skippable = counts == 0 if marks else None
+    points = counts.nonzero()[0]
+    if not len(points):
+        return points, points, skippable
+    counts = counts.take(points)
+    entry_point = points.repeat(counts)
+    entry_col = live.nonzero()[0].take(
+        _ragged_arange(group_live.take(point_group.take(points)), counts)
+    )
+    owner = col_owner.take(entry_col)
+
+    if split is None:
+        split = point_group[points[0]] + 1
+    cut = int(entry_point.searchsorted(point_group.searchsorted(split)))
+    hit = np.zeros(len(entry_col), dtype=bool)
+    if cut:
+        hit[:cut] = hit_of(entry_point[:cut], entry_col[:cut])
+        confirmed[owner[:cut][hit[:cut]]] = True
+    rest = (~confirmed.take(owner[cut:])).nonzero()[0] + cut
+    if len(rest):
+        hit[rest] = hit_of(entry_point.take(rest), entry_col.take(rest))
+
+    hit_keys = hit.nonzero()[0]
+    hit_owners = owner.take(hit_keys)
+    first_hit = np.full(len(confirmed), len(hit))
+    np.minimum.at(first_hit, hit_owners, hit_keys)
+    confirmed[hit_owners] = True
+    entry_first_hit = first_hit.take(owner)
+    if marks:
+        # The point of each entry's owner's first hit; past every point
+        # if it has none.
+        hit_point = np.append(entry_point, len(point_group)).take(entry_first_hit)
+        skippable[points] = ~np.logical_or.reduceat(
+            hit_point >= entry_point, counts.cumsum() - counts
+        )
+    counted = entry_first_hit >= np.arange(len(hit))
+    return entry_point[counted], entry_col[counted], skippable
 
 
 class _BatchedVerifier:
-    """Exact scorer over a packed BIGrid: block distances, reference order.
+    """Exact scorer over a packed BIGrid: first-hit keys, no replay.
 
     ``score(oid)`` reproduces :func:`repro.core.verification._exact_score`
-    bit-for-bit, but evaluates distances in bulk.  Per (candidate, cell)
-    group it batches every unmasked candidate point against the *whole*
-    ``3^d`` neighbourhood's posting coordinates — one einsum plus one
-    ``np.minimum.reduceat`` yields the per-(point, posting) hit booleans —
-    and then replays the reference's authoritative walk (dynamic pending
-    set, per-cell early break, Labeling-3 marks, work counters) over the
-    precomputed booleans.  The replay only ever *reads* hits the
-    reference would also have computed: the pending set shrinks as
-    ``confirmed`` grows, so the batch is a superset of the touched pairs,
-    and each hit boolean is a pure function of the same float arithmetic
-    (identical subtract/square/sum/min element order), hence identical.
+    bit-for-bit -- score, work counters, Labeling-3 marks, ``adj_memo``
+    -- without walking points one at a time.  It lists the candidate's
+    groups, their points and their ``3^d`` neighbourhoods' posting
+    segments as flat arrays and derives the walk's effects from each
+    owner's first hit (:func:`first_hit_scan`).  Only postings of owners
+    unconfirmed when a wave starts are batched.  A batch is one
+    coordinate gather, one einsum and one ``np.minimum.reduceat`` per at
+    most ``VERIFY_BATCH_PAIRS`` (point, posting row) pairs, with the
+    reference's subtract/square/sum/min element order, so every hit
+    boolean is the one the reference computes.
 
-    The per-cell neighbourhood spec (gathered coordinates, segment
-    offsets, per-neighbour owner maps) is cached on the grid
-    (``verify_tables``), so overlapping neighbourhoods across candidates
-    are gathered once per query, not once per candidate.
+    The effects land in bulk; under a deadline they land group by group
+    after each group's ``checkpoint``, so clock reads and the counters
+    left behind by a ``QueryTimeout`` match the reference's.
     """
 
     __slots__ = (
@@ -1274,7 +1336,6 @@ class _BatchedVerifier:
         "counters",
         "deadline",
         "tables",
-        "fused",
         "memo",
     )
 
@@ -1299,23 +1360,13 @@ class _BatchedVerifier:
         self.deadline = deadline
         self.tables = self._grid_tables()
         # Rows the upper-bounding pass left unmemoized (a masked pass skips
-        # groups) are memoized by the first read here, as the reference's
-        # on-demand ``adjacent_union_int`` would; None once all are.
+        # groups, or none ran) are memoized by the first read here, as the
+        # reference's on-demand ``adjacent_union_int`` would; None once all
+        # are.  Memoized rows are sized from the bulk matrix.
         memo = self.large_grid.adj_memo
         self.memo = None if memo.all() else memo
-        # The fused int-mask walk (``_score_fused``) covers the plain
-        # regime only: no labels to mark, no masks to honor, no deadline
-        # to checkpoint, bulk adjacency present, and every bitset in one
-        # word so per-cell owner masks are machine ints.  Anything else
-        # takes the general batched path below -- both are bit-exact.
-        adj_words = self.large_grid.adj_words
-        self.fused = (
-            labeler is None
-            and verify_masks is None
-            and deadline is None
-            and adj_words is not None
-            and adj_words.shape[1] == 1
-        )
+        if self.memo is not None:
+            self.large_grid.bulk_adjacency()
 
     def _grid_tables(self) -> dict:
         grid = self.large_grid
@@ -1327,475 +1378,167 @@ class _BatchedVerifier:
                 deltas[1 + index] = int(
                     np.asarray(offset, dtype=np.int64) @ grid.strides
                 )
-            cell_range = np.arange(len(grid.codes))
             group_bounds = np.zeros(self.collection.n + 1, dtype=np.int64)
             np.cumsum(self.bigrid.group_counts, out=group_bounds[1:])
             tables = {
                 # Self first, then ``neighbor_offsets`` product order —
                 # the reference's ``cell_and_adjacent_keys`` walk.
                 "deltas": deltas,
-                "seg_start": np.searchsorted(grid.seg_cell, cell_range),
-                "seg_end": np.searchsorted(
-                    grid.seg_cell, cell_range, side="right"
+                # Cell ``row``'s segments: ``cell_segs[row]:cell_segs[row+1]``.
+                "cell_segs": np.searchsorted(
+                    grid.seg_cell, np.arange(len(grid.codes) + 1)
                 ),
-                "seg_lengths": (
-                    grid.seg_bounds[1:] - grid.seg_bounds[:-1]
-                ).tolist(),
-                "seg_oids": grid.seg_oid.tolist(),
-                "seg_bounds_list": grid.seg_bounds.tolist(),
-                # A group's point list is its posting segment's slice.
-                "seg_points": grid.seg_points.tolist(),
+                "seg_lengths": np.diff(grid.seg_bounds),
                 "group_bounds": group_bounds.tolist(),
-                # Big-int ``b_adj`` of rows the general walk has read.
-                "adj_row_ints": {},
-                "owner_maps": {},
-                "rows": {},
             }
             grid.verify_tables = tables
         return tables
 
-    def _build_specs(self, rows: List[int]) -> dict:
-        """Build (and cache) the neighbourhood specs for a candidate's cells.
-
-        One spec per cell row: ``(coords, offs, cell_descs)`` — the
-        posting coordinates of every segment in the ``3^d`` neighbourhood
-        (neighbour-major, self cell first, then ``neighbor_offsets``
-        product order — exactly the reference's ``neighbor_cells`` walk),
-        the einsum reduce offset of each segment, and one
-        ``(owner_map, col_base)`` descriptor per neighbour cell.
-        ``owner_map`` maps owner oid -> *global* segment id (shared
-        across specs, built once per cell); ``col_base + g`` converts a
-        global id back into this spec's hit-row column.
-
-        All missing rows are resolved in one vectorized pass (neighbour
-        lookup, segment expansion, coordinate gather), so the per-row
-        residue is a couple of array views; the ``cell_descs`` python
-        loop itself is deferred until a point actually reads the spec
-        (``_spec_descs``) — prefetched-but-skipped cells never pay it.
-        Returns the spec cache.
-        """
+    def _columns(self, rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """The posting segments of each row's ``3^d`` neighbourhood, in the
+        reference's ``neighbor_cells`` walk order (self cell first, then
+        ``neighbor_offsets`` product order; oid-ascending per cell), as a
+        flat array with per-row bounds."""
         tables = self.tables
-        cache = tables["rows"]
-        missing = [row for row in rows if row not in cache]
-        if not missing:
-            return cache
-        grid = self.large_grid
-        codes = grid.codes
-        cell_count = len(codes)
-
-        # Neighbour rows for every missing cell in one searchsorted.
-        targets = (
-            codes[np.asarray(missing, dtype=np.int64)][:, None]
-            + tables["deltas"][None, :]
-        ).ravel()
-        positions = np.searchsorted(codes, targets)
-        positions[positions == cell_count] = 0
-        valid = codes[positions] == targets
+        codes = self.large_grid.codes
+        targets = (codes.take(rows)[:, None] + tables["deltas"][None, :]).ravel()
+        positions = codes.searchsorted(targets)
+        np.minimum(positions, len(codes) - 1, out=positions)
+        valid = codes.take(positions) == targets
         neighbors = positions[valid]
-        # >= 1 everywhere: the self cell always exists, and every cell
-        # holds >= 1 posting segment — the ragged expansions are total.
-        neighbor_counts = valid.reshape(len(missing), -1).sum(axis=1)
+        # Every cell holds at least one segment.
+        starts = tables["cell_segs"].take(neighbors)
+        sizes = tables["cell_segs"].take(neighbors + 1) - starts
+        seg_before = np.zeros(len(neighbors) + 1, dtype=np.int64)
+        sizes.cumsum(out=seg_before[1:])
+        cell_bounds = np.zeros(len(rows) + 1, dtype=np.int64)
+        valid.reshape(len(rows), -1).sum(axis=1).cumsum(out=cell_bounds[1:])
+        return _ragged_arange(starts, sizes), seg_before.take(cell_bounds)
 
-        # Segment expansion: cells' segments are contiguous in seg space.
-        cell_starts = tables["seg_start"][neighbors]
-        cell_counts = tables["seg_end"][neighbors] - cell_starts
-        seg_ids = _ragged_arange(cell_starts, cell_counts)
-        seg_starts = grid.seg_bounds[seg_ids]
-        seg_lens = grid.seg_bounds[seg_ids + 1] - seg_starts
-        coords_all = grid.seg_coords[_ragged_arange(seg_starts, seg_lens)]
-        seg_ends_local = np.cumsum(seg_lens)
-        #: Each segment's first coordinate row within ``coords_all``.
-        goffs = seg_ends_local - seg_lens
-
-        # Row boundaries: cells per row -> segments per cell -> points.
-        cell_hi = np.cumsum(neighbor_counts).tolist()
-        seg_lo_per_cell = (np.cumsum(cell_counts) - cell_counts).tolist()
-        seg_count = len(seg_ids)
-        point_total = int(seg_ends_local[-1]) if seg_count else 0
-
-        cell_lo = 0
-        for index, row in enumerate(missing):
-            hi = cell_hi[index]
-            s_lo = seg_lo_per_cell[cell_lo]
-            s_hi = seg_lo_per_cell[hi] if hi < len(seg_lo_per_cell) else seg_count
-            p_lo = int(goffs[s_lo])
-            p_hi = int(goffs[s_hi]) if s_hi < seg_count else point_total
-            cache[row] = [
-                coords_all[p_lo:p_hi],
-                goffs[s_lo:s_hi] - p_lo,
-                None,  # cell_descs, built on first read (_spec_descs)
-                neighbors[cell_lo:hi],
-                cell_starts[cell_lo:hi],
-                cell_counts[cell_lo:hi],
-            ]
-            cell_lo = hi
-        return cache
-
-    def _spec_descs(self, spec: list) -> List[tuple]:
-        """Materialize a spec's per-neighbour-cell descriptors (once)."""
-        tables = self.tables
-        owner_maps = tables["owner_maps"]
-        seg_oids = tables["seg_oids"]
-        cell_descs = []
-        column = 0
-        for target, s0, count in zip(
-            spec[3].tolist(), spec[4].tolist(), spec[5].tolist()
-        ):
-            owner_map = owner_maps.get(target)
-            if owner_map is None:
-                owner_map = dict(
-                    zip(seg_oids[s0 : s0 + count], range(s0, s0 + count))
-                )
-                owner_maps[target] = owner_map
-            cell_descs.append((owner_map, column - s0))
-            column += count
-        spec[2] = cell_descs
-        return cell_descs
-
-    def _fused_tables(self) -> list:
-        """Per-cell owner masks for the fused walk (one-word grids only).
-
-        A large cell's owner mask is its packed bitset row itself --
-        ``packed[cell, 0]`` ORs ``1 << oid`` over every owner with a
-        posting in the cell -- so "which pending owners does this cell
-        hold" is a single int AND against a build-time word.
-        """
-        tables = self.tables
+    def _hits(self, coords, entry_point, entry_seg) -> np.ndarray:
+        """Whether point ``coords[entry_point[e]]`` lies within ``r`` of a
+        row of posting segment ``entry_seg[e]``, for every entry ``e``."""
         grid = self.large_grid
-        tables["cmask"] = grid.packed[:, 0].tolist()
-        tables["seg_start_list"] = tables["seg_start"].tolist()
-        tables["neighbors"] = {}
-        return tables["cmask"]
-
-    def _build_neighborhoods(self, missing: List[int]) -> None:
-        """Existing neighbour cells for candidate rows, batch-resolved.
-
-        Same searchsorted geometry as :meth:`_build_specs`, minus the
-        coordinate gather and owner maps: each row caches the list of
-        neighbour rows that exist, self cell first then
-        ``neighbor_offsets`` product order -- the reference's
-        ``neighbor_cells`` walk order.
-        """
-        tables = self.tables
-        grid = self.large_grid
-        codes = grid.codes
-        cell_count = len(codes)
-        targets = (
-            codes[np.asarray(missing, dtype=np.int64)][:, None]
-            + tables["deltas"][None, :]
-        ).ravel()
-        positions = np.searchsorted(codes, targets)
-        positions[positions == cell_count] = 0
-        valid = codes[positions] == targets
-        neighbor_list = positions[valid].tolist()
-        bounds_list = np.cumsum(
-            valid.reshape(len(missing), -1).sum(axis=1)
-        ).tolist()
-        cache = tables["neighbors"]
+        lengths = self.tables["seg_lengths"].take(entry_seg)
+        starts = grid.seg_bounds.take(entry_seg)
+        ends = lengths.cumsum()
+        hits = np.empty(len(ends), dtype=bool)
         low = 0
-        for index, row in enumerate(missing):
-            high = bounds_list[index]
-            cache[row] = neighbor_list[low:high]
+        while low < len(ends):
+            base = int(ends[low - 1]) if low else 0
+            high = max(
+                low + 1,
+                int(ends.searchsorted(base + VERIFY_BATCH_PAIRS, side="right")),
+            )
+            sizes = lengths[low:high]
+            # The reference's ``candidate_points - point``, one pair per
+            # row (``take``: row gathers far cheaper than fancy indexing).
+            diff = grid.seg_coords.take(
+                _ragged_arange(starts[low:high], sizes), axis=0
+            )
+            diff -= coords.take(np.repeat(entry_point[low:high], sizes), axis=0)
+            squared = np.einsum("ij,ij->i", diff, diff)
+            hits[low:high] = (
+                np.minimum.reduceat(squared, ends[low:high] - sizes - base)
+                <= self.r_squared
+            )
             low = high
-
-    def _score_fused(self, oid: int) -> int:
-        """``tau(o_i)`` via per-cell int masks (plain one-word regime).
-
-        Replays the reference walk -- groups in order, per-point pending
-        recompute, per-cell snapshot intersection, per-owner distance
-        check with the reference's exact float expression -- but resolves
-        every set operation as machine-int bitwise ops against the
-        precomputed cell masks, and skips whole groups whose
-        neighbourhood holds no pending owner (their walk touches no
-        counter by construction: the pending set only shrinks as
-        ``confirmed`` grows, so a neighbourhood disjoint from the
-        group-entry pending set stays disjoint for every point).
-        """
-        grid = self.large_grid
-        counters = self.counters
-        points = self.collection[oid].points
-        r_squared = self.r_squared
-
-        confirmed = 0
-        if self.initial_bitsets is not None:
-            seed = self.initial_bitsets(oid)
-            if seed is not None:
-                confirmed = seed.to_int()
-        confirmed |= 1 << oid
-
-        tables = self.tables
-        cmask = tables.get("cmask")
-        if cmask is None:
-            cmask = self._fused_tables()
-        neighborhoods = tables["neighbors"]
-        seg_oids = tables["seg_oids"]
-        seg_lengths = tables["seg_lengths"]
-        seg_start_list = tables["seg_start_list"]
-        seg_bounds = tables["seg_bounds_list"]
-        seg_points = tables["seg_points"]
-        seg_coords = grid.seg_coords
-        adj_ints = tables.get("adj_ints")
-        if adj_ints is None:
-            adj_ints = grid.adj_words[:, 0].tolist()
-            tables["adj_ints"] = adj_ints
-        adj_np = tables.get("adj_np")
-        if adj_np is None:
-            adj_np = tables["adj_np"] = grid.adj_words[:, 0]
-
-        # Seed-level screen, one vectorized AND for every group at once:
-        # a group whose adjacency holds nothing beyond the seed confirmed
-        # set can never check or confirm anything (``confirmed`` only
-        # grows), so the walk skips it on a precomputed flag.  Only the
-        # surviving rows get a neighbourhood built.
-        low = tables["group_bounds"][oid]
-        high = tables["group_bounds"][oid + 1]
-        group_rows_arr = self.bigrid.group_flat[low:high]
-        if self.memo is not None:
-            # No mask and no deadline: the reference reads every group.
-            self.memo[group_rows_arr] = True
-        rows_list = group_rows_arr.tolist()
-        flags = (
-            adj_np[group_rows_arr]
-            & np.uint64(~confirmed & 0xFFFFFFFFFFFFFFFF)
-        ).astype(bool).tolist()
-        missing = [
-            row
-            for row, flag in zip(rows_list, flags)
-            if flag and row not in neighborhoods
-        ]
-        if missing:
-            self._build_neighborhoods(missing)
-
-        posting_checks = 0
-        distance_rows = 0
-        einsum = _c_einsum
-        reduce_min = np.minimum.reduce
-        for flag, segment, row in zip(
-            flags, self.bigrid.group_segments[low:high].tolist(), rows_list
-        ):
-            if not flag:
-                continue
-            adj = adj_ints[row]
-            pending = adj & ~confirmed
-            if not pending:
-                continue
-            # Cells that can intersect the group-entry pending set, in
-            # the reference's neighbour walk order; later points' pending
-            # sets are subsets, so skipped cells never match them either.
-            active = [
-                cell for cell in neighborhoods[row] if cmask[cell] & pending
-            ]
-            for point_index in seg_points[
-                seg_bounds[segment] : seg_bounds[segment + 1]
-            ]:
-                remaining = adj & ~confirmed
-                if not remaining:
-                    continue
-                point = None
-                for cell in active:
-                    # Snapshot at cell entry, like the reference's
-                    # ``remaining.intersection(cell.postings)``: owners
-                    # confirmed mid-cell stay in this cell's found set.
-                    found = remaining & cmask[cell]
-                    if not found:
-                        continue
-                    if point is None:
-                        point = points[point_index]
-                    base = seg_start_list[cell]
-                    while found:
-                        bit = found & -found
-                        found ^= bit
-                        owner = bit.bit_length() - 1
-                        posting_checks += 1
-                        segment = base
-                        while seg_oids[segment] != owner:
-                            segment += 1
-                        length = seg_lengths[segment]
-                        distance_rows += length
-                        low = seg_bounds[segment]
-                        diff = seg_coords[low : low + length] - point
-                        if (
-                            reduce_min(einsum("ij,ij->i", diff, diff))
-                            <= r_squared
-                        ):
-                            confirmed |= bit
-                            remaining &= ~bit
-                    if not remaining:
-                        break
-
-        counters.posting_checks += posting_checks
-        counters.distance_rows += distance_rows
-        return confirmed.bit_count() - 1
+        return hits
 
     def score(self, oid: int) -> int:
         """``tau(o_i)`` exactly, matching ``_exact_score`` bit-for-bit."""
-        if self.fused:
-            return self._score_fused(oid)
-        bigrid = self.bigrid
-        large_grid = self.large_grid
+        grid = self.large_grid
+        tables = self.tables
         counters = self.counters
-        labeler = self.labeler
-        points = self.collection[oid].points
-        r_squared = self.r_squared
+        n = self.collection.n
 
-        confirmed = 0
+        confirmed = np.zeros(n, dtype=bool)
         if self.initial_bitsets is not None:
             seed = self.initial_bitsets(oid)
             if seed is not None:
-                confirmed = seed.to_int()
-        confirmed |= 1 << oid
+                confirmed = np.unpackbits(
+                    np.frombuffer(
+                        seed.to_int().to_bytes((n + 7) // 8, "little"), np.uint8
+                    ),
+                    count=n,
+                    bitorder="little",
+                ).view(bool)
+        confirmed[oid] = True
 
-        mask = (
-            self.verify_masks(oid).tolist()
-            if self.verify_masks is not None
-            else None
+        low = tables["group_bounds"][oid]
+        high = tables["group_bounds"][oid + 1]
+        groups = high - low
+        if not groups:
+            return int(np.count_nonzero(confirmed)) - 1
+        rows = self.bigrid.group_flat[low:high]
+        segments = self.bigrid.group_segments[low:high]
+        seg_lengths = tables["seg_lengths"]
+        # Each group's points are its posting segment, in visit order.
+        sizes = seg_lengths.take(segments)
+        point_index = grid.seg_points.take(
+            _ragged_arange(grid.seg_bounds.take(segments), sizes)
         )
+        point_group = np.arange(groups).repeat(sizes)
+        masked = None
+        if self.verify_masks is not None:
+            keep = self.verify_masks(oid).take(point_index)
+            point_index = point_index[keep]
+            point_group = point_group[keep]
+            masked = sizes - np.bincount(point_group, minlength=groups)
+
+        col_seg, col_bounds = self._columns(rows)
+        coords = self.collection[oid].points.take(point_index, axis=0)
+        labeler = self.labeler
+        checked_point, checked_col, skippable = first_hit_scan(
+            point_group,
+            col_bounds,
+            grid.seg_oid.take(col_seg),
+            confirmed,
+            lambda entry_point, entry_col: self._hits(
+                coords, entry_point, col_seg.take(entry_col)
+            ),
+            marks=labeler is not None,
+        )
+        checked_rows = seg_lengths.take(col_seg.take(checked_col))
 
         deadline = self.deadline
         memo = self.memo
-        tables = self.tables
-        low = tables["group_bounds"][oid]
-        high = tables["group_bounds"][oid + 1]
-        group_rows = bigrid.group_flat[low:high].tolist()
-        group_segments = bigrid.group_segments[low:high].tolist()
-        seg_points = tables["seg_points"]
-        seg_bounds = tables["seg_bounds_list"]
-        specs = tables["rows"]
-        seg_lengths = tables["seg_lengths"]
-        adj_cache = tables["adj_row_ints"]
-        adj_words = large_grid.adj_words
-        adj_ints = tables.get("adj_ints")
-        if adj_ints is None and adj_words is not None and adj_words.shape[1] == 1:
-            # One-word grids (n <= 64): converting every cell's adjacent
-            # union at once is cheaper than the per-cell lazy conversion.
-            adj_ints = adj_words[:, 0].tolist()
-            tables["adj_ints"] = adj_ints
+        if deadline is None:
+            counters.posting_checks += len(checked_col)
+            counters.distance_rows += int(checked_rows.sum())
+            if masked is not None:
+                counters.points_skipped += int(masked.sum())
+                rows = rows[masked < sizes]
+            if memo is not None:
+                memo[rows] = True
+            if labeler is not None:
+                labeler.mark_verify_skippable(oid, point_index[skippable])
+            return int(np.count_nonzero(confirmed)) - 1
 
-        for position, (row, segment) in enumerate(
-            zip(group_rows, group_segments)
-        ):
-            point_indices = seg_points[
-                seg_bounds[segment] : seg_bounds[segment + 1]
-            ]
-            if deadline is not None:
-                # checkpoint() is a no-op without a deadline; skipping the
-                # call entirely keeps clock-read parity with the reference
-                # (neither side reads the clock when there is none).
-                checkpoint(deadline, "verification")
-            if mask is None:
-                unmasked = point_indices
-            else:
-                unmasked = [
-                    point_index
-                    for point_index in point_indices
-                    if mask[point_index]
-                ]
-                counters.points_skipped += len(point_indices) - len(unmasked)
-            if not unmasked:
+        # Group by group behind each checkpoint, as the reference walks.
+        checked_group = point_group.take(checked_point)
+        checks = np.bincount(checked_group, minlength=groups).tolist()
+        row_sums = np.bincount(
+            checked_group, weights=checked_rows, minlength=groups
+        ).astype(np.int64).tolist()
+        point_bounds = point_group.searchsorted(np.arange(groups + 1)).tolist()
+        masked_list = masked.tolist() if masked is not None else [0] * groups
+        rows_list = rows.tolist()
+        for group in range(groups):
+            checkpoint(deadline, "verification")
+            counters.points_skipped += masked_list[group]
+            first, last = point_bounds[group], point_bounds[group + 1]
+            if first == last:
                 continue
-            # Reading the adjacency memoizes the row, exactly as in the
-            # reference (a masked upper-bounding pass skips some cells).
-            if adj_ints is not None:
-                adj = adj_ints[row]
-                if memo is not None:
-                    memo[row] = True
-            else:
-                # A cached row was memoized by the read that cached it.
-                adj = adj_cache.get(row)
-                if adj is None:
-                    adj = adj_cache[row] = large_grid.row_adjacency(row)
-            pending = adj & ~confirmed
-            if not pending:
-                # No point in this group can confirm anything new (the
-                # pending set only shrinks as ``confirmed`` grows).
-                if labeler is not None:
-                    labeler.mark_verify_skippable(oid, unmasked)
-                continue
-
-            spec = specs.get(row)
-            if spec is None:
-                # First miss: batch-build this row together with every
-                # still-unvisited row that can need distance work under
-                # the *current* confirmed set.  ``confirmed`` only grows,
-                # so rows screened out here stay skippable forever and
-                # their specs would never be read; rows that pass are a
-                # (tight) superset of the reads.  The screen reads the
-                # bulk matrix without memoizing, so the reference's
-                # memoization order is untouched; without a matrix (no
-                # upper-bounding pass ran) rows build one at a time.
-                if adj_ints is not None:
-                    need = [row] + [
-                        later
-                        for later in group_rows[position + 1 :]
-                        if later not in specs and adj_ints[later] & ~confirmed
-                    ]
-                elif adj_words is not None:
-                    need = [row] + [
-                        later
-                        for later in group_rows[position + 1 :]
-                        if later not in specs
-                        and _unmemoized_adj(adj_cache, adj_words, later)
-                        & ~confirmed
-                    ]
-                else:
-                    need = [row]
-                spec = self._build_specs(need)[row]
-            coords = spec[0]
-            offs = spec[1]
-            cell_descs = spec[2]
-            if cell_descs is None:
-                cell_descs = self._spec_descs(spec)
-            if len(unmasked) == 1:
-                # Same subtract/square/sum/min element order as the batch
-                # (and the reference), minus the broadcast setup.
-                diff = coords - points[unmasked[0]]
-                squared = np.einsum("rd,rd->r", diff, diff)
-                hits = [
-                    (np.minimum.reduceat(squared, offs) <= r_squared).tolist()
-                ]
-            else:
-                block = points[np.asarray(unmasked, dtype=np.int64)]
-                diff = coords[None, :, :] - block[:, None, :]
-                squared = np.einsum("prd,prd->pr", diff, diff)
-                hits = (
-                    np.minimum.reduceat(squared, offs, axis=1) <= r_squared
-                ).tolist()
-
-            # One live pending set for the whole group: discarding a
-            # confirmed owner keeps it identical to the reference's
-            # per-point ``adj & ~confirmed`` recomputation.
-            pending_set = bits_of(pending)
-            for batch_row, point_index in enumerate(unmasked):
-                if not pending_set:
-                    # It stays empty: every later point is skippable.
-                    if labeler is not None:
-                        labeler.mark_verify_skippable(oid, unmasked[batch_row:])
-                    break
-                hit_row = hits[batch_row]
-                for owner_map, col_base in cell_descs:
-                    # Same snapshot the reference takes per cell
-                    # (``remaining.intersection(cell.postings)``); owners
-                    # are unique per cell, so within-cell order cannot
-                    # change what gets confirmed or counted.
-                    found = pending_set.intersection(owner_map)
-                    if found:
-                        counters.posting_checks += len(found)
-                        for owner in found:
-                            segment = owner_map[owner]
-                            counters.distance_rows += seg_lengths[segment]
-                            if hit_row[col_base + segment]:
-                                confirmed |= 1 << owner
-                                pending_set.discard(owner)
-                    if not pending_set:
-                        break
-
-        return confirmed.bit_count() - 1
-
-
-def _unmemoized_adj(cache: dict, adj_words: np.ndarray, row: int) -> int:
-    """Cell ``row``'s ``b_adj`` big int, read without memoizing it."""
-    value = cache.get(row)
-    return _row_int(adj_words[row]) if value is None else value
+            if memo is not None:
+                memo[rows_list[group]] = True
+            counters.posting_checks += checks[group]
+            counters.distance_rows += row_sums[group]
+            if labeler is not None:
+                labeler.mark_verify_skippable(
+                    oid, point_index[first:last][skippable[first:last]]
+                )
+        return int(np.count_nonzero(confirmed)) - 1
 
 
 def _selected(num_points: int, point_filter, oid: int) -> np.ndarray:

@@ -23,6 +23,7 @@ from repro.core.labels import PointLabels
 from repro.core.objects import ObjectCollection
 from repro.core.query import PhaseStats
 from repro.errors import InvalidQueryError
+from repro.grid.keys import key_tuples
 from repro.kernels import (
     DISABLE_ENV,
     KERNEL_NAMES,
@@ -516,8 +517,8 @@ class TestColdMemoryAccounting:
     def test_masked_pass_then_verification_memory(self, n, masked_verify):
         # A masked upper pass leaves some unions unmemoized; verification
         # memoizes those it reads, so the grid's accounting must track the
-        # reference's after both phases (n=40 one-word rows take the fused
-        # or adj_ints walks, n=90 the per-cell one).
+        # reference's after both phases, on one-word (n=40) and two-word
+        # (n=90) rows.
         collection = random_collection(n=n, mean_points=6, seed=17 + n)
         verify_masks = upper_masks_for(collection, seed=5) if masked_verify else None
         grids = []
@@ -641,7 +642,7 @@ class TestNumpyPathNeverMaterializes:
             assert isinstance(grid, PackedBIGrid)
             assert filled_lazy_slots(grid) == []
 
-    # n = 40: one-word rows (the fused verifier); n = 90: two-word rows.
+    # n = 40: one-word rows; n = 90: two-word rows.
     @pytest.mark.parametrize("n", [40, 90])
     def test_engine_query_and_topk(self, grids, n):
         collection = random_collection(n=n, mean_points=6, seed=n)
@@ -741,38 +742,41 @@ def assert_verifications_equal(ref, got):
     assert got_result.path.startswith("numpy-")
 
 
-@needs_numpy
-class TestVerifyCandidatesConformance:
+class _VerifyCasesBySize:
+    """Verify cases that run at the collection size fixture ``n``: one
+    bitset word at ``n <= 64``, several (as on every paper-scale dataset)
+    above."""
+
     @pytest.mark.parametrize("backend", BITSET_BACKENDS)
     @pytest.mark.parametrize("dimension", [2, 3])
     @pytest.mark.parametrize("r", [0.9, 2.5, 6.0])
-    def test_verify_candidates_bit_exact(self, backend, dimension, r):
+    def test_verify_candidates_bit_exact(self, n, backend, dimension, r):
         collection = random_collection(
-            n=40, mean_points=8, dimension=dimension, seed=11 * dimension
+            n=n, mean_points=8, dimension=dimension, seed=11 * dimension
         )
         ref = run_verify(PYTHON_KERNEL, collection, r, backend=backend)
         got = run_verify(numpy_kernel(), collection, r, backend=backend)
         assert_verifications_equal(ref, got)
 
     @pytest.mark.parametrize("k", [1, 3, 10])
-    def test_topk_thresholds_match(self, k):
-        collection = random_collection(n=45, mean_points=8, seed=41)
+    def test_topk_thresholds_match(self, n, k):
+        collection = random_collection(n=n + 5, mean_points=8, seed=41)
         ref = run_verify(PYTHON_KERNEL, collection, 3.0, k=k)
         got = run_verify(numpy_kernel(), collection, 3.0, k=k)
         assert_verifications_equal(ref, got)
 
     @pytest.mark.parametrize("r", [1.2, 4.0])
-    def test_seeded_bitsets_match(self, r):
+    def test_seeded_bitsets_match(self, n, r):
         # The with-label mode seeds b(o_i) with the lower-bounding union;
         # seeded candidates skip distance work, shrinking the counters —
         # identically on both backends.
-        collection = random_collection(n=40, mean_points=8, seed=43)
+        collection = random_collection(n=n, mean_points=8, seed=43)
         ref = run_verify(PYTHON_KERNEL, collection, r, seed_bitsets=True)
         got = run_verify(numpy_kernel(), collection, r, seed_bitsets=True)
         assert_verifications_equal(ref, got)
 
     @pytest.mark.parametrize("budget", [0.0, 1.0, 3.0, 7.0, 15.0, 40.0])
-    def test_deadline_expiry_parity(self, budget):
+    def test_deadline_expiry_parity(self, n, budget):
         # A step clock expires the deadline after exactly ``budget`` reads.
         # Both backends must poll the deadline at the same points (one read
         # per dequeued candidate, one per visited point group), so every
@@ -780,7 +784,7 @@ class TestVerifyCandidatesConformance:
         # the same settled prefix.
         from repro.resilience import Deadline, ManualClock
 
-        collection = random_collection(n=40, mean_points=8, seed=47)
+        collection = random_collection(n=n, mean_points=8, seed=47)
         ref = run_verify(
             PYTHON_KERNEL, collection, 4.0,
             deadline=Deadline(budget, clock=ManualClock(step=1.0)),
@@ -791,12 +795,12 @@ class TestVerifyCandidatesConformance:
         )
         assert_verifications_equal(ref, got)
 
-    def test_some_budget_times_out_mid_run(self):
+    def test_some_budget_times_out_mid_run(self, n):
         # Guard the parametrization above against vacuity: the smallest
         # budget must actually fire, and a huge one must not.
         from repro.resilience import Deadline, ManualClock
 
-        collection = random_collection(n=40, mean_points=8, seed=47)
+        collection = random_collection(n=n, mean_points=8, seed=47)
         cut, _, _ = run_verify(
             numpy_kernel(), collection, 4.0,
             deadline=Deadline(0.0, clock=ManualClock(step=1.0)),
@@ -807,6 +811,61 @@ class TestVerifyCandidatesConformance:
             deadline=Deadline(1e9, clock=ManualClock(step=1.0)),
         )
         assert not full.timed_out and full.verified > 0
+
+    @pytest.mark.parametrize("budget", [None, 5.0, 20.0, 60.0])
+    def test_labeled_masked_seeded_match(self, n, budget):
+        # The with-label pipeline's verification inputs all at once:
+        # labels to mark, points masked out, b(o_i) seeded -- after a
+        # masked upper-bounding pass, so verification memoizes some
+        # adjacent unions itself.  Labels, memoized cells and counters
+        # must match, also when a deadline cuts the walk mid-candidate.
+        from repro.resilience import Deadline, ManualClock
+
+        collection = random_collection(n=n, mean_points=8, seed=61)
+        r = 3.0
+        outcomes = []
+        for kernel in (PYTHON_KERNEL, numpy_kernel()):
+            grid = kernel.build_bigrid(collection, r)
+            lower = kernel.lower_bounds(grid, keep_bitsets=True)
+            candidates = kernel.upper_bounds(
+                grid, lower.tau_max, upper_masks=upper_masks_for(collection, seed=5)
+            ).candidates
+            labels = PointLabels.for_collection(collection, r)
+            stats = PhaseStats("verification")
+            result = kernel.verify_candidates(
+                grid, candidates, r,
+                initial_bitsets=lambda oid: lower.bitsets[oid],
+                verify_masks=upper_masks_for(collection, seed=7),
+                labeler=labels,
+                stats=stats,
+                deadline=None if budget is None
+                else Deadline(budget, clock=ManualClock(step=1.0)),
+            )
+            outcomes.append((grid, result, stats, labels))
+        (ref_grid, ref, ref_stats, ref_labels), (got_grid, got, got_stats, got_labels) = outcomes
+        assert got.path == "numpy-batch"
+        assert (ref.ranking, ref.settled, ref.timed_out) == (
+            got.ranking, got.settled, got.timed_out
+        )
+        assert ref_stats.counters == got_stats.counters
+        for ref_array, got_array in zip(ref_labels.arrays, got_labels.arrays):
+            assert ref_array.tobytes() == got_array.tobytes()
+        memoized = {
+            key
+            for key, cell in ref_grid.large_grid.cells.items()
+            if cell.adj_int is not None
+        }
+        got_keys = key_tuples(got_grid.large_grid.key_rows)
+        assert memoized == {
+            got_keys[row] for row in np.flatnonzero(got_grid.large_grid.adj_memo)
+        }
+
+
+@needs_numpy
+class TestVerifyCandidatesConformance(_VerifyCasesBySize):
+    @pytest.fixture
+    def n(self):
+        return 40
 
     def test_empty_candidates(self):
         collection = random_collection(n=20, mean_points=5, seed=53)
@@ -851,6 +910,15 @@ class TestVerifyCandidatesConformance:
         ref = run_verify(PYTHON_KERNEL, collection, r, k=k)
         got = run_verify(numpy_kernel(), collection, r, k=k)
         assert_verifications_equal(ref, got)
+
+
+@needs_numpy
+class TestVerifyMultiWordConformance(_VerifyCasesBySize):
+    """The size-dependent verify cases over two-word bitsets."""
+
+    @pytest.fixture
+    def n(self):
+        return 90
 
 
 # ----------------------------------------------------------------------
