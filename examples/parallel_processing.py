@@ -8,8 +8,8 @@ cost is charged to the core the plan chose, and a phase reports the
 makespan of that schedule (see DESIGN.md §5 for why speedups are simulated
 rather than thread-measured under CPython's GIL).
 
-Real multi-core execution is ``repro.ParallelMIOEngine``, which runs
-sharded worker processes (see docs/sharding.md).
+Real multi-core execution is ``repro.ParallelMIOEngine``, which verifies
+across worker processes (see docs/sharding.md).
 
 Run:  python examples/parallel_processing.py
 """

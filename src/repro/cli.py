@@ -122,7 +122,7 @@ def build_parser() -> argparse.ArgumentParser:
     query.add_argument("--cores", type=int, default=1,
                        help="worker processes; >1 uses the parallel engine")
     query.add_argument("--shards", type=int, default=None,
-                       help="shards per sharded query (default: one per core)")
+                       help="verifiers per parallel query (default: one per core)")
     _add_planner_flag(query)
     query.add_argument("--trace", action="store_true",
                        help="print the query's span tree under the answer")
@@ -155,7 +155,7 @@ def build_parser() -> argparse.ArgumentParser:
     batch.add_argument("--cores", type=int, default=1,
                        help="worker processes; >1 fans with-label queries out")
     batch.add_argument("--shards", type=int, default=None,
-                       help="shards per sharded query (default: one per core)")
+                       help="verifiers per parallel query (default: one per core)")
     batch.add_argument("--retries", type=int, default=2,
                        help="per-task retry budget (parallel engine)")
     _add_planner_flag(batch)
@@ -186,7 +186,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--cores", type=int, default=1,
                        help="worker processes for the primary path")
     serve.add_argument("--shards", type=int, default=None,
-                       help="shards per sharded query (default: one per core)")
+                       help="verifiers per parallel query (default: one per core)")
     _add_planner_flag(serve)
     serve.add_argument("--max-inflight", type=int, default=4,
                        help="requests executing concurrently")
@@ -224,7 +224,7 @@ def build_parser() -> argparse.ArgumentParser:
     explain.add_argument("--cores", type=int, default=1,
                          help="worker processes; >1 uses the parallel engine")
     explain.add_argument("--shards", type=int, default=None,
-                         help="shards per sharded query (default: one per core)")
+                         help="verifiers per parallel query (default: one per core)")
     _add_planner_flag(explain)
 
     report = commands.add_parser(
@@ -428,8 +428,10 @@ def _cmd_explain(args: argparse.Namespace) -> int:
     print(f"winner    : o_{result.winner} (tau = {result.score} "
           f"of {collection.n - 1} objects)")
     if "shards" in result.counters:
-        print(f"shards    : {result.counters['shards']} "
-              f"across {result.counters.get('cores', args.cores)} worker(s)")
+        print(f"verifiers : {result.counters['shards']} "
+              f"across {result.counters.get('cores', args.cores)} core(s), "
+              f"{result.extra.get('speculative_scores', 0)} speculative "
+              "score(s)")
     if result.topk:
         for rank, (oid, score) in enumerate(result.topk, start=1):
             print(f"  #{rank}: o_{oid} (tau = {score})")

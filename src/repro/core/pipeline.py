@@ -23,8 +23,8 @@ different ways.  This module factors the skeleton out:
   recording, and (for the parallel engine) the serial-fallback handler.
 
 An engine is then just a stage list plus a pipeline configuration: the
-parallel engine is the *same* orchestrator with sharded stage
-implementations (see :mod:`repro.parallel.stages`), the temporal engine
+parallel engine is the *same* orchestrator with a pool-backed
+verification stage (see :mod:`repro.parallel.engine`), the temporal engine
 swaps in ``(bin, key)``-indexed stages, and the progressive iterator runs
 the filter prefix of the serial stage list.  Serial fallback is the
 pipeline's ``fallback`` hook swapping stage implementations mid-run.
@@ -163,8 +163,8 @@ class QueryContext:
         #: (cores, strategies, executor) and publish inspection state
         #: (``last_bigrid``) through it.
         self.engine = engine
-        #: Shard-count override for the sharded parallel stages (None:
-        #: the engine's configured shard count).
+        #: Verifier-count override for the sharded parallel engine (None:
+        #: the engine's configured ``shards``).
         self.shards: Optional[int] = shards
         self.ceil_r = math.ceil(r)
         self.stats = PhaseStats()
@@ -202,10 +202,6 @@ class QueryContext:
         self.ranking: Optional[List[Tuple[int, int]]] = None
         self.verified: int = 0
         self.result: Optional[MIOResult] = None
-        # -- sharded-pipeline intermediates (repro.parallel.stages) --------
-        self.shard_plan = None
-        self.shard_outcomes = None
-        self.merged = None
 
 
 # ----------------------------------------------------------------------
@@ -380,6 +376,9 @@ class GridMappingStage(Stage):
     """GRID-MAPPING (Algorithm 3), skipping ``label(p) = 0**`` points."""
 
     name = "grid_mapping"
+    #: Publish the grid as the engine's ``last_bigrid`` for inspection
+    #: (the grid then outlives the query).
+    keeps_grid: bool = True
 
     def run(self, ctx: QueryContext, span) -> None:
         # The plan's grid-key policy: "fresh" skips the session's
@@ -402,7 +401,7 @@ class GridMappingStage(Stage):
             ),
         )
         ctx.bigrid = bigrid
-        if ctx.engine is not None:
+        if ctx.engine is not None and self.keeps_grid:
             ctx.engine.last_bigrid = bigrid
         ctx.stats.set_count("small_cells", len(bigrid.small_grid))
         ctx.stats.set_count("large_cells", len(bigrid.large_grid))
@@ -486,9 +485,10 @@ class VerificationStage(Stage):
     name = "verification"
     checks_deadline = False
 
-    def run(self, ctx: QueryContext, span) -> None:
+    def verify(self, ctx: QueryContext):
+        """Run the kernel's best-first verification over the candidates."""
         lower = ctx.lower
-        verification = ctx.kernel.verify_candidates(
+        return ctx.kernel.verify_candidates(
             ctx.bigrid,
             ctx.upper.candidates,
             ctx.r,
@@ -503,6 +503,9 @@ class VerificationStage(Stage):
             stats=ctx.stats,
             deadline=ctx.deadline,
         )
+
+    def run(self, ctx: QueryContext, span) -> None:
+        verification = self.verify(ctx)
         ctx.verification = verification
         ctx.notes["verification_path"] = verification.path
         ctx.stats.set_count("candidates_total", len(ctx.upper.candidates))
@@ -543,6 +546,13 @@ class SerialFinalizeStage(Stage):
     checks_deadline = False
     traced = False
     timed = False
+    #: The result's ``algorithm`` (None: ``bigrid`` or ``bigrid-label``).
+    algorithm: Optional[str] = None
+
+    def _algorithm(self, ctx: QueryContext) -> str:
+        if self.algorithm is not None:
+            return self.algorithm
+        return "bigrid-label" if ctx.labels is not None else "bigrid"
 
     def run(self, ctx: QueryContext, span) -> None:
         if ctx.verification.timed_out:
@@ -555,7 +565,7 @@ class SerialFinalizeStage(Stage):
             )
         winner, score = ranking[0]
         ctx.result = MIOResult(
-            algorithm="bigrid-label" if ctx.labels is not None else "bigrid",
+            algorithm=self._algorithm(ctx),
             r=ctx.r,
             winner=winner,
             score=score,
@@ -567,8 +577,7 @@ class SerialFinalizeStage(Stage):
             extra=ctx.extra,
         )
 
-    @staticmethod
-    def _anytime_result(ctx: QueryContext) -> MIOResult:
+    def _anytime_result(self, ctx: QueryContext) -> MIOResult:
         """Best verified answer under an expired deadline (``exact=False``).
 
         Two certified lower bounds are available: the best *exact* score
@@ -591,7 +600,7 @@ class SerialFinalizeStage(Stage):
         notes["anytime"] = "deadline expired during verification"
         notes["degraded_deadline"] = "verification"
         return MIOResult(
-            algorithm="bigrid-label" if ctx.labels is not None else "bigrid",
+            algorithm=self._algorithm(ctx),
             r=ctx.r,
             winner=winner,
             score=score,

@@ -53,8 +53,7 @@ class VerificationResult:
     #: surfaced through ``repro explain`` notes.
     path: str = "reference"
     #: Every settled ``(oid, exact_score)`` pair in dequeue order (not just
-    #: the top-k).  The sharded merge replays the serial best-first loop
-    #: from these, reproducing its early-termination tie selection exactly.
+    #: the top-k): the anytime prefix, which kernel conformance compares.
     settled: Optional[List[Tuple[int, int]]] = None
 
 

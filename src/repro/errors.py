@@ -80,7 +80,7 @@ class BackendUnavailableError(ReproError, ValueError):
 
 
 class PartitionTaskError(ReproError, RuntimeError):
-    """A shard task kept failing after all retries."""
+    """A parallel task (a verifier hand-off) kept failing after all retries."""
 
     exit_code = 15
     http_status = 500

@@ -1,7 +1,7 @@
 """Deterministic, seeded fault injection for robustness testing.
 
 Production code calls :func:`trip` at *named injection points* (one per
-pipeline phase, one per shard task dispatch, one per backend probe).  With no
+pipeline phase, one per verifier hand-off, one per backend probe).  With no
 injector installed — the default — a trip is a no-op costing one global
 read, so the harness is safe to leave compiled into the hot paths.
 

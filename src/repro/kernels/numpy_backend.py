@@ -1541,6 +1541,70 @@ class _BatchedVerifier:
         return int(np.count_nonzero(confirmed)) - 1
 
 
+#: The packed arrays a label-free scorer reads, as ``(owner, name)``:
+#: owner ``"grid"`` is the large grid, ``"bigrid"`` the BIGrid itself.
+SCORER_ARRAYS = (
+    ("grid", "codes"),
+    ("grid", "strides"),
+    ("grid", "seg_cell"),
+    ("grid", "seg_oid"),
+    ("grid", "seg_bounds"),
+    ("grid", "seg_points"),
+    ("grid", "seg_coords"),
+    ("bigrid", "group_flat"),
+    ("bigrid", "group_counts"),
+    ("bigrid", "group_segments"),
+)
+
+
+def scorer_arrays(bigrid) -> Optional[Dict[str, np.ndarray]]:
+    """The arrays :func:`label_free_scorer` reads, by name.
+
+    None unless ``bigrid`` is packed and its upper-bounding pass memoized
+    every adjacency row (a label-free query's does), so scoring over the
+    arrays alone changes no grid state the serial scorer would change.
+    """
+    if not isinstance(bigrid, PackedBIGrid) or not bigrid.large_grid.adj_memo.all():
+        return None
+    owners = {"grid": bigrid.large_grid, "bigrid": bigrid}
+    return {name: getattr(owners[owner], name) for owner, name in SCORER_ARRAYS}
+
+
+def scorer_grid(collection, r: float, arrays: Dict[str, np.ndarray]) -> PackedBIGrid:
+    """A packed BIGrid shell over :func:`scorer_arrays` output: enough to
+    score label-free, with every adjacency row marked memoized."""
+    large_grid = PackedLargeGrid(large_cell_width(r), collection.dimension, None)
+    bigrid = PackedBIGrid(collection, r, None, large_grid, 0)
+    owners = {"grid": large_grid, "bigrid": bigrid}
+    for owner, name in SCORER_ARRAYS:
+        setattr(owners[owner], name, arrays[name])
+    large_grid._adjacency.memo = np.ones(len(arrays["codes"]), dtype=bool)
+    return bigrid
+
+
+def label_free_scorer(bigrid: PackedBIGrid, r: float, deadline=None):
+    """``oid -> (score, posting_checks, distance_rows)`` for one candidate.
+
+    The serial scorer's numbers for a grid :func:`scorer_arrays` accepts:
+    without labels a score depends only on the grid and the oid, so
+    candidates may be scored in any order, by any process.  A deadline
+    expiring mid-candidate raises :class:`QueryTimeout`.
+    """
+    counters = VerifyCounters()
+    verifier = _BatchedVerifier(bigrid, r, None, None, None, counters, deadline)
+
+    def score(oid: int) -> Tuple[int, int, int]:
+        checks, rows = counters.posting_checks, counters.distance_rows
+        value = verifier.score(oid)
+        return (
+            value,
+            counters.posting_checks - checks,
+            counters.distance_rows - rows,
+        )
+
+    return score
+
+
 def _selected(num_points: int, point_filter, oid: int) -> np.ndarray:
     """Point indices surviving the label filter (Lemma 3), as in the
     reference build."""

@@ -41,9 +41,6 @@ PHASE_SPAN_NAMES = frozenset(
         "verification",
         "label_input",
         "label_output",
-        "shard_route",
-        "shard_execute",
-        "shard_merge",
     )
 )
 

@@ -6,8 +6,8 @@
 * :mod:`repro.parallel.plans`        -- per-phase partitioning plans:
   LB-greedy-d / LB-hash-p for lower-bounding, UB-greedy-p / UB-greedy-d
   for upper-bounding, the point-splitting plan for verification.
-* :mod:`repro.parallel.stages`       -- the sharded pipeline stages.
-* :mod:`repro.parallel.engine`       -- the sharded parallel engine.
+* :mod:`repro.parallel.engine`       -- the parallel engine: the serial
+  filter stages, then verification across a pool of worker processes.
 
 The paper's schedule study (Figs. 8/9, Table III), which applies the
 partitioning plans to measured per-task costs, is the bench-only module

@@ -1,24 +1,26 @@
 """Parallel MIO query processing (Section IV).
 
 :class:`ParallelMIOEngine` is the shared
-:class:`~repro.core.pipeline.PhasePipeline` configured with the sharded
-stage set: the collection is routed onto curve-contiguous shards with
-exact Lemma-2 halos (:mod:`repro.shard.router`), each shard runs the
-full vectorized phase chain in a persistent worker process over
-shared-memory coordinates (:mod:`repro.shard.executor`), and the
-coordinator replays the serial best-first loop over the shards' answers
-(:mod:`repro.shard.merge`) -- so the answer is bit-identical to the
-serial engine, including tie selection, while the phases are genuine
-wall-clock times that shrink with cores.  The engine always runs
-label-free: labels encode the canonical serial access order of the
-*whole* collection.
+:class:`~repro.core.pipeline.PhasePipeline` with the serial stage set up
+to verification -- backend resolution, planning, grid mapping, lower and
+upper bounding, all run once by the coordinator against the *global*
+threshold -- followed by a verification stage that hands the candidates
+to the engine's verifiers.  The coordinator and ``cores - 1`` persistent
+worker processes take candidates from one shared queue in upper-bound
+order and score them over the coordinator's packed grid, published in
+shared memory (:mod:`repro.shard.executor`).  Threshold updates, early
+termination, tie selection, top-k and the anytime prefix all come from
+the serial best-first loop, so the answer, the work counters and
+``memory_bytes`` are the serial engine's.  The engine always runs
+label-free: labels encode the canonical serial access order, and a
+label-free score depends only on the grid and the object.
 
-Serial fallback is the pipeline's ``fallback`` hook: when a shard task
-dies past its retry budget, the query re-runs through the serial stage
-set -- a mid-run stage-implementation swap, not a separate code path.
-The serial engine opens its own ``query`` span (a child of ours) and
-observes itself as ``engine="serial"``, so the fallback is visible in
-both the trace and the metrics without double counting.
+Serial fallback is the pipeline's ``fallback`` hook: when a verifier
+hand-off fails past its retry budget, the query re-runs through the
+serial stage set -- a mid-run stage-implementation swap, not a separate
+code path.  The serial engine opens its own ``query`` span (a child of
+ours) and observes itself as ``engine="serial"``, so the fallback is
+visible in both the trace and the metrics without double counting.
 
 The paper's Fig. 8/9 and Table III schedule study (simulated makespans
 of the partitioning schemes) is a benchmark device, not an engine mode:
@@ -27,12 +29,24 @@ see :mod:`repro.bench.schedule`.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Tuple
 
 from repro.core.engine import MIOEngine
 from repro.core.labels import LabelStore
 from repro.core.objects import ObjectCollection
-from repro.core.pipeline import SERIAL_PIPELINE, PhasePipeline, QueryContext
+from repro.core.pipeline import (
+    SERIAL_PIPELINE,
+    BackendResolutionStage,
+    GridMappingStage,
+    LowerBoundingStage,
+    PhasePipeline,
+    PlanningStage,
+    QueryContext,
+    SerialFinalizeStage,
+    Stage,
+    UpperBoundingStage,
+    VerificationStage,
+)
 from repro.core.query import MIOResult
 from repro.errors import InjectedFault, InvalidQueryError, PartitionTaskError
 from repro.grid.cache import LargeKeyCache
@@ -40,17 +54,70 @@ from repro.kernels import numpy_kernel_available, resolve_kernel
 from repro.obs import metrics as obs_metrics
 from repro.obs.trace import ensure_tracer
 from repro.planner import Plan, capture_statistics, resolve_planner
-from repro.parallel.stages import SHARDED_STAGES
 from repro.resilience import Deadline
-from repro.shard.curves import CURVES
 from repro.shard.executor import ShardExecutor
-from repro.shard.router import ShardPlanCache
+
+
+class ParallelVerificationStage(VerificationStage):
+    """VERIFICATION by the engine's verifiers over one shared queue.
+
+    Records one child span per verifier (candidates scored, busy time,
+    speculative scores), the ``cores`` and ``shards`` counters, and the
+    scores computed past the loop's break as
+    ``extra["speculative_scores"]`` -- not a counter, because it depends
+    on timing while every counter matches the serial engine's.
+    """
+
+    def verify(self, ctx: QueryContext):
+        engine = ctx.engine
+        verifiers = ctx.shards if ctx.shards is not None else engine.shards
+        verification, reports = engine.shard_executor.verify(
+            ctx.kernel,
+            ctx.bigrid,
+            ctx.upper.candidates,
+            ctx.r,
+            ctx.k,
+            verifiers=verifiers,
+            deadline=ctx.deadline,
+            stats=ctx.stats,
+        )
+        for report in reports:
+            ctx.tracer.record(
+                f"verifier-{report.slot}",
+                report.busy,
+                candidates=report.scored,
+                speculative=report.speculative,
+            )
+        ctx.stats.set_count("cores", engine.cores)
+        ctx.stats.set_count("shards", verifiers)
+        ctx.extra["speculative_scores"] = sum(
+            report.speculative for report in reports
+        )
+        return verification
+
+
+#: The sharded engine's stage set: the serial filter stages, label-free,
+#: then pool-backed verification.
+SHARDED_STAGES: Tuple[Stage, ...] = (
+    BackendResolutionStage(),
+    # The parallel engine pins the plan before the pipeline runs; this
+    # stage applies it (kernel resolution + plan notes + predictions).
+    # Inert without a planner.
+    PlanningStage(),
+    # A warm engine serves many queries: holding the last grid would
+    # keep one more grid alive through the next query's build.
+    GridMappingStage(keeps_grid=False),
+    LowerBoundingStage(),
+    UpperBoundingStage(),
+    ParallelVerificationStage(),
+    SerialFinalizeStage(algorithm="bigrid-sharded"),
+)
 
 
 def _fall_back_to_serial(ctx: QueryContext, cause: Exception, root) -> MIOResult:
     """Swap in the serial stage set mid-run (the pipeline's fallback hook).
 
-    A shard task died past its retry budget.  The answer is still
+    A verifier hand-off failed past its retry budget.  The answer is still
     computable: degrade to the serial engine rather than crash the query.  The serial engine
     reads this engine's label store, label policy, and key cache.
     """
@@ -83,9 +150,9 @@ def _fall_back_to_serial(ctx: QueryContext, cause: Exception, root) -> MIOResult
     return result
 
 
-#: The orchestrator configured for real shard-parallel execution.  Stages
-#: are wall-clock-timed like the serial pipeline's, and the root span
-#: keeps its measured duration.
+#: The orchestrator configured for parallel verification.  Stages are
+#: wall-clock-timed like the serial pipeline's, and the root span keeps
+#: its measured duration.
 SHARDED_PIPELINE = PhasePipeline(
     SHARDED_STAGES,
     engine="parallel",
@@ -103,12 +170,14 @@ SHARDED_PIPELINE = PhasePipeline(
 
 
 class ParallelMIOEngine:
-    """Multi-core MIO query processing over sharded worker processes.
+    """Multi-core MIO query processing: parallel verification.
 
-    Each query runs across a persistent pool of ``cores`` worker
-    processes: exact, serial-identical answers with real wall-clock
-    speedup.  ``mode`` only accepts ``"sharded"``; the simulated
-    schedule study lives in :mod:`repro.bench.schedule`.
+    Each query's verification runs on the coordinator plus a persistent
+    pool of ``cores - 1`` worker processes: exact, serial-identical
+    answers with real wall-clock speedup.  ``shards`` is the number of
+    verifiers per query (default ``cores``).  ``mode`` only accepts
+    ``"sharded"``; the simulated schedule study lives in
+    :mod:`repro.bench.schedule`.
     """
 
     def __init__(
@@ -125,7 +194,6 @@ class ParallelMIOEngine:
         kernel: str = "python",
         mode: str = "sharded",
         shards: Optional[int] = None,
-        curve: str = "hilbert",
         planner=None,
     ) -> None:
         if mode != "sharded":
@@ -135,8 +203,6 @@ class ParallelMIOEngine:
             )
         if label_reuse not in ("safe", "paper"):
             raise InvalidQueryError('label_reuse must be "safe" or "paper"')
-        if curve not in CURVES:
-            raise InvalidQueryError(f"curve must be one of {CURVES}")
         if shards is not None and shards < 1:
             raise InvalidQueryError("shards must be at least 1")
         if cores < 1:
@@ -145,31 +211,26 @@ class ParallelMIOEngine:
         self.collection = collection
         self.cores = cores
         self.backend = backend
-        #: Label store, label policy, and key cache serve only the serial
-        #: paths -- the serial fallback engine, and (key cache) a
-        #: planner-chosen serial run.  Shard workers run label-free and
-        #: build their own grids.
+        #: Label store and label policy serve only the serial fallback
+        #: engine: parallel queries run label-free.  The key cache serves
+        #: every grid mapping, as in the serial engine.
         self.label_store = label_store
         self.label_reuse = label_reuse
         self.key_cache = key_cache
-        #: Re-executions granted to a failing shard task before the query
-        #: aborts (and, with ``serial_fallback``, degrades to the serial
+        #: Re-executions granted to a failing verifier hand-off before the
+        #: query aborts (and, with ``serial_fallback``, degrades to the serial
         #: engine instead of crashing).
         self.retries = retries
         self.serial_fallback = serial_fallback
         #: Optional tracer: each query records phase spans (wall-clock,
-        #: with one child span per shard).
+        #: with one verification child span per verifier).
         self.tracer = tracer
-        #: Compute-kernel backend (see :mod:`repro.kernels`); shard
-        #: workers run its full phase chain and the serial fallback
-        #: engine inherits it.
+        #: Compute-kernel backend (see :mod:`repro.kernels`); the
+        #: serial fallback engine inherits it.  Workers verify only over
+        #: the numpy kernel's packed grids.
         self.kernel = kernel
-        #: Shards per query (default: one per core).
+        #: Verifiers per query (default: one per core).
         self.shards = shards if shards is not None else cores
-        #: Space-filling curve the shard router orders cells by.
-        self.curve = curve
-        #: Routing decisions cached per ``(ceil_r, shards, curve)``.
-        self.plan_cache = ShardPlanCache()
         #: Optional query planner (see :mod:`repro.planner`): per query it
         #: picks sharded or serial (a small query degenerates to the
         #: serial pipeline in-process), shard count, and kernel, against
@@ -183,10 +244,10 @@ class ParallelMIOEngine:
 
     @property
     def shard_executor(self) -> ShardExecutor:
-        """The lazy worker pool (inline when ``cores <= 1``)."""
+        """The lazy verifier pool (inline when ``cores <= 1``)."""
         if self._shard_executor is None:
             self._shard_executor = ShardExecutor(
-                self.collection, self.cores, retries=self.retries
+                self.collection, self.cores - 1, retries=self.retries
             )
         return self._shard_executor
 
@@ -263,7 +324,6 @@ class ParallelMIOEngine:
                 cores=self.cores,
                 sharding_available=True,
                 numpy_available=numpy_kernel_available(),
-                plan_cache_balance=self.plan_cache.observed_balance(),
             )
             baseline = Plan(
                 kernel=resolve_kernel(self.kernel).name,
@@ -298,7 +358,7 @@ class ParallelMIOEngine:
         )
         ctx.plan_decision = decision
         ctx.plan_stats = stats
-        # A planner-chosen serial run skips the fan-out overhead; answers
-        # are bit-identical either way (the merge replays the serial loop).
+        # A planner-chosen serial run skips the hand-off overhead; answers
+        # are bit-identical either way (one best-first loop).
         pipeline = SERIAL_PIPELINE if run_serial else SHARDED_PIPELINE
         return pipeline.run(ctx)

@@ -84,10 +84,8 @@ PARALLEL_EFFICIENCY = 0.7
 #: Fixed cost per shard task (payload marshalling + result transport).
 SHARD_TASK_SECONDS = 1.2e-3
 
-#: Routing cost: fixed + per-point curve coding (paid once per ceiling
-#: thanks to the ShardPlanCache, so it is discounted when a cache is
-#: expected to be warm — the plan-cache balance statistic only exists
-#: for warm caches, so balance > 1 implies warm).
+#: Routing cost: fixed + per-point curve coding (discounted when the
+#: caller reports a plan-cache balance > 1, which implies a warm cache).
 SHARD_ROUTE_SECONDS = 5e-4
 SHARD_ROUTE_PER_POINT = 2.5e-7
 
@@ -325,13 +323,15 @@ class CostModel:
     ) -> int:
         """Fold one finished query's timings in; returns updates applied.
 
-        Only serial-shaped phase records calibrate (sharded executions
-        interleave coordination with compute, so their per-phase seconds
-        do not isolate a kernel's unit cost).  Each accepted phase
-        updates ``unit_cost[kernel, phase]`` by EWMA of the observed
+        Only serial plans calibrate (a sharded execution splits
+        verification across processes, so its per-phase seconds do not
+        isolate a kernel's unit cost).  Each accepted phase updates
+        ``unit_cost[kernel, phase]`` by EWMA of the observed
         seconds-per-unit, clamped against outliers.
         """
         updated = 0
+        if plan.mode != "serial":
+            return updated
         for phase, seconds in phases.items():
             if phase not in ACTUAL_UNIT_COUNTERS:
                 continue

@@ -167,12 +167,11 @@ class QuerySession:
         with-label queries through the parallel engine while labeling runs
         stay serial (the parallel engine never writes labels).
     shards:
-        Forwarded to :class:`ParallelMIOEngine`, which runs real worker
-        processes over curve-routed shards (``shards`` per query, default
-        one per core).  A dynamic source's mutations also
-        retire the sharded worker pool — workers hold the *previous*
-        snapshot's coordinates in shared memory, so engine rebuild is the
-        shard tier's invalidation point.
+        Forwarded to :class:`ParallelMIOEngine`: verifiers per parallel
+        query (default one per core), the coordinator plus worker
+        processes.  A dynamic source's mutations also retire the worker
+        pool — workers hold the *previous* snapshot's coordinates in
+        shared memory, so engine rebuild is the pool's invalidation point.
     label_dir:
         Optional directory for a disk-backed label store (labels survive
         the session, as the paper's external-memory setting assumes).
@@ -288,7 +287,7 @@ class QuerySession:
         if self._parallel is not None:
             # Retire the previous snapshot's worker pool: its shared-memory
             # block holds the old coordinates, so the rebuild is also the
-            # shard tier's invalidation point.
+            # pool's invalidation point.
             self._parallel.close()
         self._serial = MIOEngine(
             self.collection,
@@ -577,9 +576,6 @@ class QuerySession:
         merged["label_store_hits"] = self.label_store.hits
         merged["label_store_misses"] = self.label_store.misses
         merged["label_ceilings"] = len(self.label_store.ceilings())
-        if self._parallel is not None:
-            merged["shard_plan_hits"] = self._parallel.plan_cache.hits
-            merged["shard_plan_misses"] = self._parallel.plan_cache.misses
         if isinstance(self.planner, AdaptivePlanner):
             merged.update(self.planner.counters())
         return merged

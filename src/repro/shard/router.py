@@ -37,7 +37,7 @@ set-of-tuples walk — the same policy, just slower.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -227,51 +227,3 @@ def _all_point_keys(collection, width: float) -> Tuple[np.ndarray, np.ndarray]:
     )
     return keys, oids
 
-
-class ShardPlanCache:
-    """Per-engine plan cache keyed by ``(ceil_r, shards, curve)``.
-
-    Plans depend only on the collection snapshot and the query ceiling
-    (the large width is ``ceil(r)``), so a session reusing one engine
-    across a batch pays the routing cost once per ceiling — the shard
-    analogue of the large-key cache tier.  Invalidation is by engine
-    rebuild: :class:`~repro.session.QuerySession` already rebuilds
-    engines when the collection version moves.
-    """
-
-    def __init__(self, max_entries: int = 8) -> None:
-        self.max_entries = max_entries
-        self._plans: Dict[Tuple[int, int, str], ShardPlan] = {}
-        self.hits = 0
-        self.misses = 0
-
-    def get(self, collection, r: float, shards: int, curve: str) -> ShardPlan:
-        key = (int(np.ceil(r)), shards, curve)
-        plan = self._plans.get(key)
-        if plan is not None:
-            self.hits += 1
-            return plan
-        self.misses += 1
-        plan = plan_shards(collection, r, shards, curve)
-        if len(self._plans) >= self.max_entries:
-            self._plans.pop(next(iter(self._plans)))
-        self._plans[key] = plan
-        return plan
-
-    def observed_balance(self) -> float:
-        """Worst max/mean owned-points ratio across cached plans.
-
-        1.0 means perfectly balanced (or nothing cached yet); larger
-        values mean the curve routing skewed load toward some shard.
-        The adaptive planner reads this to discount the predicted
-        parallel speedup — a skewed plan's makespan follows its most
-        loaded shard, not the mean.
-        """
-        worst = 1.0
-        for plan in self._plans.values():
-            if not plan.owned_points:
-                continue
-            mean = sum(plan.owned_points) / len(plan.owned_points)
-            if mean > 0:
-                worst = max(worst, max(plan.owned_points) / mean)
-        return worst

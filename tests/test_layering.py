@@ -11,8 +11,8 @@ job, so a violating import fails fast with the offending file:line):
 * **observability is freestanding** -- ``repro.obs`` imports nothing
   from the query machinery, so it can be reasoned about (and reused)
   independently;
-* **sharding sits below the orchestrators** -- ``repro.shard`` (curves,
-  router, executor, merge) is plumbing that ``repro.parallel`` drives;
+* **sharding sits below the orchestrators** -- ``repro.shard`` (executor,
+  router, curves) is plumbing that ``repro.parallel`` drives;
   it must never import the session/service/CLI layers, nor
   ``repro.parallel`` itself, or the worker processes would drag the
   whole application stack into every fork;

@@ -102,7 +102,9 @@ class TestTraceIsThePhaseBreakdown:
         tracer = Tracer()
         result = ParallelMIOEngine(collection, cores=4, tracer=tracer).query(R)
         assert result.phases == phase_durations(tracer.root)
-        assert set(result.phases) == {"shard_route", "shard_execute", "shard_merge"}
+        assert set(result.phases) == {
+            "grid_mapping", "lower_bounding", "upper_bounding", "verification",
+        }
         # Wall-clock phases: the root span covers at least their sum.
         assert tracer.root.duration >= result.total_time
 

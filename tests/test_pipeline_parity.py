@@ -155,9 +155,10 @@ class TestTracedEqualsUntraced:
         root = tracer.root
         assert root.name == "query"
         assert [child.name for child in root.children] == [
-            "shard_route",
-            "shard_execute",
-            "shard_merge",
+            "grid_mapping",
+            "lower_bounding",
+            "upper_bounding",
+            "verification",
         ]
 
 

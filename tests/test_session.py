@@ -223,14 +223,10 @@ class TestBatchPlanning:
             for a, b in zip(got_serial, got_sharded):
                 assert (a.winner, a.score) == (b.winner, b.score)
             # The labeling run stays serial; later same-ceiling queries
-            # fan out as shard tasks.
+            # run on the parallel engine.
             assert sharded.stats()["parallel_queries"] == 2
             assert got_sharded[1].algorithm == "bigrid-sharded"
             assert got_sharded[1].counters["shards"] == 2
-            # The shard-plan cache is session-visible and reused across
-            # the same-ceiling sweep.
-            stats = sharded.stats()
-            assert stats["shard_plan_hits"] >= 1
         finally:
             sharded.close()
 

@@ -1,30 +1,38 @@
 """Sharded execution conformance: bit-exact parity with the serial engine.
 
-PR 9's contract is that ``mode="sharded"`` is purely an execution
-strategy: for every collection, backend, kernel, dimension, and shard
-count, the sharded engine returns *bit-identical* answers to the serial
-engine -- same winner, same score, same top-k order (including
-tie-breaks).  This suite pins that contract plus the failure half:
+``mode="sharded"`` is purely an execution strategy: for every
+collection, backend, kernel, dimension, and verifier count, the parallel
+engine returns *bit-identical* answers to the serial engine -- same
+winner, same score, same top-k order (including tie-breaks) -- and the
+serial engine's work counters and index memory, because the coordinator
+builds the serial grid and one best-first loop consumes every score.
+This suite pins that contract plus the failure half:
 
 * parity across the full configuration matrix on the deterministic
-  inline path, and again through a real 2-worker process pool;
-* routing invariants -- ownership is a partition, halos are exactly the
-  Lemma-2 dilation (checked against brute force), plans are cached;
-* worker-level semantics -- ``run_shard_task`` + ``merge_outcomes``
-  replays the serial answer, and a missing settled score degrades to a
-  timed-out (anytime) merge rather than a wrong exact answer;
+  inline path, and again through a real process pool;
+* routing invariants of the halo router the end-to-end benchmark still
+  probes -- ownership is a partition, halos are exactly the Lemma-2
+  dilation (checked against brute force);
 * failure semantics -- ``shard_task`` faults retry then fall back to
   the serial engine (answers unchanged), expired deadlines raise
-  :class:`~repro.errors.QueryTimeout`, and a killed worker process is
-  respawned without failing the query.
+  :class:`~repro.errors.QueryTimeout` before verification and degrade
+  to a sound anytime answer during it, and a worker killed between or
+  during queries is respawned without failing the query;
+* shared-memory hygiene -- ``close()`` unlinks every segment the
+  engine created.
 """
 
 from __future__ import annotations
+
+import os
+import threading
+import time
 
 import numpy as np
 import pytest
 from conftest import oracle_scores, random_collection
 
+import repro.shard.executor as executor_module
 from repro import faults
 from repro.core.engine import MIOEngine
 from repro.errors import PartitionTaskError, QueryTimeout
@@ -33,12 +41,14 @@ from repro.kernels import numpy_kernel_available
 from repro.obs.trace import Tracer
 from repro.parallel.engine import ParallelMIOEngine
 from repro.resilience import Deadline, ManualClock
-from repro.shard.executor import ShardExecutor, run_shard_task
-from repro.shard.merge import merge_outcomes
-from repro.shard.router import ShardPlanCache, plan_shards
+from repro.shard.router import plan_shards
 
 BACKENDS = ("ewah", "plain", "roaring")
 KERNELS = ("python",) + (("numpy",) if numpy_kernel_available() else ())
+POOL = pytest.param("pool", marks=pytest.mark.process_pool)
+needs_numpy = pytest.mark.skipif(
+    not numpy_kernel_available(), reason="workers verify numpy grids only"
+)
 
 
 @pytest.fixture(autouse=True)
@@ -64,12 +74,25 @@ def cube_collection():
     return random_collection(n=30, mean_points=6, dimension=3, seed=77)
 
 
+#: Counters the sharded engine reports exactly as the serial one does.
+SERIAL_COUNTERS = (
+    "candidates",
+    "verified_objects",
+    "posting_checks",
+    "distance_rows",
+    "early_terminated",
+)
+
+
 def assert_parity(serial_result, sharded_result):
     assert (sharded_result.winner, sharded_result.score) == (
         serial_result.winner, serial_result.score,
     )
     assert sharded_result.topk == serial_result.topk
     assert sharded_result.exact
+    for name in SERIAL_COUNTERS:
+        assert sharded_result.counters[name] == serial_result.counters[name], name
+    assert sharded_result.memory_bytes == serial_result.memory_bytes
 
 
 # ----------------------------------------------------------------------
@@ -107,14 +130,6 @@ class TestShardedParity:
                 serial.query_topk(r, k=3), engine.query_topk(r, k=3)
             )
 
-    @pytest.mark.parametrize("curve", ("hilbert", "zorder"))
-    def test_curve_choice_never_changes_answers(self, flat_collection, curve):
-        serial = MIOEngine(flat_collection)
-        engine = ParallelMIOEngine(
-            flat_collection, cores=2, shards=3, curve=curve
-        )
-        assert_parity(serial.query_topk(4.0, k=5), engine.query_topk(4.0, k=5))
-
     @pytest.mark.parametrize("seed", (901, 902, 903))
     def test_oracle_differential(self, seed):
         collection = random_collection(n=25, mean_points=6, seed=seed)
@@ -131,12 +146,19 @@ class TestShardedParity:
         ).query(2.0)
         assert (traced.winner, traced.score) == (plain.winner, plain.score)
         names = [child.name for child in tracer.root.children]
-        assert names == ["shard_route", "shard_execute", "shard_merge"]
-        execute = tracer.root.children[1]
-        assert [child.name for child in execute.children] == [
-            "shard-0", "shard-1",
+        assert names == [
+            "grid_mapping", "lower_bounding", "upper_bounding", "verification",
         ]
-        assert set(traced.phases) == {"shard_route", "shard_execute", "shard_merge"}
+        # Inline, the coordinator is the only verifier that takes work.
+        (verifier,) = tracer.root.children[3].children
+        assert verifier.name == "verifier-0"
+        assert verifier.attributes == {
+            "candidates": traced.counters["verified_objects"],
+            "speculative": 0,
+        }
+        assert set(traced.phases) == {
+            "grid_mapping", "lower_bounding", "upper_bounding", "verification",
+        }
 
 
 # ----------------------------------------------------------------------
@@ -186,86 +208,6 @@ class TestShardPlans:
         plan = plan_shards(tiny, 2.0, 16)
         assert plan.shards == 3
 
-    def test_plan_cache_hits_on_same_ceiling(self, flat_collection):
-        cache = ShardPlanCache(max_entries=2)
-        first = cache.get(flat_collection, 3.5, 2, "hilbert")
-        again = cache.get(flat_collection, 3.2, 2, "hilbert")  # same ceil
-        assert again is first
-        assert cache.hits == 1 and cache.misses == 1
-        cache.get(flat_collection, 5.0, 2, "hilbert")
-        cache.get(flat_collection, 3.5, 4, "hilbert")  # different shard count
-        assert cache.misses == 3
-
-
-# ----------------------------------------------------------------------
-# Worker + merge semantics (no engine)
-# ----------------------------------------------------------------------
-
-
-class TestWorkerAndMerge:
-    def test_shard_tasks_plus_merge_replay_the_serial_answer(self, flat_collection):
-        serial = MIOEngine(flat_collection).query_topk(3.5, k=5)
-        plan = plan_shards(flat_collection, 3.5, 3)
-        outcomes = [
-            run_shard_task(
-                flat_collection,
-                shard=shard,
-                owned=[int(oid) for oid in plan.owned[shard]],
-                halo=[int(oid) for oid in plan.halo[shard]],
-                r=3.5,
-                k=5,
-                backend="ewah",
-                kernel="python",
-            )
-            for shard in range(plan.shards)
-        ]
-        merged = merge_outcomes(outcomes, k=5)
-        assert not merged.timed_out
-        assert merged.ranking == serial.topk
-
-    def test_missing_settled_score_degrades_to_timed_out(self, flat_collection):
-        plan = plan_shards(flat_collection, 3.5, 2)
-        outcomes = [
-            run_shard_task(
-                flat_collection,
-                shard=shard,
-                owned=[int(oid) for oid in plan.owned[shard]],
-                halo=[int(oid) for oid in plan.halo[shard]],
-                r=3.5,
-                k=3,
-                backend="ewah",
-                kernel="python",
-            )
-            for shard in range(plan.shards)
-        ]
-        # Simulate shard 1 having run out of deadline mid-verification:
-        # drop its settled scores and flag it.  The merge must surface
-        # the settled prefix as an anytime answer, never invent scores.
-        outcomes[1].settled = outcomes[1].settled[:1]
-        outcomes[1].timed_out = True
-        merged = merge_outcomes(outcomes, k=3)
-        exact = merge_outcomes(
-            [outcomes[0]] + [
-                run_shard_task(
-                    flat_collection,
-                    shard=1,
-                    owned=[int(oid) for oid in plan.owned[1]],
-                    halo=[int(oid) for oid in plan.halo[1]],
-                    r=3.5,
-                    k=3,
-                    backend="ewah",
-                    kernel="python",
-                )
-            ],
-            k=3,
-        )
-        if merged.timed_out:
-            settled_scores = dict(outcomes[0].settled + outcomes[1].settled)
-            for oid, score in merged.ranking:
-                assert settled_scores[oid] == score
-        else:  # the dropped scores were never needed by the replay
-            assert merged.ranking == exact.ranking
-
 
 # ----------------------------------------------------------------------
 # Failure semantics
@@ -308,6 +250,52 @@ class TestShardFaults:
             engine.query(3.5, deadline=deadline)
         assert info.value.phase
 
+    @pytest.mark.parametrize("executor", ("inline", POOL))
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_deadline_during_verification_is_sound(
+        self, flat_collection, executor, kernel
+    ):
+        # Each clock read advances one tick.  The filter phases read the
+        # clock the same number of times on every run, so a budget just
+        # past them expires inside verification.
+        r, k = 3.5, 4
+        tau = oracle_scores(flat_collection, r)
+        serial = MIOEngine(flat_collection, kernel=kernel)
+        engine = ParallelMIOEngine(flat_collection, cores=3, kernel=kernel)
+
+        def run(budget):
+            clock = ManualClock(step=1.0)
+            return engine.query_topk(r, k, deadline=Deadline(float(budget), clock))
+
+        try:
+            low, high = 1, 1 << 20  # run(low) raises, run(high) answers
+            while high - low > 1:
+                middle = (low + high) // 2
+                try:
+                    run(middle)
+                    high = middle
+                except QueryTimeout:
+                    low = middle
+            inexact = 0
+            for budget in range(high, high + 400, 10):
+                result = run(budget)
+                if result.exact:
+                    assert_parity(serial.query_topk(r, k), result)
+                    continue
+                inexact += 1
+                assert result.notes["degraded_deadline"] == "verification"
+                # The winner's score is exact when it was settled, else
+                # its Lemma-1 lower bound; either way a sound answer.
+                assert result.score <= tau[result.winner]
+                for oid, score in result.topk or []:
+                    assert score == tau[oid]
+            assert inexact
+            # No reply of a cut-short query leaks into the next one.
+            for _ in range(2):
+                assert_parity(serial.query_topk(r, k), engine.query_topk(r, k))
+        finally:
+            engine.close()
+
 
 # ----------------------------------------------------------------------
 # The real process pool
@@ -325,9 +313,6 @@ class TestProcessPool:
                 assert_parity(
                     serial.query_topk(r, k=4), engine.query_topk(r, k=4)
                 )
-            # The pool persists across queries, and the plan cache serves
-            # repeat ceilings (3.5 and 3.2 share ceil(r) = 4).
-            assert engine.plan_cache.hits >= 1
         finally:
             engine.close()
 
@@ -344,6 +329,99 @@ class TestProcessPool:
             assert executor.respawns >= 1
         finally:
             engine.close()
+
+    # cores=4: more verifier processes than a 2-CPU machine has CPUs.
+    @pytest.mark.parametrize("cores", (2, 4))
+    def test_numpy_pool_parity_counters_and_verifier_spans(
+        self, flat_collection, cores
+    ):
+        serial = MIOEngine(flat_collection, kernel="numpy")
+        tracer = Tracer()
+        engine = ParallelMIOEngine(
+            flat_collection, cores=cores, kernel="numpy", tracer=tracer
+        )
+        try:
+            for r in (2.0, 3.5, 5.0):
+                for k in (1, 4, len(flat_collection)):
+                    # A hang would fail here as an inexact answer.
+                    result = engine.query_topk(r, k, timeout_ms=60_000.0)
+                    assert_parity(serial.query_topk(r, k), result)
+                    assert result.counters["shards"] == cores
+                    verification = tracer.roots[-1].children[-1]
+                    assert verification.name == "verification"
+                    spans = verification.children
+                    assert spans[0].name == "verifier-0"
+                    scored = sum(span.attributes["candidates"] for span in spans)
+                    speculative = sum(
+                        span.attributes["speculative"] for span in spans
+                    )
+                    assert speculative == result.extra["speculative_scores"]
+                    # Every landed score is counted: a candidate taken
+                    # twice (a lost update of the shared queue) breaks this.
+                    assert scored == (
+                        result.counters["verified_objects"] + speculative
+                    )
+        finally:
+            engine.close()
+
+    @needs_numpy
+    def test_worker_killed_during_verification_is_rescored(
+        self, flat_collection, monkeypatch
+    ):
+        # Slow every scorer (workers inherit the patch when the pool
+        # forks) and ask for every object, so verification outlasts the
+        # kill by a wide margin and no candidate is pruned.
+        real = executor_module.label_free_scorer
+
+        def slow_scorer(bigrid, r, deadline=None):
+            score = real(bigrid, r, deadline)
+
+            def slowed(oid):
+                time.sleep(0.02)
+                return score(oid)
+
+            return slowed
+
+        monkeypatch.setattr(executor_module, "label_free_scorer", slow_scorer)
+        r, k = 3.5, len(flat_collection)
+        expected = MIOEngine(flat_collection, kernel="numpy").query_topk(r, k)
+        engine = ParallelMIOEngine(flat_collection, cores=2, kernel="numpy")
+        try:
+            engine.query(r)  # forks the pool
+            executor = engine.shard_executor
+            killer = threading.Timer(0.2, executor._procs[0].kill)
+            killer.start()
+            result = engine.query_topk(r, k)
+            killer.join(timeout=10.0)
+            assert not killer.is_alive()
+            assert executor.respawns == 1
+            assert_parity(expected, result)
+            assert_parity(expected, engine.query_topk(r, k))
+        finally:
+            engine.close()
+
+    def test_close_unlinks_every_grid_segment(self, flat_collection, monkeypatch):
+        if not os.path.isdir("/dev/shm"):
+            pytest.skip("needs a listable shared-memory directory")
+        published = []
+        real = executor_module._publish
+
+        def recording(arrays):
+            shm, layout = real(arrays)
+            published.append(shm.name.lstrip("/"))
+            return shm, layout
+
+        monkeypatch.setattr(executor_module, "_publish", recording)
+        before = set(os.listdir("/dev/shm"))
+        engine = ParallelMIOEngine(flat_collection, cores=2, kernel="numpy")
+        engine.query_topk(3.5, 4)
+        with pytest.raises(QueryTimeout):
+            engine.query(2.0, deadline=Deadline(1.0, clock=ManualClock(step=1.0)))
+        engine.query_topk(2.0, 3, deadline=Deadline(10.0**9))
+        engine.close()
+        if numpy_kernel_available():
+            assert len(published) == 2
+        assert set(os.listdir("/dev/shm")) - before == set()
 
     def test_close_releases_the_pool(self, flat_collection):
         engine = ParallelMIOEngine(flat_collection, cores=2)
