@@ -4,22 +4,26 @@ Where the reference backend walks points one at a time, this backend
 batches whole phases into array operations while producing *bit-identical*
 structures and results (the conformance suite enforces it):
 
-* **Grid mapping** floors every coordinate in one shot (or takes a
-  session's cached large-key rows as they are), encodes cell keys as
-  mixed-radix ``int64`` codes, and builds both grids as packed arrays
-  from sorted ``(cell, object)`` pair groups: a ``(cells, words)``
-  ``uint64`` bitset matrix filled with ``np.bitwise_or.at``, cell key
-  rows, posting segments, and per-object key-list and group rows.  No
-  per-cell, per-segment or per-group python object is built.
+* **Grid mapping** concatenates every object's points once (the label
+  filter is one mask over them), floors every coordinate in one shot (or
+  takes a session's cached large-key rows as they are), encodes cell keys
+  as mixed-radix ``int64`` codes, and builds each grid from one stable
+  sort of its codes: cell and ``(cell, object)`` runs are boundary flags
+  on the sorted scan.  Out come a ``(cells, words)`` ``uint64`` bitset
+  matrix filled with ``np.bitwise_or.at``, cell key rows, posting
+  segments, and per-object key-list and group rows.  No per-cell,
+  per-segment or per-group python object is built.
 * **Lower bounding** OR-reduces the packed small-grid rows of each
   object's key list and popcounts with ``np.bitwise_count``.
-* **Upper bounding** computes *all* adjacent unions at once: one
-  ``searchsorted`` per neighbour offset aligns every cell with its
-  neighbour's packed row, so the ``3^d`` dictionary walks per cell
-  disappear.  Label-producing and label-consuming passes stay on the
-  packed rows too: ``upper_masks`` group selection is an OR per posting
-  segment, Labeling-1 a popcount over the cells first unioned, and
-  Labeling-2's running union a segmented prefix-OR scan.
+* **Upper bounding** computes *all* adjacent unions at once.  Adjacency
+  is symmetric, so each neighbour pair found ORs both rows: one
+  ``searchsorted`` per positive offset prefix (4 in 3-D, 1 in 2-D)
+  aligns every cell with its neighbours' packed rows, and the ``3^d``
+  dictionary walks per cell disappear.  Label-producing and
+  label-consuming passes stay on the packed rows too: ``upper_masks``
+  group selection is an OR per posting segment, Labeling-1 a popcount
+  over the cells first unioned, and Labeling-2's running union a
+  segmented prefix-OR scan.
 * **Verification** keeps the reference's best-first outer loop (shared
   via :func:`repro.core.verification.best_first_verification`) but scores
   each candidate in two waves of groups, each one flat batch: every
@@ -52,6 +56,7 @@ backend otherwise.  Inputs whose cell-index spread would overflow the
 
 from __future__ import annotations
 
+import math
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -208,20 +213,19 @@ def encode_keys(keys: np.ndarray) -> Optional[Tuple[np.ndarray, np.ndarray]]:
     reference implementation).  Public because the shard router reuses
     the same codes to place objects on a space-filling curve.
     """
-    mins = keys.min(axis=0) - 1
-    shifted = keys - mins
-    extents = shifted.max(axis=0) + 2
-    total = 1
-    for extent in extents.tolist():
-        total *= int(extent)
-        if total >= 2 ** 62:
-            return None
-    strides = np.empty(keys.shape[1], dtype=np.int64)
-    accumulated = 1
-    for axis in range(keys.shape[1] - 1, -1, -1):
-        strides[axis] = accumulated
-        accumulated *= int(extents[axis])
-    return shifted @ strides, strides
+    # Per-axis column passes: numpy reduces a ``(points, d)`` array along
+    # axis 0 (and multiplies int64 matrices) an order of magnitude slower.
+    columns = keys.T
+    mins = [int(column.min()) - 1 for column in columns]
+    extents = [int(column.max()) - low + 2 for column, low in zip(columns, mins)]
+    if math.prod(extents) >= 2 ** 62:
+        return None
+    strides = np.cumprod([1] + extents[:0:-1])[::-1].astype(np.int64)
+    codes = sum(
+        (column - low) * stride
+        for column, low, stride in zip(columns, mins, strides.tolist())
+    )
+    return codes, strides
 
 
 class LazyBitsetSmallCell(SmallGridCell):
@@ -470,25 +474,42 @@ class PackedLargeGrid(LargeGrid):
     def bulk_adjacency(self) -> np.ndarray:
         """``b_adj`` of every cell as packed rows, computed on first call.
 
-        One searchsorted per neighbour offset aligns each cell with that
-        neighbour's packed row.  Computing a row memoizes nothing: passes
-        mark ``adj_memo`` for the rows the reference would have unioned.
+        Adjacency is symmetric: cell ``j`` at ``+delta`` from cell ``i``
+        puts ``i`` at ``-delta`` from ``j``, so each pair found ORs both
+        rows and only the positive offsets are searched.  The offsets
+        ``(prefix, -1 | 0 | +1)`` target three consecutive codes: one
+        searchsorted finds the first and each hit steps to the next row,
+        and the fastest axis's ``+1`` needs no search at all (those
+        neighbours are consecutive rows of the sorted codes).  Computing a
+        row memoizes nothing: passes mark ``adj_memo`` for the rows the
+        reference would have unioned.
         """
         adjacency = self._adjacency.words
         if adjacency is None:
             packed = self.packed
             codes = self.codes
-            cell_count = len(codes)
+            last = len(codes) - 1
             adjacency = packed.copy()
-            if cell_count:
-                for offset in neighbor_offsets(self.dimension):
-                    delta = int(np.asarray(offset, dtype=np.int64) @ self.strides)
-                    targets = codes + delta
-                    positions = np.searchsorted(codes, targets)
-                    positions[positions == cell_count] = 0
-                    hit = codes[positions] == targets
-                    if hit.any():
-                        adjacency[hit] |= packed[positions[hit]]
+
+            def join(rows: np.ndarray, pairs: np.ndarray) -> None:
+                # ``take`` gathers rows about twice as fast as ``[]``.
+                adjacency[rows] = adjacency.take(rows, 0) | packed.take(pairs, 0)
+                adjacency[pairs] = adjacency.take(pairs, 0) | packed.take(rows, 0)
+
+            if last > 0:
+                rows = np.flatnonzero(np.diff(codes) == 1)
+                join(rows, rows + 1)
+                for prefix in neighbor_offsets(self.dimension - 1):
+                    base = int(np.dot(prefix, self.strides[:-1]))
+                    if base < 0:
+                        continue  # the mirror of a positive prefix
+                    positions = np.searchsorted(codes, codes + (base - 1))
+                    for delta in (base - 1, base, base + 1):
+                        np.minimum(positions, last, out=positions)
+                        hit = codes[positions] == codes + delta
+                        rows = np.flatnonzero(hit)
+                        join(rows, positions[rows])
+                        positions += hit
             self._adjacency.words = adjacency
         return adjacency
 
@@ -617,6 +638,38 @@ class PackedBIGrid(BIGrid):
         return int(self.shared_counts.sum()), int(self.group_counts.sum())
 
 
+def _cell_runs(codes: np.ndarray, oids: np.ndarray, words: int) -> Tuple:
+    """One grid's points grouped by cell with a single stable sort.
+
+    The scan is oid-major, so a stable ``argsort`` of the cell codes
+    orders the points by (cell, oid, scan position); cell runs and
+    ``(cell, oid)`` segment runs are then boundary flags on the sorted
+    codes and oids.  Returns the sorted scan ``order``, the run starts
+    ``cell_start`` and ``seg_start`` into it, each segment's cell row and
+    oid (cell-major, oid ascending), and the ``(cells, words)`` bitset
+    matrix with bit ``oid`` set in row ``cell`` for every segment.
+    """
+    order = np.argsort(codes, kind="stable")
+    sorted_codes = codes[order]
+    sorted_oids = oids[order]
+    new_cell = np.empty(len(order), dtype=bool)
+    new_cell[0] = True
+    np.not_equal(sorted_codes[1:], sorted_codes[:-1], out=new_cell[1:])
+    new_segment = new_cell.copy()
+    new_segment[1:] |= sorted_oids[1:] != sorted_oids[:-1]
+    cell_start = np.flatnonzero(new_cell)
+    seg_start = np.flatnonzero(new_segment)
+    seg_cell = np.cumsum(new_cell[seg_start]) - 1
+    seg_oid = sorted_oids[seg_start]
+    packed = np.zeros((len(cell_start), words), dtype=np.uint64)
+    np.bitwise_or.at(
+        packed,
+        (seg_cell, seg_oid >> 6),
+        np.left_shift(np.uint64(1), (seg_oid & 63).astype(np.uint64)),
+    )
+    return order, cell_start, seg_start, seg_cell, seg_oid, packed
+
+
 class NumpyKernel(KernelBackend):
     """Vectorized backend (numpy >= 2.0), bit-exact with the reference."""
 
@@ -650,27 +703,41 @@ class NumpyKernel(KernelBackend):
         l_width = large_cell_width(r)
         n = collection.n
 
-        point_blocks: List[np.ndarray] = []
-        index_blocks: List[np.ndarray] = []
-        oid_blocks: List[np.ndarray] = []
-        provided: Optional[List[np.ndarray]] = (
-            [] if large_keys_provider is not None else None
+        # Every object's points, concatenated once in oid-major scan order,
+        # with each point's oid and index within its object.
+        checkpoint(deadline, "grid_mapping")
+        objects = list(collection)
+        blocks = [obj.points for obj in objects]
+        sizes = np.fromiter(map(len, blocks), np.int64, n)
+        points = np.concatenate(blocks)
+        oids = np.repeat(np.arange(n, dtype=np.int64), sizes)
+        point_idx = np.arange(len(oids), dtype=np.int64) - np.repeat(
+            np.cumsum(sizes) - sizes, sizes
         )
-        mapped_points = 0
-        for obj in collection:
-            checkpoint(deadline, "grid_mapping")
-            oid = obj.oid
-            indices = _selected(obj.num_points, point_filter, oid)
-            if len(indices) == 0:
-                continue
-            mapped_points += len(indices)
-            point_blocks.append(obj.points[indices])
-            index_blocks.append(indices.astype(np.int64))
-            oid_blocks.append(np.full(len(indices), oid, dtype=np.int64))
-            if provided is not None:
-                # The session's LargeKeyCache must see the same per-object
-                # calls (and hit/miss accounting) as the serial build.
-                provided.append(large_keys_provider(oid, indices))
+        if point_filter is not None:
+            # The label filter (Lemma 3) as one mask over the concatenation;
+            # a None mask keeps the object's every point.
+            masks = []
+            for obj, block in zip(objects, blocks):
+                mask = point_filter(obj.oid)
+                masks.append(np.ones(len(block), bool) if mask is None else mask)
+            keep = np.concatenate(masks).astype(bool, copy=False)
+            points = points.compress(keep, 0)
+            oids, point_idx = oids.compress(keep), point_idx.compress(keep)
+            sizes = np.bincount(oids, minlength=n)
+        mapped_points = len(oids)
+        provided: Optional[List[np.ndarray]] = None
+        if large_keys_provider is not None:
+            # The session's LargeKeyCache must see the same per-object calls
+            # (and hit/miss accounting) as the serial build: one per object
+            # with a mapped point, passing that object's surviving indices.
+            provided = []
+            bounds = np.concatenate(([0], np.cumsum(sizes))).tolist()
+            for oid in np.flatnonzero(sizes).tolist():
+                checkpoint(deadline, "grid_mapping")
+                provided.append(
+                    large_keys_provider(oid, point_idx[bounds[oid] : bounds[oid + 1]])
+                )
 
         small_grid = PackedSmallGrid(s_width, dimension, bitset_cls)
         large_grid = PackedLargeGrid(l_width, dimension, bitset_cls)
@@ -704,9 +771,6 @@ class NumpyKernel(KernelBackend):
             bigrid.group_segments = empty
             return bigrid
 
-        points = np.concatenate(point_blocks)
-        point_idx = np.concatenate(index_blocks)
-        oids = np.concatenate(oid_blocks)
         small_keys = key_rows(points, s_width)
         large_keys = (
             np.concatenate(provided)
@@ -745,29 +809,17 @@ class NumpyKernel(KernelBackend):
         n: int,
         words: int,
     ) -> None:
-        """Pack the small grid and the key-list rows from sorted (cell,
-        oid) pairs; cells and key lists materialize from them on read."""
+        """Pack the small grid and the key-list rows from the (cell, oid)
+        runs; cells and key lists materialize from them on read."""
         small_grid = bigrid.small_grid
-        uniq_codes, first_pos, inverse = np.unique(
-            codes, return_index=True, return_inverse=True
+        # Segments are the distinct (cell, oid) pairs: cell-major, oid
+        # ascending -- exactly the per-cell object order of the serial scan.
+        order, cell_start, _, pair_cell, pair_oid, packed = _cell_runs(
+            codes, oids, words
         )
-        cell_count = len(uniq_codes)
-
-        # Distinct (cell, oid) pairs, sorted: cell-major, oid ascending —
-        # exactly the per-cell object order of the serial scan.
-        pair_codes = np.unique(inverse.astype(np.int64) * n + oids)
-        pair_cell = pair_codes // n
-        pair_oid = pair_codes % n
-
-        packed = np.zeros((cell_count, words), dtype=np.uint64)
-        np.bitwise_or.at(
-            packed,
-            (pair_cell, pair_oid >> 6),
-            np.left_shift(np.uint64(1), (pair_oid & 63).astype(np.uint64)),
-        )
-        distinct = np.bincount(pair_cell, minlength=cell_count)
+        distinct = np.bincount(pair_cell, minlength=len(cell_start))
         small_grid.packed = packed
-        small_grid.key_rows = small_keys[first_pos]
+        small_grid.key_rows = small_keys.take(order[cell_start], 0)
         small_grid.cell_objects = distinct
         small_grid.pair_oid = pair_oid
 
@@ -788,7 +840,7 @@ class NumpyKernel(KernelBackend):
         # The packed words of those rows, gathered once at build time --
         # LOWER-BOUNDING reads them straight off, paying no cold fancy
         # index on its own clock.
-        bigrid.shared_words = packed[flat]
+        bigrid.shared_words = packed.take(flat, 0)
 
     @staticmethod
     def _populate_large(
@@ -807,54 +859,32 @@ class NumpyKernel(KernelBackend):
         object groups materialize from these arrays on read."""
         large_grid = bigrid.large_grid
         codes, strides = encoded
-        uniq_codes, first_pos, inverse = np.unique(
-            codes, return_index=True, return_inverse=True
+        order, cell_start, starts, segment_cell, segment_oid, packed = _cell_runs(
+            codes, oids, words
         )
-        cell_count = len(uniq_codes)
-
-        pair_codes = inverse.astype(np.int64) * n + oids
-        order = np.argsort(pair_codes, kind="stable")
-        sorted_pairs = pair_codes[order]
-        sorted_points = point_idx[order]
-        boundaries = np.flatnonzero(np.diff(sorted_pairs)) + 1
-        starts = np.concatenate((np.zeros(1, dtype=np.int64), boundaries))
-        segment_pair = sorted_pairs[starts]
-        segment_cell = segment_pair // n
-        segment_oid = segment_pair % n
-        #: Scan position of each (cell, oid) segment's first point — the
-        #: first-occurrence order object_groups must present groups in.
-        segment_first = order[starts]
-
-        packed = np.zeros((cell_count, words), dtype=np.uint64)
-        np.bitwise_or.at(
-            packed,
-            (segment_cell, segment_oid >> 6),
-            np.left_shift(np.uint64(1), (segment_oid & 63).astype(np.uint64)),
-        )
-
+        first = order[cell_start]  # each cell's first scan position
         large_grid.packed = packed
-        large_grid.codes = uniq_codes
+        large_grid.codes = codes[first]
         large_grid.strides = strides
-        large_grid.key_rows = large_keys[first_pos]
+        large_grid.key_rows = large_keys.take(first, 0)
         large_grid.seg_cell = segment_cell
         large_grid.seg_oid = segment_oid
-        large_grid.seg_bounds = np.concatenate(
-            (starts, np.asarray([len(sorted_points)], dtype=np.int64))
-        )
-        large_grid.seg_points = sorted_points
-        large_grid._adjacency.memo = np.zeros(cell_count, dtype=bool)
+        large_grid.seg_bounds = np.append(starts, len(order))
+        large_grid.seg_points = point_idx[order]
+        large_grid._adjacency.memo = np.zeros(len(cell_start), dtype=bool)
         #: Posting-order coordinates: segment s's rows are its posting
         #: list's points, exactly what ``posting_points`` would gather.
-        large_grid.seg_coords = points[order]
+        large_grid.seg_coords = points.take(order, 0)
 
-        # Per-object groups in first-occurrence scan order: one lexsort
-        # (oid-major, then first scan position) replaces n per-object sorts.
-        order2 = np.lexsort((segment_first, segment_oid))
-        bigrid.group_flat = segment_cell[order2]
+        # Per-object groups in first-occurrence scan order.  Scan positions
+        # are oid-major, so ordering segments by their first point's scan
+        # position orders them by (oid, first occurrence) too.
+        group_order = np.argsort(order[starts])
+        bigrid.group_flat = segment_cell[group_order]
         bigrid.group_counts = np.bincount(segment_oid, minlength=n).astype(
             np.int64
         )
-        bigrid.group_segments = order2
+        bigrid.group_segments = group_order
 
     # ------------------------------------------------------------------
     # LOWER-BOUNDING (Algorithm 4), packed
@@ -1603,17 +1633,6 @@ def label_free_scorer(bigrid: PackedBIGrid, r: float, deadline=None):
         )
 
     return score
-
-
-def _selected(num_points: int, point_filter, oid: int) -> np.ndarray:
-    """Point indices surviving the label filter (Lemma 3), as in the
-    reference build."""
-    if point_filter is None:
-        return np.arange(num_points)
-    mask = point_filter(oid)
-    if mask is None:
-        return np.arange(num_points)
-    return np.nonzero(mask)[0]
 
 
 #: The shared vectorized instance.

@@ -21,10 +21,16 @@ from repro.errors import (
     QueryTimeout,
 )
 from repro.faults import FaultInjector, FaultSpec
+from repro.kernels import numpy_kernel_available
 from repro.parallel.engine import ParallelMIOEngine
 from repro.resilience import Deadline, ManualClock
+from repro.session import QuerySession
 
 from conftest import oracle_scores, random_collection
+
+needs_numpy = pytest.mark.skipif(
+    not numpy_kernel_available(), reason="numpy kernel unavailable here"
+)
 
 
 class TestStaleLabels:
@@ -276,6 +282,47 @@ class TestDeadlines:
             MIOEngine(collection).query(2.0, timeout_ms=0.0)
         assert info.value.phase == "grid_mapping"
         assert info.value.elapsed >= 0.0
+
+    @needs_numpy
+    def test_zero_budget_numpy_query_expires_in_grid_mapping(self):
+        collection = random_collection(n=10, mean_points=5, seed=142)
+        with pytest.raises(QueryTimeout) as info:
+            MIOEngine(collection, kernel="numpy").query(2.0, timeout_ms=0.0)
+        assert info.value.phase == "grid_mapping"
+
+    @needs_numpy
+    def test_zero_budget_numpy_with_label_query_expires_in_grid_mapping(self):
+        collection = random_collection(n=30, mean_points=6, seed=144)
+        session = QuerySession(collection, kernel="numpy")
+        assert session.query(3.0).algorithm == "bigrid"
+        with pytest.raises(QueryTimeout) as info:
+            session.query(2.6, timeout_ms=0.0)
+        assert info.value.phase == "grid_mapping"
+        # The session still answers the same query once given time.
+        assert session.query(2.6).algorithm == "bigrid-label"
+
+    @needs_numpy
+    def test_numpy_build_expires_between_provider_calls(self):
+        """The kernel polls the deadline itself between per-object
+        large-key provider calls, as the reference build does between
+        objects: a budget of a few checks cuts the build short."""
+        from repro.grid.keys import key_rows, large_cell_width
+        from repro.kernels.numpy_backend import NUMPY_KERNEL
+
+        collection = random_collection(n=12, mean_points=5, seed=145)
+        calls = []
+
+        def provider(oid, indices):
+            calls.append(oid)
+            return key_rows(collection[oid].points[indices], large_cell_width(2.5))
+
+        deadline = Deadline(5.0, clock=ManualClock(step=1.0))
+        with pytest.raises(QueryTimeout) as info:
+            NUMPY_KERNEL.build_bigrid(
+                collection, 2.5, deadline=deadline, large_keys_provider=provider
+            )
+        assert info.value.phase == "grid_mapping"
+        assert 0 < len(calls) < collection.n
 
     def test_phases_expire_in_pipeline_order(self):
         """Sweeping the budget under a ManualClock walks expiry through the
