@@ -20,10 +20,7 @@ answer, ``query``/``batch --metrics-out PATH`` dump the metrics registry
 with ``batch_id``/``query_id`` correlation ids.  Telemetry flags
 (``--telemetry-out``, ``--sample-rate``, ``--slow-ms`` on ``query``,
 ``batch``, and ``serve``; ``batch --slowlog-out``) feed the always-on
-telemetry hub -- see ``docs/observability.md``.  ``--planner adaptive``
-(on ``query``, ``batch``, ``explain``, ``serve``) lets the cost-model
-planner re-select kernel/mode/shards per query; ``explain`` then prints
-the decision with predicted-vs-actual phase costs (``docs/planner.md``).
+telemetry hub -- see ``docs/observability.md``.
 
 Example session::
 
@@ -58,7 +55,6 @@ from repro.obs import logging as obs_logging
 from repro.obs.explain import (
     funnel_stages,
     render_funnel,
-    render_plan,
     render_span_tree,
 )
 from repro.obs.export import metrics_json, prometheus_text, trace_json
@@ -123,7 +119,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="worker processes; >1 uses the parallel engine")
     query.add_argument("--shards", type=int, default=None,
                        help="verifiers per parallel query (default: one per core)")
-    _add_planner_flag(query)
     query.add_argument("--trace", action="store_true",
                        help="print the query's span tree under the answer")
     query.add_argument("--metrics-out", default=None, metavar="PATH",
@@ -158,7 +153,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="verifiers per parallel query (default: one per core)")
     batch.add_argument("--retries", type=int, default=2,
                        help="per-task retry budget (parallel engine)")
-    _add_planner_flag(batch)
     batch.add_argument("--trace-out", default=None, metavar="PATH",
                        help="write the batch's span trees as JSON")
     batch.add_argument("--metrics-out", default=None, metavar="PATH",
@@ -187,7 +181,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="worker processes for the primary path")
     serve.add_argument("--shards", type=int, default=None,
                        help="verifiers per parallel query (default: one per core)")
-    _add_planner_flag(serve)
     serve.add_argument("--max-inflight", type=int, default=4,
                        help="requests executing concurrently")
     serve.add_argument("--max-queue", type=int, default=16,
@@ -225,7 +218,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="worker processes; >1 uses the parallel engine")
     explain.add_argument("--shards", type=int, default=None,
                          help="verifiers per parallel query (default: one per core)")
-    _add_planner_flag(explain)
 
     report = commands.add_parser(
         "report",
@@ -250,16 +242,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "--against (generous: machines differ)")
 
     return parser
-
-
-def _add_planner_flag(command: argparse.ArgumentParser) -> None:
-    """The query-planner knob shared by query/batch/explain/serve."""
-    command.add_argument("--planner", default="static",
-                         choices=("static", "adaptive"),
-                         help="query planner: static keeps the configured "
-                              "knobs, adaptive re-selects kernel/mode/shards "
-                              "per query from the cost model (bit-identical "
-                              "answers; see docs/planner.md)")
 
 
 def _add_telemetry_flags(command: argparse.ArgumentParser) -> None:
@@ -363,12 +345,10 @@ def _run_query(args: argparse.Namespace) -> int:
                 collection, cores=args.cores, backend=args.backend,
                 retries=args.retries, tracer=tracer, kernel=args.kernel,
                 shards=args.shards,
-                planner=args.planner,
             )
         else:
             engine = MIOEngine(
-                collection, backend=args.backend, tracer=tracer,
-                kernel=args.kernel, planner=args.planner,
+                collection, backend=args.backend, tracer=tracer, kernel=args.kernel
             )
         try:
             if args.topk > 1:
@@ -409,12 +389,10 @@ def _cmd_explain(args: argparse.Namespace) -> int:
         engine = ParallelMIOEngine(
             collection, cores=args.cores, backend=args.backend, tracer=tracer,
             kernel=args.kernel, shards=args.shards,
-            planner=args.planner,
         )
     else:
         engine = MIOEngine(
-            collection, backend=args.backend, tracer=tracer,
-            kernel=args.kernel, planner=args.planner,
+            collection, backend=args.backend, tracer=tracer, kernel=args.kernel
         )
     try:
         if args.topk > 1:
@@ -438,10 +416,6 @@ def _cmd_explain(args: argparse.Namespace) -> int:
     for key, note in sorted(result.notes.items()):
         print(f"note      : {key}: {note}")
     print(f"time      : {result.total_time:.4f} s")
-    plan_text = render_plan(result)
-    if plan_text:
-        print("\nplanner decision:")
-        print(plan_text)
     print("\nspan tree:")
     print(render_span_tree(tracer.root, indent="  "))
     print("\npruning funnel:")
@@ -527,7 +501,7 @@ def _run_batch(args: argparse.Namespace) -> int:
     tracer = Tracer() if args.trace_out else None
     session = QuerySession(
         collection, backend=backend, cores=args.cores, retries=args.retries,
-        tracer=tracer, kernel=args.kernel, shards=args.shards, planner=args.planner,
+        tracer=tracer, kernel=args.kernel, shards=args.shards,
     )
     log_stream = None
     try:
@@ -615,7 +589,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         slow_query_ms=args.slow_ms,
         cores=args.cores,
         shards=args.shards,
-        planner=args.planner,
     )
     app = ServiceApp(collection, config, backend=args.backend, kernel=args.kernel)
     if args.telemetry_out:

@@ -36,7 +36,6 @@ from repro.grid.bigrid import BIGrid
 from repro.grid.cache import LargeKeyCache
 from repro.kernels import resolve_kernel
 from repro.obs.trace import ensure_tracer
-from repro.planner import resolve_planner
 from repro.resilience import Deadline
 
 
@@ -95,7 +94,6 @@ class MIOEngine:
         lower_cache: Optional[LowerBoundCache] = None,
         tracer=None,
         kernel: str = "python",
-        planner=None,
     ) -> None:
         if label_reuse not in ("safe", "paper"):
             raise InvalidQueryError('label_reuse must be "safe" or "paper"')
@@ -108,12 +106,6 @@ class MIOEngine:
         self.lower_cache = lower_cache
         self.tracer = tracer
         self.kernel = kernel
-        #: Optional query planner (``"adaptive"``, ``"static"``/None, or
-        #: a :class:`~repro.planner.adaptive.Planner` instance): per
-        #: query the planning stage re-selects kernel, lower-bound
-        #: dispatch, and grid-key policy from cheap statistics.  The
-        #: serial engine never shards, so plan modes stay serial here.
-        self.planner = resolve_planner(planner)
         #: The BIGrid of the most recent query (exposed for inspection).
         self.last_bigrid: Optional[BIGrid] = None
 
@@ -162,7 +154,7 @@ class MIOEngine:
         This is the workload Section III-D targets -- analysts sweeping
         fine-grained thresholds.  Queries run in the pipeline's shared
         ceil(r)-grouped sweep order (:func:`~repro.core.pipeline.
-        run_grouped_sweep`, the same planner the session's ``query_many``
+        run_grouped_sweep`, the same sweep the session's ``query_many``
         uses): grouped by ``ceil(r)``, largest ``r`` first within each
         group, so the first (most general) query of each group produces
         the labels and every other query in the group runs the WITH-LABEL
@@ -213,7 +205,6 @@ class MIOEngine:
             lower_cache=self.lower_cache,
             engine=self,
             kernel=self.kernel,
-            planner=self.planner,
         )
         return SERIAL_PIPELINE.run(ctx)
 

@@ -45,12 +45,11 @@ from repro.bitset.factory import resolve_backend
 from repro.core.labels import PointLabels, labels_match_collection
 from repro.core.query import MIOResult, PhaseStats
 from repro.grid.bigrid import BIGrid
-from repro.kernels import numpy_kernel_available, resolve_kernel
+from repro.kernels import resolve_kernel
 from repro.obs import metrics as obs_metrics
 from repro.obs.recorders import observe_query
 from repro.obs.telemetry import get_telemetry
 from repro.obs.trace import NULL_TRACER, Tracer, phase_durations
-from repro.planner import Plan, capture_statistics
 from repro.resilience import checkpoint
 
 
@@ -143,9 +142,6 @@ class QueryContext:
         lower_cache=None,
         engine=None,
         kernel=None,
-        shards=None,
-        planner=None,
-        plan=None,
     ) -> None:
         self.collection = collection
         self.r = r
@@ -163,9 +159,6 @@ class QueryContext:
         #: (cores, strategies, executor) and publish inspection state
         #: (``last_bigrid``) through it.
         self.engine = engine
-        #: Verifier-count override for the sharded parallel engine (None:
-        #: the engine's configured ``shards``).
-        self.shards: Optional[int] = shards
         self.ceil_r = math.ceil(r)
         self.stats = PhaseStats()
         self.notes: Dict[str, str] = {}
@@ -179,15 +172,6 @@ class QueryContext:
         ):
             self.notes["degraded_kernel"] = f"{kernel}->{self.kernel.name}"
         self.extra: Dict[str, float] = {}
-        #: Optional :class:`~repro.planner.adaptive.Planner`: when set,
-        #: the planning stage resolves an execution plan per query (and
-        #: the pipeline feeds finished timings back).  ``plan`` pre-pins
-        #: a decision made at the engine level (the parallel engine
-        #: chooses mode/shards before the pipeline is even selected).
-        self.planner = planner
-        self.plan: Optional[Plan] = plan
-        self.plan_decision = None
-        self.plan_stats = None
         # -- intermediates -------------------------------------------------
         self.labels: Optional[PointLabels] = None
         self.labeler: Optional[PointLabels] = None
@@ -274,69 +258,6 @@ class BackendResolutionStage(Stage):
             ).inc(requested=ctx.backend, resolved=resolved)
 
 
-class PlanningStage(Stage):
-    """Resolve this query's execution plan (kernel / dispatch / caches).
-
-    Inert unless the context carries a planner or a pre-pinned plan, so
-    static configurations pay nothing.  When the engine already decided
-    (the parallel engine picks mode and shard count before selecting a
-    pipeline), the stage only *applies* the plan; otherwise it captures
-    the cheap statistics and asks the planner, with the engine's static
-    configuration as the baseline the decision must beat.
-
-    Applying a plan can only re-select between bit-exact implementations
-    (see :mod:`repro.planner.plan`), so this stage changes speed, never
-    answers — ``tests/test_planner_parity.py`` holds it to that.
-    """
-
-    name = "planning"
-    trips_fault = False
-    checks_deadline = False
-
-    def active(self, ctx: QueryContext) -> bool:
-        return ctx.planner is not None or ctx.plan is not None
-
-    def run(self, ctx: QueryContext, span) -> None:
-        if ctx.plan is None:
-            stats = capture_statistics(
-                ctx.collection,
-                ctx.r,
-                k=ctx.k,
-                labels_available=(
-                    ctx.label_store is not None and ctx.label_store.has(ctx.ceil_r)
-                ),
-                key_cache=ctx.key_cache is not None,
-                lower_cache=ctx.lower_cache is not None,
-                cores=1,
-                sharding_available=False,
-                numpy_available=numpy_kernel_available(),
-            )
-            baseline = Plan(kernel=ctx.kernel.name)
-            decision = ctx.planner.decide(stats, baseline)
-            ctx.plan = decision.plan
-            ctx.plan_stats = stats
-            ctx.plan_decision = decision
-        plan = ctx.plan
-        if plan.kernel != ctx.kernel.name:
-            resolved = resolve_kernel(plan.kernel)
-            if resolved.name != plan.kernel:
-                ctx.notes["degraded_kernel"] = f"{plan.kernel}->{resolved.name}"
-            ctx.kernel = resolved
-        ctx.notes["plan"] = plan.describe()
-        if ctx.planner is not None:
-            ctx.notes["planner"] = ctx.planner.name
-        decision = ctx.plan_decision
-        if decision is not None:
-            if decision.reason:
-                ctx.notes["plan_reason"] = decision.reason
-            # Predicted per-phase costs ride in ``extra`` so ``repro
-            # explain`` can render predicted-vs-actual from the result
-            # alone (the obs layer never imports the planner).
-            for phase, seconds in decision.predicted.items():
-                ctx.extra[f"predicted:{phase}"] = seconds
-        span.set_attributes(plan=plan.describe(), kernel=ctx.kernel.name)
-
-
 class LabelInputStage(Stage):
     """Section III-D label lookup (and staleness guard) for ``ceil(r)``.
 
@@ -381,13 +302,6 @@ class GridMappingStage(Stage):
     keeps_grid: bool = True
 
     def run(self, ctx: QueryContext, span) -> None:
-        # The plan's grid-key policy: "fresh" skips the session's
-        # ceil(r)-keyed large-key cache and recomputes (the cache stores
-        # exactly the keys recomputation yields, so both are bit-exact;
-        # the vectorized recompute can win on large collections).
-        use_key_cache = ctx.key_cache is not None and (
-            ctx.plan is None or ctx.plan.grid_keys != "fresh"
-        )
         bigrid = ctx.kernel.build_bigrid(
             ctx.collection,
             ctx.r,
@@ -396,7 +310,7 @@ class GridMappingStage(Stage):
             deadline=ctx.deadline,
             large_keys_provider=(
                 ctx.key_cache.provider(ctx.collection, ctx.ceil_r)
-                if use_key_cache
+                if ctx.key_cache is not None
                 else None
             ),
         )
@@ -441,9 +355,6 @@ class LowerBoundingStage(Stage):
                 keep_bitsets=ctx.labels is not None or ctx.lower_cache is not None,
                 stats=ctx.stats,
                 deadline=ctx.deadline,
-                dispatch=(
-                    ctx.plan.lb_dispatch if ctx.plan is not None else "auto"
-                ),
             )
             if ctx.lower_cache is not None:
                 ctx.lower_cache.put(ctx.r, lower)
@@ -730,14 +641,6 @@ class PhasePipeline:
                 sampled=tracer.enabled,
                 span_root=root if tracer.enabled else None,
             )
-            if ctx.planner is not None and ctx.plan is not None:
-                # The planner's online feedback loop: fold the finished
-                # query's phase timings back into the cost model.  Like
-                # telemetry, feedback must never fail a query.
-                try:
-                    ctx.planner.observe(ctx.plan, result.phases, result.counters)
-                except Exception:  # pragma: no cover - defensive
-                    pass
         return result
 
 
@@ -748,7 +651,6 @@ class PhasePipeline:
 #: The serial engine's stage set (Algorithm 2 with Section III-D labels).
 SERIAL_STAGES: Tuple[Stage, ...] = (
     BackendResolutionStage(),
-    PlanningStage(),
     LabelInputStage(),
     GridMappingStage(),
     LowerBoundingStage(),

@@ -64,16 +64,11 @@ class KernelBackend:
         keep_bitsets: bool = False,
         stats=None,
         deadline=None,
-        dispatch: str = "auto",
     ):
         """LOWER-BOUNDING (Algorithm 4) over the key lists ``o_i.L``.
 
-        ``dispatch`` selects between bit-identical implementations where
-        a backend has several (``"auto"`` keeps the backend's measured
-        size dispatch; ``"seq"`` / ``"vectorized"`` force a side — the
-        planner's knob).  Backends with a single path ignore it; forcing
-        a side a backend cannot take for the given input falls back to
-        the path it can, never to different results.
+        A backend with several bit-identical implementations picks one
+        by input size; the result's ``path`` names the one that ran.
         """
         raise NotImplementedError
 

@@ -890,10 +890,7 @@ class NumpyKernel(KernelBackend):
     # LOWER-BOUNDING (Algorithm 4), packed
     # ------------------------------------------------------------------
 
-    def lower_bounds(
-        self, bigrid, keep_bitsets=False, stats=None, deadline=None,
-        dispatch="auto",
-    ):
+    def lower_bounds(self, bigrid, keep_bitsets=False, stats=None, deadline=None):
         if not isinstance(bigrid, PackedBIGrid):
             return PYTHON_KERNEL.lower_bounds(
                 bigrid, keep_bitsets=keep_bitsets, stats=stats, deadline=deadline
@@ -906,16 +903,10 @@ class NumpyKernel(KernelBackend):
         one_word = words_matrix.shape[1] == 1
 
         # Both paths are bit-identical (tests/test_lower_bound.py pins
-        # them); ``dispatch`` only moves the size threshold to 0 or
-        # infinity.  Forcing "seq" on a multi-word grid stays on the
-        # reduceat path -- the sequential gather requires one-word rows.
+        # them).  Multi-word grids stay on the reduceat path -- the
+        # sequential gather requires one-word rows.
         if total_rows == 0 or (
-            one_word
-            and dispatch != "vectorized"
-            and (
-                dispatch == "seq"
-                or total_rows < LOWER_BOUND_DISPATCH_MIN_ROWS
-            )
+            one_word and total_rows < LOWER_BOUND_DISPATCH_MIN_ROWS
         ):
             # Tiny grids: fixed numpy dispatch overhead (flatnonzero,
             # cumsum, reduceat) exceeds the work.  Run the reference

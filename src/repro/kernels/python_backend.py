@@ -48,11 +48,7 @@ class PythonKernel(KernelBackend):
             large_keys_provider=large_keys_provider,
         )
 
-    def lower_bounds(
-        self, bigrid, keep_bitsets=False, stats=None, deadline=None,
-        dispatch="auto",
-    ):
-        # The reference has a single path; ``dispatch`` is a no-op here.
+    def lower_bounds(self, bigrid, keep_bitsets=False, stats=None, deadline=None):
         return compute_lower_bounds(
             bigrid, keep_bitsets=keep_bitsets, stats=stats, deadline=deadline
         )

@@ -71,51 +71,6 @@ def render_funnel(stages: Sequence[Tuple[str, int]], width: int = 30) -> str:
     return "\n".join(lines)
 
 
-def render_plan(result) -> str:
-    """The planner decision and its predicted-vs-actual phase costs.
-
-    Duck-typed off an ``MIOResult``: reads ``notes["plan"]`` /
-    ``notes["planner"]`` / ``notes["plan_reason"]`` and the
-    ``extra["predicted:<phase>"]`` entries the planning stage left
-    behind, matched against the measured ``result.phases``.  Returns
-    ``""`` when the query carried no plan (static runs stay silent) --
-    this module deliberately never imports :mod:`repro.planner`.
-    """
-    notes = getattr(result, "notes", None) or {}
-    plan = notes.get("plan")
-    if not plan:
-        return ""
-    lines = [f"  plan     {plan}"]
-    planner = notes.get("planner")
-    if planner:
-        lines.append(f"  planner  {planner}")
-    reason = notes.get("plan_reason")
-    if reason:
-        lines.append(f"  reason   {reason}")
-    extra = getattr(result, "extra", None) or {}
-    predicted = {
-        key[len("predicted:") :]: value
-        for key, value in extra.items()
-        if key.startswith("predicted:")
-    }
-    if predicted:
-        phases = getattr(result, "phases", None) or {}
-        order = [name for name in phases if name in predicted]
-        order += [name for name in sorted(predicted) if name not in order]
-        width = max(len(name) for name in order)
-        lines.append("  predicted vs actual:")
-        for name in order:
-            actual = phases.get(name)
-            actual_text = (
-                f"{actual * 1000.0:>10.3f} ms" if actual is not None else f"{'-':>13}"
-            )
-            lines.append(
-                f"    {name:<{width}}  {predicted[name] * 1000.0:>10.3f} ms"
-                f"  {actual_text}"
-            )
-    return "\n".join(lines)
-
-
 def funnel_stages(result, total_objects: int) -> List[Tuple[str, int]]:
     """Objects -> candidates -> settled, read off an ``MIOResult``.
 

@@ -38,11 +38,6 @@ SERVICE_P99_DEADLINE_MULTIPLE = 1.5
 #: host had enough cpus for the floor to be physically reachable.
 SHARD_SCALING_FLOOR = 2.0
 SHARD_SCALING_MIN_CPUS = 4
-#: Fallback bound on the adaptive planner's paired ratios when the
-#: artifact fails to record its own (mirrors
-#: benchmarks/test_planner_overhead.py).
-PLANNER_RATIO_BOUND = 1.05
-
 #: Every artifact must stamp how it was produced (see
 #: :func:`repro.bench.harness.bench_provenance`) so floors compare like
 #: with like -- a parallel speedup recorded on a one-core container is
@@ -325,37 +320,6 @@ def _check_shard_scaling(data: Dict[str, object], margin: float) -> List[str]:
     return failures
 
 
-def _check_planner(data: Dict[str, object], margin: float) -> List[str]:
-    failures = []
-    if not data.get("identical_answers", False):
-        failures.append(
-            "planner: adaptive answers diverged from the static sweep "
-            "(identical_answers is not true)"
-        )
-    bound = float(data.get("ratio_bound", PLANNER_RATIO_BOUND))
-    vs_best = float(data.get("adaptive_vs_best_static", 0.0))
-    vs_worst = float(data.get("adaptive_vs_worst_static", 0.0))
-    if vs_best <= 0.0:
-        failures.append("planner: artifact records no adaptive_vs_best_static")
-    elif vs_best > bound / margin:
-        failures.append(
-            f"planner: adaptive workload ran at {vs_best}x the best static "
-            f"configuration, above the {bound}x bound (margin {margin})"
-        )
-    statics = data.get("static_seconds") or {}
-    worst_bound = bound if len(statics) <= 1 else 1.0
-    if vs_worst <= 0.0:
-        failures.append("planner: artifact records no adaptive_vs_worst_static")
-    elif vs_worst > worst_bound / margin:
-        failures.append(
-            f"planner: adaptive workload ran at {vs_worst}x the WORST static "
-            f"configuration, above the {worst_bound}x bound (margin {margin})"
-        )
-    if not data.get("decisions"):
-        failures.append("planner: artifact records no plan decisions")
-    return failures
-
-
 def _provenance_failures(data: Dict[str, object], name: str) -> List[str]:
     prov = data.get("provenance")
     if not isinstance(prov, dict):
@@ -391,8 +355,6 @@ def check_bench_artifact(path: str, margin: float = DEFAULT_MARGIN) -> List[str]
         failures = _check_batch_reuse(data, margin)
     elif bench == "shard_scaling":
         failures = _check_shard_scaling(data, margin)
-    elif bench == "planner":
-        failures = _check_planner(data, margin)
     elif "overload" in data:
         bench = "service_throughput"
         failures = _check_service_throughput(data, margin)

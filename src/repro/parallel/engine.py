@@ -2,8 +2,8 @@
 
 :class:`ParallelMIOEngine` is the shared
 :class:`~repro.core.pipeline.PhasePipeline` with the serial stage set up
-to verification -- backend resolution, planning, grid mapping, lower and
-upper bounding, all run once by the coordinator against the *global*
+to verification -- backend resolution, grid mapping, lower and upper
+bounding, all run once by the coordinator against the *global*
 threshold -- followed by a verification stage that hands the candidates
 to the engine's verifiers.  The coordinator and ``cores - 1`` persistent
 worker processes take candidates from one shared queue in upper-bound
@@ -35,12 +35,10 @@ from repro.core.engine import MIOEngine
 from repro.core.labels import LabelStore
 from repro.core.objects import ObjectCollection
 from repro.core.pipeline import (
-    SERIAL_PIPELINE,
     BackendResolutionStage,
     GridMappingStage,
     LowerBoundingStage,
     PhasePipeline,
-    PlanningStage,
     QueryContext,
     SerialFinalizeStage,
     Stage,
@@ -50,10 +48,9 @@ from repro.core.pipeline import (
 from repro.core.query import MIOResult
 from repro.errors import InjectedFault, InvalidQueryError, PartitionTaskError
 from repro.grid.cache import LargeKeyCache
-from repro.kernels import numpy_kernel_available, resolve_kernel
+from repro.kernels import resolve_kernel
 from repro.obs import metrics as obs_metrics
 from repro.obs.trace import ensure_tracer
-from repro.planner import Plan, capture_statistics, resolve_planner
 from repro.resilience import Deadline
 from repro.shard.executor import ShardExecutor
 
@@ -70,14 +67,13 @@ class ParallelVerificationStage(VerificationStage):
 
     def verify(self, ctx: QueryContext):
         engine = ctx.engine
-        verifiers = ctx.shards if ctx.shards is not None else engine.shards
         verification, reports = engine.shard_executor.verify(
             ctx.kernel,
             ctx.bigrid,
             ctx.upper.candidates,
             ctx.r,
             ctx.k,
-            verifiers=verifiers,
+            verifiers=engine.shards,
             deadline=ctx.deadline,
             stats=ctx.stats,
         )
@@ -89,7 +85,7 @@ class ParallelVerificationStage(VerificationStage):
                 speculative=report.speculative,
             )
         ctx.stats.set_count("cores", engine.cores)
-        ctx.stats.set_count("shards", verifiers)
+        ctx.stats.set_count("shards", engine.shards)
         ctx.extra["speculative_scores"] = sum(
             report.speculative for report in reports
         )
@@ -100,10 +96,6 @@ class ParallelVerificationStage(VerificationStage):
 #: then pool-backed verification.
 SHARDED_STAGES: Tuple[Stage, ...] = (
     BackendResolutionStage(),
-    # The parallel engine pins the plan before the pipeline runs; this
-    # stage applies it (kernel resolution + plan notes + predictions).
-    # Inert without a planner.
-    PlanningStage(),
     # A warm engine serves many queries: holding the last grid would
     # keep one more grid alive through the next query's build.
     GridMappingStage(keeps_grid=False),
@@ -158,7 +150,7 @@ SHARDED_PIPELINE = PhasePipeline(
     engine="parallel",
     root_attributes=lambda ctx: {
         "cores": ctx.engine.cores,
-        "shards": ctx.shards if ctx.shards is not None else ctx.engine.shards,
+        "shards": ctx.engine.shards,
         "mode": "sharded",
         "r": ctx.r,
         "k": ctx.k,
@@ -194,7 +186,6 @@ class ParallelMIOEngine:
         kernel: str = "python",
         mode: str = "sharded",
         shards: Optional[int] = None,
-        planner=None,
     ) -> None:
         if mode != "sharded":
             raise InvalidQueryError(
@@ -231,11 +222,6 @@ class ParallelMIOEngine:
         self.kernel = kernel
         #: Verifiers per query (default: one per core).
         self.shards = shards if shards is not None else cores
-        #: Optional query planner (see :mod:`repro.planner`): per query it
-        #: picks sharded or serial (a small query degenerates to the
-        #: serial pipeline in-process), shard count, and kernel, against
-        #: this engine's static configuration as the baseline.
-        self.planner = resolve_planner(planner)
         self._shard_executor: Optional[ShardExecutor] = None
 
     # ------------------------------------------------------------------
@@ -309,30 +295,6 @@ class ParallelMIOEngine:
         if r <= 0:
             raise InvalidQueryError("the distance threshold r must be positive")
         tracer = ensure_tracer(tracer if tracer is not None else self.tracer)
-        plan = decision = stats = None
-        if self.planner is not None:
-            # Engine-level planning: sharded-vs-serial and the shard count
-            # must be known before a pipeline is even selected, so the
-            # decision happens here and rides into the context pre-pinned
-            # (the planning stage then only applies it).  The baseline is
-            # this engine's static configuration -- the planner must
-            # predict a real win to deviate from it.
-            stats = capture_statistics(
-                self.collection,
-                r,
-                k=k,
-                cores=self.cores,
-                sharding_available=True,
-                numpy_available=numpy_kernel_available(),
-            )
-            baseline = Plan(
-                kernel=resolve_kernel(self.kernel).name,
-                mode="sharded",
-                shards=self.shards,
-            )
-            decision = self.planner.decide(stats, baseline)
-            plan = decision.plan
-        run_serial = plan is not None and plan.mode == "serial"
         ctx = QueryContext(
             collection=self.collection,
             r=r,
@@ -341,24 +303,11 @@ class ParallelMIOEngine:
             deadline=deadline,
             tracer=tracer,
             backend=self.backend,
-            # Label-free, including a planner-degenerated serial run
-            # (module docstring).
+            # Label-free (module docstring).
             label_store=None,
             label_reuse=self.label_reuse,
             key_cache=self.key_cache,
             engine=self,
             kernel=self.kernel,
-            shards=(
-                None
-                if run_serial
-                else (plan.shards if plan is not None else self.shards)
-            ),
-            planner=self.planner,
-            plan=plan,
         )
-        ctx.plan_decision = decision
-        ctx.plan_stats = stats
-        # A planner-chosen serial run skips the hand-off overhead; answers
-        # are bit-identical either way (one best-first loop).
-        pipeline = SERIAL_PIPELINE if run_serial else SHARDED_PIPELINE
-        return pipeline.run(ctx)
+        return SHARDED_PIPELINE.run(ctx)

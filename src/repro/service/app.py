@@ -169,7 +169,6 @@ class ServiceApp:
             cores=cores if cores is not None else self.config.cores,
             label_dir=label_dir,
             shards=self.config.shards,
-            planner=self.config.planner,
         )
         #: Fallback path: the most dependable stack we have -- pure-python
         #: kernel, plain bitsets, serial engine, no shared label directory.

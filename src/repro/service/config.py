@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.errors import InvalidQueryError
-from repro.planner import PLANNER_NAMES
 
 
 @dataclass(frozen=True)
@@ -69,11 +68,6 @@ class ServiceConfig:
     cores: int = 1
     #: Shards per sharded query (None: one per core).
     shards: Optional[int] = None
-    #: Query planner for the primary session: ``"static"`` keeps the
-    #: configured knobs, ``"adaptive"`` re-selects kernel/mode/shards
-    #: per query from the cost model (see ``docs/planner.md``).  The
-    #: fallback session always stays static — dependability first.
-    planner: str = "static"
 
     def __post_init__(self) -> None:
         if self.max_inflight < 1:
@@ -108,8 +102,6 @@ class ServiceConfig:
             raise InvalidQueryError("cores must be at least 1")
         if self.shards is not None and self.shards < 1:
             raise InvalidQueryError("shards must be at least 1")
-        if self.planner not in PLANNER_NAMES:
-            raise InvalidQueryError(f"planner must be one of {PLANNER_NAMES}")
 
     def clamp_timeout_ms(self, timeout_ms) -> float:
         """The effective budget for one request (default + cap applied)."""

@@ -60,7 +60,6 @@ from repro.obs.recorders import register_cache_metrics
 from repro.obs.telemetry import bind_trace_id, get_telemetry
 from repro.obs.trace import ensure_tracer
 from repro.parallel.engine import ParallelMIOEngine
-from repro.planner import AdaptivePlanner, resolve_planner
 from repro.resilience import Deadline
 
 
@@ -175,15 +174,6 @@ class QuerySession:
     label_dir:
         Optional directory for a disk-backed label store (labels survive
         the session, as the paper's external-memory setting assumes).
-    planner:
-        ``"static"`` (default) keeps every knob exactly as configured;
-        ``"adaptive"`` shares one :class:`~repro.planner.adaptive.
-        AdaptivePlanner` across both engines, re-selecting kernel,
-        parallel mode, shard count, lower-bound dispatch, and grid-key
-        policy per query (per ``ceil(r)`` group in batches) from cheap
-        statistics, refined online from observed phase timings.  Every
-        plannable knob is bit-exact across its settings, so answers
-        never depend on the planner (see ``docs/planner.md``).
     """
 
     def __init__(
@@ -198,7 +188,6 @@ class QuerySession:
         tracer=None,
         kernel: str = "python",
         shards: Optional[int] = None,
-        planner: str = "static",
     ) -> None:
         if cores < 1:
             raise InvalidQueryError("cores must be at least 1")
@@ -213,14 +202,6 @@ class QuerySession:
         #: Compute-kernel backend forwarded to both engines
         #: (see :mod:`repro.kernels`).
         self.kernel = kernel
-        #: One shared planner instance (or None for ``"static"``): both
-        #: engines feed the same cost model, so calibration learned from
-        #: serial queries informs sharded decisions and vice versa, and
-        #: a ``ceil(r)``-grouped batch plans once per group via the
-        #: planner's decision memo.  Survives dynamic-source engine
-        #: rebuilds on purpose — unit costs describe the host, not one
-        #: collection snapshot.
-        self.planner = resolve_planner(planner)
         #: Optional tracer shared with both engines: batched workloads
         #: produce one ``batch`` root span with a ``request`` child per
         #: query, each containing that query's full phase tree.
@@ -298,7 +279,6 @@ class QuerySession:
             lower_cache=self.lower_cache,
             tracer=self.tracer,
             kernel=self.kernel,
-            planner=self.planner,
         )
         self._parallel = (
             ParallelMIOEngine(
@@ -312,7 +292,6 @@ class QuerySession:
                 tracer=self.tracer,
                 kernel=self.kernel,
                 shards=self.shards,
-                planner=self.planner,
             )
             if self.cores > 1
             else None
@@ -445,7 +424,7 @@ class QuerySession:
             return result
 
         with tracer.span("batch", batch_id=batch_id, size=len(normalized)):
-            # The pipeline's shared ceil(r)-grouped sweep (the same planner
+            # The pipeline's shared ceil(r)-grouped sweep (the same sweep
             # MIOEngine.query_batch uses): the stable sort keeps submission
             # order within equal (ceiling, r) groups.
             results = run_grouped_sweep(
@@ -576,8 +555,6 @@ class QuerySession:
         merged["label_store_hits"] = self.label_store.hits
         merged["label_store_misses"] = self.label_store.misses
         merged["label_ceilings"] = len(self.label_store.ceilings())
-        if isinstance(self.planner, AdaptivePlanner):
-            merged.update(self.planner.counters())
         return merged
 
     def __repr__(self) -> str:

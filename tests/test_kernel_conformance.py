@@ -958,12 +958,14 @@ class TestEngineConformance:
 
     def test_session_label_path_matches(self):
         # Second same-ceiling query runs bigrid-label; the label replay and
-        # its filtered rebuild must agree across kernels too.
+        # its filtered rebuild must agree across kernels too, on every
+        # bitset backend.
         collection = random_collection(n=40, mean_points=8, seed=31)
-        ref_session = QuerySession(collection, kernel="python")
-        got_session = QuerySession(collection, kernel="numpy")
-        for r in (3.0, 2.6, 3.0):
-            assert_results_equal(ref_session.query(r), got_session.query(r))
+        for backend in BITSET_BACKENDS:
+            ref_session = QuerySession(collection, backend=backend, kernel="python")
+            got_session = QuerySession(collection, backend=backend, kernel="numpy")
+            for r in (3.0, 2.6, 3.0):
+                assert_results_equal(ref_session.query(r), got_session.query(r))
 
     def test_session_key_cache_accounting_matches(self, monkeypatch):
         """With-label builds ask the session's LargeKeyCache for the same

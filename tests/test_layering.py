@@ -16,12 +16,6 @@ job, so a violating import fails fast with the offending file:line):
   it must never import the session/service/CLI layers, nor
   ``repro.parallel`` itself, or the worker processes would drag the
   whole application stack into every fork;
-* **the planner is pure decision logic** -- ``repro.planner`` (the
-  cost-model query planner) sits *below* ``repro.core``: the pipeline
-  applies its plans, so the planner itself may import nothing from the
-  package except ``repro.errors``.  Capability facts it needs (numpy
-  availability, core counts, plan-cache balance) arrive as statistics
-  captured by its callers;
 * **no private cross-module imports** -- ``from repro.x import _name``
   couples a module to another's internals; everything shared is public
   (this is what forced :func:`~repro.core.verification.bits_of` and
@@ -55,12 +49,8 @@ QUERY_MACHINERY = (
     "repro.core",
     "repro.grid",
     "repro.parallel",
-    "repro.planner",
     "repro.session",
 )
-
-#: Everything the planner may import (besides the stdlib and itself).
-PLANNER_ALLOWED = ("repro.errors", "repro.planner")
 
 #: Layers the shard plumbing must never reach up into.  ``repro.parallel``
 #: is in the list on purpose: the dependency points the other way (the
@@ -132,20 +122,6 @@ def test_obs_is_freestanding():
             continue
         for lineno, imported, _ in _imports(path):
             if _in_layer(imported, QUERY_MACHINERY):
-                violations.append(f"{path}:{lineno}: {module} imports {imported}")
-    assert not violations, "\n".join(violations)
-
-
-def test_planner_imports_only_errors():
-    violations = []
-    for path in _all_files():
-        module = _module_name(path)
-        if not _in_layer(module, ("repro.planner",)):
-            continue
-        for lineno, imported, _ in _imports(path):
-            if imported.startswith("repro") and not _in_layer(
-                imported, PLANNER_ALLOWED
-            ):
                 violations.append(f"{path}:{lineno}: {module} imports {imported}")
     assert not violations, "\n".join(violations)
 

@@ -163,7 +163,7 @@ class TestSummarize:
 
 class TestBenchFloors:
     def test_committed_artifacts_pass_their_floors(self):
-        assert len(ARTIFACTS) == 5, "expected the five committed BENCH artifacts"
+        assert len(ARTIFACTS) == 4, "expected the four committed BENCH artifacts"
         assert check_bench_artifacts(ARTIFACTS) == []
 
     def test_committed_artifacts_all_carry_provenance(self):
@@ -266,43 +266,6 @@ class TestBenchFloors:
                         "parallel_mode": "simulated", "shards": 4},
         )))
         assert any("parallel_mode" in f for f in check_bench_artifact(str(wrong)))
-
-    def test_planner_artifact_floors(self, tmp_path):
-        def planner_artifact(**overrides):
-            data = {
-                "bench": "planner",
-                "identical_answers": True,
-                "adaptive_vs_best_static": 0.99,
-                "adaptive_vs_worst_static": 0.91,
-                "ratio_bound": 1.05,
-                "static_seconds": {"static-numpy": 4.4, "static-python": 4.0},
-                "decisions": ["kernel=python mode=serial shards=1 lb=auto grid=auto"],
-                "provenance": PROVENANCE,
-            }
-            data.update(overrides)
-            return data
-
-        clean = tmp_path / "p.json"
-        clean.write_text(json.dumps(planner_artifact()))
-        assert check_bench_artifact(str(clean)) == []
-        # Diverged answers are flagged regardless of speed.
-        diverged = tmp_path / "diverged.json"
-        diverged.write_text(json.dumps(planner_artifact(identical_answers=False)))
-        assert any("diverged" in f for f in check_bench_artifact(str(diverged)))
-        # Losing badly to the best static pin trips the bound (margin 0.8
-        # widens 1.05 to ~1.31, so 1.5 is well past it).
-        slow = tmp_path / "slow.json"
-        slow.write_text(json.dumps(planner_artifact(adaptive_vs_best_static=1.5)))
-        assert any("best static" in f for f in check_bench_artifact(str(slow)))
-        # With several static configs, losing to the WORST one is flagged
-        # at a 1.0 bound (the planner made things strictly worse).
-        worse = tmp_path / "worse.json"
-        worse.write_text(json.dumps(planner_artifact(adaptive_vs_worst_static=1.4)))
-        assert any("WORST static" in f for f in check_bench_artifact(str(worse)))
-        # An artifact with no recorded decisions measured nothing adaptive.
-        empty = tmp_path / "empty.json"
-        empty.write_text(json.dumps(planner_artifact(decisions=[])))
-        assert any("decisions" in f for f in check_bench_artifact(str(empty)))
 
     def test_unrecognized_schema_and_unreadable_file_are_failures(self, tmp_path):
         odd = tmp_path / "odd.json"

@@ -1,12 +1,13 @@
 """Property suites for :class:`repro.session.QuerySession` (Satellites 1-2).
 
-Two invariants, checked over randomized collections, backends, and
+Two invariants, checked over randomized collections, kernels, backends, and
 threshold sequences:
 
 1. **Session equivalence** -- ``query_many`` over a warm session returns
    results element-wise identical (winner, score, and top-k included) to
    fresh single-shot :class:`~repro.core.engine.MIOEngine` runs, both on a
-   cold session and after a second, fully warm pass.  This is the claim
+   cold session and after a second, fully warm pass.  The session draws
+   its kernel (python or numpy); the fresh reference stays python.  This is the claim
    that makes every cache tier (labels per ``ceil(r)``, large-grid keys
    per ceiling, lower-bound state per exact ``r``) safe to ship: reuse may
    only change *speed*, never answers.
@@ -32,11 +33,13 @@ from hypothesis import strategies as st
 
 from repro.core.engine import MIOEngine
 from repro.core.objects import ObjectCollection
+from repro.kernels import numpy_kernel_available
 from repro.session import QuerySession
 
 from conftest import oracle_scores
 
 BACKENDS = ("ewah", "plain", "roaring")
+KERNELS = ("python", "numpy") if numpy_kernel_available() else ("python",)
 
 # A tiny shared value pool makes coincident and duplicate points common
 # instead of measure-zero; the continuous alternative keeps coverage broad.
@@ -66,7 +69,7 @@ def collections(draw):
 def r_sequences(draw):
     """1-6 thresholds biased toward one shared ceiling, with repeats.
 
-    Most values land in ``(ceiling - 1, ceiling]`` so the batch planner
+    Most values land in ``(ceiling - 1, ceiling]`` so the batch sweep
     forms a real label-reuse group; an occasional stray from another bucket
     checks the buckets stay separate, and repeating an earlier value
     exercises the exact-``r`` lower-bound cache.  Integer thresholds (bucket
@@ -97,11 +100,20 @@ def _fingerprint(result):
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
-@given(collection=collections(), rs=r_sequences(), k=st.sampled_from((1, 3)))
-def test_query_many_matches_fresh_engines(backend, collection, rs, k):
-    """Satellite 1: batch reuse is answer-preserving, cold and warm."""
+@given(
+    collection=collections(),
+    rs=r_sequences(),
+    k=st.sampled_from((1, 3)),
+    kernel=st.sampled_from(KERNELS),
+)
+def test_query_many_matches_fresh_engines(backend, collection, rs, k, kernel):
+    """Batch reuse is answer-preserving, cold and warm.
+
+    The session runs either kernel; the fresh reference is always the
+    python kernel.
+    """
     requests = [{"r": r, "k": k} for r in rs]
-    session = QuerySession(collection, backend=backend)
+    session = QuerySession(collection, backend=backend, kernel=kernel)
     cold = session.query_many(requests)
     warm = session.query_many(requests)
     for r, cold_result, warm_result in zip(rs, cold, warm):
@@ -115,10 +127,10 @@ def test_query_many_matches_fresh_engines(backend, collection, rs, k):
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
-@given(collection=collections(), rs=r_sequences())
-def test_query_many_matches_oracle(backend, collection, rs):
+@given(collection=collections(), rs=r_sequences(), kernel=st.sampled_from(KERNELS))
+def test_query_many_matches_oracle(backend, collection, rs, kernel):
     """Satellite 2: warm sessions agree with the nested-loop ground truth."""
-    session = QuerySession(collection, backend=backend)
+    session = QuerySession(collection, backend=backend, kernel=kernel)
     for result in session.query_many(rs) + session.query_many(rs):
         scores = oracle_scores(collection, result.r)
         best = max(scores)

@@ -134,9 +134,12 @@ class TestShardedParity:
     def test_oracle_differential(self, seed):
         collection = random_collection(n=25, mean_points=6, seed=seed)
         tau = oracle_scores(collection, 3.0)
-        result = ParallelMIOEngine(collection, cores=2, shards=3).query(3.0)
-        assert result.score == max(tau)
-        assert tau[result.winner] == max(tau)
+        for kernel in KERNELS:
+            result = ParallelMIOEngine(
+                collection, cores=2, shards=3, kernel=kernel
+            ).query(3.0)
+            assert result.score == max(tau), kernel
+            assert tau[result.winner] == max(tau), kernel
 
     def test_tracing_is_answer_neutral_and_phases_derive(self, flat_collection):
         tracer = Tracer()
