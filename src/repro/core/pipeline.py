@@ -397,9 +397,14 @@ class VerificationStage(Stage):
     checks_deadline = False
 
     def verify(self, ctx: QueryContext):
-        """Run the kernel's best-first verification over the candidates."""
+        """Run the kernel's best-first verification over the candidates.
+
+        Scores computed ahead in a block but dropped at the loop's break
+        are reported as ``extra["speculative_scores"]``, as the parallel
+        stage reports its verifiers' (every counter stays the
+        reference's)."""
         lower = ctx.lower
-        return ctx.kernel.verify_candidates(
+        verification = ctx.kernel.verify_candidates(
             ctx.bigrid,
             ctx.upper.candidates,
             ctx.r,
@@ -414,6 +419,8 @@ class VerificationStage(Stage):
             stats=ctx.stats,
             deadline=ctx.deadline,
         )
+        ctx.extra["speculative_scores"] = verification.speculative
+        return verification
 
     def run(self, ctx: QueryContext, span) -> None:
         verification = self.verify(ctx)

@@ -19,9 +19,11 @@ check at all) and skips points labeled ``1*0``.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
+from functools import partial
 from heapq import heappush, heappushpop
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -55,10 +57,16 @@ class VerificationResult:
     #: Every settled ``(oid, exact_score)`` pair in dequeue order (not just
     #: the top-k): the anytime prefix, which kernel conformance compares.
     settled: Optional[List[Tuple[int, int]]] = None
+    #: Candidates scored ahead in a block but never settled: the loop
+    #: broke (threshold or deadline) first.  Timing-free, but not a work
+    #: counter: a per-candidate scorer never leaves any.
+    speculative: int = 0
 
 
 MaskProvider = Callable[[int], np.ndarray]
 BitsetProvider = Callable[[int], Optional[Bitset]]
+#: Applies one scored candidate's effects and returns its exact score.
+Settle = Callable[[], int]
 
 
 class VerifyCounters:
@@ -72,10 +80,35 @@ class VerifyCounters:
         self.points_skipped = 0
 
 
+class PerCandidateScorer:
+    """A block scorer that scores one candidate per block, on settling.
+
+    The best-first loop asks a scorer for blocks: ``capacity()`` is the
+    most candidates the next block may hold (at least 1), and
+    ``block(oids)`` returns one settle callable per oid, in order.  A
+    settle applies its candidate's effects (counters, labels, memoized
+    unions) and returns the exact score; it may raise
+    :class:`QueryTimeout`.  This one wraps a per-candidate
+    ``exact_score(oid)``, which runs only when the loop settles that
+    candidate.
+    """
+
+    __slots__ = ("exact_score",)
+
+    def __init__(self, exact_score: Callable[[int], int]) -> None:
+        self.exact_score = exact_score
+
+    def capacity(self) -> int:
+        return 1
+
+    def block(self, oids: Sequence[int]) -> List[Settle]:
+        return [partial(self.exact_score, oid) for oid in oids]
+
+
 def best_first_verification(
     candidates: List[Candidate],
     k: int,
-    exact_score: Callable[[int], int],
+    scorer,
     counters: VerifyCounters,
     stats: Optional[PhaseStats] = None,
     deadline: Optional[Deadline] = None,
@@ -83,12 +116,22 @@ def best_first_verification(
 ) -> VerificationResult:
     """The best-first outer loop of VERIFICATION, scorer-agnostic.
 
-    Kernel backends plug their own ``exact_score`` (reference walk or
-    batched block evaluation) under the *same* threshold updates, early
+    Kernel backends plug their own block scorer (see
+    :class:`PerCandidateScorer`) under the *same* threshold updates, early
     termination, deadline checks, and heap/ranking semantics, so every
-    backend shares one provably identical driver.  ``exact_score`` may
-    raise :class:`QueryTimeout`; the in-flight candidate is then dropped
-    and the settled prefix is returned with ``timed_out=True``.
+    backend shares one provably identical loop.
+
+    Candidates are dequeued lazily, one per iteration, and settled one at
+    a time in queue order.  When no scored candidate is waiting, the
+    dequeued one opens a block: the first block holds it alone; each
+    later one holds at most twice the previous block, at most the
+    scorer's ``capacity()``, and only candidates read ahead (by index,
+    without dequeuing) whose upper bound beats the current threshold.
+    Every dequeue re-checks the threshold and reads the deadline once
+    before settling, so scores computed past the break are discarded
+    with no trace but ``speculative`` in the result.  A settle raising
+    :class:`QueryTimeout` drops the in-flight candidate and the settled
+    prefix is returned with ``timed_out=True``.
     """
     if k < 1:
         raise InvalidQueryError("k must be at least 1")
@@ -98,8 +141,11 @@ def best_first_verification(
     verified = 0
     early = False
     timed_out = False
+    #: Settles of the current block not yet applied, in queue order.
+    waiting: deque = deque()
+    block_size = 0
 
-    for upper, oid in candidates:
+    for index, (upper, oid) in enumerate(candidates):
         threshold = best_heap[0][0] if len(best_heap) >= k else -1
         if upper <= threshold:
             early = True
@@ -107,8 +153,18 @@ def best_first_verification(
         if deadline is not None and deadline.expired():
             timed_out = True
             break
+        if not waiting:
+            oids = [oid]
+            if block_size:
+                limit = min(2 * block_size, scorer.capacity())
+                for ahead, ahead_oid in candidates[index + 1 : index + limit]:
+                    if ahead <= threshold:
+                        break
+                    oids.append(ahead_oid)
+            block_size = len(oids)
+            waiting.extend(scorer.block(oids))
         try:
-            score = exact_score(oid)
+            score = waiting.popleft()()
         except QueryTimeout:
             # The in-flight candidate's partial bitset is not an exact score;
             # drop it and surface what is already settled.
@@ -140,6 +196,7 @@ def best_first_verification(
         timed_out=timed_out,
         path=path,
         settled=settled,
+        speculative=len(waiting),
     )
 
 
@@ -174,9 +231,11 @@ def verify_candidates(
     return best_first_verification(
         candidates,
         k,
-        lambda oid: _exact_score(
-            bigrid, oid, r, initial_bitsets, verify_masks, labeler, counters,
-            deadline, kernel,
+        PerCandidateScorer(
+            lambda oid: _exact_score(
+                bigrid, oid, r, initial_bitsets, verify_masks, labeler,
+                counters, deadline, kernel,
+            )
         ),
         counters,
         stats=stats,

@@ -26,14 +26,22 @@ structures and results (the conformance suite enforces it):
   segmented prefix-OR scan.
 * **Verification** keeps the reference's best-first outer loop (shared
   via :func:`repro.core.verification.best_first_verification`) but scores
-  each candidate in two waves of groups, each one flat batch: every
-  candidate point against every posting, in its group's ``3^d``
-  neighbourhood, of an owner still unconfirmed -- one coordinate gather,
-  one einsum, one ``np.minimum.reduceat``.  Nothing replays the walk:
-  each owner's first hit decides which checks the reference makes, what
-  it confirms and which points it labels (:func:`first_hit_scan`), so
-  early termination, Labeling-3 marks and every work counter match the
-  oracle bit-for-bit.
+  the queue in blocks of candidates, owners keyed by (candidate,
+  object), in two waves of groups, each one flat batch: every candidate
+  point against every posting, in its group's ``3^d`` neighbourhood, of
+  an owner still unconfirmed -- one coordinate gather, one einsum, one
+  ``np.minimum.reduceat``.  Nothing replays the walk: each owner's first
+  hit decides which checks the reference makes, what it confirms and
+  which points it labels (:func:`first_hit_scan`), so early
+  termination, Labeling-3 marks and every work counter match the oracle
+  bit-for-bit.  A block starts at one candidate, at most doubles, holds
+  only candidates whose upper bound beats the current threshold, and
+  keeps its first-hit entries (estimated from earlier blocks) and its
+  ``B x n`` confirmed matrix within ``VERIFY_BATCH_PAIRS``.  The loop
+  still settles one candidate at a time, and only a settle applies
+  counters, memo rows and labels: scores computed past the break are
+  discarded without a trace, and clock reads stay one per dequeue plus
+  one per visited group.
 * **Memory accounting** sizes every cell bitset and memoized adjacent
   union from its packed row (:func:`packed_bitset_bytes`: the EWAH, plain and
   Roaring ``size_in_bytes`` formulas evaluated over whole matrices), so
@@ -57,6 +65,8 @@ backend otherwise.  Inputs whose cell-index spread would overflow the
 from __future__ import annotations
 
 import math
+from functools import partial
+from itertools import accumulate
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -74,7 +84,7 @@ from repro.bitset.roaring import (
 from repro.core.labels import GRID_BIT, UPPER_BIT
 from repro.core.lower_bound import LowerBoundResult
 from repro.core.upper_bound import Candidate, UpperBoundResult
-from repro.core.verification import VerifyCounters, best_first_verification
+from repro.core.verification import Settle, VerifyCounters, best_first_verification
 from repro.grid.bigrid import BIGrid
 from repro.grid.keys import (
     cell_and_adjacent_keys,
@@ -99,7 +109,10 @@ DISTANCE_CHUNK = 256
 #: Distance pairs (candidate point x posting row) per verification batch.
 #: A wave of groups past this is evaluated in slices of at most this many
 #: pairs (~90 bytes each in flight), so a dense candidate cannot spike
-#: peak memory.
+#: peak memory.  The same budget sizes a verification block: its
+#: first-hit entries (estimated from the entries per candidate of earlier
+#: blocks) and its ``B x n`` confirmed matrix stay within it, so block
+#: memory does not grow with the candidate count.
 VERIFY_BATCH_PAIRS = 1 << 14
 
 #: Size-based dispatch for LOWER-BOUNDING: below this many packed-row OR
@@ -1083,7 +1096,7 @@ class NumpyKernel(KernelBackend):
         return UpperBoundResult(candidates=candidates, values=values)
 
     # ------------------------------------------------------------------
-    # VERIFICATION (Algorithm 6), batched per candidate
+    # VERIFICATION (Algorithm 6), scored in blocks of candidates
     # ------------------------------------------------------------------
 
     def verify_candidates(
@@ -1117,7 +1130,7 @@ class NumpyKernel(KernelBackend):
         return best_first_verification(
             candidates,
             k,
-            scorer.score,
+            scorer,
             counters,
             stats=stats,
             deadline=deadline,
@@ -1245,27 +1258,37 @@ def _extends_prefix(group_words: np.ndarray, counts: np.ndarray) -> np.ndarray:
 
 def _ragged_arange(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """Concatenation of ``arange(starts[i], starts[i] + counts[i])`` for all
-    ``i``, without a python loop.  Every ``counts[i]`` must be >= 1."""
+    ``i``, without a python loop.  ``counts`` may hold zeros but not be
+    empty."""
     ends = counts.cumsum()
-    out = np.ones(int(ends[-1]), dtype=np.int64)
-    out[0] = starts[0]
-    if len(starts) > 1:
-        out[ends[:-1]] = starts[1:] - starts[:-1] - counts[:-1] + 1
-    return out.cumsum()
+    return np.arange(ends[-1]) + (starts - ends + counts).repeat(counts)
 
 
 def first_hit_scan(
-    point_group, col_bounds, col_owner, confirmed, hit_of, split=None, marks=True
+    point_group,
+    group_candidate,
+    col_bounds,
+    col_owner,
+    confirmed,
+    hit_of,
+    split=None,
+    marks=True,
 ):
-    """Algorithm 6's per-point walk over one candidate, from first-hit keys.
+    """Algorithm 6's per-point walk over a block of candidates, from
+    first-hit keys.
 
-    The candidate's points to visit are listed group-major in visit order
+    The block's candidates list their groups one after another: group
+    ``g`` belongs to candidate ``group_candidate[g]`` (non-decreasing).
+    The points to visit are listed group-major in visit order
     (``point_group``, ascending); each group's neighbourhood posting
     segments, "columns", are ``col_bounds[g]:col_bounds[g+1]`` in the
-    reference's cell walk order, owned by ``col_owner``.  Key the
-    entries ``(point, column)`` by (group, point, column).  The reference
-    checks an owner's column exactly while the owner is unconfirmed and
-    confirms it at its first hit, so with owners unique per cell:
+    reference's cell walk order, owned by ``col_owner``.  Owners are keyed
+    by (candidate, object) -- candidate ``c``'s object ``o`` at ``c * n +
+    o`` -- so no owner spans two candidates, and ``confirmed`` (bool per
+    key) holds every candidate's own confirmed set.  Key the entries
+    ``(point, column)`` by (group, point, column).  The reference checks
+    an owner's column exactly while the owner is unconfirmed and confirms
+    it at its first hit, so with owners unique per cell:
 
     * an entry is checked iff its key is <= its owner's first-hit key;
     * an owner with a first hit is confirmed;
@@ -1273,13 +1296,18 @@ def first_hit_scan(
       group has its first hit at an earlier point.
 
     Hits are asked in two waves, by ``hit_of(entry_point, entry_col)``:
-    first the entries of groups ``[0, split)``, then those of the rest
-    whose owner the first wave left unconfirmed.  An entry left out is
-    never checked: its owner's first hit comes earlier.  ``split=None``
-    ends the first wave after the first group with a point and a pending
-    owner.  ``confirmed`` (bool per object) is updated in place.
-    Returns ``(checked_point, checked_col, skippable)``: the checked
-    entries in key order and, if ``marks``, a flag per point (else None).
+    first the entries of each candidate ``c``'s groups before
+    ``split[c]`` (a block-wide group index; negative, or ``split=None``:
+    up to and including ``c``'s first group with a point and a pending
+    owner), then those of the rest whose owner the first wave left
+    unconfirmed.  An entry left out is never checked: its owner's first
+    hit comes earlier.  Entries are laid out wave 1 first, so every
+    candidate's entries stay in key order and each wave is one slice.
+    ``confirmed`` is updated in place.  Returns ``(checked_point,
+    checked_col, skippable, entries)``: the checked entries (each
+    candidate's in key order), if ``marks`` a flag per point (else None),
+    and how many entries there were -- pairs of a point and a column of
+    an owner pending at the start.
     """
     # Every point against each column of an owner pending at the start.
     live = ~confirmed.take(col_owner)
@@ -1290,17 +1318,29 @@ def first_hit_scan(
     skippable = counts == 0 if marks else None
     points = counts.nonzero()[0]
     if not len(points):
-        return points, points, skippable
+        return points, points, skippable, 0
+
+    # A candidate's live points form one run, led by its first live point.
+    live_group = point_group.take(points)
+    live_candidate = group_candidate.take(live_group)
+    wave_end = live_group.take(live_candidate.searchsorted(live_candidate)) + 1
+    if split is not None:
+        own = split.take(live_candidate)
+        wave_end = np.where(own >= 0, own, wave_end)
+    first_wave = live_group < wave_end
+    order = np.argsort(~first_wave, kind="stable")
+    points = points.take(order)
+    live_group = live_group.take(order)
     counts = counts.take(points)
+    entry_ends = counts.cumsum()
+    wave_points = int(np.count_nonzero(first_wave))
+    cut = int(entry_ends[wave_points - 1]) if wave_points else 0
     entry_point = points.repeat(counts)
     entry_col = live.nonzero()[0].take(
-        _ragged_arange(group_live.take(point_group.take(points)), counts)
+        _ragged_arange(group_live.take(live_group), counts)
     )
     owner = col_owner.take(entry_col)
 
-    if split is None:
-        split = point_group[points[0]] + 1
-    cut = int(entry_point.searchsorted(point_group.searchsorted(split)))
     hit = np.zeros(len(entry_col), dtype=bool)
     if cut:
         hit[:cut] = hit_of(entry_point[:cut], entry_col[:cut])
@@ -1320,30 +1360,42 @@ def first_hit_scan(
         # if it has none.
         hit_point = np.append(entry_point, len(point_group)).take(entry_first_hit)
         skippable[points] = ~np.logical_or.reduceat(
-            hit_point >= entry_point, counts.cumsum() - counts
+            hit_point >= entry_point, entry_ends - counts
         )
     counted = entry_first_hit >= np.arange(len(hit))
-    return entry_point[counted], entry_col[counted], skippable
+    return entry_point[counted], entry_col[counted], skippable, len(hit)
 
 
 class _BatchedVerifier:
-    """Exact scorer over a packed BIGrid: first-hit keys, no replay.
+    """Exact block scorer over a packed BIGrid: first-hit keys, no replay.
 
-    ``score(oid)`` reproduces :func:`repro.core.verification._exact_score`
-    bit-for-bit -- score, work counters, Labeling-3 marks, ``adj_memo``
-    -- without walking points one at a time.  It lists the candidate's
-    groups, their points and their ``3^d`` neighbourhoods' posting
-    segments as flat arrays and derives the walk's effects from each
-    owner's first hit (:func:`first_hit_scan`).  Only postings of owners
-    unconfirmed when a wave starts are batched.  A batch is one
-    coordinate gather, one einsum and one ``np.minimum.reduceat`` per at
-    most ``VERIFY_BATCH_PAIRS`` (point, posting row) pairs, with the
-    reference's subtract/square/sum/min element order, so every hit
-    boolean is the one the reference computes.
+    ``block(oids)`` scores several candidates at once and returns one
+    settle per candidate, for the best-first loop
+    (:func:`repro.core.verification.best_first_verification`) to apply in
+    queue order.  A settled candidate reproduces
+    :func:`repro.core.verification._exact_score` bit-for-bit -- score,
+    work counters, Labeling-3 marks, ``adj_memo`` -- without walking
+    points one at a time.  The block lists its candidates' groups, their
+    points and their ``3^d`` neighbourhoods' posting segments as flat
+    arrays, keys owners by (candidate, object), and derives the walks'
+    effects from each owner's first hit (:func:`first_hit_scan`).  Only
+    postings of owners unconfirmed when a wave starts are batched.  A
+    batch is one coordinate gather, one einsum and one
+    ``np.minimum.reduceat`` per at most ``VERIFY_BATCH_PAIRS`` (point,
+    posting row) pairs, with the reference's subtract/square/sum/min
+    element order, so every hit boolean is the one the reference
+    computes.
 
-    The effects land in bulk; under a deadline they land group by group
-    after each group's ``checkpoint``, so clock reads and the counters
-    left behind by a ``QueryTimeout`` match the reference's.
+    Nothing lands before a settle: a candidate scored past the loop's
+    break leaves no counter, memo row or label behind.  A settle applies
+    its candidate's effects in bulk; under a deadline it applies them
+    group by group after each group's ``checkpoint``, so clock reads and
+    the counters left behind by a ``QueryTimeout`` match the reference's.
+
+    ``capacity()`` keeps a block's first-hit entries within
+    ``VERIFY_BATCH_PAIRS``, estimated from the entries per candidate of
+    the blocks scored so far, and its ``B x n`` confirmed matrix within
+    the same budget.
     """
 
     __slots__ = (
@@ -1358,6 +1410,9 @@ class _BatchedVerifier:
         "deadline",
         "tables",
         "memo",
+        "scored",
+        "entries",
+        "key_base",
     )
 
     def __init__(
@@ -1388,6 +1443,13 @@ class _BatchedVerifier:
         self.memo = None if memo.all() else memo
         if self.memo is not None:
             self.large_grid.bulk_adjacency()
+        # Candidates scored so far and their first-hit entries.
+        self.scored = 0
+        self.entries = 0
+        # Slot ``c``'s first owner key, ``c * n``, for every slot a block
+        # may hold.
+        n = self.collection.n
+        self.key_base = np.arange(max(1, VERIFY_BATCH_PAIRS // n)) * n
 
     def _grid_tables(self) -> dict:
         grid = self.large_grid
@@ -1410,7 +1472,7 @@ class _BatchedVerifier:
                     grid.seg_cell, np.arange(len(grid.codes) + 1)
                 ),
                 "seg_lengths": np.diff(grid.seg_bounds),
-                "group_bounds": group_bounds.tolist(),
+                "group_bounds": group_bounds,
             }
             grid.verify_tables = tables
         return tables
@@ -1466,100 +1528,165 @@ class _BatchedVerifier:
             low = high
         return hits
 
-    def score(self, oid: int) -> int:
-        """``tau(o_i)`` exactly, matching ``_exact_score`` bit-for-bit."""
-        grid = self.large_grid
-        tables = self.tables
-        counters = self.counters
+    def capacity(self) -> int:
+        """The most candidates the next block may hold: its estimated
+        first-hit entries and its ``B x n`` confirmed matrix each within
+        ``VERIFY_BATCH_PAIRS``."""
+        limit = len(self.key_base)
+        if self.entries:
+            by_entries = VERIFY_BATCH_PAIRS * self.scored // self.entries
+            limit = max(1, min(limit, by_entries))
+        return limit
+
+    def _seeded(self, oids: List[int], oid_array: np.ndarray) -> np.ndarray:
+        """The ``(B, n)`` confirmed matrix at the start: each candidate's
+        seed set plus the candidate itself."""
         n = self.collection.n
-
-        confirmed = np.zeros(n, dtype=bool)
+        confirmed = np.zeros((len(oids), n), dtype=bool)
         if self.initial_bitsets is not None:
-            seed = self.initial_bitsets(oid)
-            if seed is not None:
-                confirmed = np.unpackbits(
-                    np.frombuffer(
-                        seed.to_int().to_bytes((n + 7) // 8, "little"), np.uint8
-                    ),
-                    count=n,
-                    bitorder="little",
-                ).view(bool)
-        confirmed[oid] = True
+            for slot, oid in enumerate(oids):
+                seed = self.initial_bitsets(oid)
+                if seed is not None:
+                    confirmed[slot] = np.unpackbits(
+                        np.frombuffer(
+                            seed.to_int().to_bytes((n + 7) // 8, "little"),
+                            np.uint8,
+                        ),
+                        count=n,
+                        bitorder="little",
+                    ).view(bool)
+        confirmed.reshape(-1)[self.key_base[: len(oids)] + oid_array] = True
+        return confirmed
 
-        low = tables["group_bounds"][oid]
-        high = tables["group_bounds"][oid + 1]
-        groups = high - low
+    def block(self, oids: List[int]) -> List[Settle]:
+        """Score ``oids`` as one block; one settle per candidate, in order.
+
+        Each settle applies its candidate's counters, memo rows and
+        Labeling-3 marks and returns ``tau(o_i)``, matching
+        ``_exact_score`` bit-for-bit."""
+        count = len(oids)
+        self.scored += count
+        oid_array = np.array(oids, dtype=np.int64)
+        confirmed = self._seeded(oids, oid_array)
+        bounds = self.tables["group_bounds"]
+        group_starts = bounds.take(oid_array)
+        group_counts = bounds.take(oid_array + 1) - group_starts
+        group_index = _ragged_arange(group_starts, group_counts)
+        groups = len(group_index)
         if not groups:
-            return int(np.count_nonzero(confirmed)) - 1
-        rows = self.bigrid.group_flat[low:high]
-        segments = self.bigrid.group_segments[low:high]
-        seg_lengths = tables["seg_lengths"]
+            scores = confirmed.sum(axis=1).tolist()
+            return [partial(int, score - 1) for score in scores]
+
+        grid = self.large_grid
+        seg_lengths = self.tables["seg_lengths"]
+        group_candidate = np.arange(count).repeat(group_counts)
+        rows = self.bigrid.group_flat.take(group_index)
         # Each group's points are its posting segment, in visit order.
+        segments = self.bigrid.group_segments.take(group_index)
         sizes = seg_lengths.take(segments)
-        point_index = grid.seg_points.take(
-            _ragged_arange(grid.seg_bounds.take(segments), sizes)
-        )
+        point_rows = _ragged_arange(grid.seg_bounds.take(segments), sizes)
         point_group = np.arange(groups).repeat(sizes)
+        point_index = grid.seg_points.take(point_rows)
         masked = None
         if self.verify_masks is not None:
-            keep = self.verify_masks(oid).take(point_index)
-            point_index = point_index[keep]
+            masks = [self.verify_masks(oid) for oid in oids]
+            mask_starts = np.zeros(count, dtype=np.int64)
+            np.cumsum([len(mask) for mask in masks[:-1]], out=mask_starts[1:])
+            keep = np.concatenate(masks).take(
+                mask_starts.take(group_candidate.take(point_group)) + point_index
+            )
+            point_rows = point_rows[keep]
             point_group = point_group[keep]
+            point_index = point_index[keep]
             masked = sizes - np.bincount(point_group, minlength=groups)
+        coords = grid.seg_coords.take(point_rows, axis=0)
 
         col_seg, col_bounds = self._columns(rows)
-        coords = self.collection[oid].points.take(point_index, axis=0)
+        col_owner = grid.seg_oid.take(col_seg)
+        if count > 1:
+            # Owner keys: candidate ``c``'s object ``o`` is ``c * n + o``.
+            col_owner += self.key_base.take(group_candidate).repeat(
+                col_bounds[1:] - col_bounds[:-1]
+            )
         labeler = self.labeler
-        checked_point, checked_col, skippable = first_hit_scan(
+        checked_point, checked_col, skippable, entries = first_hit_scan(
             point_group,
+            group_candidate,
             col_bounds,
-            grid.seg_oid.take(col_seg),
-            confirmed,
+            col_owner,
+            confirmed.reshape(-1),
             lambda entry_point, entry_col: self._hits(
                 coords, entry_point, col_seg.take(entry_col)
             ),
             marks=labeler is not None,
         )
-        checked_rows = seg_lengths.take(col_seg.take(checked_col))
+        self.entries += entries
+        scores = confirmed.sum(axis=1).tolist()
 
+        # Work totals per candidate, or per group behind each group's
+        # checkpoint under a deadline.
         deadline = self.deadline
-        memo = self.memo
+        unit = point_group.take(checked_point)
         if deadline is None:
-            counters.posting_checks += len(checked_col)
-            counters.distance_rows += int(checked_rows.sum())
-            if masked is not None:
-                counters.points_skipped += int(masked.sum())
-                rows = rows[masked < sizes]
-            if memo is not None:
-                memo[rows] = True
-            if labeler is not None:
-                labeler.mark_verify_skippable(oid, point_index[skippable])
-            return int(np.count_nonzero(confirmed)) - 1
+            unit, units = group_candidate.take(unit), count
+        else:
+            units = groups
+        checks = np.bincount(unit, minlength=units).tolist()
+        distance_rows = np.bincount(
+            unit, weights=seg_lengths.take(col_seg.take(checked_col)), minlength=units
+        ).tolist()
+        skipped = visited = None
+        if masked is not None:
+            skipped = masked
+            if deadline is None:
+                skipped = np.bincount(group_candidate, weights=masked, minlength=units)
+            skipped = skipped.tolist()
+            # The reference memoizes the union of each group it visits a
+            # point of.
+            visited = masked < sizes
+        group_bounds = [0, *accumulate(group_counts.tolist())]
+        point_bounds = None
+        if labeler is not None or deadline is not None:
+            point_bounds = point_group.searchsorted(np.arange(groups + 1)).tolist()
+        counters = self.counters
+        memo = self.memo
 
-        # Group by group behind each checkpoint, as the reference walks.
-        checked_group = point_group.take(checked_point)
-        checks = np.bincount(checked_group, minlength=groups).tolist()
-        row_sums = np.bincount(
-            checked_group, weights=checked_rows, minlength=groups
-        ).astype(np.int64).tolist()
-        point_bounds = point_group.searchsorted(np.arange(groups + 1)).tolist()
-        masked_list = masked.tolist() if masked is not None else [0] * groups
-        rows_list = rows.tolist()
-        for group in range(groups):
-            checkpoint(deadline, "verification")
-            counters.points_skipped += masked_list[group]
-            first, last = point_bounds[group], point_bounds[group + 1]
-            if first == last:
-                continue
-            if memo is not None:
-                memo[rows_list[group]] = True
-            counters.posting_checks += checks[group]
-            counters.distance_rows += row_sums[group]
-            if labeler is not None:
-                labeler.mark_verify_skippable(
-                    oid, point_index[first:last][skippable[first:last]]
-                )
-        return int(np.count_nonzero(confirmed)) - 1
+        def settle(slot: int) -> int:
+            oid = oids[slot]
+            low, high = group_bounds[slot], group_bounds[slot + 1]
+            if deadline is None:
+                counters.posting_checks += checks[slot]
+                counters.distance_rows += int(distance_rows[slot])
+                if skipped is not None:
+                    counters.points_skipped += int(skipped[slot])
+                if memo is not None:
+                    own = rows[low:high]
+                    memo[own if visited is None else own[visited[low:high]]] = True
+                if labeler is not None:
+                    first, last = point_bounds[low], point_bounds[high]
+                    labeler.mark_verify_skippable(
+                        oid, point_index[first:last][skippable[first:last]]
+                    )
+                return scores[slot] - 1
+            # Group by group behind each checkpoint, as the reference walks.
+            for group in range(low, high):
+                checkpoint(deadline, "verification")
+                if skipped is not None:
+                    counters.points_skipped += skipped[group]
+                first, last = point_bounds[group], point_bounds[group + 1]
+                if first == last:
+                    continue
+                if memo is not None:
+                    memo[rows[group]] = True
+                counters.posting_checks += checks[group]
+                counters.distance_rows += int(distance_rows[group])
+                if labeler is not None:
+                    labeler.mark_verify_skippable(
+                        oid, point_index[first:last][skippable[first:last]]
+                    )
+            return scores[slot] - 1
+
+        return [partial(settle, slot) for slot in range(count)]
 
 
 #: The packed arrays a label-free scorer reads, as ``(owner, name)``:
@@ -1606,17 +1733,19 @@ def scorer_grid(collection, r: float, arrays: Dict[str, np.ndarray]) -> PackedBI
 def label_free_scorer(bigrid: PackedBIGrid, r: float, deadline=None):
     """``oid -> (score, posting_checks, distance_rows)`` for one candidate.
 
-    The serial scorer's numbers for a grid :func:`scorer_arrays` accepts:
-    without labels a score depends only on the grid and the oid, so
-    candidates may be scored in any order, by any process.  A deadline
-    expiring mid-candidate raises :class:`QueryTimeout`.
+    The serial scorer's numbers for a grid :func:`scorer_arrays` accepts,
+    from the same block scorer, one candidate per block: without labels
+    a score depends only on the grid and the oid, so candidates may be
+    scored in any order, by any process.  A deadline expiring
+    mid-candidate raises :class:`QueryTimeout`.
     """
     counters = VerifyCounters()
     verifier = _BatchedVerifier(bigrid, r, None, None, None, counters, deadline)
 
     def score(oid: int) -> Tuple[int, int, int]:
         checks, rows = counters.posting_checks, counters.distance_rows
-        value = verifier.score(oid)
+        (settle,) = verifier.block([oid])
+        value = settle()
         return (
             value,
             counters.posting_checks - checks,

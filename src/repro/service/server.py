@@ -36,6 +36,14 @@ class _Handler(BaseHTTPRequestHandler):
 
     server_version = "repro-mio/1.0"
     protocol_version = "HTTP/1.1"
+    # Keep-alive connections must not wait on Nagle's algorithm: with the
+    # unbuffered default the headers and the body leave as separate small
+    # writes, and a client reusing the connection then waits out its
+    # delayed ACK (~40 ms) on every response.  Buffering the writer sends
+    # a response in one write (``handle_one_request`` flushes once per
+    # request); TCP_NODELAY covers bodies larger than the buffer.
+    wbufsize = -1
+    disable_nagle_algorithm = True
 
     # Set by MIOServer before the server starts.
     app: ServiceApp

@@ -61,6 +61,7 @@ import numpy as np
 from repro import faults
 from repro.core.objects import ObjectCollection
 from repro.core.verification import (
+    PerCandidateScorer,
     VerificationResult,
     VerifyCounters,
     best_first_verification,
@@ -482,7 +483,10 @@ class ShardExecutor:
             bigrid, list(candidates), r, k=k, stats=stats, deadline=deadline
         )
         busy = time.perf_counter() - started
-        return result, [VerifierReport(COORDINATOR, result.verified, busy, 0)]
+        scored = result.verified + result.speculative
+        return result, [
+            VerifierReport(COORDINATOR, scored, busy, result.speculative)
+        ]
 
     def _hand_off(self, slot: int) -> None:
         """Trip ``shard_task`` for one verifier, retrying up to ``retries``."""
@@ -531,7 +535,7 @@ class ShardExecutor:
             result = best_first_verification(
                 list(candidates),
                 k,
-                self._score,
+                PerCandidateScorer(self._score),
                 query.counters,
                 stats=stats,
                 deadline=deadline,

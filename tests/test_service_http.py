@@ -75,6 +75,32 @@ class TestRoundTrips:
             client.healthz()
 
 
+class TestKeepAlive:
+    def test_reused_connection_answers_without_a_stall(self, server):
+        # One connection, ten requests: a response split into small
+        # writes stalls every reused round trip on Nagle's algorithm plus
+        # the client's delayed ACK (~40 ms each).
+        import http.client
+        import statistics
+
+        host, port = server.address
+        connection = http.client.HTTPConnection(host, port, timeout=10.0)
+        sockets, times = [], []
+        try:
+            for _ in range(10):
+                started = time.perf_counter()
+                connection.request("GET", "/healthz")
+                response = connection.getresponse()
+                response.read()
+                times.append(time.perf_counter() - started)
+                assert response.status == 200
+                sockets.append(connection.sock)
+        finally:
+            connection.close()
+        assert all(sock is sockets[0] for sock in sockets)
+        assert statistics.median(times) * 1e3 < 20.0
+
+
 class TestClientRetries:
     def _overloaded_client(self, server, sleeps, retries=2):
         host, port = server.address
