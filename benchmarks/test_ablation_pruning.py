@@ -10,6 +10,11 @@ many objects must be exactly verified:
 * no lower bounds          -- threshold 0: nothing pruned by Theorem 2
 * no early termination     -- every candidate verified exactly
 
+The full pipeline's "box-skipped" column counts the candidates dequeued
+but skipped because their per-segment box bound could not beat the best
+score (read from the verification result; nothing switches it off).
+With every candidate kept in the top-k heap, none is skipped.
+
 The exact answer must be identical in all configurations.
 """
 
@@ -29,7 +34,12 @@ def _run(bigrid, r, use_lower, use_early):
     k = 1 if use_early else len(upper.candidates)
     verification = verify_candidates(bigrid, upper.candidates, r, k=k)
     best_score = verification.ranking[0][1]
-    return best_score, len(upper.candidates), verification.verified
+    return (
+        best_score,
+        len(upper.candidates),
+        verification.verified,
+        verification.box_skipped,
+    )
 
 
 def test_ablation_pruning_stages(datasets, report, benchmark):
@@ -48,6 +58,7 @@ def test_ablation_pruning_stages(datasets, report, benchmark):
                     collection.n,
                     full[1],
                     full[2],
+                    full[3],
                     no_lower[1],
                     no_lower[2],
                     no_early[2],
@@ -64,6 +75,7 @@ def test_ablation_pruning_stages(datasets, report, benchmark):
                 "n",
                 "candidates",
                 "verified",
+                "box-skipped",
                 "cand (no LB)",
                 "verified (no LB)",
                 "verified (no ET)",
@@ -73,7 +85,9 @@ def test_ablation_pruning_stages(datasets, report, benchmark):
         ),
     )
 
-    for name, n, cand, verified, cand_no_lb, verified_no_lb, verified_no_et in rows:
+    for (
+        name, n, cand, verified, skipped, cand_no_lb, verified_no_lb, verified_no_et
+    ) in rows:
         # Lower bounds prune: without them every object is a candidate.
         assert cand_no_lb == n
         assert cand <= cand_no_lb

@@ -21,6 +21,7 @@ from __future__ import annotations
 import time
 from typing import List
 
+import numpy as np
 from repro.core.geometry import boxes_within, point_sets_interact
 from repro.core.objects import ObjectCollection
 from repro.core.query import MIOResult
@@ -32,7 +33,13 @@ class NestedLoopAlgorithm:
     def __init__(self, collection: ObjectCollection, use_bbox_filter: bool = False) -> None:
         self.collection = collection
         self.use_bbox_filter = use_bbox_filter
-        self._bounds = [obj.bounds() for obj in collection] if use_bbox_filter else None
+        self._bounds = None
+        if use_bbox_filter:
+            corners = [obj.bounds() for obj in collection]
+            self._bounds = (
+                np.array([lo for lo, _ in corners]),
+                np.array([hi for _, hi in corners]),
+            )
 
     def scores(self, r: float) -> List[int]:
         """Exact ``tau(o)`` for every object (the full pairwise pass)."""
@@ -42,12 +49,13 @@ class NestedLoopAlgorithm:
         tau = [0] * collection.n
         for i in range(collection.n):
             points_i = collection[i].points
-            for j in range(i + 1, collection.n):
-                if self._bounds is not None:
-                    lo_i, hi_i = self._bounds[i]
-                    lo_j, hi_j = self._bounds[j]
-                    if not boxes_within(lo_i, hi_i, lo_j, hi_j, r):
-                        continue
+            partners = range(i + 1, collection.n)
+            if self._bounds is not None:
+                # One row-vectorized box test against every later object.
+                lo, hi = self._bounds
+                near = boxes_within(lo[i], hi[i], lo[i + 1 :], hi[i + 1 :], r)
+                partners = (np.flatnonzero(near) + i + 1).tolist()
+            for j in partners:
                 if point_sets_interact(points_i, collection[j].points, r):
                     tau[i] += 1
                     tau[j] += 1

@@ -92,15 +92,47 @@ def bounding_box(points: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     return points.min(axis=0), points.max(axis=0)
 
 
+def _box_gaps(lo_a, hi_a, lo_b, hi_b) -> np.ndarray:
+    """Per-axis gap ``max(lo_b - hi_a, lo_a - hi_b, 0)`` between boxes."""
+    return np.maximum(np.maximum(lo_b - hi_a, lo_a - hi_b), 0.0)
+
+
+def box_gap_squared(
+    lo_a: np.ndarray,
+    hi_a: np.ndarray,
+    lo_b: np.ndarray,
+    hi_b: np.ndarray,
+) -> np.ndarray:
+    """Squared gap between axis-aligned boxes, row by row.
+
+    Boxes are ``(..., d)`` corner arrays that broadcast against each
+    other.  The squared per-axis gaps are summed axis by axis, left to
+    right, never by ``dot`` or ``einsum``, so one pair of boxes gets the
+    same bits whether it is passed alone or as a row of a batch.  Each
+    term is at most the matching term of any point pair drawn from the
+    two boxes, so a point pair within ``r`` puts its boxes within ``r``.
+    """
+    gap = _box_gaps(lo_a, hi_a, lo_b, hi_b)
+    total = gap[..., 0] * gap[..., 0]
+    for axis in range(1, gap.shape[-1]):
+        total = total + gap[..., axis] * gap[..., axis]
+    return total
+
+
 def boxes_within(
     lo_a: np.ndarray,
     hi_a: np.ndarray,
     lo_b: np.ndarray,
     hi_b: np.ndarray,
     r: Optional[float] = None,
-) -> bool:
-    """Whether two axis-aligned boxes are within gap ``r`` (overlap if None)."""
-    gap = np.maximum(0.0, np.maximum(lo_a - hi_b, lo_b - hi_a))
+):
+    """Whether axis-aligned boxes are within gap ``r`` (overlap if None).
+
+    A bool for one pair of ``(d,)`` corners, a bool array for ``(m, d)``
+    rows; both forms compute the same bits (:func:`box_gap_squared`).
+    """
     if r is None:
-        return bool(np.all(gap <= 0.0))
-    return bool(np.dot(gap, gap) <= r * r)
+        within = np.all(_box_gaps(lo_a, hi_a, lo_b, hi_b) <= 0.0, axis=-1)
+    else:
+        within = box_gap_squared(lo_a, hi_a, lo_b, hi_b) <= r * r
+    return bool(within) if within.ndim == 0 else within

@@ -10,6 +10,11 @@ confirmed can still contribute, and only their posting lists in ``c_K`` and
 its adjacent cells need distance checks.  Confirmed objects are accumulated
 in a bitset, so repeated near misses cost nothing.
 
+Once k exact scores are in hand, a dequeued candidate whose per-segment
+box bound (:func:`box_bound`) cannot enter the top-k is skipped without
+scoring -- an extension of Algorithm 6 that moves no answer, threshold
+or dequeue, only the work counters.
+
 Labeling-3 (Definition 4) is performed here when a labeler is supplied:
 points whose remaining-candidate set was already empty are marked skippable
 for future queries.  The WITH-LABEL variant seeds ``b(o_i)`` with the
@@ -23,16 +28,18 @@ from collections import deque
 from dataclasses import dataclass
 from functools import partial
 from heapq import heappush, heappushpop
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.bitset.base import Bitset
+from repro.core.geometry import boxes_within
 from repro.core.labels import PointLabels
 from repro.core.query import PhaseStats
 from repro.core.upper_bound import Candidate
 from repro.errors import InvalidQueryError, QueryTimeout
 from repro.grid.bigrid import BIGrid
+from repro.grid.keys import cell_and_adjacent_keys
 from repro.resilience import Deadline, checkpoint
 
 
@@ -61,6 +68,10 @@ class VerificationResult:
     #: broke (threshold or deadline) first.  Timing-free, but not a work
     #: counter: a per-candidate scorer never leaves any.
     speculative: int = 0
+    #: Candidates dequeued but skipped because their box bound could not
+    #: enter the top-k; ``verified + box_skipped`` is the number dequeued
+    #: before the break (unless a deadline cut a settle short).
+    box_skipped: int = 0
 
 
 MaskProvider = Callable[[int], np.ndarray]
@@ -83,23 +94,36 @@ class VerifyCounters:
 class PerCandidateScorer:
     """A block scorer that scores one candidate per block, on settling.
 
-    The best-first loop asks a scorer for blocks: ``capacity()`` is the
-    most candidates the next block may hold (at least 1), and
-    ``block(oids)`` returns one settle callable per oid, in order.  A
-    settle applies its candidate's effects (counters, labels, memoized
-    unions) and returns the exact score; it may raise
-    :class:`QueryTimeout`.  This one wraps a per-candidate
-    ``exact_score(oid)``, which runs only when the loop settles that
-    candidate.
+    The best-first loop asks a scorer for blocks and for box bounds:
+    ``capacity()`` is the most candidates the next block may hold (at
+    least 1), ``block(oids)`` returns one settle callable per oid, in
+    order, ``bound_capacity()`` is the most candidates one ``bounds(oids)``
+    call may hold, and ``bounds(oids)`` returns the box bound of each oid
+    (see :func:`box_bound`).  A settle applies its candidate's effects
+    (counters, labels, memoized unions) and returns the exact score; it
+    may raise :class:`QueryTimeout`.  A bound has no effect at all.  This
+    one wraps a per-candidate ``exact_score(oid)``, which runs only when
+    the loop settles that candidate, and a batch ``bounds(oids)`` taking
+    up to ``limit`` oids.
     """
 
-    __slots__ = ("exact_score",)
+    __slots__ = ("exact_score", "bounds", "limit")
 
-    def __init__(self, exact_score: Callable[[int], int]) -> None:
+    def __init__(
+        self,
+        exact_score: Callable[[int], int],
+        bounds: Callable[[Sequence[int]], List[int]],
+        limit: int = 1,
+    ) -> None:
         self.exact_score = exact_score
+        self.bounds = bounds
+        self.limit = limit
 
     def capacity(self) -> int:
         return 1
+
+    def bound_capacity(self) -> int:
+        return self.limit
 
     def block(self, oids: Sequence[int]) -> List[Settle]:
         return [partial(self.exact_score, oid) for oid in oids]
@@ -118,20 +142,35 @@ def best_first_verification(
 
     Kernel backends plug their own block scorer (see
     :class:`PerCandidateScorer`) under the *same* threshold updates, early
-    termination, deadline checks, and heap/ranking semantics, so every
-    backend shares one provably identical loop.
+    termination, box-bound skips, deadline checks, and heap/ranking
+    semantics, so every backend shares one provably identical loop.
 
-    Candidates are dequeued lazily, one per iteration, and settled one at
-    a time in queue order.  When no scored candidate is waiting, the
-    dequeued one opens a block: the first block holds it alone; each
-    later one holds at most twice the previous block, at most the
-    scorer's ``capacity()``, and only candidates read ahead (by index,
-    without dequeuing) whose upper bound beats the current threshold.
-    Every dequeue re-checks the threshold and reads the deadline once
-    before settling, so scores computed past the break are discarded
-    with no trace but ``speculative`` in the result.  A settle raising
-    :class:`QueryTimeout` drops the in-flight candidate and the settled
-    prefix is returned with ``timed_out=True``.
+    Candidates are dequeued lazily, one per iteration, in queue order.
+    Each dequeue checks the Lemma 2 threshold, then reads the deadline
+    once.  Then, once the heap holds ``k`` entries, the candidate is
+    skipped if its box bound cannot enter the heap: ``(bound, -oid) <
+    best_heap[0]``, the heap's own admission test, so the tie rule
+    (smaller oid wins) is kept.  A skipped candidate could never have
+    changed the heap, so the ranking, the threshold and the break are
+    the ones verifying it would give; it is counted in ``box_skipped``
+    and gets no score, counter or label.  Bounds are computed at the
+    first dequeue that needs one, for a batch read ahead (by index,
+    without dequeuing) of candidates whose upper bound beats the
+    threshold; a batch at most doubles the larger of the previous batch
+    and block, and holds at most the scorer's ``bound_capacity()``.
+
+    Every other candidate is settled, one at a time.  When no scored
+    candidate is waiting, the dequeued one opens a block: the first
+    block holds it alone; each later one holds at most twice the
+    previous block, at most ``capacity()``, and only candidates read
+    ahead whose upper bound beats the threshold -- while the heap is
+    not full, no more than are dequeued before it fills; once it is,
+    only candidates whose bound is known and does not skip them.
+    Scores computed ahead but never settled -- past the break, or for a
+    candidate skipped at its dequeue -- are discarded with no trace but
+    ``speculative`` in the result.  A settle
+    raising :class:`QueryTimeout` drops the in-flight candidate and the
+    settled prefix is returned with ``timed_out=True``.
     """
     if k < 1:
         raise InvalidQueryError("k must be at least 1")
@@ -139,32 +178,72 @@ def best_first_verification(
     best_heap: List[Tuple[int, int]] = []
     settled: List[Tuple[int, int]] = []
     verified = 0
+    box_skipped = 0
+    speculative = 0
     early = False
     timed_out = False
-    #: Settles of the current block not yet applied, in queue order.
+    #: ``(oid, settle)`` of the current block not yet applied, in queue order.
     waiting: deque = deque()
     block_size = 0
+    #: Box bounds computed so far, by oid.
+    bounds: Dict[int, int] = {}
+    bound_batch = 0
+
+    def read_ahead(index: int, limit: int, threshold: int) -> List[int]:
+        """Oids after ``index`` in queue order, up to ``limit`` of them,
+        while their upper bound beats ``threshold``."""
+        oids = []
+        for ahead, ahead_oid in candidates[index + 1 : index + limit]:
+            if ahead <= threshold:
+                break
+            oids.append(ahead_oid)
+        return oids
+
+    def skips(oid: int) -> bool:
+        """Whether ``oid``'s known box bound keeps it out of the full heap."""
+        return oid in bounds and (bounds[oid], -oid) < best_heap[0]
 
     for index, (upper, oid) in enumerate(candidates):
-        threshold = best_heap[0][0] if len(best_heap) >= k else -1
+        full = len(best_heap) >= k
+        threshold = best_heap[0][0] if full else -1
         if upper <= threshold:
             early = True
             break
         if deadline is not None and deadline.expired():
             timed_out = True
             break
+        if full:
+            if oid not in bounds:
+                bound_batch = min(
+                    2 * max(bound_batch, block_size) or 1, scorer.bound_capacity()
+                )
+                batch = [oid] + [
+                    ahead_oid
+                    for ahead_oid in read_ahead(index, bound_batch, threshold)
+                    if ahead_oid not in bounds
+                ]
+                bounds.update(zip(batch, scorer.bounds(batch)))
+            if skips(oid):
+                box_skipped += 1
+                if waiting and waiting[0][0] == oid:
+                    waiting.popleft()
+                    speculative += 1
+                continue
         if not waiting:
             oids = [oid]
             if block_size:
                 limit = min(2 * block_size, scorer.capacity())
-                for ahead, ahead_oid in candidates[index + 1 : index + limit]:
-                    if ahead <= threshold:
+                if not full:
+                    limit = min(limit, k - len(best_heap))
+                for ahead_oid in read_ahead(index, limit, threshold):
+                    if full and ahead_oid not in bounds:
                         break
-                    oids.append(ahead_oid)
+                    if not (full and skips(ahead_oid)):
+                        oids.append(ahead_oid)
             block_size = len(oids)
-            waiting.extend(scorer.block(oids))
+            waiting.extend(zip(oids, scorer.block(oids)))
         try:
-            score = waiting.popleft()()
+            score = waiting.popleft()[1]()
         except QueryTimeout:
             # The in-flight candidate's partial bitset is not an exact score;
             # drop it and surface what is already settled.
@@ -184,6 +263,7 @@ def best_first_verification(
     )
     if stats is not None:
         stats.set_count("verified_objects", verified)
+        stats.set_count("box_skipped", box_skipped)
         stats.set_count("distance_rows", counters.distance_rows)
         stats.set_count("posting_checks", counters.posting_checks)
         stats.set_count("verify_points_skipped", counters.points_skipped)
@@ -196,7 +276,8 @@ def best_first_verification(
         timed_out=timed_out,
         path=path,
         settled=settled,
-        speculative=len(waiting),
+        speculative=speculative + len(waiting),
+        box_skipped=box_skipped,
     )
 
 
@@ -235,7 +316,8 @@ def verify_candidates(
             lambda oid: _exact_score(
                 bigrid, oid, r, initial_bitsets, verify_masks, labeler,
                 counters, deadline, kernel,
-            )
+            ),
+            lambda oids: [box_bound(bigrid, oid, r, initial_bitsets) for oid in oids],
         ),
         counters,
         stats=stats,
@@ -308,6 +390,55 @@ def _exact_score(
                     break
 
     return confirmed.bit_count() - 1
+
+
+def box_bound(
+    bigrid: BIGrid,
+    oid: int,
+    r: float,
+    initial_bitsets: Optional[BitsetProvider] = None,
+) -> int:
+    """An upper bound on ``tau(o_i)`` from posting-segment boxes.
+
+    ``|seed(o_i) | {o_i} | N(o_i)| - 1``, where ``N(o_i)`` holds every
+    object with a posting list in the ``3^d`` neighbourhood of one of
+    ``o_i``'s cells whose bounding box lies within ``r`` of ``o_i``'s own
+    posting box in that cell (:func:`repro.core.geometry.boxes_within`).
+    Sound: a pair of points within ``r`` puts their two segment boxes
+    within ``r``, and verification confirms objects only through grid
+    points and seeds.  Walks the cells without memoizing an adjacent
+    union, marking a label, polling a deadline or counting work.
+    """
+    collection = bigrid.collection
+    cells = bigrid.large_grid.cells
+    points = collection[oid].points
+    found = 0
+    if initial_bitsets is not None:
+        seed = initial_bitsets(oid)
+        if seed is not None:
+            found = seed.to_int()
+    found |= 1 << oid
+    for key, point_indices in bigrid.object_groups[oid].items():
+        own = points[point_indices]
+        lo, hi = own.min(axis=0), own.max(axis=0)
+        for neighbor_key in cell_and_adjacent_keys(key):
+            cell = cells.get(neighbor_key)
+            if cell is None:
+                continue
+            owners = [q for q in cell.postings if not found >> q & 1]
+            if not owners:
+                continue
+            boxes = [cell.posting_box(q, collection[q].points) for q in owners]
+            near = boxes_within(
+                lo,
+                hi,
+                np.array([box_lo for box_lo, _ in boxes]),
+                np.array([box_hi for _, box_hi in boxes]),
+                r,
+            )
+            for q in np.asarray(owners)[near].tolist():
+                found |= 1 << q
+    return found.bit_count() - 1
 
 
 def bits_of(value: int) -> set:

@@ -36,6 +36,7 @@ class LargeGridCell:
         "_adj_bitset",
         "last_oid",
         "_point_cache",
+        "_box_cache",
         "neighbor_cells",
     )
 
@@ -49,6 +50,7 @@ class LargeGridCell:
         self._adj_bitset: Optional[Bitset] = None
         self.last_oid = -1
         self._point_cache: Dict[int, np.ndarray] = {}
+        self._box_cache: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
         #: Non-empty cells of the neighbourhood (self first), cached when the
         #: adjacent union is computed so verification re-walks no keys.
         self.neighbor_cells: Optional[List["LargeGridCell"]] = None
@@ -67,6 +69,15 @@ class LargeGridCell:
             cached = points[self.postings[oid]]
             self._point_cache[oid] = cached
         return cached
+
+    def posting_box(self, oid: int, points: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """``(min corner, max corner)`` of ``oid``'s posting list, cached."""
+        box = self._box_cache.get(oid)
+        if box is None:
+            own = points[self.postings[oid]]
+            box = (own.min(axis=0), own.max(axis=0))
+            self._box_cache[oid] = box
+        return box
 
 
 class LargeGrid:

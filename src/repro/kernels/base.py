@@ -102,9 +102,10 @@ class KernelBackend:
         descending upper bound) and computes exact scores until the next
         upper bound cannot beat the k-th best exact score.  Backends must
         preserve the reference semantics *exactly*: the early-termination
-        threshold, the per-candidate deadline check and per-group
-        checkpoint order, the Labeling-3 marks, and the work counters
-        (``verified_objects``, ``distance_rows``, ``posting_checks``,
+        threshold, the box-bound skips, the per-candidate deadline check
+        and per-group checkpoint order, the Labeling-3 marks, and the
+        counters (``verified_objects``, ``box_skipped``,
+        ``distance_rows``, ``posting_checks``,
         ``verify_points_skipped``) must all match the reference oracle
         bit-for-bit.  Returns a
         :class:`repro.core.verification.VerificationResult` whose ``path``

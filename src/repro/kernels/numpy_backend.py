@@ -41,7 +41,10 @@ structures and results (the conformance suite enforces it):
   still settles one candidate at a time, and only a settle applies
   counters, memo rows and labels: scores computed past the break are
   discarded without a trace, and clock reads stay one per dequeue plus
-  one per visited group.
+  one per visited group.  The loop's box-bound skips read
+  ``_BatchedVerifier.bounds``: per-segment boxes (one
+  ``minimum/maximum.reduceat`` over the posting coordinates) tested
+  against each group's own box in flat slices, own cells first.
 * **Memory accounting** sizes every cell bitset and memoized adjacent
   union from its packed row (:func:`packed_bitset_bytes`: the EWAH, plain and
   Roaring ``size_in_bytes`` formulas evaluated over whole matrices), so
@@ -81,6 +84,7 @@ from repro.bitset.roaring import (
     CONTAINER_HEADER,
     RoaringBitset,
 )
+from repro.core.geometry import boxes_within
 from repro.core.labels import GRID_BIT, UPPER_BIT
 from repro.core.lower_bound import LowerBoundResult
 from repro.core.upper_bound import Candidate, UpperBoundResult
@@ -328,9 +332,9 @@ class LazyBitsetLargeCell(LargeGridCell):
             value = _row_int(adjacency.words[self._row])
             self.adj_int = value
             return value
-        if name == "_point_cache":
+        if name in ("_point_cache", "_box_cache"):
             cache: dict = {}
-            self._point_cache = cache
+            setattr(self, name, cache)
             return cache
         if name in ("_adj_bitset", "neighbor_cells"):
             # Rarely-read slots default lazily too: one attribute write per
@@ -1396,12 +1400,17 @@ class _BatchedVerifier:
     ``VERIFY_BATCH_PAIRS``, estimated from the entries per candidate of
     the blocks scored so far, and its ``B x n`` confirmed matrix within
     the same budget.
+
+    ``bounds(oids)`` gives the loop its box bounds, vectorized over a
+    batch of up to ``bound_capacity()`` candidates and without side
+    effects.
     """
 
     __slots__ = (
         "bigrid",
         "collection",
         "large_grid",
+        "r",
         "r_squared",
         "initial_bitsets",
         "verify_masks",
@@ -1428,6 +1437,7 @@ class _BatchedVerifier:
         self.bigrid = bigrid
         self.collection = bigrid.collection
         self.large_grid = bigrid.large_grid
+        self.r = r
         self.r_squared = r * r
         self.initial_bitsets = initial_bitsets
         self.verify_masks = verify_masks
@@ -1527,6 +1537,125 @@ class _BatchedVerifier:
             )
             low = high
         return hits
+
+    def _boxes(self) -> Tuple[np.ndarray, np.ndarray]:
+        """``(min corner, max corner)`` rows of every posting segment,
+        computed on first need and cached with the grid tables."""
+        tables = self.tables
+        if "boxes" not in tables:
+            grid = self.large_grid
+            starts = grid.seg_bounds[:-1]
+            tables["boxes"] = (
+                np.minimum.reduceat(grid.seg_coords, starts, axis=0),
+                np.maximum.reduceat(grid.seg_coords, starts, axis=0),
+            )
+        return tables["boxes"]
+
+    def bounds(self, oids: List[int]) -> List[int]:
+        """Each candidate's box bound, equal to
+        :func:`repro.core.verification.box_bound` bit for bit.
+
+        Owners are keyed by (candidate, object) as in :meth:`block`.
+        Neighbour cells whose bitset holds no owner outside the
+        candidate's seed are dropped; of the rest, every group's own cell
+        is tested first, then the rest of its ``3^d`` neighbourhood, in
+        slices that skip the owners found so far -- most owners near a
+        candidate share one of its cells.  Candidates are taken in runs whose ``groups x 3^d`` cell pairs
+        stay within ``VERIFY_BATCH_PAIRS``.  Reads the packed arrays
+        only: no memo row, label, counter or clock read."""
+        oid_array = np.array(oids, dtype=np.int64)
+        found = self._seeded(oids, oid_array)
+        tables = self.tables
+        group_starts = tables["group_bounds"].take(oid_array)
+        group_counts = tables["group_bounds"].take(oid_array + 1) - group_starts
+        ends = (group_counts * len(tables["deltas"])).cumsum()
+        low = 0
+        while low < len(oids):
+            top = int(ends[low - 1]) if low else 0
+            high = max(
+                low + 1,
+                int(ends.searchsorted(top + VERIFY_BATCH_PAIRS, side="right")),
+            )
+            self._mark_run(
+                found.reshape(-1),
+                np.arange(low, high).repeat(group_counts[low:high]),
+                _ragged_arange(group_starts[low:high], group_counts[low:high]),
+            )
+            low = high
+        return (found.sum(axis=1) - 1).tolist()
+
+    def _mark_run(self, found, slot, group_index) -> None:
+        """Set ``found`` for every owner with a posting segment within
+        ``r`` of one of groups ``group_index`` (of candidate slots
+        ``slot``), in its ``3^d`` neighbourhood.
+
+        Box pairs are listed neighbour-major, so every group's own cell
+        comes first, and tested in slices whose gathered corner rows
+        (four per pair) stay within ``VERIFY_BATCH_PAIRS``; each slice
+        tests only the owners no earlier slice found."""
+        if not len(group_index):
+            return
+        seg_lo, seg_hi = self._boxes()
+        tables = self.tables
+        grid = self.large_grid
+        codes = grid.codes
+        cell_segs = tables["cell_segs"]
+        n = self.collection.n
+        words = grid.packed.shape[1]
+        targets = (
+            tables["deltas"][:, None]
+            + codes.take(self.bigrid.group_flat.take(group_index))[None, :]
+        ).ravel()
+        positions = codes.searchsorted(targets)
+        np.minimum(positions, len(codes) - 1, out=positions)
+        own = self.bigrid.group_segments.take(group_index)
+        own_lo, own_hi = seg_lo.take(own, axis=0), seg_hi.take(own, axis=0)
+        base = self.key_base.take(slot)
+        keep = (codes.take(positions) == targets).nonzero()[0]
+        cells = positions.take(keep)
+        group = keep % len(group_index)
+        # Drop the cells whose bitset holds no owner outside the slot's
+        # found row (its seed and itself).
+        found_words = np.zeros((len(found) // n, words * 8), dtype=np.uint8)
+        found_words[:, : (n + 7) // 8] = np.packbits(
+            found.reshape(-1, n), axis=1, bitorder="little"
+        )
+        live = (
+            grid.packed.take(cells, axis=0)
+            & ~found_words.view("<u8").take(slot.take(group), axis=0)
+        ).any(axis=1)
+        cells, group = cells[live], group[live]
+        starts = cell_segs.take(cells)
+        sizes = cell_segs.take(cells + 1) - starts
+        ends = sizes.cumsum()
+        low = 0
+        while low < len(ends):
+            top = int(ends[low - 1]) if low else 0
+            high = max(
+                low + 1,
+                int(ends.searchsorted(top + VERIFY_BATCH_PAIRS // 4, side="right")),
+            )
+            segments = _ragged_arange(starts[low:high], sizes[low:high])
+            groups = group[low:high].repeat(sizes[low:high])
+            low = high
+            keys = base.take(groups) + grid.seg_oid.take(segments)
+            pending = (~found.take(keys)).nonzero()[0]
+            segments, keys = segments.take(pending), keys.take(pending)
+            mine = groups.take(pending)
+            within = boxes_within(
+                own_lo.take(mine, axis=0),
+                own_hi.take(mine, axis=0),
+                seg_lo.take(segments, axis=0),
+                seg_hi.take(segments, axis=0),
+                self.r,
+            )
+            found[keys[within]] = True
+
+    def bound_capacity(self) -> int:
+        """The most candidates one :meth:`bounds` call may hold: its
+        ``B x n`` found matrix within ``VERIFY_BATCH_PAIRS`` (box pairs
+        are sliced to the same budget)."""
+        return len(self.key_base)
 
     def capacity(self) -> int:
         """The most candidates the next block may hold: its estimated
@@ -1753,6 +1882,14 @@ def label_free_scorer(bigrid: PackedBIGrid, r: float, deadline=None):
         )
 
     return score
+
+
+def label_free_bounds(bigrid: PackedBIGrid, r: float):
+    """The box-bound half of :func:`label_free_scorer`: ``(bounds(oids),
+    capacity)``, the batch bound function and the most oids one batch may
+    hold."""
+    verifier = _BatchedVerifier(bigrid, r, None, None, None, VerifyCounters(), None)
+    return verifier.bounds, verifier.bound_capacity()
 
 
 #: The shared vectorized instance.

@@ -24,6 +24,11 @@ pool-backed scorer:
   loop returns the settled prefix).  A label-free score depends only
   on the grid and the oid, so out-of-order and speculative scoring is
   exact; work counters are added only for candidates the loop consumes;
+* **box-bound skips** -- the coordinator computes the candidates' box
+  bounds itself (:func:`~repro.kernels.numpy_backend.label_free_bounds`),
+  so the loop skips exactly the candidates the serial engine skips;
+  ``scorer(oid)`` moves past the skipped queue indices, and worker
+  replies for them count as speculative;
 * **end of query** -- the counter is exhausted and the segment unlinked;
   replies still in flight are dropped by epoch, and a worker never takes
   a candidate from a later query's queue.
@@ -68,6 +73,7 @@ from repro.core.verification import (
 )
 from repro.errors import InjectedFault, PartitionTaskError, QueryTimeout
 from repro.kernels.numpy_backend import (
+    label_free_bounds,
     label_free_scorer,
     scorer_arrays,
     scorer_grid,
@@ -307,6 +313,8 @@ class _Query:
         self.replies: Dict[int, Tuple[int, int, int, int]] = {}
         #: Indices a worker failed to score: the coordinator rescores them.
         self.failed: Set[int] = set()
+        #: Indices the loop skipped on their box bound.
+        self.skipped: Set[int] = set()
         #: Takers whose process died during this query.
         self.dead: Set[int] = set()
         self.consumed = 0
@@ -535,7 +543,7 @@ class ShardExecutor:
             result = best_first_verification(
                 list(candidates),
                 k,
-                PerCandidateScorer(self._score),
+                PerCandidateScorer(self._score, *label_free_bounds(bigrid, r)),
                 query.counters,
                 stats=stats,
                 deadline=deadline,
@@ -551,17 +559,23 @@ class ShardExecutor:
             speculative = sum(
                 1
                 for index, reply in query.replies.items()
-                if reply[3] == slot and index >= query.consumed
+                if reply[3] == slot
+                and (index >= query.consumed or index in query.skipped)
             )
             reports.append(VerifierReport(slot, int(scored), busy, speculative))
         return result, reports
 
     def _score(self, oid: int) -> int:
-        """The best-first loop's scorer: the next candidate's exact score."""
+        """The best-first loop's scorer: the next candidate's exact score.
+
+        The loop consumes candidates in queue order, skipping some on
+        their box bound: the indices before ``oid``'s are skipped."""
         query = self._query
         index = query.consumed
-        if query.oids[index] != oid:  # pragma: no cover - loop contract
-            raise AssertionError("the best-first loop consumes candidates in queue order")
+        while query.oids[index] != oid:
+            query.skipped.add(index)
+            index += 1
+        query.consumed = index
         replies = query.replies
         while index not in replies:
             self._collect(0.0)

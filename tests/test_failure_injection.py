@@ -330,7 +330,9 @@ class TestDeadlines:
         collection = random_collection(n=25, mean_points=6, seed=143)
         engine = MIOEngine(collection)
         outcomes = []
-        for budget in range(0, 4000, 25):
+        # Fine steps: verification reads the clock only 13 times on this
+        # query; every budget past ~100 already answers exactly.
+        for budget in range(0, 400, 4):
             deadline = Deadline(float(budget), clock=ManualClock(step=1.0))
             try:
                 result = engine.query(2.0, deadline=deadline)

@@ -114,3 +114,70 @@ class TestBoxes:
         assert not geometry.boxes_within(lo_a, hi_a, lo_b, hi_b)
         assert geometry.boxes_within(lo_a, hi_a, lo_b, hi_b, r=3.0)
         assert not geometry.boxes_within(lo_a, hi_a, lo_b, hi_b, r=2.9)
+
+
+class TestBoxPredicateForms:
+    """``boxes_within`` on one pair of ``(d,)`` corners and on ``(m, d)``
+    rows must compute the same bits: both verification kernels bound
+    candidates through it, one box pair at a time or a batch at once."""
+
+    @staticmethod
+    def assert_forms_agree(lo_a, hi_a, lo_b, hi_b, r):
+        lo_a, hi_a, lo_b, hi_b = (
+            np.asarray(corner, dtype=np.float64) for corner in (lo_a, hi_a, lo_b, hi_b)
+        )
+        rows = geometry.box_gap_squared(lo_a, hi_a, lo_b, hi_b)
+        within = geometry.boxes_within(lo_a, hi_a, lo_b, hi_b, r)
+        assert within.dtype == bool
+        for row in range(len(lo_a)):
+            one = geometry.box_gap_squared(lo_a[row], hi_a[row], lo_b[row], hi_b[row])
+            assert one.tobytes() == rows[row].tobytes()
+            scalar = geometry.boxes_within(lo_a[row], hi_a[row], lo_b[row], hi_b[row], r)
+            assert type(scalar) is bool
+            assert scalar == bool(within[row])
+        return within
+
+    def test_gap_of_exactly_r_is_within(self):
+        # 3-4-5 gaps: squared sums are exact, so the boundary is exact too.
+        within = self.assert_forms_agree(
+            [[0.0, 0.0], [0.0, 0.0], [0.0, 0.0]],
+            [[1.0, 1.0], [1.0, 1.0], [1.0, 1.0]],
+            [[4.0, 5.0], [6.0, 1.0], [4.0, 5.0 + 2.0**-40]],
+            [[9.0, 9.0], [7.0, 2.0], [9.0, 9.0]],
+            5.0,
+        )
+        assert within.tolist() == [True, True, False]
+
+    def test_zero_extent_boxes(self):
+        # Points as boxes: the gap is the point distance.
+        points_a = np.array([[0.1, 0.2], [3.0, -1.0], [2.5, 2.5]])
+        points_b = np.array([[0.1, 0.2], [3.3, -0.6], [9.0, 9.0]])
+        within = self.assert_forms_agree(points_a, points_a, points_b, points_b, 0.5)
+        assert within.tolist() == [True, True, False]
+
+    def test_negative_coordinates(self):
+        within = self.assert_forms_agree(
+            [[-10.0, -7.5], [-3.0, -3.0], [-1.0, -1.0]],
+            [[-8.0, -6.0], [-2.0, -2.0], [1.0, 1.0]],
+            [[-7.2, -12.0], [-0.5, -9.0], [-0.5, -0.5]],
+            [[-5.0, -6.3], [0.0, -2.5], [0.5, 0.5]],
+            1.0,
+        )
+        assert within.tolist() == [True, False, True]
+
+    def test_3d_boxes(self):
+        rng = np.random.default_rng(3)
+        lo_a = rng.uniform(-20.0, 20.0, size=(64, 3))
+        lo_b = rng.uniform(-20.0, 20.0, size=(64, 3))
+        hi_a = lo_a + rng.uniform(0.0, 4.0, size=(64, 3))
+        hi_b = lo_b + rng.uniform(0.0, 4.0, size=(64, 3))
+        within = self.assert_forms_agree(lo_a, hi_a, lo_b, hi_b, 9.0)
+        assert 0 < within.sum() < len(within)
+
+    def test_sum_runs_axis_by_axis(self):
+        # Left to right, as the scalar walk adds them, not pairwise.
+        lo = np.zeros((1, 3))
+        hi = np.zeros((1, 3))
+        far = np.array([[0.1, 0.2, 0.3]])
+        gap = geometry.box_gap_squared(lo, hi, far, far)
+        assert gap[0] == (0.1 * 0.1 + 0.2 * 0.2) + 0.3 * 0.3

@@ -60,29 +60,33 @@ PROGRESSIVE_GOLDEN = {
 # Verification-heavy fixtures: large r on a clustered collection leaves
 # most of the collection as candidates after filtering, so VERIFICATION
 # dominates — exactly the regime the batched kernel verifier runs in.
-# Tuples are (winner, score, candidates, verified_objects, distance_rows,
-# posting_checks, verify_points_skipped, early_terminated), generated with
-# the pre-batching python reference and cross-checked against the oracle.
+# Tuples are (winner, score, candidates, verified_objects, box_skipped,
+# distance_rows, posting_checks, verify_points_skipped, early_terminated),
+# cross-checked against the oracle.  Verification skips the candidates
+# whose per-segment box bound cannot beat the best score, so
+# verified_objects + box_skipped is the number dequeued before the break.
 VERIFY_HEAVY_GOLDEN = {
-    5.0: (4, 18, 19, 4, 346, 190, 0, 1),
-    8.0: (4, 20, 24, 16, 1669, 762, 0, 1),
-    12.0: (4, 21, 28, 25, 7105, 2273, 0, 1),
+    5.0: (4, 18, 19, 1, 3, 94, 60, 0, 1),
+    8.0: (4, 20, 24, 1, 15, 117, 67, 0, 1),
+    12.0: (4, 21, 28, 2, 23, 766, 251, 0, 1),
 }
 
 # The with-label session path on the same collection: repeated ceilings
-# replay labels, so later queries skip labeled points (high coverage —
-# 43 and 62 of ~320 points) while the answers and distance work stay
-# pinned.  Tuples as above, preceded by the algorithm that must run.
+# replay labels, so later queries skip labeled points (2 and 22 of ~320
+# points: only verified candidates leave Labeling-3 marks) while the
+# answers and distance work stay pinned.  Tuples as above, preceded by
+# the algorithm that must run.
 SESSION_LABEL_GOLDEN = [
-    (12.0, "bigrid", (4, 21, 28, 25, 5385, 1901, 0, 1)),
-    (9.0, "bigrid", (4, 20, 27, 13, 1228, 534, 0, 1)),
-    (12.0, "bigrid-label", (4, 21, 28, 25, 5385, 1901, 43, 1)),
-    (9.0, "bigrid-label", (4, 20, 27, 13, 1228, 534, 62, 1)),
+    (12.0, "bigrid", (4, 21, 28, 2, 23, 630, 225, 0, 1)),
+    (9.0, "bigrid", (4, 20, 27, 3, 10, 281, 109, 0, 1)),
+    (12.0, "bigrid-label", (4, 21, 28, 2, 23, 630, 225, 2, 1)),
+    (9.0, "bigrid-label", (4, 20, 27, 3, 10, 281, 109, 22, 1)),
 ]
 
 _VERIFY_COUNTER_KEYS = (
     "candidates",
     "verified_objects",
+    "box_skipped",
     "distance_rows",
     "posting_checks",
     "verify_points_skipped",

@@ -22,6 +22,13 @@ from repro.core.engine import MIOEngine
 from repro.core.labels import PointLabels
 from repro.core.objects import ObjectCollection
 from repro.core.query import PhaseStats
+from repro.core.verification import (
+    PerCandidateScorer,
+    VerifyCounters,
+    _exact_score,
+    best_first_verification,
+    box_bound,
+)
 from repro.errors import InvalidQueryError
 from repro.grid.keys import key_tuples
 from repro.kernels import (
@@ -740,6 +747,16 @@ def assert_verifications_equal(ref, got):
     assert ref_visited == got_visited
     assert ref_result.path == "reference"
     assert got_result.path.startswith("numpy-")
+    assert ref_result.box_skipped == got_result.box_skipped
+    if not ref_result.timed_out:
+        assert_dequeues_accounted(ref_result, ref_visited)
+
+
+def assert_dequeues_accounted(result, visited):
+    """Every candidate dequeued before the break was verified or skipped
+    on its box bound (the last visited one triggered an early break)."""
+    dequeued = len(visited) - int(result.early_terminated)
+    assert result.verified + result.box_skipped == dequeued
 
 
 class _VerifyCasesBySize:
@@ -926,9 +943,9 @@ class TestVerifyMultiWordConformance(_VerifyCasesBySize):
 #: both k=1 and k=5: label-free, and through the with-label pass of
 #: :func:`run_labeled_verify` (two bitset words), where the discarded
 #: candidates have points the reference would never mark.
-BLOCK_CASE = dict(n=60, mean_points=6, dimension=3, seed=6)
+BLOCK_CASE = dict(n=60, mean_points=6, dimension=3, seed=5)
 BLOCK_R = 3.0
-LABELED_BLOCK_CASE = dict(n=90, mean_points=6, dimension=3, seed=20)
+LABELED_BLOCK_CASE = dict(n=90, mean_points=6, dimension=3, seed=21)
 LABELED_BLOCK_R = 2.0
 #: A session whose with-label queries score ahead and discard.
 SESSION_BLOCK_CASE = dict(n=90, mean_points=6, dimension=3, seed=5)
@@ -1055,6 +1072,135 @@ class TestVerifyBlockConformance:
             for kernel in (PYTHON_KERNEL, numpy_kernel())
         )
         assert_labeled_verifications_equal(ref, got)
+
+
+def tie_case(k, skipped_oid_smaller):
+    """A collection where, with the heap full, a candidate's box bound
+    equals the k-th best score, and a hand-built queue reaching it.
+
+    ``k + 1`` single-point objects sit in one tight cluster (each scores
+    ``k``), and the queue opens with ``k`` of them.  Object ``B`` has two
+    points at opposite corners of one large cell (r = 0.5, width 1):
+    ``k`` single-point objects ``Q`` sit inside its box but beyond ``r``
+    of both points.  So ``B`` scores 0 but its box bound is ``k``, and
+    each ``Q`` scores ``k - 1`` with box bound ``k``.  ``B`` is given the
+    smallest oid, or the largest.  Returns ``(collection, r, candidates,
+    b_oid)``.
+    """
+    cluster = [np.array([[20.5 + 0.05 * i, 20.5]]) for i in range(k + 1)]
+    inner = [np.array([[0.9 - 0.02 * i, 0.1 + 0.02 * i]]) for i in range(k)]
+    box = [np.array([[0.05, 0.05], [0.95, 0.95]])]
+    objects = box + cluster + inner if skipped_oid_smaller else cluster + inner + box
+    collection = ObjectCollection.from_point_arrays(objects)
+    n = collection.n
+    b_oid = 0 if skipped_oid_smaller else n - 1
+    first = 1 if skipped_oid_smaller else 0
+    queue = list(range(first, first + k)) + [b_oid] + list(
+        range(first + k + 1, first + 2 * k + 1)
+    )
+    return collection, 0.5, [(n - 1, oid) for oid in queue], b_oid
+
+
+@needs_numpy
+class TestBoxSkipConformance:
+    """Both kernels skip a candidate at dequeue iff ``(box_bound, -oid) <
+    best_heap[0]``: a bound equal to the k-th best score is verified with
+    a smaller oid (it could still win the tie) and skipped with a larger
+    one, and a skip moves no answer, threshold or clock read."""
+
+    @pytest.mark.parametrize("k", [1, 5])
+    def test_bound_tied_with_the_kth_best_and_a_smaller_oid_is_verified(self, k):
+        collection, r, queue, b_oid = tie_case(k, skipped_oid_smaller=True)
+        ref = run_verify(PYTHON_KERNEL, collection, r, k=k, candidates=list(queue))
+        got = run_verify(numpy_kernel(), collection, r, k=k, candidates=list(queue))
+        assert_verifications_equal(ref, got)
+        assert ref[0].settled == got[0].settled
+        assert box_bound(PYTHON_KERNEL.build_bigrid(collection, r), b_oid, r) == k
+        # B is settled (score 0); every Q has a larger oid than the heap's.
+        assert (b_oid, 0) in ref[0].settled
+        assert ref[0].verified == k + 1
+        assert ref[0].box_skipped == k
+        assert [score for _, score in ref[0].ranking] == [k] * k
+
+    @pytest.mark.parametrize("k", [1, 5])
+    def test_bound_tied_with_the_kth_best_and_a_larger_oid_is_skipped(self, k):
+        collection, r, queue, b_oid = tie_case(k, skipped_oid_smaller=False)
+        ref = run_verify(PYTHON_KERNEL, collection, r, k=k, candidates=list(queue))
+        got = run_verify(numpy_kernel(), collection, r, k=k, candidates=list(queue))
+        assert_verifications_equal(ref, got)
+        assert ref[0].settled == got[0].settled
+        assert box_bound(PYTHON_KERNEL.build_bigrid(collection, r), b_oid, r) == k
+        assert b_oid not in {oid for oid, _ in ref[0].settled}
+        assert ref[0].verified == k
+        assert ref[0].box_skipped == k + 1
+        assert [score for _, score in ref[0].ranking] == [k] * k
+
+    @pytest.mark.parametrize("k", [1, 5])
+    def test_skips_move_nothing_but_the_skipped(self, k):
+        # Against the same loop with a bound that never skips (n - 1):
+        # ranking, break and dequeue order are identical, and ``settled``
+        # loses exactly the skipped candidates.
+        collection = random_collection(**BLOCK_CASE)
+        skipping, _, visited = run_verify(numpy_kernel(), collection, BLOCK_R, k=k)
+        assert skipping.box_skipped > 0
+
+        grid = PYTHON_KERNEL.build_bigrid(collection, BLOCK_R)
+        lower = PYTHON_KERNEL.lower_bounds(grid)
+        queue = RecordingCandidates(
+            PYTHON_KERNEL.upper_bounds(grid, lower.tau_max).candidates
+        )
+        counters = VerifyCounters()
+        never = best_first_verification(
+            queue,
+            k,
+            PerCandidateScorer(
+                lambda oid: _exact_score(
+                    grid, oid, BLOCK_R, None, None, None, counters
+                ),
+                lambda oids: [collection.n - 1] * len(oids),
+            ),
+            counters,
+        )
+        assert never.box_skipped == 0
+        assert skipping.ranking == never.ranking
+        assert skipping.early_terminated == never.early_terminated
+        assert visited == queue.visited
+        skipped = {oid for oid, _ in never.settled} - {
+            oid for oid, _ in skipping.settled
+        }
+        assert len(skipped) == skipping.box_skipped
+        assert skipping.settled == [
+            pair for pair in never.settled if pair[0] not in skipped
+        ]
+
+    def test_deadline_sweep_cuts_on_skipped_candidates(self):
+        # A skipped candidate still costs its dequeue's clock read, so
+        # every budget cuts both kernels at the same read, including
+        # reads that belong to a candidate the full run skips.
+        from repro.resilience import Deadline, ManualClock
+
+        collection = random_collection(**BLOCK_CASE)
+        full, _, full_visited = run_verify(PYTHON_KERNEL, collection, BLOCK_R, k=1)
+        settled = {oid for oid, _ in full.settled}
+        skipped = set(full_visited[: len(full_visited) - full.early_terminated])
+        skipped -= settled
+        assert len(skipped) == full.box_skipped > 0
+        cuts_on_skipped = 0
+        for budget in range(0, 60):
+            ref, got = (
+                run_verify(
+                    kernel, collection, BLOCK_R, k=1,
+                    deadline=Deadline(float(budget), clock=ManualClock(step=1.0)),
+                )
+                for kernel in (PYTHON_KERNEL, numpy_kernel())
+            )
+            assert_verifications_equal(ref, got)
+            assert ref[0].settled == got[0].settled
+            if ref[0].timed_out:
+                # The settled prefix is the full run's.
+                assert ref[0].settled == full.settled[: len(ref[0].settled)]
+                cuts_on_skipped += ref[2][-1] in skipped
+        assert cuts_on_skipped > 0
 
 
 # ----------------------------------------------------------------------

@@ -78,6 +78,7 @@ def cube_collection():
 SERIAL_COUNTERS = (
     "candidates",
     "verified_objects",
+    "box_skipped",
     "posting_checks",
     "distance_rows",
     "early_terminated",
@@ -343,12 +344,14 @@ class TestProcessPool:
         engine = ParallelMIOEngine(
             flat_collection, cores=cores, kernel="numpy", tracer=tracer
         )
+        skipped = 0
         try:
             for r in (2.0, 3.5, 5.0):
                 for k in (1, 4, len(flat_collection)):
                     # A hang would fail here as an inexact answer.
                     result = engine.query_topk(r, k, timeout_ms=60_000.0)
                     assert_parity(serial.query_topk(r, k), result)
+                    skipped += result.counters["box_skipped"]
                     assert result.counters["shards"] == cores
                     verification = tracer.roots[-1].children[-1]
                     assert verification.name == "verification"
@@ -366,6 +369,9 @@ class TestProcessPool:
                     )
         finally:
             engine.close()
+        # The coordinator skipped candidates on their box bounds, and
+        # replies that landed for them counted as speculative above.
+        assert skipped > 0
 
     @needs_numpy
     def test_worker_killed_during_verification_is_rescored(
