@@ -106,7 +106,7 @@ def test_service_throughput_and_overload(report):
         # Phase 1: capacity probe (serial, warm caches).
         host, port = server.address
         probe = ServiceClient(host, port, max_retries=0, timeout_s=60.0)
-        probe.query(R, timeout_ms=DEADLINE_MS)  # warm labels + key caches
+        probe.query(R, timeout_ms=DEADLINE_MS)  # warm labels and cache tiers
         times = []
         for _ in range(5):
             started = time.perf_counter()

@@ -33,7 +33,7 @@ from repro.core.pipeline import SERIAL_PIPELINE, QueryContext, run_grouped_sweep
 from repro.core.query import MIOResult
 from repro.errors import InvalidQueryError
 from repro.grid.bigrid import BIGrid
-from repro.grid.cache import LargeKeyCache
+from repro.grid.cache import ResidentGridCache
 from repro.kernels import resolve_kernel
 from repro.obs.trace import ensure_tracer
 from repro.resilience import Deadline
@@ -56,10 +56,11 @@ class MIOEngine:
         were produced by exactly the same ``r``; ``"paper"`` applies it for
         any ``r'`` with the same ceiling, as the paper describes (see
         DESIGN.md for why that can in principle under-count).
-    key_cache:
-        Optional :class:`~repro.grid.cache.LargeKeyCache` shared by a
-        :class:`~repro.session.QuerySession`: large-grid cell keys are
-        computed once per ``ceil(r)`` instead of once per query.
+    grid_cache:
+        Optional :class:`~repro.grid.cache.ResidentGridCache` shared by a
+        :class:`~repro.session.QuerySession`: a query repeating an exact
+        ``r`` under the same labels runs on a view of the grid an earlier
+        query built instead of building its own.
     lower_cache:
         Optional :class:`~repro.core.lower_bound.LowerBoundCache`: repeating
         an exact ``r`` skips lower-bounding entirely.  When present, the
@@ -79,7 +80,7 @@ class MIOEngine:
         bit-exact with the reference), or ``"auto"`` (numpy when
         available).  See :mod:`repro.kernels`.
 
-    Both caches are positional (keyed by object ids); whoever injects them
+    All caches are positional (keyed by object ids); whoever injects them
     owns invalidation on collection change -- the engine itself never mixes
     collections.
     """
@@ -90,7 +91,7 @@ class MIOEngine:
         backend: str = "ewah",
         label_store: Optional[LabelStore] = None,
         label_reuse: str = "safe",
-        key_cache: Optional[LargeKeyCache] = None,
+        grid_cache: Optional[ResidentGridCache] = None,
         lower_cache: Optional[LowerBoundCache] = None,
         tracer=None,
         kernel: str = "python",
@@ -102,7 +103,7 @@ class MIOEngine:
         self.backend = backend
         self.label_store = label_store
         self.label_reuse = label_reuse
-        self.key_cache = key_cache
+        self.grid_cache = grid_cache
         self.lower_cache = lower_cache
         self.tracer = tracer
         self.kernel = kernel
@@ -201,7 +202,7 @@ class MIOEngine:
             backend=self.backend,
             label_store=self.label_store,
             label_reuse=self.label_reuse,
-            key_cache=self.key_cache,
+            grid_cache=self.grid_cache,
             lower_cache=self.lower_cache,
             engine=self,
             kernel=self.kernel,

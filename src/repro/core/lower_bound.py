@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Type
 
@@ -32,12 +33,43 @@ class LowerBoundResult:
     values: List[int]
     tau_max: int
     #: The union bitsets ``b(o_i)`` (bit ``i`` included), kept only when the
-    #: caller needs them to seed verification in with-label mode.
-    bitsets: Optional[List[Optional[Bitset]]]
+    #: caller needs them to seed verification in with-label mode.  On a
+    #: cache hit, a :class:`CachedSeeds` that builds each on first read.
+    bitsets: Optional[Sequence]
     #: Which implementation produced the bounds (``reference``, or a
     #: kernel-specific label such as ``numpy-seq`` / ``numpy-reduceat``).
     #: Purely observational -- every path is bit-identical.
     path: str = "reference"
+
+
+class CachedSeeds(Sequence):
+    """A cache hit's union bitsets, each built on its first read.
+
+    ``seeds[oid]`` is what the miss computed for ``oid`` (None for an
+    empty union), rebuilt from the entry's big int with the querying
+    backend's class.  Verification reads the seeds of the candidates it
+    bounds or scores only, so the other objects' bitsets are never built.
+    One instance serves one query.
+    """
+
+    __slots__ = ("_ints", "_bitset_cls", "_built")
+
+    def __init__(self, bitset_ints: List[int], bitset_cls: Type[Bitset]) -> None:
+        self._ints = bitset_ints
+        self._bitset_cls = bitset_cls
+        self._built: Dict[int, Optional[Bitset]] = {}
+
+    def __len__(self) -> int:
+        return len(self._ints)
+
+    def __getitem__(self, oid: int) -> Optional[Bitset]:
+        try:
+            return self._built[oid]
+        except KeyError:
+            value = self._ints[oid]
+            bitset = self._bitset_cls.from_int(value) if value else None
+            self._built[oid] = bitset
+            return bitset
 
 
 class LowerBoundCache:
@@ -54,7 +86,9 @@ class LowerBoundCache:
 
     Bitsets are stored as backend-agnostic big ints and rebuilt with the
     querying backend's class, so a mid-session backend degradation cannot
-    poison the cache.  Entries are complete results only: the engine stores
+    poison the cache.  A hit rebuilds only the seeds verification reads
+    (:class:`CachedSeeds`): one per candidate it bounds or scores, not
+    one per object.  Entries are complete results only: the engine stores
     after ``compute_lower_bounds`` returns, never on a timeout.  An LRU cap
     bounds memory across long threshold sweeps.
 
@@ -90,10 +124,7 @@ class LowerBoundCache:
         return LowerBoundResult(
             values=list(values),
             tau_max=tau_max,
-            bitsets=[
-                bitset_cls.from_int(value) if value else None
-                for value in bitset_ints
-            ],
+            bitsets=CachedSeeds(bitset_ints, bitset_cls),
             # A hit reports the implementation that produced the entry.
             path=path,
         )

@@ -138,7 +138,7 @@ class QueryContext:
         backend: str = "ewah",
         label_store=None,
         label_reuse: str = "safe",
-        key_cache=None,
+        grid_cache=None,
         lower_cache=None,
         engine=None,
         kernel=None,
@@ -153,7 +153,7 @@ class QueryContext:
         self.resolved_backend = backend
         self.label_store = label_store
         self.label_reuse = label_reuse
-        self.key_cache = key_cache
+        self.grid_cache = grid_cache
         self.lower_cache = lower_cache
         #: The owning engine (or None): stages read engine configuration
         #: (cores, strategies, executor) and publish inspection state
@@ -294,7 +294,15 @@ class LabelInputStage(Stage):
 
 
 class GridMappingStage(Stage):
-    """GRID-MAPPING (Algorithm 3), skipping ``label(p) = 0**`` points."""
+    """GRID-MAPPING (Algorithm 3), skipping ``label(p) = 0**`` points.
+
+    Under a :class:`~repro.grid.cache.ResidentGridCache` the query takes
+    a kernel view of the resident grid for its exact ``r`` and labels
+    instead of building one.  A build is kept resident -- and the query
+    runs on a view of it -- when the kernel can view it and the query
+    arms no labeler (its labels, stored at the end, make the grid stale).
+    A build cut short by a deadline or a fault raises before the store.
+    """
 
     name = "grid_mapping"
     #: Publish the grid as the engine's ``last_bigrid`` for inspection
@@ -302,18 +310,30 @@ class GridMappingStage(Stage):
     keeps_grid: bool = True
 
     def run(self, ctx: QueryContext, span) -> None:
-        bigrid = ctx.kernel.build_bigrid(
-            ctx.collection,
-            ctx.r,
-            backend=ctx.resolved_backend,
-            point_filter=ctx.labels.grid_mask if ctx.labels is not None else None,
-            deadline=ctx.deadline,
-            large_keys_provider=(
-                ctx.key_cache.provider(ctx.collection, ctx.ceil_r)
-                if ctx.key_cache is not None
-                else None
-            ),
+        tier = ctx.grid_cache
+        resident = (
+            tier.get(ctx.collection, ctx.r, ctx.resolved_backend, ctx.labels)
+            if tier is not None
+            else None
         )
+        bigrid = ctx.kernel.grid_view(resident) if resident is not None else None
+        if bigrid is None:
+            bigrid = ctx.kernel.build_bigrid(
+                ctx.collection,
+                ctx.r,
+                backend=ctx.resolved_backend,
+                point_filter=ctx.labels.grid_mask if ctx.labels is not None else None,
+                deadline=ctx.deadline,
+            )
+            view = (
+                ctx.kernel.grid_view(bigrid)
+                if tier is not None and ctx.labeler is None
+                else None
+            )
+            if view is not None:
+                tier.put(ctx.r, ctx.resolved_backend, ctx.labels, bigrid)
+                bigrid = view
+        span.set_attribute("cache_hit", resident is not None)
         ctx.bigrid = bigrid
         if ctx.engine is not None and self.keeps_grid:
             ctx.engine.last_bigrid = bigrid

@@ -28,24 +28,12 @@ import numpy as np
 from repro.bitset.base import Bitset
 from repro.bitset.factory import bitset_class
 from repro.core.objects import ObjectCollection
-from repro.grid.keys import (
-    Key,
-    compute_keys,
-    key_tuples,
-    large_cell_width,
-    small_cell_width,
-)
+from repro.grid.keys import Key, compute_keys, large_cell_width, small_cell_width
 from repro.grid.large_grid import LargeGrid
 from repro.grid.small_grid import SmallGrid
 from repro.resilience import Deadline, checkpoint
 
 PointFilter = Callable[[int], Optional[np.ndarray]]
-
-#: ``(oid, selected_indices) -> large-grid key rows`` (``int64 (points,
-#: d)``) for the selected points.  Supplied by a session's
-#: :class:`~repro.grid.cache.LargeKeyCache` so the per-point large-key
-#: computation is shared across same-ceiling queries.
-LargeKeysProvider = Callable[[int, np.ndarray], np.ndarray]
 
 
 class BIGrid:
@@ -98,7 +86,6 @@ class BIGrid:
         small_width: Optional[float] = None,
         large_width: Optional[float] = None,
         deadline: Optional[Deadline] = None,
-        large_keys_provider: Optional[LargeKeysProvider] = None,
     ) -> "BIGrid":
         """GRID-MAPPING(O, r): build both grids in one scan of the points.
 
@@ -124,10 +111,7 @@ class BIGrid:
                 continue
             mapped_points += len(indices)
             small_keys = compute_keys(obj.points[indices], s_width)
-            if large_keys_provider is not None and large_width is None:
-                large_keys = key_tuples(large_keys_provider(oid, indices))
-            else:
-                large_keys = compute_keys(obj.points[indices], l_width)
+            large_keys = compute_keys(obj.points[indices], l_width)
             groups = object_groups[oid]
             for position, point_index in enumerate(indices):
                 # Small grid (lines 3-13): maintain bitsets and key lists.

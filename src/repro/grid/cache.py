@@ -1,106 +1,112 @@
-"""Cross-query grid state caches.
+"""The session's resident-grid tier: built BIGrids kept per exact ``r``.
 
-The large grid (Definition 3) is a pure function of ``ceil(r)``: its cell
-width is ``ceil(r)`` (float-guarded, see :mod:`repro.grid.keys`), so the
-mapping from every point to its large-grid cell key is *identical* for all
-thresholds sharing one ceiling.  A single query still has to hash every
-point into that grid, but across a batched workload the key computation --
-``floor(point / width)`` over all ``nm`` points -- is repeated work that a
-session can cache once per ceiling.
+A BIGrid (Algorithm 3) is a pure function of the collection, the exact
+threshold ``r`` (small width ``r / sqrt(d)``, large width ``ceil(r)``),
+the bitset backend and the label filter of grid mapping (Lemma 3).  A
+warm session that repeats an ``r`` under the same labels would rebuild
+the identical index, so :class:`ResidentGridCache` keeps the built grid
+instead -- the "build once, serve many queries" half of Section III-D's
+reuse argument.
 
-:class:`LargeKeyCache` holds, per ``(ceil(r), oid)``, the full per-point
-large-grid key rows of one object -- one read-only ``int64 (points, d)``
-array -- and hands :meth:`provider` callables to the kernels' grid
-mapping.  A with-label query maps only a filtered subset of points; the
-provider therefore returns the cached rows of the surviving point
-indices, which keeps one cache entry valid for label-free and with-label
-runs alike.  The numpy build consumes the rows as they are; the
-reference build turns them into key tuples.
+An entry holds the grid, the resolved bitset backend it was built with
+and the :class:`~repro.core.labels.PointLabels` object whose filter it
+was built under (a strong reference: identity is the validity check).
+:meth:`ResidentGridCache.get` returns the grid only for the same ``r``
+and backend, the same collection, and ``labels is entry.labels``; any
+other entry for that ``r`` is stale and dropped.  There is one entry per
+``r``, and an LRU cap bounds the tier.
 
-The cache is keyed by *position* (object ids), exactly like point labels;
-it must be cleared whenever the collection changes.  :class:`~repro.session.
-QuerySession` owns that lifecycle.
+Resident grids are *never queried directly*.  Each query takes a view
+(:meth:`~repro.kernels.base.KernelBackend.grid_view`) that shares the
+grid's immutable arrays and its lazily computed pure tables while owning
+its per-query state, so answers, counters and ``memory_bytes`` equal a
+fresh build's, and concurrent queries sharing one entry cannot disturb
+each other.  The pipeline stores a grid only once its build completed,
+only when the kernel can view it, and never from a labeling query (its
+labels are stored at the end of the query, which makes the grid stale).
 
-The cache is thread-safe: the concurrent query service shares one
-instance across worker threads.  Dictionary accesses are guarded by a
-lock, while ``compute_keys`` runs outside it -- two threads missing the
-same ``(ceil_r, oid)`` may both compute the entry, but the computation is
-deterministic, so last-write-wins is harmless.
+Like every session tier the cache is positional (object ids) and must be
+cleared whenever the collection changes; :class:`~repro.session.
+QuerySession` owns that lifecycle.  It is thread-safe: the concurrent
+query service shares one instance across worker threads, and a lock
+guards the entries and the counters.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Callable, Dict, Tuple
+from collections import OrderedDict
+from typing import Dict, Tuple
 
-import numpy as np
+from repro.obs.recorders import observe_cache, observe_cache_invalidation
 
-from repro.core.objects import ObjectCollection
-from repro.grid.keys import key_rows, large_cell_width
-from repro.obs.recorders import cache_request_counter, observe_cache_invalidation
-
-#: ``provider(oid, selected_indices) -> key rows`` for the selected points.
-LargeKeysProvider = Callable[[int, np.ndarray], np.ndarray]
+#: The tier's label in ``repro_cache_requests_total`` and
+#: ``repro_cache_invalidations_total``.
+TIER = "grids"
 
 
-class LargeKeyCache:
-    """Per-``ceil(r)`` cache of every object's large-grid cell keys."""
+class ResidentGridCache:
+    """Per-exact-``r`` LRU of built BIGrids, validated by label identity.
 
-    __slots__ = ("_keys", "_lock", "hits", "misses")
+    ``hits`` counts queries that took a view of a resident grid and
+    ``misses`` queries that built one (stats keys ``grid_key_cache_hits``
+    and ``grid_key_cache_misses``, names kept from the large-key cache
+    this tier replaced).
+    """
 
-    def __init__(self) -> None:
-        #: ``(ceil_r, oid) -> per-point key rows`` (all points of the object).
-        self._keys: Dict[Tuple[int, int], np.ndarray] = {}
-        self._lock = threading.RLock()
+    __slots__ = ("max_entries", "_entries", "_lock", "hits", "misses")
+
+    def __init__(self, max_entries: int = 8) -> None:
+        self.max_entries = max_entries
+        #: ``r -> (grid, backend, labels)`` in LRU order.
+        self._entries: "OrderedDict[float, Tuple[object, str, object]]" = OrderedDict()
+        self._lock = threading.Lock()
         self.hits = 0
         self.misses = 0
 
-    def provider(
-        self, collection: ObjectCollection, ceil_r: int
-    ) -> LargeKeysProvider:
-        """A ``BIGrid.build``-compatible key provider for one ceiling.
-
-        ``large_cell_width`` depends only on ``ceil(r)``, so computing it
-        from the ceiling itself yields the exact width every ``r`` in the
-        bucket uses.
-        """
-        width = large_cell_width(float(ceil_r))
-        # Bound registry counters: the per-object hot path below pays one
-        # dict-slot float add per lookup, not a metric-name resolution.
-        hit_metric = cache_request_counter("grid_keys", hit=True)
-        miss_metric = cache_request_counter("grid_keys", hit=False)
-
-        def provide(oid: int, indices: np.ndarray) -> np.ndarray:
-            with self._lock:
-                entry = self._keys.get((ceil_r, oid))
-            if entry is None:
-                # Computed outside the lock: a concurrent miss on the same
-                # key recomputes the identical deterministic entry.
-                entry = key_rows(collection[oid].points, width)
-                # Shared by every later query of this ceiling.
-                entry.flags.writeable = False
-                with self._lock:
-                    self.misses += 1
-                    self._keys[(ceil_r, oid)] = entry
-                miss_metric.inc()
+    def get(self, collection, r: float, backend: str, labels):
+        """The resident grid for this query, or None (the query builds)."""
+        grid = None
+        with self._lock:
+            entry = self._entries.get(r)
+            if entry is not None:
+                if (
+                    entry[2] is labels
+                    and entry[1] == backend
+                    and entry[0].collection is collection
+                ):
+                    grid = entry[0]
+                    self._entries.move_to_end(r)
+                else:
+                    # Built under other labels or for another snapshot (a
+                    # label-free query still running on the previous
+                    # snapshot may store after an invalidation): never
+                    # valid again, so it does not stay beside the new grid.
+                    del self._entries[r]
+            if grid is None:
+                self.misses += 1
             else:
-                with self._lock:
-                    self.hits += 1
-                hit_metric.inc()
-            if len(indices) == len(entry):
-                return entry
-            return entry[indices]
+                self.hits += 1
+        observe_cache(TIER, hit=grid is not None)
+        return grid
 
-        return provide
+    def put(self, r: float, backend: str, labels, grid) -> None:
+        """Keep a completely built grid for later queries of this ``r``."""
+        with self._lock:
+            self._entries[r] = (grid, backend, labels)
+            self._entries.move_to_end(r)
+            while len(self._entries) > self.max_entries:
+                self._entries.popitem(last=False)
 
     def __len__(self) -> int:
-        return len(self._keys)
+        return len(self._entries)
 
     def clear(self) -> None:
-        """Drop all cached keys (required on any collection mutation)."""
-        observe_cache_invalidation("grid_keys")
+        """Drop every resident grid (required on any collection mutation)."""
+        observe_cache_invalidation(TIER)
         with self._lock:
-            self._keys.clear()
+            self._entries.clear()
 
     def counters(self) -> Dict[str, int]:
         return {"grid_key_cache_hits": self.hits, "grid_key_cache_misses": self.misses}
+

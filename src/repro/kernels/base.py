@@ -53,10 +53,23 @@ class KernelBackend:
         backend: str = "ewah",
         point_filter=None,
         deadline=None,
-        large_keys_provider=None,
     ):
         """GRID-MAPPING (Algorithm 3): build the BIGrid for one query."""
         raise NotImplementedError
+
+    def grid_view(self, bigrid):
+        """A per-query view of a grid this backend built, or None.
+
+        A view shares the grid's immutable arrays and pure derived tables
+        and owns every piece of per-query state (memoized adjacent unions,
+        materialized cells), so a query on a view produces exactly the
+        answer, counters and ``memory_bytes`` of a fresh build, and
+        concurrent queries on views of one grid cannot disturb each
+        other.  A session keeps a grid resident only if its kernel can
+        view it; None (the default, and the reference backend's answer)
+        makes every query build its own.
+        """
+        return None
 
     def lower_bounds(
         self,

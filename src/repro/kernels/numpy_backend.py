@@ -5,14 +5,15 @@ batches whole phases into array operations while producing *bit-identical*
 structures and results (the conformance suite enforces it):
 
 * **Grid mapping** concatenates every object's points once (the label
-  filter is one mask over them), floors every coordinate in one shot (or
-  takes a session's cached large-key rows as they are), encodes cell keys
-  as mixed-radix ``int64`` codes, and builds each grid from one stable
-  sort of its codes: cell and ``(cell, object)`` runs are boundary flags
-  on the sorted scan.  Out come a ``(cells, words)`` ``uint64`` bitset
-  matrix filled with ``np.bitwise_or.at``, cell key rows, posting
-  segments, and per-object key-list and group rows.  No per-cell,
-  per-segment or per-group python object is built.
+  filter is one mask over them), floors every coordinate in one shot,
+  encodes cell keys as mixed-radix ``int64`` codes, and builds each grid
+  from one stable sort of its codes: cell and ``(cell, object)`` runs
+  are boundary flags on the sorted scan.  Out come a ``(cells, words)``
+  ``uint64`` bitset matrix filled with ``np.bitwise_or.at``, cell key
+  rows, posting segments, and per-object key-list and group rows.  No
+  per-cell, per-segment or per-group python object is built.  A
+  session's resident grid serves later queries through per-query
+  views (:meth:`PackedBIGrid.view`).
 * **Lower bounding** OR-reduces the packed small-grid rows of each
   object's key list and popcounts with ``np.bitwise_count``.
 * **Upper bounding** computes *all* adjacent unions at once.  Adjacency
@@ -276,23 +277,46 @@ class LazyBitsetSmallCell(SmallGridCell):
         raise AttributeError(name)
 
 
-class _Adjacency:
-    """A large grid's bulk adjacency matrix and memo, shared with its cells.
+class _GridTables:
+    """A large grid's pure derived tables, shared by every view of it.
 
-    ``words`` holds every cell's ``b_adj`` once any pass needed one;
-    ``memo[row]`` says whether the reference would have memoized that
-    row's union by now (the ``K not in KeySet`` state of Algorithm 5).
-    Cells read both through this holder, not through the grid: a cell ->
-    grid reference would close a grid -> cells -> grid cycle and leave
-    every discarded grid to the cyclic garbage collector instead of
-    freeing it with its last reference.
+    ``adjacency`` holds every cell's ``b_adj`` as packed rows once any
+    pass needed one (:meth:`PackedLargeGrid.bulk_adjacency`); ``verify``
+    holds the batched verifier's lookup tables.  Both depend on the
+    grid's immutable arrays alone.  Whichever view needs one first
+    computes it; two concurrent first computations store equal values,
+    so the last store wins harmlessly.
     """
 
-    __slots__ = ("words", "memo")
+    __slots__ = ("adjacency", "verify")
 
     def __init__(self) -> None:
-        self.words: Optional[np.ndarray] = None
-        self.memo = np.zeros(0, dtype=bool)
+        self.adjacency: Optional[np.ndarray] = None
+        self.verify: Optional[dict] = None
+
+
+class _Adjacency:
+    """A large grid's shared tables and its own memo, read by its cells.
+
+    ``words`` is the shared bulk adjacency matrix (None until computed);
+    ``memo[row]`` says whether the reference would have memoized that
+    row's union by now (the ``K not in KeySet`` state of Algorithm 5),
+    per query: each view of a resident grid owns its memo.  Cells read
+    both through this holder, not through the grid: a cell -> grid
+    reference would close a grid -> cells -> grid cycle and leave every
+    discarded grid to the cyclic garbage collector instead of freeing it
+    with its last reference.
+    """
+
+    __slots__ = ("tables", "memo")
+
+    def __init__(self, tables: _GridTables, rows: int = 0) -> None:
+        self.tables = tables
+        self.memo = np.zeros(rows, dtype=bool)
+
+    @property
+    def words(self) -> Optional[np.ndarray]:
+        return self.tables.adjacency
 
 
 class LazyBitsetLargeCell(LargeGridCell):
@@ -358,7 +382,7 @@ class PackedSmallGrid(SmallGrid):
     reference build's cells, listed in ascending key order.
     """
 
-    __slots__ = ("packed", "key_rows", "cell_objects", "pair_oid")
+    __slots__ = ARRAYS = ("packed", "key_rows", "cell_objects", "pair_oid")
 
     def __init__(self, width: float, dimension: int, bitset_cls) -> None:
         # Deliberately skip the parent __init__: ``cells`` stays unset.
@@ -372,6 +396,12 @@ class PackedSmallGrid(SmallGrid):
         cells = self._materialize_cells()
         self.cells = cells
         return cells
+
+    def view(self) -> "PackedSmallGrid":
+        """The same arrays, with cells of its own still unmaterialized."""
+        view = PackedSmallGrid(self.width, self.dimension, self.bitset_cls)
+        _share(self, view)
+        return view
 
     def _materialize_cells(self) -> Dict:
         """The reference's ``cells`` dict, in row (ascending code) order."""
@@ -409,9 +439,11 @@ class PackedLargeGrid(LargeGrid):
     is one ``(cell, oid)`` posting list, sorted cell-major/oid-ascending,
     with its point indices at ``seg_points[seg_bounds[s]:seg_bounds[s+1]]``
     and their *coordinates* at the same rows of ``seg_coords`` (posting
-    order).  ``verify_tables`` caches the verifier's per-grid lookup
-    tables.  The inherited ``cells`` slot (cells with their postings)
-    stays unset until something asks for it (:meth:`__getattr__`).
+    order).  The bulk adjacency matrix and the verifier's lookup tables
+    are computed on first need into ``tables``, which every
+    :meth:`view` of the grid shares.  The inherited ``cells`` slot
+    (cells with their postings) stays unset until something asks for it
+    (:meth:`__getattr__`).
 
     ``adjacent_union_int`` keeps the base-class semantics: the first
     request for a cell's union memoizes it and counts it in
@@ -422,27 +454,25 @@ class PackedLargeGrid(LargeGrid):
     ``adj_int`` all read.
     """
 
-    __slots__ = (
+    ARRAYS = (
         "packed",
         "codes",
         "strides",
         "key_rows",
-        "_adjacency",
         "seg_cell",
         "seg_oid",
         "seg_bounds",
         "seg_points",
         "seg_coords",
-        "verify_tables",
     )
+    __slots__ = ARRAYS + ("_adjacency",)
 
     def __init__(self, width: float, dimension: int, bitset_cls) -> None:
         # Deliberately skip the parent __init__: ``cells`` stays unset.
         self.width = width
         self.dimension = dimension
         self.bitset_cls = bitset_cls
-        self._adjacency = _Adjacency()
-        self.verify_tables = None
+        self._adjacency = _Adjacency(_GridTables())
 
     def __getattr__(self, name: str):
         if name != "cells":
@@ -450,6 +480,19 @@ class PackedLargeGrid(LargeGrid):
         cells = self._materialize_cells()
         self.cells = cells
         return cells
+
+    def view(self) -> "PackedLargeGrid":
+        """The same arrays and shared tables, with an adjacency memo of
+        its own (nothing memoized) and cells still unmaterialized."""
+        view = PackedLargeGrid(self.width, self.dimension, self.bitset_cls)
+        _share(self, view)
+        view._adjacency = _Adjacency(self._adjacency.tables, len(self.codes))
+        return view
+
+    @property
+    def tables(self) -> _GridTables:
+        """The pure derived tables every view of this grid shares."""
+        return self._adjacency.tables
 
     def _materialize_cells(self) -> Dict:
         """The reference's ``cells`` dict with postings, in row order."""
@@ -527,7 +570,7 @@ class PackedLargeGrid(LargeGrid):
                         rows = np.flatnonzero(hit)
                         join(rows, positions[rows])
                         positions += hit
-            self._adjacency.words = adjacency
+            self._adjacency.tables.adjacency = adjacency
         return adjacency
 
     def row_adjacency(self, row: int) -> int:
@@ -587,7 +630,7 @@ class PackedBIGrid(BIGrid):
     something asks for them (:meth:`__getattr__`).
     """
 
-    __slots__ = (
+    __slots__ = ARRAYS = (
         "shared_flat",
         "shared_counts",
         "shared_words",
@@ -621,6 +664,20 @@ class PackedBIGrid(BIGrid):
         setattr(self, name, value)
         return value
 
+    def view(self) -> "PackedBIGrid":
+        """A per-query view: the same immutable arrays and shared tables,
+        with per-query state (adjacency memo, cells, key lists, groups) of
+        its own, as after a fresh build."""
+        view = PackedBIGrid(
+            self.collection,
+            self.r,
+            self.small_grid.view(),
+            self.large_grid.view(),
+            self.mapped_points,
+        )
+        _share(self, view)
+        return view
+
     def _materialize_key_lists(self) -> List[set]:
         """``o_i.L`` per object; each set gets its keys in ascending cell
         order, as the reference's cell-major scan inserts them."""
@@ -653,6 +710,13 @@ class PackedBIGrid(BIGrid):
         # ``len(key_lists[oid]) == shared_counts[oid]`` and
         # ``len(object_groups[oid]) == group_counts[oid]`` by construction.
         return int(self.shared_counts.sum()), int(self.group_counts.sum())
+
+
+def _share(source, target) -> None:
+    """Point ``target``'s array slots at ``source``'s (never copied:
+    built arrays are never written after the build)."""
+    for name in source.ARRAYS:
+        setattr(target, name, getattr(source, name))
 
 
 def _cell_runs(codes: np.ndarray, oids: np.ndarray, words: int) -> Tuple:
@@ -712,7 +776,6 @@ class NumpyKernel(KernelBackend):
         backend: str = "ewah",
         point_filter=None,
         deadline=None,
-        large_keys_provider=None,
     ) -> BIGrid:
         bitset_cls = bitset_class(backend)
         dimension = collection.dimension
@@ -741,20 +804,7 @@ class NumpyKernel(KernelBackend):
             keep = np.concatenate(masks).astype(bool, copy=False)
             points = points.compress(keep, 0)
             oids, point_idx = oids.compress(keep), point_idx.compress(keep)
-            sizes = np.bincount(oids, minlength=n)
         mapped_points = len(oids)
-        provided: Optional[List[np.ndarray]] = None
-        if large_keys_provider is not None:
-            # The session's LargeKeyCache must see the same per-object calls
-            # (and hit/miss accounting) as the serial build: one per object
-            # with a mapped point, passing that object's surviving indices.
-            provided = []
-            bounds = np.concatenate(([0], np.cumsum(sizes))).tolist()
-            for oid in np.flatnonzero(sizes).tolist():
-                checkpoint(deadline, "grid_mapping")
-                provided.append(
-                    large_keys_provider(oid, point_idx[bounds[oid] : bounds[oid + 1]])
-                )
 
         small_grid = PackedSmallGrid(s_width, dimension, bitset_cls)
         large_grid = PackedLargeGrid(l_width, dimension, bitset_cls)
@@ -789,11 +839,7 @@ class NumpyKernel(KernelBackend):
             return bigrid
 
         small_keys = key_rows(points, s_width)
-        large_keys = (
-            np.concatenate(provided)
-            if provided is not None
-            else key_rows(points, l_width)
-        )
+        large_keys = key_rows(points, l_width)
 
         encoded_small = encode_keys(small_keys)
         encoded_large = encode_keys(large_keys)
@@ -806,7 +852,6 @@ class NumpyKernel(KernelBackend):
                 backend=backend,
                 point_filter=point_filter,
                 deadline=deadline,
-                large_keys_provider=large_keys_provider,
             )
 
         checkpoint(deadline, "grid_mapping")
@@ -816,6 +861,11 @@ class NumpyKernel(KernelBackend):
             bigrid, large_keys, encoded_large, oids, point_idx, points, n, words
         )
         return bigrid
+
+    def grid_view(self, bigrid):
+        # A build that fell back to the reference layout (int64 key
+        # overflow) has no packed arrays to share.
+        return bigrid.view() if isinstance(bigrid, PackedBIGrid) else None
 
     @staticmethod
     def _populate_small(
@@ -1463,7 +1513,7 @@ class _BatchedVerifier:
 
     def _grid_tables(self) -> dict:
         grid = self.large_grid
-        tables = grid.verify_tables
+        tables = grid.tables.verify
         if tables is None:
             offsets = neighbor_offsets(grid.dimension)
             deltas = np.zeros(1 + len(offsets), dtype=np.int64)
@@ -1484,7 +1534,7 @@ class _BatchedVerifier:
                 "seg_lengths": np.diff(grid.seg_bounds),
                 "group_bounds": group_bounds,
             }
-            grid.verify_tables = tables
+            grid.tables.verify = tables
         return tables
 
     def _columns(self, rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:

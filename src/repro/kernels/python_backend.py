@@ -37,7 +37,6 @@ class PythonKernel(KernelBackend):
         backend: str = "ewah",
         point_filter=None,
         deadline=None,
-        large_keys_provider=None,
     ) -> BIGrid:
         return BIGrid.build(
             collection,
@@ -45,7 +44,6 @@ class PythonKernel(KernelBackend):
             backend=backend,
             point_filter=point_filter,
             deadline=deadline,
-            large_keys_provider=large_keys_provider,
         )
 
     def lower_bounds(self, bigrid, keep_bitsets=False, stats=None, deadline=None):

@@ -19,7 +19,7 @@ from __future__ import annotations
 from repro.obs import metrics
 
 #: The three cross-query cache tiers (label order = report order).
-CACHE_TIERS = ("labels", "grid_keys", "lower_bounds")
+CACHE_TIERS = ("labels", "grids", "lower_bounds")
 
 
 def observe_query(result, engine: str) -> None:
@@ -88,17 +88,10 @@ def register_cache_metrics() -> None:
 
 
 def observe_cache(tier: str, hit: bool) -> None:
-    """One cache lookup on a tier (labels / grid_keys / lower_bounds)."""
+    """One cache lookup on a tier (labels / grids / lower_bounds)."""
     metrics.counter(
         "repro_cache_requests_total", "Cross-query cache lookups by tier and outcome"
     ).inc(tier=tier, outcome="hit" if hit else "miss")
-
-
-def cache_request_counter(tier: str, hit: bool):
-    """A bound counter for hot per-object cache accounting."""
-    return metrics.counter(
-        "repro_cache_requests_total", "Cross-query cache lookups by tier and outcome"
-    ).labels(tier=tier, outcome="hit" if hit else "miss")
 
 
 def observe_cache_invalidation(tier: str) -> None:

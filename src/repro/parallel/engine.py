@@ -47,7 +47,7 @@ from repro.core.pipeline import (
 )
 from repro.core.query import MIOResult
 from repro.errors import InjectedFault, InvalidQueryError, PartitionTaskError
-from repro.grid.cache import LargeKeyCache
+from repro.grid.cache import ResidentGridCache
 from repro.kernels import resolve_kernel
 from repro.obs import metrics as obs_metrics
 from repro.obs.trace import ensure_tracer
@@ -111,7 +111,7 @@ def _fall_back_to_serial(ctx: QueryContext, cause: Exception, root) -> MIOResult
 
     A verifier hand-off failed past its retry budget.  The answer is still
     computable: degrade to the serial engine rather than crash the query.  The serial engine
-    reads this engine's label store, label policy, and key cache.
+    reads this engine's label store, label policy, and resident grids.
     """
     engine = ctx.engine
     if not engine.serial_fallback:
@@ -126,7 +126,7 @@ def _fall_back_to_serial(ctx: QueryContext, cause: Exception, root) -> MIOResult
         backend=engine.backend,
         label_store=engine.label_store,
         label_reuse=engine.label_reuse,
-        key_cache=engine.key_cache,
+        grid_cache=engine.grid_cache,
         kernel=engine.kernel,
     )
     if ctx.want_ranking:
@@ -181,7 +181,7 @@ class ParallelMIOEngine:
         label_reuse: str = "safe",
         retries: int = 2,
         serial_fallback: bool = True,
-        key_cache: Optional[LargeKeyCache] = None,
+        grid_cache: Optional[ResidentGridCache] = None,
         tracer=None,
         kernel: str = "python",
         mode: str = "sharded",
@@ -203,11 +203,11 @@ class ParallelMIOEngine:
         self.cores = cores
         self.backend = backend
         #: Label store and label policy serve only the serial fallback
-        #: engine: parallel queries run label-free.  The key cache serves
-        #: every grid mapping, as in the serial engine.
+        #: engine: parallel queries run label-free.  The resident-grid tier
+        #: serves every grid mapping, as in the serial engine.
         self.label_store = label_store
         self.label_reuse = label_reuse
-        self.key_cache = key_cache
+        self.grid_cache = grid_cache
         #: Re-executions granted to a failing verifier hand-off before the
         #: query aborts (and, with ``serial_fallback``, degrades to the serial
         #: engine instead of crashing).
@@ -306,7 +306,7 @@ class ParallelMIOEngine:
             # Label-free (module docstring).
             label_store=None,
             label_reuse=self.label_reuse,
-            key_cache=self.key_cache,
+            grid_cache=self.grid_cache,
             engine=self,
             kernel=self.kernel,
         )

@@ -12,12 +12,22 @@ different granularity:
 cache                keyed by                 sound because
 ===================  =======================  ==============================
 point labels         ``ceil(r)``              Definition 4 / Section III-D
-large-grid keys      ``ceil(r)``              large width = ``ceil(r)``
-                                              (Definition 3)
+resident grids       exact ``r``, label       the BIGrid is a pure function
+                     identity, backend        of ``r``, the bitset backend
+                                              and the grid-mapping label
+                                              filter (Algorithm 3)
 lower-bound state    exact ``r``              small width = ``r / sqrt(d)``;
                                               Labeling-1 points never enter
                                               shared small cells (Lemma 3)
 ===================  =======================  ==============================
+
+Both exact-``r`` tiers share the ``lower_cache_entries`` LRU capacity.  A
+resident grid is kept only from a query that armed no labeler, and every
+query runs on its own kernel view of it (:mod:`repro.grid.cache`), so
+its answer, counters and ``memory_bytes`` are a fresh build's.
+``stats()`` reports the resident-grid tier as ``grid_key_cache_hits``
+(queries that reused a grid) and ``grid_key_cache_misses`` (queries that
+built one), key names kept from the large-key cache it replaced.
 
 All three are positional (object ids), so the session is also the unit of
 *invalidation*: a session over a :class:`~repro.dynamic.DynamicMIO` watches
@@ -52,7 +62,7 @@ from repro.core.objects import ObjectCollection
 from repro.core.query import MIOResult
 from repro.dynamic import DynamicMIO
 from repro.errors import InvalidQueryError, QueryTimeout
-from repro.grid.cache import LargeKeyCache
+from repro.grid.cache import ResidentGridCache
 from repro.kernels import resolve_kernel
 from repro.obs import metrics as obs_metrics
 from repro.obs.logging import get_logger, new_id
@@ -174,6 +184,9 @@ class QuerySession:
     label_dir:
         Optional directory for a disk-backed label store (labels survive
         the session, as the paper's external-memory setting assumes).
+    lower_cache_entries:
+        LRU capacity of both exact-``r`` tiers: lower-bound results and
+        resident grids.
     """
 
     def __init__(
@@ -207,7 +220,9 @@ class QuerySession:
         #: query, each containing that query's full phase tree.
         self.tracer = tracer
         self.label_store = LabelStore(label_dir)
-        self.key_cache = LargeKeyCache()
+        # Both exact-``r`` tiers share one capacity, so they hold the same
+        # set of thresholds.
+        self.grid_cache = ResidentGridCache(lower_cache_entries)
         self.lower_cache = LowerBoundCache(lower_cache_entries)
         register_cache_metrics()
         # Concurrent use (the query service): the cache tiers are
@@ -252,14 +267,14 @@ class QuerySession:
     # ------------------------------------------------------------------
 
     def invalidate(self) -> None:
-        """Drop every cross-query cache (labels, grid keys, lower bounds).
+        """Drop every cross-query cache (labels, resident grids, lower bounds).
 
         Called automatically when a :class:`DynamicMIO` source mutates;
         callable directly when the caller knows its data changed under a
         static collection (e.g. after rebuilding the session's input).
         """
         self.label_store.clear()
-        self.key_cache.clear()
+        self.grid_cache.clear()
         self.lower_cache.clear()
         with self._stats_lock:
             self.counters["invalidations"] += 1
@@ -275,7 +290,7 @@ class QuerySession:
             backend=self.backend,
             label_store=self.label_store,
             label_reuse=self.label_reuse,
-            key_cache=self.key_cache,
+            grid_cache=self.grid_cache,
             lower_cache=self.lower_cache,
             tracer=self.tracer,
             kernel=self.kernel,
@@ -288,7 +303,7 @@ class QuerySession:
                 label_store=self.label_store,
                 label_reuse=self.label_reuse,
                 retries=self.retries,
-                key_cache=self.key_cache,
+                grid_cache=self.grid_cache,
                 tracer=self.tracer,
                 kernel=self.kernel,
                 shards=self.shards,
@@ -550,7 +565,7 @@ class QuerySession:
     def stats(self) -> Dict[str, int]:
         """Merged session counters: reuse, cache hit/miss, degradations."""
         merged = dict(self.counters)
-        merged.update(self.key_cache.counters())
+        merged.update(self.grid_cache.counters())
         merged.update(self.lower_cache.counters())
         merged["label_store_hits"] = self.label_store.hits
         merged["label_store_misses"] = self.label_store.misses

@@ -302,27 +302,22 @@ class TestDeadlines:
         assert session.query(2.6).algorithm == "bigrid-label"
 
     @needs_numpy
-    def test_numpy_build_expires_between_provider_calls(self):
-        """The kernel polls the deadline itself between per-object
-        large-key provider calls, as the reference build does between
-        objects: a budget of a few checks cuts the build short."""
-        from repro.grid.keys import key_rows, large_cell_width
+    def test_numpy_build_expires_between_its_passes(self):
+        """The kernel polls the deadline itself between its passes (the
+        point gather, the small grid, the large grid), as the reference
+        build does between objects: a budget of a few checks cuts the
+        build short past its first check."""
         from repro.kernels.numpy_backend import NUMPY_KERNEL
 
         collection = random_collection(n=12, mean_points=5, seed=145)
-        calls = []
-
-        def provider(oid, indices):
-            calls.append(oid)
-            return key_rows(collection[oid].points[indices], large_cell_width(2.5))
-
-        deadline = Deadline(5.0, clock=ManualClock(step=1.0))
+        clock = ManualClock(step=1.0)
         with pytest.raises(QueryTimeout) as info:
             NUMPY_KERNEL.build_bigrid(
-                collection, 2.5, deadline=deadline, large_keys_provider=provider
+                collection, 2.5, deadline=Deadline(2.5, clock=clock)
             )
         assert info.value.phase == "grid_mapping"
-        assert 0 < len(calls) < collection.n
+        # The budget's start reading plus three checks, the last expired.
+        assert clock.now == 4.0
 
     def test_phases_expire_in_pipeline_order(self):
         """Sweeping the budget under a ManualClock walks expiry through the

@@ -13,6 +13,9 @@ of an object's points.
   first-occurrence order -- equals ``BIGrid.build``'s.
 * Every ``bulk_adjacency`` row equals the brute-force union of the
   reference cells over ``cell_and_adjacent_keys``.
+* A per-query view of a grid another view already ran on shares the
+  arrays and the bulk adjacency matrix, starts with nothing memoized,
+  and materializes the reference layout of its own.
 """
 
 import numpy as np
@@ -22,7 +25,7 @@ from hypothesis import strategies as st
 
 from repro.core.objects import ObjectCollection
 from repro.grid.bigrid import BIGrid
-from repro.grid.keys import cell_and_adjacent_keys, large_cell_width
+from repro.grid.keys import cell_and_adjacent_keys
 from repro.kernels import numpy_kernel_available
 
 from test_kernel_conformance import assert_bigrids_equal, numpy_kernel
@@ -113,34 +116,6 @@ def test_packed_build_matches_reference(dimension, data):
 
 @pytest.mark.parametrize("dimension", [2, 3])
 @given(data=st.data())
-def test_key_provider_sees_reference_calls(dimension, data):
-    """A large-key provider gets one call per object with a mapped point,
-    with the same surviving indices, and the build is unchanged."""
-    collection, r, point_filter = data.draw(builds(dimension))
-
-    def recording(calls):
-        def provide(oid, indices):
-            calls.append((oid, indices.tolist()))
-            return np.floor(collection[oid].points[indices] / width).astype(np.int64)
-
-        return provide
-
-    width = large_cell_width(r)
-    ref_calls, got_calls = [], []
-    ref = BIGrid.build(
-        collection, r, point_filter=point_filter,
-        large_keys_provider=recording(ref_calls),
-    )
-    got = numpy_kernel().build_bigrid(
-        collection, r, point_filter=point_filter,
-        large_keys_provider=recording(got_calls),
-    )
-    assert got_calls == ref_calls
-    assert_layouts_equal(ref, got)
-
-
-@pytest.mark.parametrize("dimension", [2, 3])
-@given(data=st.data())
 def test_bulk_adjacency_is_the_neighbourhood_union(dimension, data):
     collection, r, point_filter = data.draw(builds(dimension))
     ref = BIGrid.build(collection, r, point_filter=point_filter)
@@ -155,3 +130,25 @@ def test_bulk_adjacency_is_the_neighbourhood_union(dimension, data):
                 expected |= cells[neighbor].bitset.to_int()
         words = adjacency[row].astype("<u8").tobytes()
         assert int.from_bytes(words, "little") == expected, key
+
+
+@pytest.mark.parametrize("dimension", [2, 3])
+@given(data=st.data())
+def test_views_share_arrays_and_own_query_state(dimension, data):
+    collection, r, point_filter = data.draw(builds(dimension))
+    ref = BIGrid.build(collection, r, point_filter=point_filter)
+    kernel = numpy_kernel()
+    resident = kernel.build_bigrid(collection, r, point_filter=point_filter)
+    first = kernel.grid_view(resident)
+    assert_layouts_equal(ref, first)
+    first.large_grid.bulk_adjacency()
+    first.large_grid.adj_memo[:] = True
+    second = kernel.grid_view(resident)
+    assert second.large_grid.packed is resident.large_grid.packed
+    assert second.shared_words is resident.shared_words
+    assert second.large_grid.adj_words is first.large_grid.adj_words
+    assert not second.large_grid.adj_memo.any()
+    assert second.large_grid.adjacency_bytes() == 0
+    assert second.memory_bytes() == ref.memory_bytes()
+    assert second.large_grid.cells is not first.large_grid.cells
+    assert_layouts_equal(ref, second)

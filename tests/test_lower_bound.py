@@ -203,3 +203,35 @@ class TestNumpyDispatch:
         assert session.stats()["lower_cache_hits"] == 1
         assert first.notes["lower_bound_path"] == path
         assert repeat.notes["lower_bound_path"] == path
+
+
+class TestCachedSeeds:
+    def test_hit_builds_only_the_seeds_read(self):
+        from repro.bitset.plain import PlainBitset
+        from repro.core.lower_bound import LowerBoundCache
+
+        built = []
+
+        class CountingBitset(PlainBitset):
+            @classmethod
+            def from_int(cls, value):
+                built.append(value)
+                return super().from_int(value)
+
+        collection = random_collection(n=20, mean_points=5, seed=66)
+        computed = compute_lower_bounds(
+            BIGrid.build(collection, r=3.0), keep_bitsets=True
+        )
+        cache = LowerBoundCache()
+        cache.put(3.0, computed)
+        hit = cache.get(3.0, CountingBitset)
+        assert built == []
+        assert len(hit.bitsets) == collection.n
+        reads = [oid for oid, bitset in enumerate(computed.bitsets) if bitset][:2]
+        for oid in reads + reads:
+            assert hit.bitsets[oid].to_int() == computed.bitsets[oid].to_int()
+        # Each read oid built once; no other object's bitset was built.
+        assert built == [computed.bitsets[oid].to_int() for oid in reads]
+        assert [
+            None if bitset is None else bitset.to_int() for bitset in hit.bitsets
+        ] == [None if bitset is None else bitset.to_int() for bitset in computed.bitsets]

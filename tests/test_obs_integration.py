@@ -20,6 +20,7 @@ from repro.bench.harness import run_algorithm
 from repro.bench.schedule import simulate_query
 from repro.cli import main
 from repro.core.engine import MIOEngine
+from repro.kernels import numpy_kernel_available
 from repro.obs import metrics as obs_metrics
 from repro.obs.export import validate_prometheus_text
 from repro.obs.trace import PHASE_SPAN_NAMES, Tracer, phase_durations
@@ -182,14 +183,18 @@ class TestRegistryFeeds:
         assert latency.snapshot(engine="parallel")["count"] == 1
         assert fresh_registry.get("repro_phase_seconds") is not None
 
+    @pytest.mark.skipif(
+        not numpy_kernel_available(), reason="numpy kernel unavailable here"
+    )
     def test_all_three_cache_tiers_report(self, collection, fresh_registry):
-        session = QuerySession(collection)
+        # The numpy kernel keeps grids resident (the reference never does).
+        session = QuerySession(collection, kernel="numpy")
         session.query_many([4.9, 4.1, 4.1])
         requests = fresh_registry.get("repro_cache_requests_total")
         assert requests.value(tier="labels", outcome="miss") >= 1
         assert requests.value(tier="labels", outcome="hit") >= 1
-        assert requests.value(tier="grid_keys", outcome="miss") >= 1
-        assert requests.value(tier="grid_keys", outcome="hit") >= 1
+        assert requests.value(tier="grids", outcome="miss") >= 1
+        assert requests.value(tier="grids", outcome="hit") >= 1
         # Same exact r repeated: the lower-bound tier hits too.
         assert requests.value(tier="lower_bounds", outcome="hit") >= 1
         assert requests.value(tier="lower_bounds", outcome="miss") >= 1
@@ -199,7 +204,7 @@ class TestRegistryFeeds:
         session.query(R)
         session.invalidate()
         invalidations = fresh_registry.get("repro_cache_invalidations_total")
-        for tier in ("labels", "grid_keys", "lower_bounds"):
+        for tier in ("labels", "grids", "lower_bounds"):
             assert invalidations.value(tier=tier) == 1
 
     def test_deadline_expiry_and_mutations_report(self, fresh_registry):
@@ -301,7 +306,7 @@ class TestCliSurfaces:
         assert main(["batch", workload, "--stats"]) == 0
         payload = json.loads(capsys.readouterr().out)
         series = payload["metrics"]["repro_cache_requests_total"]["series"]
-        for tier in ("labels", "grid_keys", "lower_bounds"):
+        for tier in ("labels", "grids", "lower_bounds"):
             assert f'outcome="hit",tier="{tier}"' in series
             assert f'outcome="miss",tier="{tier}"' in series
 

@@ -20,7 +20,7 @@ class TestCounter:
         counter.inc(tier="labels", outcome="miss")
         assert counter.value(tier="labels", outcome="hit") == 3.0
         assert counter.value(tier="labels", outcome="miss") == 1.0
-        assert counter.value(tier="grid_keys", outcome="hit") == 0.0
+        assert counter.value(tier="grids", outcome="hit") == 0.0
 
     def test_label_order_does_not_matter(self):
         counter = Counter("c_total", "test")
@@ -34,11 +34,11 @@ class TestCounter:
 
     def test_bound_counter_hits_the_same_series(self):
         counter = Counter("c_total", "test")
-        bound = counter.labels(tier="grid_keys", outcome="hit")
+        bound = counter.labels(tier="grids", outcome="hit")
         for _ in range(5):
             bound.inc()
-        counter.inc(tier="grid_keys", outcome="hit")
-        assert counter.value(tier="grid_keys", outcome="hit") == 6.0
+        counter.inc(tier="grids", outcome="hit")
+        assert counter.value(tier="grids", outcome="hit") == 6.0
 
     def test_invalid_names_rejected(self):
         with pytest.raises(ValueError):

@@ -16,12 +16,19 @@ from repro.core.engine import MIOEngine
 from repro.core.labels import LabelStore, labels_match_collection
 from repro.core.objects import ObjectCollection
 from repro.dynamic import DynamicMIO
-from repro.errors import InvalidQueryError
-from repro.grid.cache import LargeKeyCache
-from repro.grid.keys import compute_keys, key_tuples, large_cell_width
+from repro import faults
+from repro.errors import InjectedFault, InvalidQueryError, QueryTimeout
+from repro.faults import FaultInjector, FaultSpec
+from repro.kernels import numpy_kernel_available
+from repro.resilience import Deadline, ManualClock
 from repro.session import QueryRequest, QuerySession, normalize_request as _normalize
 
 from conftest import oracle_scores, random_collection
+
+#: Only the numpy kernel keeps grids resident (the reference rebuilds).
+needs_numpy = pytest.mark.skipif(
+    not numpy_kernel_available(), reason="numpy kernel unavailable here"
+)
 
 
 def expected_answer(collection, r):
@@ -114,7 +121,9 @@ class TestSessionBasics:
         assert stats["label_misses"] == 1      # one labeling run
         assert stats["label_hits"] == 2        # two WITH-LABEL runs
         assert stats["lower_cache_hits"] == 1  # repeated exact r = 4.9
-        assert stats["grid_key_cache_hits"] > 0
+        # The python kernel keeps no grid resident: every query builds.
+        assert stats["grid_key_cache_hits"] == 0
+        assert stats["grid_key_cache_misses"] == 3
         assert stats["label_ceilings"] == 1
 
     def test_results_annotated_with_session_counters(self, clustered_collection):
@@ -141,50 +150,120 @@ class TestSessionBasics:
         assert session.stats()["points_skipped_by_labels"] > 0
 
 
-class TestLargeKeyCache:
-    """The large-key tier: one int64 key-row array per ``(ceil(r), oid)``."""
+@needs_numpy
+class TestResidentGrids:
+    """The resident-grid tier: one built grid per exact ``r``, per-query views."""
 
-    @pytest.mark.parametrize("filtered", [False, True])
-    def test_provider_rows_match_compute_keys(self, filtered):
-        collection = random_collection(n=12, mean_points=7, seed=43)
-        cache = LargeKeyCache()
-        provide = cache.provider(collection, 3)
-        width = large_cell_width(3.0)
-        rng = np.random.default_rng(7)
-        for oid in range(collection.n):
-            points = collection[oid].points
-            indices = np.arange(len(points))
-            if filtered:
-                # A with-label build asks for the surviving points only.
-                indices = np.flatnonzero(rng.random(len(points)) < 0.5)
-            for _ in range(2):  # a miss, then a hit
-                rows = provide(oid, indices)
-                assert rows.dtype == np.int64
-                assert rows.shape == (len(indices), collection.dimension)
-                assert key_tuples(rows) == compute_keys(points[indices], width)
-                if not filtered:
-                    # The whole-object answer is the shared cached entry.
-                    assert not rows.flags.writeable
-        assert (cache.hits, cache.misses) == (collection.n, collection.n)
+    @staticmethod
+    def _reference(collection, calls):
+        """Each call's result on a session whose every query builds."""
+        session = QuerySession(collection, kernel="numpy")
+        session._serial.grid_cache = None
+        return [
+            session.query(r) if k == 1 else session.topk(r, k) for r, k in calls
+        ]
 
-    @pytest.mark.parametrize("kernel", ["python", "numpy"])
-    def test_hit_and_miss_counts_on_a_session_replay(self, kernel):
-        # Pinned counts: the provider is called once per mapped object of
-        # every grid build, whatever form the cached keys take.
-        collection = random_collection(n=40, mean_points=6, seed=41)
-        dynamic = DynamicMIO()
-        for obj in collection:
-            dynamic.add_object(obj.points)
-        session = QuerySession(dynamic, kernel=kernel)
-        for r in (3.4, 3.1, 4.2, 3.9):
-            session.query(r)
-        dynamic.add_object(np.array([[1.0, 2.0], [2.0, 2.5]]))
-        for r in (3.4, 3.2, 2.5):
-            session.query(r)
+    def test_repeated_r_reuses_and_matches_rebuilds(self, clustered_collection):
+        from test_kernel_conformance import assert_results_equal
+
+        calls = [(4.9, 1), (4.9, 1), (4.9, 3), (4.1, 1), (4.1, 1), (4.9, 1)]
+        session = QuerySession(clustered_collection, kernel="numpy")
+        got = [session.query(r) if k == 1 else session.topk(r, k) for r, k in calls]
+        for result, reference in zip(got, self._reference(clustered_collection, calls)):
+            assert_results_equal(result, reference)
         stats = session.stats()
-        assert stats["grid_key_cache_hits"] == 120
-        assert stats["grid_key_cache_misses"] == 162
-        assert len(session.key_cache) == 82
+        # The labeling run builds and keeps nothing, 4.9 builds, its top-3
+        # reuses, 4.1 builds, then 4.1 and 4.9 reuse.
+        assert (stats["grid_key_cache_hits"], stats["grid_key_cache_misses"]) == (3, 3)
+        assert len(session.grid_cache) == 2
+
+    def test_entry_needs_same_labels_backend_and_collection(self, clustered_collection):
+        """A late store from a query on a previous snapshot (or under other
+        labels or another backend) is never served, and is dropped."""
+        from repro.grid.cache import ResidentGridCache
+        from repro.kernels.numpy_backend import NUMPY_KERNEL
+
+        grid = NUMPY_KERNEL.build_bigrid(clustered_collection, 4.5)
+        labels = object()
+        other = random_collection(n=40, mean_points=8, seed=11)
+        tier = ResidentGridCache(max_entries=2)
+        for collection, backend, query_labels in (
+            (clustered_collection, "plain", labels),
+            (clustered_collection, "ewah", None),
+            (other, "ewah", labels),
+        ):
+            tier.put(4.5, "ewah", labels, grid)
+            assert tier.get(collection, 4.5, backend, query_labels) is None
+            assert len(tier) == 0
+        tier.put(4.5, "ewah", labels, grid)
+        assert tier.get(clustered_collection, 4.5, "ewah", labels) is grid
+        assert tier.counters() == {"grid_key_cache_hits": 1, "grid_key_cache_misses": 3}
+
+    def test_labeling_query_keeps_no_grid(self, clustered_collection):
+        session = QuerySession(clustered_collection, kernel="numpy")
+        assert session.query(4.9).algorithm == "bigrid"
+        assert len(session.grid_cache) == 0
+        assert session.query(4.9).algorithm == "bigrid-label"
+        assert len(session.grid_cache) == 1
+
+    def test_deadline_cut_build_stores_nothing(self, clustered_collection):
+        session = QuerySession(clustered_collection, kernel="numpy")
+        session.query(4.9)  # labels the ceiling
+        clock = ManualClock(step=1.0)
+        with pytest.raises(QueryTimeout) as info:
+            # Past the stage boundary's check, inside the kernel's passes.
+            session.query(4.5, deadline=Deadline(2.5, clock=clock))
+        assert info.value.phase == "grid_mapping"
+        assert len(session.grid_cache) == 0
+        result = session.query(4.5)
+        assert result.exact
+        fresh = self._reference(clustered_collection, [(4.9, 1), (4.5, 1)])[1]
+        assert (result.winner, result.score, result.memory_bytes) == (
+            fresh.winner, fresh.score, fresh.memory_bytes,
+        )
+        assert session.stats()["grid_key_cache_hits"] == 0
+
+    def test_grid_mapping_fault_stores_nothing(self, clustered_collection):
+        session = QuerySession(clustered_collection, kernel="numpy")
+        session.query(4.9)
+        with faults.injected(FaultInjector([FaultSpec("grid_mapping")])):
+            with pytest.raises(InjectedFault):
+                session.query(4.5)
+        assert len(session.grid_cache) == 0
+        result = session.query(4.5)
+        winners, best = expected_answer(clustered_collection, 4.5)
+        assert result.exact and result.winner in winners and result.score == best
+        assert len(session.grid_cache) == 1
+
+    def test_invalidate_rebuilds(self, clustered_collection):
+        session = QuerySession(clustered_collection, kernel="numpy")
+        for _ in range(3):
+            session.query(4.9)
+        assert session.stats()["grid_key_cache_hits"] == 1
+        session.invalidate()
+        assert len(session.grid_cache) == 0
+        session.query(4.9)  # relabels: builds
+        session.query(4.9)  # builds under the new labels
+        stats = session.stats()
+        assert (stats["grid_key_cache_hits"], stats["grid_key_cache_misses"]) == (1, 4)
+
+    def test_lru_bound_holds_over_many_r(self, clustered_collection):
+        session = QuerySession(
+            clustered_collection, kernel="numpy", lower_cache_entries=3
+        )
+        rs = [4.1, 4.2, 4.3, 4.4, 4.5, 4.6, 4.7]
+        session.query(4.9)
+        for r in rs:
+            session.query(r)
+            assert len(session.grid_cache) <= 3
+        # The three most recent thresholds are resident; older ones rebuild.
+        misses = session.stats()["grid_key_cache_misses"]
+        session.query(4.7)
+        session.query(4.1)
+        stats = session.stats()
+        assert stats["grid_key_cache_hits"] == 1
+        assert stats["grid_key_cache_misses"] == misses + 1
+        assert len(session.grid_cache) == 3
 
 
 class TestBatchPlanning:
@@ -353,18 +432,41 @@ class TestDynamicInvalidation:
         # The winner maps back to a stable handle of the *current* contents.
         assert session.handle_of(second.winner) in dynamic
 
+    @needs_numpy
     def test_every_cache_layer_is_dropped(self):
         dynamic, handles = self._build()
-        session = QuerySession(dynamic)
+        session = QuerySession(dynamic, kernel="numpy")
         session.query(1.5)
-        assert len(session.key_cache) > 0
+        session.query(1.5)  # with labels: keeps its grid resident
+        assert len(session.grid_cache) == 1
         assert len(session.lower_cache) == 1
         dynamic.add_object(np.array([[30.0, 30.0], [31.0, 30.0]]))
         session.query(1.5)
-        # Caches were cleared and repopulated for the new snapshot only.
+        # Caches were cleared and repopulated for the new snapshot only
+        # (the relabeling query keeps no grid).
         assert session.stats()["invalidations"] == 1
+        assert len(session.grid_cache) == 0
         assert len(session.lower_cache) == 1
         assert session.label_store.ceilings() == [2]
+
+    @needs_numpy
+    def test_same_shape_churn_rebuilds_the_grid(self):
+        """Remove+add of a same-shaped object: the resident grid of the old
+        snapshot is never viewed again, and the answer stays exact."""
+        dynamic, handles = self._build()
+        session = QuerySession(dynamic, kernel="numpy")
+        session.query(1.5)
+        session.query(1.5)
+        assert session.stats()["grid_key_cache_hits"] == 0
+        dynamic.remove_object(handles[0])
+        dynamic.add_object(np.array([[0.2, 0.2], [1.2, 0.2]]))
+        session.query(1.5)
+        result = session.query(1.5)
+        assert result.score == max(oracle_scores(session.collection, 1.5))
+        stats = session.stats()
+        assert (stats["grid_key_cache_hits"], stats["grid_key_cache_misses"]) == (0, 4)
+        assert session.query(1.5).score == result.score
+        assert session.stats()["grid_key_cache_hits"] == 1
 
     def test_mutation_between_batches(self):
         dynamic, handles = self._build()

@@ -155,19 +155,19 @@ def test_paper_mode_equals_hand_threaded_caches(collection, rs):
     """
     from repro.core.labels import LabelStore
     from repro.core.lower_bound import LowerBoundCache
-    from repro.grid.cache import LargeKeyCache
+    from repro.grid.cache import ResidentGridCache
 
     order = sorted(
         range(len(rs)), key=lambda i: (math.ceil(rs[i]), -rs[i], i)
     )
     store = LabelStore()
-    key_cache = LargeKeyCache()
+    grid_cache = ResidentGridCache()
     lower_cache = LowerBoundCache()
     manual = [None] * len(rs)
     for index in order:
         engine = MIOEngine(
             collection, label_store=store, label_reuse="paper",
-            key_cache=key_cache, lower_cache=lower_cache,
+            grid_cache=grid_cache, lower_cache=lower_cache,
         )
         manual[index] = engine.query(rs[index])
 
