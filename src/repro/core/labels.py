@@ -131,6 +131,14 @@ class PointLabels:
         wanted = GRID_BIT | VERIFY_BIT
         return (self.arrays[oid] & wanted) == wanted
 
+    def flat_mask(self, wanted: int) -> np.ndarray:
+        """Every object's mask at once: the points whose label has every
+        bit of ``wanted`` set, over the flat buffer (object ``oid``'s at
+        ``offsets[oid]:offsets[oid + 1]``).  ``flat_mask(GRID_BIT)``
+        concatenates :meth:`grid_mask` and ``flat_mask(GRID_BIT |
+        UPPER_BIT)`` :meth:`upper_mask` over all objects, in one compare."""
+        return (self._flat & wanted) == wanted
+
     # ------------------------------------------------------------------
     # Statistics
     # ------------------------------------------------------------------

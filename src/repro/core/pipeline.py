@@ -322,7 +322,7 @@ class GridMappingStage(Stage):
                 ctx.collection,
                 ctx.r,
                 backend=ctx.resolved_backend,
-                point_filter=ctx.labels.grid_mask if ctx.labels is not None else None,
+                labels=ctx.labels,
                 deadline=ctx.deadline,
             )
             view = (
@@ -395,7 +395,7 @@ class UpperBoundingStage(Stage):
         upper = ctx.kernel.upper_bounds(
             ctx.bigrid,
             ctx.threshold,
-            upper_masks=ctx.labels.upper_mask if ctx.labels is not None else None,
+            labels=ctx.labels,
             labeler=ctx.labeler,
             stats=ctx.stats,
             deadline=ctx.deadline,

@@ -51,10 +51,15 @@ class KernelBackend:
         collection,
         r: float,
         backend: str = "ewah",
-        point_filter=None,
+        labels=None,
         deadline=None,
     ):
-        """GRID-MAPPING (Algorithm 3): build the BIGrid for one query."""
+        """GRID-MAPPING (Algorithm 3): build the BIGrid for one query.
+
+        With ``labels`` (a :class:`~repro.core.labels.PointLabels` that
+        matches ``collection``), GRID-MAPPING-WITH-LABEL: only points
+        whose ``GRID`` bit is set are mapped (Lemma 3).
+        """
         raise NotImplementedError
 
     def grid_view(self, bigrid):
@@ -89,12 +94,18 @@ class KernelBackend:
         self,
         bigrid,
         tau_max_low: int,
-        upper_masks=None,
+        labels=None,
         labeler=None,
         stats=None,
         deadline=None,
     ):
-        """UPPER-BOUNDING + pruning (Algorithm 5) over ``P_{i,K}``."""
+        """UPPER-BOUNDING + pruning (Algorithm 5) over ``P_{i,K}``.
+
+        With ``labels``, the WITH-LABEL pass: a group is processed iff one
+        of its points has both ``GRID`` and ``UPPER`` set
+        (:meth:`~repro.core.labels.PointLabels.upper_mask`).  A
+        ``labeler`` records Labeling-1/2 into a fresh ``PointLabels``.
+        """
         raise NotImplementedError
 
     def verify_candidates(

@@ -5,33 +5,38 @@ batches whole phases into array operations while producing *bit-identical*
 structures and results (the conformance suite enforces it):
 
 * **Grid mapping** concatenates every object's points once (the label
-  filter is one mask over them), floors every coordinate in one shot,
-  encodes cell keys as mixed-radix ``int64`` codes, and builds each grid
-  from one stable sort of its codes: cell and ``(cell, object)`` runs
-  are boundary flags on the sorted scan.  Out come a ``(cells, words)``
-  ``uint64`` bitset matrix filled with ``np.bitwise_or.at``, cell key
-  rows, posting segments, and per-object key-list and group rows.  No
-  per-cell, per-segment or per-group python object is built.  A
-  session's resident grid serves later queries through per-query
+  filter is one compare over the labels' flat buffer), floors every
+  coordinate in one shot, encodes cell keys as mixed-radix ``int64``
+  codes, and builds each grid from one sort of its unique
+  ``code * points + scan position`` keys: cell and ``(cell, object)``
+  runs are boundary flags on the sorted scan.  Out come a ``(cells,
+  words)`` ``uint64`` bitset matrix filled with ``np.bitwise_or.at``,
+  cell key rows, posting segments, and per-object key-list and group
+  rows.  No per-cell, per-segment or per-group python object is built.
+  A session's resident grid serves later queries through per-query
   views (:meth:`PackedBIGrid.view`).
 * **Lower bounding** OR-reduces the packed small-grid rows of each
   object's key list and popcounts with ``np.bitwise_count``.
-* **Upper bounding** computes *all* adjacent unions at once.  Adjacency
-  is symmetric, so each neighbour pair found ORs both rows: one
-  ``searchsorted`` per positive offset prefix (4 in 3-D, 1 in 2-D)
-  aligns every cell with its neighbours' packed rows, and the ``3^d``
-  dictionary walks per cell disappear.  Label-producing and
-  label-consuming passes stay on the packed rows too: ``upper_masks``
-  group selection is an OR per posting segment, Labeling-1 a popcount
-  over the cells first unioned, and Labeling-2's running union a
-  segmented prefix-OR scan.
+* **Upper bounding** computes *all* adjacent unions at once.  One
+  neighbour search per grid fills an ``int32`` table of every cell's
+  ``3^d`` neighbour rows: adjacency is symmetric, so each pair found
+  fills both cells' slots, and one ``searchsorted`` per positive offset
+  prefix (4 in 3-D, 1 in 2-D) finds them all.  ``b_adj`` is then one
+  row gather per offset, and the ``3^d`` dictionary walks per cell
+  disappear.  The table stays with the grid's shared tables, so the
+  verifier's walks and box bounds read it instead of searching again.
+  Label-producing and label-consuming passes stay on the packed rows
+  too: WITH-LABEL group selection is an OR per posting segment over one
+  flat mask, Labeling-1 a popcount over the cells first unioned, and
+  Labeling-2's running union a segmented prefix-OR scan.
 * **Verification** keeps the reference's best-first outer loop (shared
   via :func:`repro.core.verification.best_first_verification`) but scores
   the queue in blocks of candidates, owners keyed by (candidate,
   object), in two waves of groups, each one flat batch: every candidate
   point against every posting, in its group's ``3^d`` neighbourhood, of
   an owner still unconfirmed -- one coordinate gather, one einsum, one
-  ``np.minimum.reduceat``.  Nothing replays the walk: each owner's first
+  ``np.minimum.reduceat``; each group's neighbourhood is a row of the
+  neighbour table.  Nothing replays the walk: each owner's first
   hit decides which checks the reference makes, what it confirms and
   which points it labels (:func:`first_hit_scan`), so early
   termination, Labeling-3 marks and every work counter match the oracle
@@ -281,17 +286,26 @@ class _GridTables:
     """A large grid's pure derived tables, shared by every view of it.
 
     ``adjacency`` holds every cell's ``b_adj`` as packed rows once any
-    pass needed one (:meth:`PackedLargeGrid.bulk_adjacency`); ``verify``
-    holds the batched verifier's lookup tables.  Both depend on the
-    grid's immutable arrays alone.  Whichever view needs one first
-    computes it; two concurrent first computations store equal values,
-    so the last store wins harmlessly.
+    pass needed one (:meth:`PackedLargeGrid.bulk_adjacency`), and
+    ``neighbors`` every cell's ``3^d`` neighbour rows, found by the same
+    pass: an ``int32`` table of ``3^d`` slots by cells, so column
+    ``row`` is that cell's neighbourhood in the reference's
+    ``cell_and_adjacent_keys`` walk order (the cell itself, then
+    ``neighbor_offsets`` order) and -1 marks a slot with no cell.  It is
+    stored slot-major because the pass fills it one offset at a time,
+    and a gather of cells' columns along axis 1 is as cheap either way.
+    ``verify`` holds the batched verifier's lookup tables.  All depend
+    on the grid's immutable arrays alone and are lookup aids, not index
+    structures, so ``memory_bytes`` charges none of them.  Whichever view
+    needs one first computes it; two concurrent first computations store
+    equal values, so the last store wins harmlessly.
     """
 
-    __slots__ = ("adjacency", "verify")
+    __slots__ = ("adjacency", "neighbors", "verify")
 
     def __init__(self) -> None:
         self.adjacency: Optional[np.ndarray] = None
+        self.neighbors: Optional[np.ndarray] = None
         self.verify: Optional[dict] = None
 
 
@@ -439,9 +453,9 @@ class PackedLargeGrid(LargeGrid):
     is one ``(cell, oid)`` posting list, sorted cell-major/oid-ascending,
     with its point indices at ``seg_points[seg_bounds[s]:seg_bounds[s+1]]``
     and their *coordinates* at the same rows of ``seg_coords`` (posting
-    order).  The bulk adjacency matrix and the verifier's lookup tables
-    are computed on first need into ``tables``, which every
-    :meth:`view` of the grid shares.  The inherited ``cells`` slot
+    order).  The bulk adjacency matrix, the neighbour table and the
+    verifier's lookup tables are computed on first need into ``tables``,
+    which every :meth:`view` of the grid shares.  The inherited ``cells`` slot
     (cells with their postings) stays unset until something asks for it
     (:meth:`__getattr__`).
 
@@ -534,44 +548,72 @@ class PackedLargeGrid(LargeGrid):
     def bulk_adjacency(self) -> np.ndarray:
         """``b_adj`` of every cell as packed rows, computed on first call.
 
+        The neighbour table (``tables.neighbors``) comes first.
         Adjacency is symmetric: cell ``j`` at ``+delta`` from cell ``i``
-        puts ``i`` at ``-delta`` from ``j``, so each pair found ORs both
-        rows and only the positive offsets are searched.  The offsets
-        ``(prefix, -1 | 0 | +1)`` target three consecutive codes: one
-        searchsorted finds the first and each hit steps to the next row,
-        and the fastest axis's ``+1`` needs no search at all (those
-        neighbours are consecutive rows of the sorted codes).  Computing a
-        row memoizes nothing: passes mark ``adj_memo`` for the rows the
-        reference would have unioned.
+        puts ``i`` at ``-delta`` from ``j``, so each pair found fills both
+        cells' slots and only the positive offsets are searched.  The
+        offsets ``(prefix, -1 | 0 | +1)`` target three consecutive codes:
+        one searchsorted finds the first and each hit steps to the next
+        row, and the fastest axis's ``+1`` needs no search at all (those
+        neighbours are consecutive rows of the sorted codes).  Each
+        cell's ``b_adj`` is then its packed row ORed with one gather of
+        its neighbours' rows per offset.  Computing a row memoizes
+        nothing: passes mark ``adj_memo`` for the rows the reference
+        would have unioned.
         """
         adjacency = self._adjacency.words
         if adjacency is None:
             packed = self.packed
             codes = self.codes
             last = len(codes) - 1
-            adjacency = packed.copy()
+            cells = last + 1
+            offsets = neighbor_offsets(self.dimension)
+            column = {offset: 1 + index for index, offset in enumerate(offsets)}
+            slots = np.full((1 + len(offsets), cells), -1, dtype=np.int32)
+            slots[0] = np.arange(cells, dtype=np.int32)
 
-            def join(rows: np.ndarray, pairs: np.ndarray) -> None:
-                # ``take`` gathers rows about twice as fast as ``[]``.
-                adjacency[rows] = adjacency.take(rows, 0) | packed.take(pairs, 0)
-                adjacency[pairs] = adjacency.take(pairs, 0) | packed.take(rows, 0)
+            def link(rows: np.ndarray, pairs: np.ndarray, offset) -> None:
+                slots[column[offset]][rows] = pairs
+                slots[column[tuple(-axis for axis in offset)]][pairs] = rows
 
             if last > 0:
                 rows = np.flatnonzero(np.diff(codes) == 1)
-                join(rows, rows + 1)
+                link(rows, rows + 1, (0,) * (self.dimension - 1) + (1,))
                 for prefix in neighbor_offsets(self.dimension - 1):
                     base = int(np.dot(prefix, self.strides[:-1]))
                     if base < 0:
                         continue  # the mirror of a positive prefix
                     positions = np.searchsorted(codes, codes + (base - 1))
-                    for delta in (base - 1, base, base + 1):
+                    for step in (-1, 0, 1):
                         np.minimum(positions, last, out=positions)
-                        hit = codes[positions] == codes + delta
+                        hit = codes[positions] == codes + (base + step)
                         rows = np.flatnonzero(hit)
-                        join(rows, positions[rows])
+                        link(rows, positions[rows], prefix + (step,))
                         positions += hit
+            # An absent neighbour (-1, all ones as uint32) gathers the zero
+            # row appended past the last cell: ``take`` runs several times
+            # faster on non-negative indices.
+            rows_or_zero = np.concatenate(
+                (packed, np.zeros((1, packed.shape[1]), dtype=packed.dtype))
+            )
+            adjacency = packed.copy()
+            for neighbors in slots[1:]:
+                adjacency |= rows_or_zero.take(
+                    np.minimum(neighbors.view(np.uint32), cells), 0
+                )
+            # The table first: a reader that finds the adjacency finds it.
+            self._adjacency.tables.neighbors = slots
             self._adjacency.tables.adjacency = adjacency
         return adjacency
+
+    def neighbor_table(self) -> np.ndarray:
+        """Every cell's ``3^d`` neighbour rows (see :class:`_GridTables`),
+        found by :meth:`bulk_adjacency` on first need."""
+        neighbors = self._adjacency.tables.neighbors
+        if neighbors is None:
+            self.bulk_adjacency()
+            neighbors = self._adjacency.tables.neighbors
+        return neighbors
 
     def row_adjacency(self, row: int) -> int:
         """Cell ``row``'s ``b_adj`` as a big int, memoizing it (the
@@ -719,19 +761,34 @@ def _share(source, target) -> None:
         setattr(target, name, getattr(source, name))
 
 
-def _cell_runs(codes: np.ndarray, oids: np.ndarray, words: int) -> Tuple:
-    """One grid's points grouped by cell with a single stable sort.
+#: Exclusive bound of the ``code * points + scan position`` sort keys:
+#: grids whose keys could reach it (int64 overflow) take the stable
+#: argsort instead.  Read at call time so tests can pin both branches.
+_SORT_KEY_LIMIT = 2 ** 63
 
-    The scan is oid-major, so a stable ``argsort`` of the cell codes
-    orders the points by (cell, oid, scan position); cell runs and
+
+def _cell_runs(codes: np.ndarray, oids: np.ndarray, words: int) -> Tuple:
+    """One grid's points grouped by cell with a single sort.
+
+    The scan is oid-major, so ordering the points by (cell code, scan
+    position) orders them by (cell, oid, scan position); cell runs and
     ``(cell, oid)`` segment runs are then boundary flags on the sorted
-    codes and oids.  Returns the sorted scan ``order``, the run starts
-    ``cell_start`` and ``seg_start`` into it, each segment's cell row and
-    oid (cell-major, oid ascending), and the ``(cells, words)`` bitset
-    matrix with bit ``oid`` set in row ``cell`` for every segment.
+    codes and oids.  The sort is one plain ``np.sort`` of the unique keys
+    ``code * points + scan position``, which gives exactly the stable
+    ``argsort``'s permutation at a fraction of its cost; only a grid
+    whose keys would overflow int64 runs the stable ``argsort`` itself.
+    Returns the sorted scan ``order``, the run starts ``cell_start`` and
+    ``seg_start`` into it, each segment's cell row and oid (cell-major,
+    oid ascending), and the ``(cells, words)`` bitset matrix with bit
+    ``oid`` set in row ``cell`` for every segment.
     """
-    order = np.argsort(codes, kind="stable")
-    sorted_codes = codes[order]
+    points = len(codes)
+    if (int(codes.max()) + 1) * points <= _SORT_KEY_LIMIT:
+        keys = np.sort(codes * points + np.arange(points, dtype=np.int64))
+        sorted_codes, order = np.divmod(keys, points)
+    else:
+        order = np.argsort(codes, kind="stable")
+        sorted_codes = codes[order]
     sorted_oids = oids[order]
     new_cell = np.empty(len(order), dtype=bool)
     new_cell[0] = True
@@ -774,7 +831,7 @@ class NumpyKernel(KernelBackend):
         collection,
         r: float,
         backend: str = "ewah",
-        point_filter=None,
+        labels=None,
         deadline=None,
     ) -> BIGrid:
         bitset_cls = bitset_class(backend)
@@ -786,22 +843,17 @@ class NumpyKernel(KernelBackend):
         # Every object's points, concatenated once in oid-major scan order,
         # with each point's oid and index within its object.
         checkpoint(deadline, "grid_mapping")
-        objects = list(collection)
-        blocks = [obj.points for obj in objects]
+        blocks = [obj.points for obj in collection]
         sizes = np.fromiter(map(len, blocks), np.int64, n)
         points = np.concatenate(blocks)
         oids = np.repeat(np.arange(n, dtype=np.int64), sizes)
         point_idx = np.arange(len(oids), dtype=np.int64) - np.repeat(
             np.cumsum(sizes) - sizes, sizes
         )
-        if point_filter is not None:
-            # The label filter (Lemma 3) as one mask over the concatenation;
-            # a None mask keeps the object's every point.
-            masks = []
-            for obj, block in zip(objects, blocks):
-                mask = point_filter(obj.oid)
-                masks.append(np.ones(len(block), bool) if mask is None else mask)
-            keep = np.concatenate(masks).astype(bool, copy=False)
+        if labels is not None:
+            # The label filter (Lemma 3): the labels' flat buffer has the
+            # concatenation's layout, so one compare masks every point.
+            keep = labels.flat_mask(GRID_BIT)
             points = points.compress(keep, 0)
             oids, point_idx = oids.compress(keep), point_idx.compress(keep)
         mapped_points = len(oids)
@@ -850,7 +902,7 @@ class NumpyKernel(KernelBackend):
                 collection,
                 r,
                 backend=backend,
-                point_filter=point_filter,
+                labels=labels,
                 deadline=deadline,
             )
 
@@ -1080,7 +1132,7 @@ class NumpyKernel(KernelBackend):
     # ------------------------------------------------------------------
 
     def upper_bounds(
-        self, bigrid, tau_max_low, upper_masks=None, labeler=None, stats=None,
+        self, bigrid, tau_max_low, labels=None, labeler=None, stats=None,
         deadline=None,
     ):
         if not isinstance(bigrid, PackedBIGrid):
@@ -1089,7 +1141,7 @@ class NumpyKernel(KernelBackend):
             return PYTHON_KERNEL.upper_bounds(
                 bigrid,
                 tau_max_low,
-                upper_masks=upper_masks,
+                labels=labels,
                 labeler=labeler,
                 stats=stats,
                 deadline=deadline,
@@ -1103,7 +1155,7 @@ class NumpyKernel(KernelBackend):
         # if verification actually reads them.
         adjacency = large_grid.bulk_adjacency()
         memo = large_grid.adj_memo
-        if upper_masks is None and labeler is None:
+        if labels is None and labeler is None:
             # Every group is processed, so the reference pass unions every
             # cell it has not already memoized (each holds a posting).
             fresh_unions = len(memo) - int(np.count_nonzero(memo))
@@ -1113,7 +1165,7 @@ class NumpyKernel(KernelBackend):
             group_words = adjacency[flat]
         else:
             flat, counts, group_words, fresh_unions = _labeled_upper_pass(
-                bigrid, adjacency, upper_masks, labeler
+                bigrid, adjacency, labels, labeler
             )
 
         groups_processed = int(flat.shape[0])
@@ -1209,7 +1261,7 @@ class NumpyKernel(KernelBackend):
         return False
 
 
-def _labeled_upper_pass(bigrid, adjacency, upper_masks, labeler):
+def _labeled_upper_pass(bigrid, adjacency, labels, labeler):
     """Group selection and Labeling-1/2 of one upper-bounding pass.
 
     The reference (:func:`repro.core.upper_bound.compute_upper_bounds`)
@@ -1217,8 +1269,9 @@ def _labeled_upper_pass(bigrid, adjacency, upper_masks, labeler):
     order-free except Labeling-2's running union, which a segmented
     prefix-OR reproduces:
 
-    * ``upper_masks``: a group is processed iff any of its points is
-      selected -- an OR per ``(cell, oid)`` posting segment;
+    * ``labels``: a group is processed iff any of its points is
+      selected (``label(p) = 11*``) -- an OR per ``(cell, oid)`` posting
+      segment over one flat mask;
     * memoization: the cells of processed groups; those not memoized
       before this pass are its fresh unions;
     * Labeling-1: fresh cells whose ``b_adj`` holds one object clear
@@ -1232,8 +1285,7 @@ def _labeled_upper_pass(bigrid, adjacency, upper_masks, labeler):
     their adjacency rows, and the number of unions memoized fresh.
     """
     large_grid = bigrid.large_grid
-    collection = bigrid.collection
-    n = collection.n
+    n = bigrid.collection.n
     seg_bounds = large_grid.seg_bounds
     seg_starts = seg_bounds[:-1]
     seg_lengths = np.diff(seg_bounds)
@@ -1242,19 +1294,16 @@ def _labeled_upper_pass(bigrid, adjacency, upper_masks, labeler):
     counts = bigrid.group_counts
 
     # Flat label index of every mapped point in posting order: point p
-    # of object oid sits at ``offsets[oid] + p`` (PointLabels' layout).
-    offsets = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(
-        np.fromiter((obj.num_points for obj in collection), np.int64, n),
-        out=offsets[1:],
-    )
+    # of object oid sits at ``offsets[oid] + p`` (PointLabels' layout,
+    # shared by the labels read and the labels written).
+    offsets = (labels if labels is not None else labeler).offsets
     point_flat = (
         np.repeat(offsets[:-1][large_grid.seg_oid], seg_lengths)
         + large_grid.seg_points
     )
 
-    if upper_masks is not None and len(segments):
-        masks = np.concatenate([upper_masks(oid) for oid in range(n)])
+    if labels is not None and len(segments):
+        masks = labels.flat_mask(GRID_BIT | UPPER_BIT)
         selected = np.logical_or.reduceat(masks[point_flat], seg_starts)[segments]
         segments = segments[selected]
         rows = rows[selected]
@@ -1468,6 +1517,7 @@ class _BatchedVerifier:
         "counters",
         "deadline",
         "tables",
+        "neighbors",
         "memo",
         "scored",
         "entries",
@@ -1494,7 +1544,6 @@ class _BatchedVerifier:
         self.labeler = labeler
         self.counters = counters
         self.deadline = deadline
-        self.tables = self._grid_tables()
         # Rows the upper-bounding pass left unmemoized (a masked pass skips
         # groups, or none ran) are memoized by the first read here, as the
         # reference's on-demand ``adjacent_union_int`` would; None once all
@@ -1503,6 +1552,8 @@ class _BatchedVerifier:
         self.memo = None if memo.all() else memo
         if self.memo is not None:
             self.large_grid.bulk_adjacency()
+        self.neighbors = self.large_grid.neighbor_table()
+        self.tables = self._grid_tables()
         # Candidates scored so far and their first-hit entries.
         self.scored = 0
         self.entries = 0
@@ -1515,21 +1566,12 @@ class _BatchedVerifier:
         grid = self.large_grid
         tables = grid.tables.verify
         if tables is None:
-            offsets = neighbor_offsets(grid.dimension)
-            deltas = np.zeros(1 + len(offsets), dtype=np.int64)
-            for index, offset in enumerate(offsets):
-                deltas[1 + index] = int(
-                    np.asarray(offset, dtype=np.int64) @ grid.strides
-                )
             group_bounds = np.zeros(self.collection.n + 1, dtype=np.int64)
             np.cumsum(self.bigrid.group_counts, out=group_bounds[1:])
             tables = {
-                # Self first, then ``neighbor_offsets`` product order —
-                # the reference's ``cell_and_adjacent_keys`` walk.
-                "deltas": deltas,
                 # Cell ``row``'s segments: ``cell_segs[row]:cell_segs[row+1]``.
                 "cell_segs": np.searchsorted(
-                    grid.seg_cell, np.arange(len(grid.codes) + 1)
+                    grid.seg_cell, np.arange(self.neighbors.shape[1] + 1)
                 ),
                 "seg_lengths": np.diff(grid.seg_bounds),
                 "group_bounds": group_bounds,
@@ -1541,21 +1583,20 @@ class _BatchedVerifier:
         """The posting segments of each row's ``3^d`` neighbourhood, in the
         reference's ``neighbor_cells`` walk order (self cell first, then
         ``neighbor_offsets`` product order; oid-ascending per cell), as a
-        flat array with per-row bounds."""
-        tables = self.tables
-        codes = self.large_grid.codes
-        targets = (codes.take(rows)[:, None] + tables["deltas"][None, :]).ravel()
-        positions = codes.searchsorted(targets)
-        np.minimum(positions, len(codes) - 1, out=positions)
-        valid = codes.take(positions) == targets
-        neighbors = positions[valid]
+        flat array with per-row bounds.  The neighbourhoods are the rows'
+        slices of the grid's neighbour table, gathered: nothing is
+        searched."""
+        cell_segs = self.tables["cell_segs"]
+        slots = self.neighbors.take(rows, axis=1).T
+        valid = slots >= 0
+        neighbors = slots[valid]
         # Every cell holds at least one segment.
-        starts = tables["cell_segs"].take(neighbors)
-        sizes = tables["cell_segs"].take(neighbors + 1) - starts
+        starts = cell_segs.take(neighbors)
+        sizes = cell_segs.take(neighbors + 1) - starts
         seg_before = np.zeros(len(neighbors) + 1, dtype=np.int64)
         sizes.cumsum(out=seg_before[1:])
         cell_bounds = np.zeros(len(rows) + 1, dtype=np.int64)
-        valid.reshape(len(rows), -1).sum(axis=1).cumsum(out=cell_bounds[1:])
+        valid.sum(axis=1).cumsum(out=cell_bounds[1:])
         return _ragged_arange(starts, sizes), seg_before.take(cell_bounds)
 
     def _hits(self, coords, entry_point, entry_seg) -> np.ndarray:
@@ -1618,7 +1659,7 @@ class _BatchedVerifier:
         tables = self.tables
         group_starts = tables["group_bounds"].take(oid_array)
         group_counts = tables["group_bounds"].take(oid_array + 1) - group_starts
-        ends = (group_counts * len(tables["deltas"])).cumsum()
+        ends = (group_counts * len(self.neighbors)).cumsum()
         low = 0
         while low < len(oids):
             top = int(ends[low - 1]) if low else 0
@@ -1642,27 +1683,23 @@ class _BatchedVerifier:
         Box pairs are listed neighbour-major, so every group's own cell
         comes first, and tested in slices whose gathered corner rows
         (four per pair) stay within ``VERIFY_BATCH_PAIRS``; each slice
-        tests only the owners no earlier slice found."""
+        tests only the owners no earlier slice found.  The
+        neighbourhoods come from the grid's neighbour table."""
         if not len(group_index):
             return
         seg_lo, seg_hi = self._boxes()
-        tables = self.tables
         grid = self.large_grid
-        codes = grid.codes
-        cell_segs = tables["cell_segs"]
+        cell_segs = self.tables["cell_segs"]
         n = self.collection.n
         words = grid.packed.shape[1]
-        targets = (
-            tables["deltas"][:, None]
-            + codes.take(self.bigrid.group_flat.take(group_index))[None, :]
+        slots = self.neighbors.take(
+            self.bigrid.group_flat.take(group_index), axis=1
         ).ravel()
-        positions = codes.searchsorted(targets)
-        np.minimum(positions, len(codes) - 1, out=positions)
         own = self.bigrid.group_segments.take(group_index)
         own_lo, own_hi = seg_lo.take(own, axis=0), seg_hi.take(own, axis=0)
         base = self.key_base.take(slot)
-        keep = (codes.take(positions) == targets).nonzero()[0]
-        cells = positions.take(keep)
+        keep = (slots >= 0).nonzero()[0]
+        cells = slots.take(keep)
         group = keep % len(group_index)
         # Drop the cells whose bitset holds no owner outside the slot's
         # found row (its seed and itself).
@@ -1869,10 +1906,12 @@ class _BatchedVerifier:
 
 
 #: The packed arrays a label-free scorer reads, as ``(owner, name)``:
-#: owner ``"grid"`` is the large grid, ``"bigrid"`` the BIGrid itself.
+#: owner ``"grid"`` is the large grid, ``"bigrid"`` the BIGrid itself and
+#: ``"tables"`` the large grid's shared tables -- the neighbour table
+#: rides along, so a process scoring over the arrays never searches
+#: neighbourhoods or builds the adjacency matrix.
 SCORER_ARRAYS = (
-    ("grid", "codes"),
-    ("grid", "strides"),
+    ("tables", "neighbors"),
     ("grid", "seg_cell"),
     ("grid", "seg_oid"),
     ("grid", "seg_bounds"),
@@ -1893,8 +1932,15 @@ def scorer_arrays(bigrid) -> Optional[Dict[str, np.ndarray]]:
     """
     if not isinstance(bigrid, PackedBIGrid) or not bigrid.large_grid.adj_memo.all():
         return None
-    owners = {"grid": bigrid.large_grid, "bigrid": bigrid}
+    bigrid.large_grid.neighbor_table()
+    owners = _scorer_owners(bigrid)
     return {name: getattr(owners[owner], name) for owner, name in SCORER_ARRAYS}
+
+
+def _scorer_owners(bigrid: PackedBIGrid) -> Dict[str, object]:
+    """The objects :data:`SCORER_ARRAYS` names, by owner."""
+    large_grid = bigrid.large_grid
+    return {"grid": large_grid, "bigrid": bigrid, "tables": large_grid.tables}
 
 
 def scorer_grid(collection, r: float, arrays: Dict[str, np.ndarray]) -> PackedBIGrid:
@@ -1902,10 +1948,10 @@ def scorer_grid(collection, r: float, arrays: Dict[str, np.ndarray]) -> PackedBI
     score label-free, with every adjacency row marked memoized."""
     large_grid = PackedLargeGrid(large_cell_width(r), collection.dimension, None)
     bigrid = PackedBIGrid(collection, r, None, large_grid, 0)
-    owners = {"grid": large_grid, "bigrid": bigrid}
+    owners = _scorer_owners(bigrid)
     for owner, name in SCORER_ARRAYS:
         setattr(owners[owner], name, arrays[name])
-    large_grid._adjacency.memo = np.ones(len(arrays["codes"]), dtype=bool)
+    large_grid._adjacency.memo = np.ones(arrays["neighbors"].shape[1], dtype=bool)
     return bigrid
 
 

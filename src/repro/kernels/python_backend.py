@@ -35,14 +35,14 @@ class PythonKernel(KernelBackend):
         collection,
         r: float,
         backend: str = "ewah",
-        point_filter=None,
+        labels=None,
         deadline=None,
     ) -> BIGrid:
         return BIGrid.build(
             collection,
             r,
             backend=backend,
-            point_filter=point_filter,
+            point_filter=labels.grid_mask if labels is not None else None,
             deadline=deadline,
         )
 
@@ -52,13 +52,13 @@ class PythonKernel(KernelBackend):
         )
 
     def upper_bounds(
-        self, bigrid, tau_max_low, upper_masks=None, labeler=None, stats=None,
+        self, bigrid, tau_max_low, labels=None, labeler=None, stats=None,
         deadline=None,
     ):
         return compute_upper_bounds(
             bigrid,
             tau_max_low,
-            upper_masks=upper_masks,
+            upper_masks=labels.upper_mask if labels is not None else None,
             labeler=labeler,
             stats=stats,
             deadline=deadline,

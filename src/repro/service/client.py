@@ -8,6 +8,13 @@ backoff on top -- instead of hammering an overloaded server.  Error
 envelopes map back onto the repro error taxonomy, so callers see the
 same exception types in-process and over the wire.
 
+Each thread a client is used from keeps one HTTP/1.1 connection open
+across requests, so a request pays no TCP connect and no fresh server
+handler thread.  A reused connection the server has meanwhile closed
+fails before any status line arrives; the request is then sent once more
+on a new connection.  :meth:`ServiceClient.close` (or leaving a ``with``
+block) closes every connection the client opened.
+
 Clock, sleep, and RNG are injectable; the retry schedule is unit-tested
 with a fake sleeper and never actually waits.
 """
@@ -17,8 +24,9 @@ from __future__ import annotations
 import http.client
 import json
 import random
+import threading
 import time
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.errors import (
     BackendUnavailableError,
@@ -77,7 +85,12 @@ def _decode_error(status: int, payload: dict) -> ReproError:
 
 
 class ServiceClient:
-    """HTTP client with jittered retries that honor ``Retry-After``."""
+    """HTTP client with jittered retries that honor ``Retry-After``.
+
+    Safe to share between threads: each thread gets a keep-alive
+    connection of its own.  Use it as a context manager, or call
+    :meth:`close`, to close the connections.
+    """
 
     def __init__(
         self,
@@ -105,6 +118,23 @@ class ServiceClient:
         #: The trace id of the most recent response (from ``X-Trace-Id``
         #: or the body) -- quote it when reporting a service problem.
         self.last_trace_id: Optional[str] = None
+        #: Each thread's open connection, and every open one (for close).
+        self._local = threading.local()
+        self._open: set = set()
+        self._open_lock = threading.Lock()
+
+    def close(self) -> None:
+        """Close every connection this client holds open."""
+        with self._open_lock:
+            connections, self._open = self._open, set()
+        for connection in connections:
+            connection.close()
+
+    def __enter__(self) -> "ServiceClient":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
 
     # ------------------------------------------------------------------
     # Endpoints
@@ -187,6 +217,25 @@ class ServiceClient:
             self._back_off(attempt, headers.get("Retry-After"))
             attempt += 1
 
+    def _connection(self) -> Tuple[http.client.HTTPConnection, bool]:
+        """This thread's open connection and whether it served a request
+        before, or a new one."""
+        connection = getattr(self._local, "connection", None)
+        with self._open_lock:
+            if connection is not None and connection in self._open:
+                return connection, True
+            connection = http.client.HTTPConnection(
+                self.host, self.port, timeout=self.timeout_s
+            )
+            self._open.add(connection)
+        self._local.connection = connection
+        return connection, False
+
+    def _discard(self, connection: http.client.HTTPConnection) -> None:
+        with self._open_lock:
+            self._open.discard(connection)
+        connection.close()
+
     def _round_trip(
         self,
         method: str,
@@ -195,34 +244,44 @@ class ServiceClient:
         trace_id: Optional[str] = None,
     ):
         payload = json.dumps(body).encode("utf-8") if body is not None else None
-        connection = http.client.HTTPConnection(
-            self.host, self.port, timeout=self.timeout_s
-        )
-        try:
-            headers = {"Content-Type": "application/json"} if payload else {}
-            if trace_id:
-                headers["X-Trace-Id"] = trace_id
-            connection.request(method, path, body=payload, headers=headers)
-            response = connection.getresponse()
-            raw = response.read()
-            header_map = {k: v for k, v in response.getheaders()}
-            if header_map.get("X-Trace-Id"):
-                self.last_trace_id = header_map["X-Trace-Id"]
-            content_type = header_map.get("Content-Type", "")
-            if content_type.startswith("application/json"):
-                try:
-                    decoded: object = json.loads(raw.decode("utf-8"))
-                except (UnicodeDecodeError, json.JSONDecodeError):
-                    decoded = raw.decode("utf-8", "replace")
-            else:
+        headers = {"Content-Type": "application/json"} if payload else {}
+        if trace_id:
+            headers["X-Trace-Id"] = trace_id
+        while True:
+            connection, reused = self._connection()
+            response = None
+            try:
+                connection.request(method, path, body=payload, headers=headers)
+                response = connection.getresponse()
+                raw = response.read()
+            except OSError as exc:
+                self._discard(connection)
+                if reused and response is None and isinstance(exc, ConnectionError):
+                    # The server closed the idle connection before this
+                    # request reached it (no status line came back): send
+                    # it once more, on a new connection.
+                    continue
+                raise BackendUnavailableError(
+                    f"cannot reach {self.host}:{self.port}: {exc}"
+                ) from exc
+            except http.client.HTTPException:
+                self._discard(connection)  # its state is unknown now
+                raise
+            break
+        if response.will_close:
+            self._discard(connection)
+        header_map = {k: v for k, v in response.getheaders()}
+        if header_map.get("X-Trace-Id"):
+            self.last_trace_id = header_map["X-Trace-Id"]
+        content_type = header_map.get("Content-Type", "")
+        if content_type.startswith("application/json"):
+            try:
+                decoded: object = json.loads(raw.decode("utf-8"))
+            except (UnicodeDecodeError, json.JSONDecodeError):
                 decoded = raw.decode("utf-8", "replace")
-            return response.status, header_map, decoded
-        except (ConnectionError, OSError) as exc:
-            raise BackendUnavailableError(
-                f"cannot reach {self.host}:{self.port}: {exc}"
-            ) from exc
-        finally:
-            connection.close()
+        else:
+            decoded = raw.decode("utf-8", "replace")
+        return response.status, header_map, decoded
 
     def _back_off(self, attempt: int, retry_after_header: Optional[str]) -> None:
         """Sleep max(server hint, jittered exponential backoff)."""

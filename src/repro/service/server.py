@@ -61,6 +61,8 @@ class _Handler(BaseHTTPRequestHandler):
         if method == "POST":
             length = int(self.headers.get("Content-Length") or 0)
             if length > MAX_BODY_BYTES:
+                # The body stays unread, so the connection cannot carry
+                # another request: say so, and close it after the reply.
                 self._send(
                     Response(
                         status=413,
@@ -69,6 +71,7 @@ class _Handler(BaseHTTPRequestHandler):
                             "message": f"request body exceeds {MAX_BODY_BYTES} bytes",
                             "status": 413,
                         },
+                        headers={"Connection": "close"},
                     )
                 )
                 return

@@ -68,9 +68,7 @@ def check_with_label(collection, r):
     for oid, bound in enumerate(bounds):
         assert exact[oid] <= bound <= upper[oid], oid
     if numpy_kernel_available():
-        packed = NUMPY_KERNEL.build_bigrid(
-            collection, r, point_filter=labels.grid_mask
-        )
+        packed = NUMPY_KERNEL.build_bigrid(collection, r, labels=labels)
         packed_lower = NUMPY_KERNEL.lower_bounds(packed, keep_bitsets=True)
         assert numpy_bounds(
             packed, r, lambda oid: packed_lower.bitsets[oid]

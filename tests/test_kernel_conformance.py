@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.engine import MIOEngine
-from repro.core.labels import PointLabels
+from repro.core.labels import GRID_BIT, UPPER_BIT, PointLabels
 from repro.core.objects import ObjectCollection
 from repro.core.query import PhaseStats
 from repro.core.verification import (
@@ -204,7 +204,7 @@ class TestOperationConformance:
             grid, tau, labeler=PointLabels.for_collection(collection, grid.r)
         )
         numpy_kernel().upper_bounds(
-            grid, tau, upper_masks=upper_masks_for(collection, seed=1),
+            grid, tau, labels=upper_labels_for(collection, seed=1),
             labeler=PointLabels.for_collection(collection, grid.r),
         )
         assert calls == []
@@ -236,21 +236,22 @@ class TestOperationConformance:
 
 
 # ----------------------------------------------------------------------
-# Labeled upper bounding: Labeling-1/2 and upper_masks group selection
+# Labeled upper bounding: Labeling-1/2 and WITH-LABEL group selection
 # ----------------------------------------------------------------------
 
 
-def upper_masks_for(collection, seed):
-    """A deterministic ``upper_masks`` provider: about half of each
-    object's points selected, and every seventh object selects none."""
-
-    def upper_masks(oid):
-        count = collection[oid].num_points
+def upper_labels_for(collection, seed):
+    """Deterministic WITH-LABEL input: labels whose ``upper_mask`` selects
+    about half of each object's points, and none of every seventh
+    object's (their ``UPPER`` bit cleared, every other bit set)."""
+    labels = PointLabels.for_collection(collection, 1.0)
+    for oid, array in enumerate(labels.arrays):
         if oid % 7 == 3:
-            return np.zeros(count, dtype=bool)
-        return np.random.default_rng(seed * 1000 + oid).random(count) < 0.5
-
-    return upper_masks
+            selected = np.zeros(len(array), dtype=bool)
+        else:
+            selected = np.random.default_rng(seed * 1000 + oid).random(len(array)) < 0.5
+        array[~selected] &= ~UPPER_BIT & 0xFF
+    return labels
 
 
 #: ``labeler`` only is the label-producing pass, ``masks`` only the
@@ -271,7 +272,7 @@ def run_labeled_upper(kernel, collection, r, mode, backend="ewah", prior=None):
         kernel.upper_bounds(
             grid,
             tau,
-            upper_masks=upper_masks_for(collection, seed=9) if prior == "masks" else None,
+            labels=upper_labels_for(collection, seed=9) if prior == "masks" else None,
         )
     labeler = (
         PointLabels.for_collection(collection, r) if mode != "masks" else None
@@ -280,7 +281,7 @@ def run_labeled_upper(kernel, collection, r, mode, backend="ewah", prior=None):
     result = kernel.upper_bounds(
         grid,
         tau,
-        upper_masks=upper_masks_for(collection, seed=3) if mode != "labeler" else None,
+        labels=upper_labels_for(collection, seed=3) if mode != "labeler" else None,
         labeler=labeler,
         stats=stats,
     )
@@ -304,7 +305,7 @@ def assert_labeled_upper_equal(ref, got):
 
 @needs_numpy
 class TestLabeledUpperBoundsConformance:
-    """``upper_bounds`` with ``labeler``/``upper_masks``, op against op."""
+    """``upper_bounds`` with ``labeler``/``labels``, op against op."""
 
     @pytest.mark.parametrize("mode", LABELED_MODES)
     @pytest.mark.parametrize("backend", BITSET_BACKENDS)
@@ -400,6 +401,15 @@ GRID_STATES = ("fresh", "bulk", "labeled", "labeled+bulk", "bulk+labeled")
 VERIFIED_STATES = ("labeled+verify", "labeled+masked-verify")
 
 
+def even_objects_labels(collection):
+    """Labels whose ``upper_mask`` selects every point of the even oids
+    and none of the odd ones."""
+    labels = PointLabels.for_collection(collection, 1.0)
+    for array in labels.arrays[1::2]:
+        array &= ~UPPER_BIT & 0xFF
+    return labels
+
+
 def advance_grid(kernel, grid, state):
     """Run the upper-bound (and verification) passes ``state`` names."""
     if state == "fresh":
@@ -411,9 +421,7 @@ def advance_grid(kernel, grid, state):
             kernel.upper_bounds(
                 grid,
                 tau,
-                upper_masks=lambda oid: np.full(
-                    collection[oid].num_points, oid % 2 == 0
-                ),
+                labels=even_objects_labels(collection),
                 labeler=PointLabels.for_collection(collection, grid.r),
             )
         elif step in ("verify", "masked-verify"):
@@ -423,7 +431,7 @@ def advance_grid(kernel, grid, state):
                 [(collection.n, oid) for oid in range(collection.n)],
                 grid.r,
                 verify_masks=(
-                    upper_masks_for(collection, seed=9)
+                    upper_labels_for(collection, seed=9).upper_mask
                     if step == "masked-verify"
                     else None
                 ),
@@ -527,13 +535,15 @@ class TestColdMemoryAccounting:
         # reference's after both phases, on one-word (n=40) and two-word
         # (n=90) rows.
         collection = random_collection(n=n, mean_points=6, seed=17 + n)
-        verify_masks = upper_masks_for(collection, seed=5) if masked_verify else None
+        verify_masks = (
+            upper_labels_for(collection, seed=5).upper_mask if masked_verify else None
+        )
         grids = []
         for kernel in (PYTHON_KERNEL, numpy_kernel()):
             grid = kernel.build_bigrid(collection, 2.5)
             tau = kernel.lower_bounds(grid).tau_max
             upper = kernel.upper_bounds(
-                grid, tau, upper_masks=upper_masks_for(collection, seed=4)
+                grid, tau, labels=upper_labels_for(collection, seed=4)
             )
             kernel.verify_candidates(
                 grid, upper.candidates, 2.5, verify_masks=verify_masks
@@ -547,11 +557,11 @@ class TestColdMemoryAccounting:
     @needs_numpy
     def test_numpy_memory_of_empty_grid(self):
         collection = random_collection(n=5, mean_points=3, seed=2)
-        def nothing(oid):
-            return np.zeros(collection[oid].num_points, dtype=bool)
+        nothing = PointLabels.for_collection(collection, 2.0)
+        nothing.clear_flat(GRID_BIT, np.arange(nothing.total_points()))
 
-        ref = PYTHON_KERNEL.build_bigrid(collection, 2.0, point_filter=nothing)
-        got = numpy_kernel().build_bigrid(collection, 2.0, point_filter=nothing)
+        ref = PYTHON_KERNEL.build_bigrid(collection, 2.0, labels=nothing)
+        got = numpy_kernel().build_bigrid(collection, 2.0, labels=nothing)
         assert got.memory_bytes() == ref.memory_bytes()
 
     @needs_numpy
@@ -845,14 +855,14 @@ class _VerifyCasesBySize:
             grid = kernel.build_bigrid(collection, r)
             lower = kernel.lower_bounds(grid, keep_bitsets=True)
             candidates = kernel.upper_bounds(
-                grid, lower.tau_max, upper_masks=upper_masks_for(collection, seed=5)
+                grid, lower.tau_max, labels=upper_labels_for(collection, seed=5)
             ).candidates
             labels = PointLabels.for_collection(collection, r)
             stats = PhaseStats("verification")
             result = kernel.verify_candidates(
                 grid, candidates, r,
                 initial_bitsets=lambda oid: lower.bitsets[oid],
-                verify_masks=upper_masks_for(collection, seed=7),
+                verify_masks=upper_labels_for(collection, seed=7).upper_mask,
                 labeler=labels,
                 stats=stats,
                 deadline=None if budget is None
@@ -962,7 +972,7 @@ def run_labeled_verify(kernel, collection, r, k, deadline=None):
     lower = kernel.lower_bounds(grid, keep_bitsets=True)
     candidates = RecordingCandidates(
         kernel.upper_bounds(
-            grid, lower.tau_max, upper_masks=upper_masks_for(collection, seed=5)
+            grid, lower.tau_max, labels=upper_labels_for(collection, seed=5)
         ).candidates
     )
     labels = PointLabels.for_collection(collection, r)
@@ -970,7 +980,7 @@ def run_labeled_verify(kernel, collection, r, k, deadline=None):
     result = kernel.verify_candidates(
         grid, candidates, r, k=k,
         initial_bitsets=lambda oid: lower.bitsets[oid],
-        verify_masks=upper_masks_for(collection, seed=7),
+        verify_masks=upper_labels_for(collection, seed=7).upper_mask,
         labeler=labels,
         stats=stats,
         deadline=deadline,

@@ -8,6 +8,7 @@ shutdown under traffic.
 
 import json
 import random
+import sys
 import threading
 import time
 
@@ -99,6 +100,158 @@ class TestKeepAlive:
             connection.close()
         assert all(sock is sockets[0] for sock in sockets)
         assert statistics.median(times) * 1e3 < 20.0
+
+
+    def test_client_keeps_one_connection_per_thread(self, server):
+        host, port = server.address
+        client = ServiceClient(host, port, timeout_s=10.0)
+        sockets = []
+        for _ in range(5):
+            assert client.healthz()["status"] == "ok"
+            sockets.append(client._local.connection.sock)
+        assert all(sock is sockets[0] for sock in sockets)
+
+        errors = []
+
+        def worker():
+            try:
+                for _ in range(5):
+                    client.healthz()
+            except Exception as exc:  # noqa: BLE001 -- reported below
+                errors.append(exc)
+
+        # More threads than cores, switching often: a lost update to the
+        # shared set of open connections would show in its size.
+        threads = [threading.Thread(target=worker) for _ in range(6)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert len(client._open) == 7  # this thread's and one per worker
+        with client:
+            pass
+        assert client._open == set()
+        assert sockets[0].fileno() == -1  # closed
+        assert client.healthz()["status"] == "ok"  # reconnects after close
+        client.close()
+
+    def test_oversized_body_gets_413_and_a_closed_connection(self, server):
+        import socket
+
+        from repro.service.server import MAX_BODY_BYTES
+
+        host, port = server.address
+        with socket.create_connection((host, port), timeout=10.0) as sock:
+            sock.sendall(
+                b"POST /query HTTP/1.1\r\nHost: x\r\n"
+                + f"Content-Length: {MAX_BODY_BYTES + 1}\r\n\r\n".encode()
+            )
+            reply = b""
+            while chunk := sock.recv(65536):  # the server closes: EOF
+                reply += chunk
+        head = reply.split(b"\r\n\r\n", 1)[0].decode().lower()
+        assert head.startswith("http/1.1 413")
+        assert "connection: close" in head.split("\r\n")
+
+
+class _Scripted:
+    """A bare HTTP/1.1 server whose connections misbehave on purpose.
+
+    ``mode`` per connection: ``"silent-close"`` answers one request and
+    then closes without saying so; ``"hang-up"`` does that on the first
+    connection and closes every later one before answering anything;
+    ``"announced-close"`` answers with ``Connection: close``.
+    """
+
+    def __init__(self, mode):
+        from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+
+        scripted = self
+
+        class Handler(BaseHTTPRequestHandler):
+            protocol_version = "HTTP/1.1"
+
+            def setup(self):
+                super().setup()
+                with scripted.lock:
+                    scripted.connections += 1
+                    self.number = scripted.connections
+
+            def do_GET(self):  # noqa: N802 -- http.server API
+                if scripted.mode == "hang-up" and self.number > 1:
+                    self.close_connection = True
+                    return
+                body = b'{"status": "ok"}'
+                self.send_response(200)
+                self.send_header("Content-Type", "application/json")
+                self.send_header("Content-Length", str(len(body)))
+                if scripted.mode == "announced-close":
+                    self.send_header("Connection", "close")
+                self.end_headers()
+                self.wfile.write(body)
+                self.close_connection = True
+
+            def log_message(self, *args):
+                pass
+
+        self.mode = mode
+        self.lock = threading.Lock()
+        self.connections = 0
+        self.httpd = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
+        self.httpd.daemon_threads = True
+        self.thread = threading.Thread(target=self.httpd.serve_forever, daemon=True)
+        self.thread.start()
+
+    def client(self):
+        host, port = self.httpd.server_address[:2]
+        return ServiceClient(host, port, timeout_s=10.0, max_retries=0)
+
+    def close(self):
+        self.httpd.shutdown()
+        self.httpd.server_close()
+        self.thread.join(timeout=5.0)
+
+
+@pytest.fixture()
+def scripted(request):
+    server = _Scripted(request.param)
+    yield server
+    server.close()
+
+
+class TestStaleConnections:
+    @pytest.mark.parametrize("scripted", ["silent-close"], indirect=True)
+    def test_stale_connection_reconnects(self, scripted):
+        with scripted.client() as client:
+            for _ in range(3):
+                assert client.healthz() == {"status": "ok"}
+        # Requests 2 and 3 each found their reused connection closed.
+        assert scripted.connections == 3
+
+    @pytest.mark.parametrize("scripted", ["hang-up"], indirect=True)
+    def test_reconnects_only_once(self, scripted):
+        with scripted.client() as client:
+            assert client.healthz() == {"status": "ok"}
+            with pytest.raises(BackendUnavailableError):
+                client.healthz()
+            assert client._open == set()
+        # The stale connection, then one fresh one that failed too.
+        assert scripted.connections == 2
+
+    @pytest.mark.parametrize("scripted", ["announced-close"], indirect=True)
+    def test_announced_close_drops_the_connection(self, scripted):
+        with scripted.client() as client:
+            for _ in range(3):
+                assert client.healthz() == {"status": "ok"}
+                assert client._open == set()
+        assert scripted.connections == 3
 
 
 class TestClientRetries:
