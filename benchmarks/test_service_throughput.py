@@ -133,16 +133,7 @@ def test_service_throughput_and_overload(report):
         "max_inflight": MAX_INFLIGHT,
         "max_queue": MAX_QUEUE,
         "serial_service_time_ms": round(service_time_s * 1000.0, 2),
-        "provenance": bench_provenance(
-            cores=app.primary.cores,
-            parallel_mode=(
-                "sharded" if app.primary.cores > 1 else "serial"
-            ),
-            shards=(
-                (app.primary.shards or app.primary.cores)
-                if app.primary.cores > 1 else 0
-            ),
-        ),
+        "provenance": bench_provenance(),
         "steady": steady,
         "overload": overload,
         "service": {

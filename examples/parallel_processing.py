@@ -6,10 +6,8 @@ cannot.  The schedule study (``repro.bench.schedule``) quantifies each
 plan's quality deterministically: every task runs serially, its measured
 cost is charged to the core the plan chose, and a phase reports the
 makespan of that schedule (see DESIGN.md §5 for why speedups are simulated
-rather than thread-measured under CPython's GIL).
-
-Real multi-core execution is ``repro.ParallelMIOEngine``, which verifies
-across worker processes (see docs/sharding.md).
+rather than thread-measured under CPython's GIL).  Every real query runs
+the serial engine.
 
 Run:  python examples/parallel_processing.py
 """

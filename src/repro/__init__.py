@@ -44,7 +44,6 @@ from repro.errors import (
     CorruptDataError,
     InjectedFault,
     InvalidQueryError,
-    PartitionTaskError,
     QueryTimeout,
     ReproError,
 )
@@ -72,7 +71,6 @@ __all__ = [
     "InjectedFault",
     "InvalidQueryError",
     "ManualClock",
-    "PartitionTaskError",
     "QueryTimeout",
     "ReproError",
     "ProgressiveState",

@@ -34,8 +34,7 @@ speedup is one division.  :func:`parallel_nested_loop` and
 competitors, reported the same way.
 
 This is a measurement device for the benchmarks, not a query engine:
-real multi-core execution is :class:`~repro.parallel.engine.
-ParallelMIOEngine` (sharded worker processes).
+every real query runs the serial engine.
 """
 
 from __future__ import annotations

@@ -78,7 +78,6 @@ from repro.datasets import (
 )
 from repro.errors import CorruptDataError, InvalidQueryError, ReproError
 from repro.kernels import KERNEL_NAMES
-from repro.parallel import ParallelMIOEngine
 from repro.session import QuerySession
 
 
@@ -113,12 +112,6 @@ def build_parser() -> argparse.ArgumentParser:
     query.add_argument("--timeout-ms", type=float, default=None,
                        help="query deadline in milliseconds; expiring during "
                             "verification yields an anytime (inexact) answer")
-    query.add_argument("--retries", type=int, default=2,
-                       help="per-task retry budget (parallel engine)")
-    query.add_argument("--cores", type=int, default=1,
-                       help="worker processes; >1 uses the parallel engine")
-    query.add_argument("--shards", type=int, default=None,
-                       help="verifiers per parallel query (default: one per core)")
     query.add_argument("--trace", action="store_true",
                        help="print the query's span tree under the answer")
     query.add_argument("--metrics-out", default=None, metavar="PATH",
@@ -147,12 +140,6 @@ def build_parser() -> argparse.ArgumentParser:
     batch.add_argument("--kernel", default="auto", choices=KERNEL_NAMES,
                        help="compute kernel for the query phases; auto "
                             "feature-detects numpy (default: auto)")
-    batch.add_argument("--cores", type=int, default=1,
-                       help="worker processes; >1 fans with-label queries out")
-    batch.add_argument("--shards", type=int, default=None,
-                       help="verifiers per parallel query (default: one per core)")
-    batch.add_argument("--retries", type=int, default=2,
-                       help="per-task retry budget (parallel engine)")
     batch.add_argument("--trace-out", default=None, metavar="PATH",
                        help="write the batch's span trees as JSON")
     batch.add_argument("--metrics-out", default=None, metavar="PATH",
@@ -177,10 +164,6 @@ def build_parser() -> argparse.ArgumentParser:
                        choices=("ewah", "plain", "roaring"))
     serve.add_argument("--kernel", default="auto", choices=KERNEL_NAMES,
                        help="compute kernel for the primary execution path")
-    serve.add_argument("--cores", type=int, default=1,
-                       help="worker processes for the primary path")
-    serve.add_argument("--shards", type=int, default=None,
-                       help="verifiers per parallel query (default: one per core)")
     serve.add_argument("--max-inflight", type=int, default=4,
                        help="requests executing concurrently")
     serve.add_argument("--max-queue", type=int, default=16,
@@ -214,10 +197,6 @@ def build_parser() -> argparse.ArgumentParser:
                          choices=("ewah", "plain", "roaring"))
     explain.add_argument("--kernel", default="auto", choices=KERNEL_NAMES,
                          help="compute kernel for the query phases")
-    explain.add_argument("--cores", type=int, default=1,
-                         help="worker processes; >1 uses the parallel engine")
-    explain.add_argument("--shards", type=int, default=None,
-                         help="verifiers per parallel query (default: one per core)")
 
     report = commands.add_parser(
         "report",
@@ -340,26 +319,13 @@ def _run_query(args: argparse.Namespace) -> int:
                 root.set_attributes(winner=result.winner, score=result.score)
             root.set_duration(result.total_time)
     else:
-        if args.cores != 1:
-            engine = ParallelMIOEngine(
-                collection, cores=args.cores, backend=args.backend,
-                retries=args.retries, tracer=tracer, kernel=args.kernel,
-                shards=args.shards,
-            )
+        engine = MIOEngine(
+            collection, backend=args.backend, tracer=tracer, kernel=args.kernel
+        )
+        if args.topk > 1:
+            result = engine.query_topk(args.r, args.topk, timeout_ms=args.timeout_ms)
         else:
-            engine = MIOEngine(
-                collection, backend=args.backend, tracer=tracer, kernel=args.kernel
-            )
-        try:
-            if args.topk > 1:
-                result = engine.query_topk(
-                    args.r, args.topk, timeout_ms=args.timeout_ms
-                )
-            else:
-                result = engine.query(args.r, timeout_ms=args.timeout_ms)
-        finally:
-            if isinstance(engine, ParallelMIOEngine):
-                engine.close()
+            result = engine.query(args.r, timeout_ms=args.timeout_ms)
     print(f"algorithm : {result.algorithm}")
     print(f"winner    : o_{result.winner}")
     print(f"score     : {result.score} of {collection.n - 1} objects")
@@ -385,31 +351,16 @@ def _run_query(args: argparse.Namespace) -> int:
 def _cmd_explain(args: argparse.Namespace) -> int:
     collection = load_collection(args.path)
     tracer = Tracer()
-    if args.cores != 1:
-        engine = ParallelMIOEngine(
-            collection, cores=args.cores, backend=args.backend, tracer=tracer,
-            kernel=args.kernel, shards=args.shards,
-        )
+    engine = MIOEngine(
+        collection, backend=args.backend, tracer=tracer, kernel=args.kernel
+    )
+    if args.topk > 1:
+        result = engine.query_topk(args.r, args.topk)
     else:
-        engine = MIOEngine(
-            collection, backend=args.backend, tracer=tracer, kernel=args.kernel
-        )
-    try:
-        if args.topk > 1:
-            result = engine.query_topk(args.r, args.topk)
-        else:
-            result = engine.query(args.r)
-    finally:
-        if isinstance(engine, ParallelMIOEngine):
-            engine.close()
+        result = engine.query(args.r)
     print(f"{result.algorithm} over {args.path} at r={args.r}")
     print(f"winner    : o_{result.winner} (tau = {result.score} "
           f"of {collection.n - 1} objects)")
-    if "shards" in result.counters:
-        print(f"verifiers : {result.counters['shards']} "
-              f"across {result.counters.get('cores', args.cores)} core(s), "
-              f"{result.extra.get('speculative_scores', 0)} speculative "
-              "score(s)")
     if result.topk:
         for rank, (oid, score) in enumerate(result.topk, start=1):
             print(f"  #{rank}: o_{oid} (tau = {score})")
@@ -500,8 +451,7 @@ def _run_batch(args: argparse.Namespace) -> int:
     collection = load_collection(dataset_path)
     tracer = Tracer() if args.trace_out else None
     session = QuerySession(
-        collection, backend=backend, cores=args.cores, retries=args.retries,
-        tracer=tracer, kernel=args.kernel, shards=args.shards,
+        collection, backend=backend, tracer=tracer, kernel=args.kernel
     )
     log_stream = None
     try:
@@ -510,7 +460,6 @@ def _run_batch(args: argparse.Namespace) -> int:
             obs_logging.configure(log_stream)
         results = session.query_many(queries)
     finally:
-        session.close()
         if log_stream is not None:
             obs_logging.configure(None)
             log_stream.close()
@@ -587,8 +536,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         drain_s=args.drain_s,
         sample_rate=args.sample_rate,
         slow_query_ms=args.slow_ms,
-        cores=args.cores,
-        shards=args.shards,
     )
     app = ServiceApp(collection, config, backend=args.backend, kernel=args.kernel)
     if args.telemetry_out:
@@ -671,7 +618,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     """Entry point; returns the process exit code.
 
     Every :class:`~repro.errors.ReproError` subclass carries a distinct
-    ``exit_code`` (10-16), so scripts can tell a timeout from corrupt data
+    ``exit_code`` (10-14, 16, 17), so scripts can tell a timeout from corrupt data
     from a bad query without parsing stderr.  ``REPRO_FAULTS`` in the
     environment installs the deterministic fault injector for chaos runs.
     """

@@ -4,8 +4,8 @@ Algorithm 2's filter-and-verification skeleton
 
     GRID-MAPPING -> LOWER-BOUNDING -> UPPER-BOUNDING -> VERIFICATION
 
-used to be hand-woven separately by the serial engine, the parallel
-engine, the temporal engine, and the progressive iterator, each
+used to be hand-woven separately by the serial engine, the temporal
+engine, and the progressive iterator, each
 re-threading the same cross-cutting concerns (tracing spans, fault trips,
 deadline checkpoints, phase timing, metric recording) in slightly
 different ways.  This module factors the skeleton out:
@@ -19,15 +19,12 @@ different ways.  This module factors the skeleton out:
   ``timed`` -- so boilerplate never appears in stage bodies.
 * :class:`PhasePipeline` composes stages and applies the middleware
   uniformly: fault trip, deadline checkpoint, span creation, wall-clock
-  timing, root-span bookkeeping, trace-derived ``phases``, metric
-  recording, and (for the parallel engine) the serial-fallback handler.
+  timing, root-span bookkeeping, trace-derived ``phases`` and metric
+  recording.
 
 An engine is then just a stage list plus a pipeline configuration: the
-parallel engine is the *same* orchestrator with a pool-backed
-verification stage (see :mod:`repro.parallel.engine`), the temporal engine
-swaps in ``(bin, key)``-indexed stages, and the progressive iterator runs
-the filter prefix of the serial stage list.  Serial fallback is the
-pipeline's ``fallback`` hook swapping stage implementations mid-run.
+temporal engine swaps in ``(bin, key)``-indexed stages, and the
+progressive iterator runs the filter prefix of the serial stage list.
 
 Faults are tripped and deadlines checkpointed *before* a phase span
 opens: a fault aborts the query before the span exists.
@@ -54,7 +51,7 @@ from repro.resilience import checkpoint
 
 
 # ----------------------------------------------------------------------
-# Shared helpers (deduped from the serial and parallel engines)
+# Shared helpers
 # ----------------------------------------------------------------------
 
 
@@ -155,8 +152,7 @@ class QueryContext:
         self.label_reuse = label_reuse
         self.grid_cache = grid_cache
         self.lower_cache = lower_cache
-        #: The owning engine (or None): stages read engine configuration
-        #: (cores, strategies, executor) and publish inspection state
+        #: The owning engine (or None): stages publish inspection state
         #: (``last_bigrid``) through it.
         self.engine = engine
         self.ceil_r = math.ceil(r)
@@ -305,9 +301,6 @@ class GridMappingStage(Stage):
     """
 
     name = "grid_mapping"
-    #: Publish the grid as the engine's ``last_bigrid`` for inspection
-    #: (the grid then outlives the query).
-    keeps_grid: bool = True
 
     def run(self, ctx: QueryContext, span) -> None:
         tier = ctx.grid_cache
@@ -335,7 +328,7 @@ class GridMappingStage(Stage):
                 bigrid = view
         span.set_attribute("cache_hit", resident is not None)
         ctx.bigrid = bigrid
-        if ctx.engine is not None and self.keeps_grid:
+        if ctx.engine is not None:
             ctx.engine.last_bigrid = bigrid
         ctx.stats.set_count("small_cells", len(bigrid.small_grid))
         ctx.stats.set_count("large_cells", len(bigrid.large_grid))
@@ -416,13 +409,10 @@ class VerificationStage(Stage):
     name = "verification"
     checks_deadline = False
 
-    def verify(self, ctx: QueryContext):
-        """Run the kernel's best-first verification over the candidates.
-
-        Scores computed ahead in a block but dropped at the loop's break
-        are reported as ``extra["speculative_scores"]``, as the parallel
-        stage reports its verifiers' (every counter stays the
-        reference's)."""
+    def run(self, ctx: QueryContext, span) -> None:
+        # Scores computed ahead in a block but dropped at the loop's break
+        # are reported as ``extra["speculative_scores"]`` (every counter
+        # stays the reference's).
         lower = ctx.lower
         verification = ctx.kernel.verify_candidates(
             ctx.bigrid,
@@ -440,10 +430,6 @@ class VerificationStage(Stage):
             deadline=ctx.deadline,
         )
         ctx.extra["speculative_scores"] = verification.speculative
-        return verification
-
-    def run(self, ctx: QueryContext, span) -> None:
-        verification = self.verify(ctx)
         ctx.verification = verification
         ctx.notes["verification_path"] = verification.path
         ctx.stats.set_count("candidates_total", len(ctx.upper.candidates))
@@ -484,12 +470,9 @@ class SerialFinalizeStage(Stage):
     checks_deadline = False
     traced = False
     timed = False
-    #: The result's ``algorithm`` (None: ``bigrid`` or ``bigrid-label``).
-    algorithm: Optional[str] = None
 
-    def _algorithm(self, ctx: QueryContext) -> str:
-        if self.algorithm is not None:
-            return self.algorithm
+    @staticmethod
+    def _algorithm(ctx: QueryContext) -> str:
         return "bigrid-label" if ctx.labels is not None else "bigrid"
 
     def run(self, ctx: QueryContext, span) -> None:
@@ -566,15 +549,9 @@ class PhasePipeline:
         The stage instances, in execution order.
     engine:
         Label for the root span's ``engine`` attribute and the metric
-        recorder (``"serial"``, ``"parallel"``, ``"temporal"``, ...).
+        recorder (``"serial"``, ``"temporal"``, ...).
     root_attributes:
         ``ctx -> dict`` of extra attributes for the root ``query`` span.
-    fallback / fallback_errors:
-        Mid-run stage-implementation swap: when a stage raises one of
-        ``fallback_errors``, ``fallback(ctx, cause, root_span)`` produces
-        the result instead (the parallel engine re-runs the query through
-        the serial stage set).  The fallback result is *not* re-observed
-        or phase-derived here -- the substitute pipeline already did both.
     """
 
     def __init__(
@@ -583,14 +560,10 @@ class PhasePipeline:
         *,
         engine: str,
         root_attributes: Optional[Callable[[QueryContext], Dict[str, Any]]] = None,
-        fallback: Optional[Callable[[QueryContext, Exception, Any], MIOResult]] = None,
-        fallback_errors: Tuple[type, ...] = (),
     ) -> None:
         self.stages = tuple(stages)
         self.engine = engine
         self.root_attributes = root_attributes
-        self.fallback = fallback
-        self.fallback_errors = tuple(fallback_errors)
 
     def execute(self, ctx: QueryContext) -> QueryContext:
         """Run the stage list under the middleware (no root span).
@@ -641,33 +614,27 @@ class PhasePipeline:
             # replaced for this one context, never shared back).
             ctx.tracer = tracer = Tracer()
         attributes = self.root_attributes(ctx) if self.root_attributes else {}
-        fell_back = False
         with tracer.span("query", engine=self.engine, **attributes) as root:
-            try:
-                self.execute(ctx)
-                result = ctx.result
-            except self.fallback_errors as cause:
-                fell_back = True
-                result = self.fallback(ctx, cause, root)
+            self.execute(ctx)
+            result = ctx.result
             root.set_attributes(
                 winner=result.winner, score=result.score, exact=result.exact
             )
-        if not fell_back:
-            if tracer.enabled:
-                # The trace is the source of truth: the reported per-phase
-                # times ARE the span durations, so tree and result agree.
-                result.phases = phase_durations(root)
-            observe_query(result, engine=self.engine)
-            telemetry.observe_result(
-                result,
-                engine=self.engine,
-                r=ctx.r,
-                k=ctx.k,
-                ceil_r=ctx.ceil_r,
-                n=getattr(ctx.collection, "n", 0),
-                sampled=tracer.enabled,
-                span_root=root if tracer.enabled else None,
-            )
+        if tracer.enabled:
+            # The trace is the source of truth: the reported per-phase
+            # times ARE the span durations, so tree and result agree.
+            result.phases = phase_durations(root)
+        observe_query(result, engine=self.engine)
+        telemetry.observe_result(
+            result,
+            engine=self.engine,
+            r=ctx.r,
+            k=ctx.k,
+            ceil_r=ctx.ceil_r,
+            n=getattr(ctx.collection, "n", 0),
+            sampled=tracer.enabled,
+            span_root=root if tracer.enabled else None,
+        )
         return result
 
 

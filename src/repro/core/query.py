@@ -49,7 +49,7 @@ class MIOResult:
     phases: Dict[str, float] = field(default_factory=dict)
     counters: Dict[str, int] = field(default_factory=dict)
     memory_bytes: int = 0
-    #: Free-form floats (e.g. the parallel engine's per-phase serial times
+    #: Free-form floats (e.g. the schedule study's per-phase serial times
     #: and core loads) that don't belong in ``phases``/``counters``.
     extra: Dict[str, float] = field(default_factory=dict)
     #: False for an *anytime* answer returned under an expired deadline:

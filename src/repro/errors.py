@@ -19,9 +19,11 @@ Taxonomy
 ├── ``CorruptDataError``       unreadable/inconsistent data (ValueError) (12, 422)
 ├── ``QueryTimeout``           deadline expired (TimeoutError)        (13, 504)
 ├── ``BackendUnavailableError`` no usable bitset backend (ValueError) (14, 503)
-├── ``PartitionTaskError``     a parallel task failed after retries   (15, 500)
 ├── ``InjectedFault``          raised only by the fault harness       (16, 500)
 └── ``ServiceOverloadedError`` request shed by admission control      (17, 429)
+
+Exit code 15 is unassigned: it belonged to a verifier-pool failure that
+no longer exists, and the other codes keep their numbers.
 """
 
 from __future__ import annotations
@@ -77,25 +79,6 @@ class BackendUnavailableError(ReproError, ValueError):
 
     exit_code = 14
     http_status = 503
-
-
-class PartitionTaskError(ReproError, RuntimeError):
-    """A parallel task (a verifier hand-off) kept failing after all retries."""
-
-    exit_code = 15
-    http_status = 500
-
-    def __init__(
-        self,
-        message: str,
-        task_index: Optional[int] = None,
-        attempts: int = 1,
-    ) -> None:
-        super().__init__(message)
-        #: Index of the failing task within its fan-out round.
-        self.task_index = task_index
-        #: How many executions (first try + retries) were attempted.
-        self.attempts = attempts
 
 
 class InjectedFault(ReproError, RuntimeError):

@@ -1,7 +1,7 @@
 """Deterministic, seeded fault injection for robustness testing.
 
 Production code calls :func:`trip` at *named injection points* (one per
-pipeline phase, one per verifier hand-off, one per backend probe).  With no
+pipeline phase, one per backend probe, one per dataset read).  With no
 injector installed — the default — a trip is a no-op costing one global
 read, so the harness is safe to leave compiled into the hot paths.
 
@@ -10,12 +10,12 @@ and the CI chaos job) install a :class:`FaultInjector` holding
 :class:`FaultSpec` entries.  A spec either raises
 :class:`~repro.errors.InjectedFault` or sleeps (latency injection), fires
 with a configurable probability from a seeded RNG, and can be limited to a
-number of triggers or to one ``detail`` value (e.g. a single task index).
+number of triggers or to one ``detail`` value (e.g. a single backend name).
 Everything is deterministic under a fixed seed.
 
 ``REPRO_FAULTS`` grammar (``;``-separated)::
 
-    seed=42;verification:fail;shard_task:latency:0.5:10
+    seed=42;verification:fail;upper_bounding:latency:0.5:10
 
 i.e. ``point:kind[:rate[:latency_ms[:match]]]``.  A value containing only
 ``seeds=...`` (as the CI chaos job sets) configures no specs here; the test
@@ -38,7 +38,6 @@ INJECTION_POINTS = (
     "lower_bounding",
     "upper_bounding",
     "verification",
-    "shard_task",
     "backend",
     "io",
 )

@@ -1905,88 +1905,5 @@ class _BatchedVerifier:
         return [partial(settle, slot) for slot in range(count)]
 
 
-#: The packed arrays a label-free scorer reads, as ``(owner, name)``:
-#: owner ``"grid"`` is the large grid, ``"bigrid"`` the BIGrid itself and
-#: ``"tables"`` the large grid's shared tables -- the neighbour table
-#: rides along, so a process scoring over the arrays never searches
-#: neighbourhoods or builds the adjacency matrix.
-SCORER_ARRAYS = (
-    ("tables", "neighbors"),
-    ("grid", "seg_cell"),
-    ("grid", "seg_oid"),
-    ("grid", "seg_bounds"),
-    ("grid", "seg_points"),
-    ("grid", "seg_coords"),
-    ("bigrid", "group_flat"),
-    ("bigrid", "group_counts"),
-    ("bigrid", "group_segments"),
-)
-
-
-def scorer_arrays(bigrid) -> Optional[Dict[str, np.ndarray]]:
-    """The arrays :func:`label_free_scorer` reads, by name.
-
-    None unless ``bigrid`` is packed and its upper-bounding pass memoized
-    every adjacency row (a label-free query's does), so scoring over the
-    arrays alone changes no grid state the serial scorer would change.
-    """
-    if not isinstance(bigrid, PackedBIGrid) or not bigrid.large_grid.adj_memo.all():
-        return None
-    bigrid.large_grid.neighbor_table()
-    owners = _scorer_owners(bigrid)
-    return {name: getattr(owners[owner], name) for owner, name in SCORER_ARRAYS}
-
-
-def _scorer_owners(bigrid: PackedBIGrid) -> Dict[str, object]:
-    """The objects :data:`SCORER_ARRAYS` names, by owner."""
-    large_grid = bigrid.large_grid
-    return {"grid": large_grid, "bigrid": bigrid, "tables": large_grid.tables}
-
-
-def scorer_grid(collection, r: float, arrays: Dict[str, np.ndarray]) -> PackedBIGrid:
-    """A packed BIGrid shell over :func:`scorer_arrays` output: enough to
-    score label-free, with every adjacency row marked memoized."""
-    large_grid = PackedLargeGrid(large_cell_width(r), collection.dimension, None)
-    bigrid = PackedBIGrid(collection, r, None, large_grid, 0)
-    owners = _scorer_owners(bigrid)
-    for owner, name in SCORER_ARRAYS:
-        setattr(owners[owner], name, arrays[name])
-    large_grid._adjacency.memo = np.ones(arrays["neighbors"].shape[1], dtype=bool)
-    return bigrid
-
-
-def label_free_scorer(bigrid: PackedBIGrid, r: float, deadline=None):
-    """``oid -> (score, posting_checks, distance_rows)`` for one candidate.
-
-    The serial scorer's numbers for a grid :func:`scorer_arrays` accepts,
-    from the same block scorer, one candidate per block: without labels
-    a score depends only on the grid and the oid, so candidates may be
-    scored in any order, by any process.  A deadline expiring
-    mid-candidate raises :class:`QueryTimeout`.
-    """
-    counters = VerifyCounters()
-    verifier = _BatchedVerifier(bigrid, r, None, None, None, counters, deadline)
-
-    def score(oid: int) -> Tuple[int, int, int]:
-        checks, rows = counters.posting_checks, counters.distance_rows
-        (settle,) = verifier.block([oid])
-        value = settle()
-        return (
-            value,
-            counters.posting_checks - checks,
-            counters.distance_rows - rows,
-        )
-
-    return score
-
-
-def label_free_bounds(bigrid: PackedBIGrid, r: float):
-    """The box-bound half of :func:`label_free_scorer`: ``(bounds(oids),
-    capacity)``, the batch bound function and the most oids one batch may
-    hold."""
-    verifier = _BatchedVerifier(bigrid, r, None, None, None, VerifyCounters(), None)
-    return verifier.bounds, verifier.bound_capacity()
-
-
 #: The shared vectorized instance.
 NUMPY_KERNEL = NumpyKernel()

@@ -74,9 +74,9 @@ def render_funnel(stages: Sequence[Tuple[str, int]], width: int = 30) -> str:
 def funnel_stages(result, total_objects: int) -> List[Tuple[str, int]]:
     """Objects -> candidates -> settled, read off an ``MIOResult``.
 
-    Works for both engines: the serial engine reports
-    ``candidates_total``/``candidates_settled``, the parallel engine
-    ``candidates``/``verified_objects``.
+    Works for every result: the serial engine reports
+    ``candidates_total``/``candidates_settled``, the schedule study
+    (:mod:`repro.bench.schedule`) ``candidates``/``verified_objects``.
     """
     counters = result.counters
     candidates = counters.get("candidates_total", counters.get("candidates", 0))

@@ -4,7 +4,7 @@ Every engine reports each finished query through :func:`observe_query`,
 and every cross-query cache tier reports lookups/invalidations through
 :func:`observe_cache` / :func:`observe_cache_invalidation`, so the metric
 *names* live in exactly one module and stay consistent across the serial
-engine, the parallel engine, the temporal engine, and the session (see
+engine, the temporal engine, and the session (see
 the catalog in ``docs/observability.md`` and the stability policy in
 DESIGN.md).
 

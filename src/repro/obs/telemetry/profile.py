@@ -25,8 +25,6 @@ field              meaning
 ``notes``          degradation + dispatch notes (``verification_path``,
                    ``lower_bound_path``, ``degraded_*``)
 ``memory_bytes``   index size
-``shards``         shard fan-out of a sharded parallel query (0 for
-                   serial execution)
 =================  =====================================================
 
 :class:`ProfileStore` keeps the most recent ``capacity`` profiles in a
@@ -211,5 +209,4 @@ def build_profile(
         "counters": dict(result.counters),
         "notes": dict(result.notes),
         "memory_bytes": int(result.memory_bytes or 0),
-        "shards": int(result.counters.get("shards", 0)),
     }

@@ -34,10 +34,6 @@ BATCH_REUSE_FLOOR = 1.2
 #: Overloaded p99 may exceed the deadline (queueing), but not by more
 #: than this multiple -- beyond it shedding is no longer bounding work.
 SERVICE_P99_DEADLINE_MULTIPLE = 1.5
-#: Real shard-parallel speedup floor, enforced only when the recording
-#: host had enough cpus for the floor to be physically reachable.
-SHARD_SCALING_FLOOR = 2.0
-SHARD_SCALING_MIN_CPUS = 4
 #: Every artifact must stamp how it was produced (see
 #: :func:`repro.bench.harness.bench_provenance`) so floors compare like
 #: with like -- a parallel speedup recorded on a one-core container is
@@ -283,43 +279,6 @@ def _check_service_throughput(data: Dict[str, object], margin: float) -> List[st
     return failures
 
 
-def _check_shard_scaling(data: Dict[str, object], margin: float) -> List[str]:
-    failures = []
-    if not data.get("identical_answers", False):
-        failures.append(
-            "shard_scaling: sharded answers diverged from serial "
-            "(identical_answers is not true)"
-        )
-    prov = data.get("provenance") or {}
-    if prov.get("parallel_mode") != "sharded":
-        failures.append(
-            f"shard_scaling: provenance parallel_mode "
-            f"{prov.get('parallel_mode')!r} is not 'sharded'"
-        )
-    try:
-        cpu_count = int(prov.get("cpu_count", 0))
-        cores = int(prov.get("cores", 0))
-    except (TypeError, ValueError):
-        cpu_count = cores = 0
-    if cores < 1:
-        failures.append("shard_scaling: provenance records no worker count")
-    floor = float(data.get("floor", SHARD_SCALING_FLOOR))
-    speedup = float(data.get("speedup", 0.0))
-    if speedup <= 0.0:
-        failures.append("shard_scaling: artifact records no speedup")
-    elif cpu_count >= SHARD_SCALING_MIN_CPUS and cores >= SHARD_SCALING_MIN_CPUS:
-        # The wall-clock floor only binds where the hardware could meet
-        # it; a narrow recording host still has to pass the answer-parity
-        # checks above.
-        if speedup < floor * margin:
-            failures.append(
-                f"shard_scaling: speedup {speedup}x below {floor}x floor "
-                f"with {cores} workers on a {cpu_count}-cpu host "
-                f"(margin {margin})"
-            )
-    return failures
-
-
 def _provenance_failures(data: Dict[str, object], name: str) -> List[str]:
     prov = data.get("provenance")
     if not isinstance(prov, dict):
@@ -338,7 +297,7 @@ def check_bench_artifact(path: str, margin: float = DEFAULT_MARGIN) -> List[str]
     """Floor-check one recorded ``BENCH_*.json``; returns failure strings.
 
     The artifact schema is detected from content: the ``bench`` key
-    names kernel-speedup, batch-reuse, and shard-scaling artifacts; the
+    names kernel-speedup and batch-reuse artifacts; the
     service throughput artifact predates the key and is recognized by
     its ``overload`` regime block.  Every schema must also carry the
     shared provenance stamp (:data:`PROVENANCE_KEYS`).
@@ -353,8 +312,6 @@ def check_bench_artifact(path: str, margin: float = DEFAULT_MARGIN) -> List[str]
         failures = _check_kernel_speedup(data, margin)
     elif bench == "batch_reuse":
         failures = _check_batch_reuse(data, margin)
-    elif bench == "shard_scaling":
-        failures = _check_shard_scaling(data, margin)
     elif "overload" in data:
         bench = "service_throughput"
         failures = _check_service_throughput(data, margin)

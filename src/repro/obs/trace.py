@@ -18,7 +18,7 @@ pre-instrumentation pipeline (the overhead guard in
 ``benchmarks/test_obs_overhead.py`` enforces this).
 
 Completed work whose duration is already known (e.g. a baseline's phase
-breakdown, or a shard worker's run) is attached with
+breakdown, or the temporal engine's phases) is attached with
 :meth:`Tracer.record`, which stamps the known duration on the span with
 :meth:`Span.set_duration` instead of measuring it.
 """

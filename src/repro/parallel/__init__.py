@@ -6,8 +6,9 @@
 * :mod:`repro.parallel.plans`        -- per-phase partitioning plans:
   LB-greedy-d / LB-hash-p for lower-bounding, UB-greedy-p / UB-greedy-d
   for upper-bounding, the point-splitting plan for verification.
-* :mod:`repro.parallel.engine`       -- the parallel engine: the serial
-  filter stages, then verification across a pool of worker processes.
+* :mod:`repro.parallel.engine`       -- ``ParallelMIOEngine``, the serial
+  engine under its former multi-core name (kept for the end-to-end
+  benchmark).
 
 The paper's schedule study (Figs. 8/9, Table III), which applies the
 partitioning plans to measured per-task costs, is the bench-only module

@@ -30,9 +30,8 @@ Degradation chain
 
 ``primary session -> fallback session -> vacuous anytime answer``
 
-The *primary* session runs the configured kernel/bitset backend/cores.
+The *primary* session runs the configured kernel and bitset backend.
 A backend-shaped failure (:class:`~repro.errors.InjectedFault`,
-:class:`~repro.errors.PartitionTaskError`,
 :class:`~repro.errors.BackendUnavailableError`) feeds the circuit
 breaker and falls through to the *fallback* session (pure-python kernel,
 plain bitsets, serial) under the same deadline.  When the breaker is
@@ -61,7 +60,6 @@ from repro.errors import (
     CorruptDataError,
     InjectedFault,
     InvalidQueryError,
-    PartitionTaskError,
     QueryTimeout,
     ReproError,
     ServiceOverloadedError,
@@ -86,7 +84,6 @@ from repro.session import QueryRequest, QuerySession, normalize_request
 #: expired deadline.
 BACKEND_FAILURES = (
     InjectedFault,
-    PartitionTaskError,
     BackendUnavailableError,
     CorruptDataError,
 )
@@ -151,7 +148,6 @@ class ServiceApp:
         *,
         backend: str = "ewah",
         kernel: str = "auto",
-        cores: Optional[int] = None,
         label_dir=None,
         clock: Callable[[], float] = time.monotonic,
         breaker: Optional[CircuitBreaker] = None,
@@ -163,16 +159,11 @@ class ServiceApp:
         #: worker threads (the cache tiers are individually thread-safe and
         #: published label snapshots are read-only -- see LabelStore).
         self.primary = QuerySession(
-            source,
-            backend=backend,
-            kernel=kernel,
-            cores=cores if cores is not None else self.config.cores,
-            label_dir=label_dir,
-            shards=self.config.shards,
+            source, backend=backend, kernel=kernel, label_dir=label_dir
         )
         #: Fallback path: the most dependable stack we have -- pure-python
         #: kernel, plain bitsets, serial engine, no shared label directory.
-        self.fallback = QuerySession(source, backend="plain", kernel="python", cores=1)
+        self.fallback = QuerySession(source, backend="plain", kernel="python")
         self._dynamic = source if isinstance(source, DynamicMIO) else None
         self.admission = (
             admission
@@ -690,12 +681,7 @@ class ServiceApp:
         """Begin drain and wait for in-flight requests (True = drained)."""
         self.begin_drain()
         budget = self.config.drain_s if timeout_s is None else timeout_s
-        drained = self.admission.await_idle(budget)
-        # Shard workers (and their shared-memory block) must not outlive
-        # the service; releasing after the drain keeps in-flight sharded
-        # queries intact.
-        self.primary.close()
-        return drained
+        return self.admission.await_idle(budget)
 
     def snapshot(self) -> Dict[str, object]:
         """Service-level stats (the CLI prints this on shutdown)."""
@@ -706,9 +692,4 @@ class ServiceApp:
             "admission": self.admission.snapshot(),
             "breaker": self.breaker.snapshot(),
             "session": self.primary.stats(),
-            "parallel": {
-                "cores": self.primary.cores,
-                "mode": "sharded",
-                "shards": self.primary.shards or self.primary.cores,
-            },
         }

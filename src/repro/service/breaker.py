@@ -4,7 +4,7 @@ The classic three-state machine, tuned for the query service's
 degradation chain (:mod:`repro.service.app`):
 
 * **closed** -- requests flow to the primary path (configured kernel /
-  bitset backend / parallel engine).  Failures count; success resets the
+  bitset backend).  Failures count; success resets the
   count.
 * **open** -- after ``failure_threshold`` consecutive failures the
   breaker trips: requests bypass the primary path entirely (straight to

@@ -33,7 +33,6 @@ from repro.errors import (
     CorruptDataError,
     InjectedFault,
     InvalidQueryError,
-    PartitionTaskError,
     QueryTimeout,
     ReproError,
     ServiceOverloadedError,
@@ -49,7 +48,6 @@ _ERROR_CLASSES = {
         CorruptDataError,
         QueryTimeout,
         BackendUnavailableError,
-        PartitionTaskError,
         InjectedFault,
         ServiceOverloadedError,
     )

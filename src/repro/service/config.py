@@ -21,7 +21,6 @@ tuning guide; the short version:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from repro.errors import InvalidQueryError
 
@@ -63,11 +62,6 @@ class ServiceConfig:
     sample_rate: float = 0.01
     #: Latency threshold for the slow-query log (``/slowlogz``).
     slow_query_ms: float = 250.0
-    #: Worker processes for the primary session's parallel engine
-    #: (``1`` keeps every query on the serial engine).
-    cores: int = 1
-    #: Shards per sharded query (None: one per core).
-    shards: Optional[int] = None
 
     def __post_init__(self) -> None:
         if self.max_inflight < 1:
@@ -98,10 +92,6 @@ class ServiceConfig:
             raise InvalidQueryError("sample_rate must lie in [0, 1]")
         if self.slow_query_ms < 0:
             raise InvalidQueryError("slow_query_ms must be >= 0")
-        if self.cores < 1:
-            raise InvalidQueryError("cores must be at least 1")
-        if self.shards is not None and self.shards < 1:
-            raise InvalidQueryError("shards must be at least 1")
 
     def clamp_timeout_ms(self, timeout_ms) -> float:
         """The effective budget for one request (default + cap applied)."""

@@ -42,9 +42,7 @@ first within each group, so the group's first query produces labels at the
 most general threshold and every other query runs the WITH-LABEL pipeline.
 Each request keeps its own deadline (PR 1 semantics); a request that times
 out degrades to an ``exact=False`` result *for that request only* and never
-poisons the rest of the batch.  With ``cores > 1`` the session sends
-labeling runs through the serial engine (labeling needs the canonical
-serial access order) and everything else through the parallel engine.
+poisons the rest of the batch.
 """
 
 from __future__ import annotations
@@ -69,7 +67,6 @@ from repro.obs.logging import get_logger, new_id
 from repro.obs.recorders import register_cache_metrics
 from repro.obs.telemetry import bind_trace_id, get_telemetry
 from repro.obs.trace import ensure_tracer
-from repro.parallel.engine import ParallelMIOEngine
 from repro.resilience import Deadline
 
 
@@ -168,19 +165,12 @@ class QuerySession:
         A static :class:`ObjectCollection`, or a :class:`DynamicMIO` whose
         mutations the session tracks (every mutation invalidates all
         caches before the next query runs).
-    backend / label_reuse / retries:
-        Forwarded to the engines (see :class:`MIOEngine` and
-        :class:`ParallelMIOEngine`).
+    backend / label_reuse / kernel:
+        Forwarded to the engine (see :class:`MIOEngine`).
     cores:
-        ``1`` runs everything on the serial engine.  ``> 1`` routes
-        with-label queries through the parallel engine while labeling runs
-        stay serial (the parallel engine never writes labels).
-    shards:
-        Forwarded to :class:`ParallelMIOEngine`: verifiers per parallel
-        query (default one per core), the coordinator plus worker
-        processes.  A dynamic source's mutations also retire the worker
-        pool — workers hold the *previous* snapshot's coordinates in
-        shared memory, so engine rebuild is the pool's invalidation point.
+        Validated (at least 1), then ignored: every query runs the serial
+        engine.  Kept only because the end-to-end benchmark passes it;
+        ROADMAP item 1 removes it at the next benchmark change.
     label_dir:
         Optional directory for a disk-backed label store (labels survive
         the session, as the paper's external-memory setting assumes).
@@ -195,27 +185,20 @@ class QuerySession:
         backend: str = "ewah",
         label_reuse: str = "safe",
         cores: int = 1,
-        retries: int = 2,
         label_dir=None,
         lower_cache_entries: int = 8,
         tracer=None,
         kernel: str = "python",
-        shards: Optional[int] = None,
     ) -> None:
         if cores < 1:
             raise InvalidQueryError("cores must be at least 1")
-        if shards is not None and shards < 1:
-            raise InvalidQueryError("shards must be at least 1")
         resolve_kernel(kernel)  # validate the name up front
         self.backend = backend
         self.label_reuse = label_reuse
-        self.cores = cores
-        self.retries = retries
-        self.shards = shards
-        #: Compute-kernel backend forwarded to both engines
+        #: Compute-kernel backend forwarded to the engine
         #: (see :mod:`repro.kernels`).
         self.kernel = kernel
-        #: Optional tracer shared with both engines: batched workloads
+        #: Optional tracer shared with the engine: batched workloads
         #: produce one ``batch`` root span with a ``request`` child per
         #: query, each containing that query's full phase tree.
         self.tracer = tracer
@@ -229,7 +212,7 @@ class QuerySession:
         # individually thread-safe; these two locks cover the session's own
         # shared state.  ``_stats_lock`` guards the counters dict (plain
         # ``+=`` is not atomic), ``_refresh_lock`` serializes the dynamic
-        # re-snapshot so exactly one thread rebuilds engines per version.
+        # re-snapshot so exactly one thread rebuilds the engine per version.
         self._stats_lock = threading.Lock()
         self._refresh_lock = threading.RLock()
         self.counters: Dict[str, int] = {
@@ -241,10 +224,8 @@ class QuerySession:
             "timeouts": 0,
             "anytime_results": 0,
             "invalidations": 0,
-            "parallel_queries": 0,
         }
-        self._serial: Optional[MIOEngine] = None
-        self._parallel: Optional[ParallelMIOEngine] = None
+        self._engine: Optional[MIOEngine] = None
         if isinstance(source, DynamicMIO):
             self._dynamic: Optional[DynamicMIO] = source
             self._seen_version: Optional[int] = None
@@ -255,7 +236,7 @@ class QuerySession:
             self._seen_version = None
             self.collection = source
             self.handle_of_position = list(range(source.n))
-            self._build_engines()
+            self._build_engine()
         else:
             raise InvalidQueryError(
                 "source must be an ObjectCollection or a DynamicMIO, "
@@ -279,13 +260,8 @@ class QuerySession:
         with self._stats_lock:
             self.counters["invalidations"] += 1
 
-    def _build_engines(self) -> None:
-        if self._parallel is not None:
-            # Retire the previous snapshot's worker pool: its shared-memory
-            # block holds the old coordinates, so the rebuild is also the
-            # pool's invalidation point.
-            self._parallel.close()
-        self._serial = MIOEngine(
+    def _build_engine(self) -> None:
+        self._engine = MIOEngine(
             self.collection,
             backend=self.backend,
             label_store=self.label_store,
@@ -295,31 +271,6 @@ class QuerySession:
             tracer=self.tracer,
             kernel=self.kernel,
         )
-        self._parallel = (
-            ParallelMIOEngine(
-                self.collection,
-                cores=self.cores,
-                backend=self.backend,
-                label_store=self.label_store,
-                label_reuse=self.label_reuse,
-                retries=self.retries,
-                grid_cache=self.grid_cache,
-                tracer=self.tracer,
-                kernel=self.kernel,
-                shards=self.shards,
-            )
-            if self.cores > 1
-            else None
-        )
-
-    def close(self) -> None:
-        """Release the parallel engine's worker pool (idempotent).
-
-        Only the parallel engine holds external resources (processes plus
-        a shared-memory block); serial-only sessions make this a no-op.
-        """
-        if self._parallel is not None:
-            self._parallel.close()
 
     def _refresh(self) -> None:
         """Re-snapshot a dynamic source; invalidate if it mutated.
@@ -331,13 +282,13 @@ class QuerySession:
         """
         if self._dynamic is None:
             return
-        if self._serial is not None and self._seen_version == self._dynamic.version:
+        if self._engine is not None and self._seen_version == self._dynamic.version:
             return
         with self._refresh_lock:
-            if self._serial is not None and self._seen_version == self._dynamic.version:
+            if self._engine is not None and self._seen_version == self._dynamic.version:
                 return  # another worker already re-snapshotted this version
             collection, handles = self._dynamic.snapshot()
-            if self._serial is not None:
+            if self._engine is not None:
                 # The previous snapshot's positional caches are unsound for
                 # the re-compacted collection even when every shape
                 # coincides.
@@ -345,7 +296,7 @@ class QuerySession:
             self.collection = collection
             self.handle_of_position = handles
             self._seen_version = self._dynamic.version
-            self._build_engines()
+            self._build_engine()
 
     def handle_of(self, position: int) -> int:
         """Map a result's winner position to the source's stable handle."""
@@ -464,22 +415,11 @@ class QuerySession:
     # Execution
     # ------------------------------------------------------------------
 
-    def _pick_engine(self, ceil_r: int):
-        """Serial unless labels for the ceiling exist and cores > 1.
-
-        Labeling requires the canonical serial access order, so the first
-        query of an unlabeled ceiling always runs serial; once labels
-        exist, a multi-core session fans the remaining queries out.
-        """
-        if self._parallel is not None and self.label_store.has(ceil_r):
-            return self._parallel
-        return self._serial
-
     def _execute(self, request: QueryRequest, catch_timeout: bool) -> MIOResult:
         deadline = request.deadline
         if deadline is None:
             deadline = Deadline.from_timeout_ms(request.timeout_ms)
-        engine = self._pick_engine(request.ceiling())
+        engine = self._engine
         try:
             if request.k == 1:
                 result = engine.query(request.r, deadline=deadline)
@@ -489,7 +429,7 @@ class QuerySession:
             if not catch_timeout:
                 raise
             result = self._timeout_result(request, exc)
-        self._account(result, parallel=engine is self._parallel)
+        self._account(result)
         return result
 
     def _timeout_result(self, request: QueryRequest, exc: QueryTimeout) -> MIOResult:
@@ -526,7 +466,7 @@ class QuerySession:
         )
         return result
 
-    def _account(self, result: MIOResult, parallel: bool) -> None:
+    def _account(self, result: MIOResult) -> None:
         """Fold one result into the session counters (and annotate it)."""
         with_label = result.algorithm.startswith("bigrid-label")
         skipped = 0
@@ -547,8 +487,6 @@ class QuerySession:
             self.counters["points_skipped_by_labels"] += skipped
             if not result.exact:
                 self.counters["anytime_results"] += 1
-            if parallel:
-                self.counters["parallel_queries"] += 1
             if verify_path:
                 # Per-implementation tally (e.g. verify_path_numpy_batch):
                 # which verification scorer actually served the session's
@@ -578,6 +516,6 @@ class QuerySession:
             else repr(self.collection)
         )
         return (
-            f"QuerySession({target}, backend={self.backend!r}, cores={self.cores}, "
+            f"QuerySession({target}, backend={self.backend!r}, "
             f"queries={self.counters['queries']})"
         )

@@ -141,16 +141,6 @@ class TestFailureModes:
         assert "inexact (deadline)" in out
         assert "anytime" in out
 
-    def test_parallel_task_kill_falls_back_to_serial(
-        self, dataset_file, capsys, monkeypatch
-    ):
-        monkeypatch.setenv("REPRO_FAULTS", "shard_task:fail:1:0")
-        code = main(
-            ["query", dataset_file, "-r", "2.0", "--cores", "2", "--retries", "0"]
-        )
-        assert code == 0
-        assert "serial_fallback" in capsys.readouterr().out
-
     def test_faults_env_uninstalled_after_main(self, dataset_file, monkeypatch):
         from repro import faults
 

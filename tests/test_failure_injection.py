@@ -241,20 +241,6 @@ class TestInjectionPoints:
             with pytest.raises(InjectedFault):
                 load_collection(path)
 
-    def test_shard_task_failure_is_injectable(self, monkeypatch):
-        from repro.errors import PartitionTaskError
-
-        monkeypatch.setenv("REPRO_SHARD_INLINE", "1")
-        collection = random_collection(n=12, mean_points=5, seed=140)
-        engine = ParallelMIOEngine(
-            collection, cores=2, retries=0, serial_fallback=False
-        )
-        spec = FaultSpec("shard_task", match=(1,))
-        with faults.injected(FaultInjector([spec])):
-            with pytest.raises(PartitionTaskError) as info:
-                engine.query(2.0)
-        assert info.value.task_index == 1
-
     def test_trip_is_noop_without_injector(self):
         assert faults.active() is None
         faults.trip("verification")  # must not raise
@@ -449,73 +435,6 @@ class TestBackendFallback:
                 resolve_backend("ewah")
 
 
-class TestParallelFaultTolerance:
-    """Shard-task faults under inline shard execution (no worker processes)."""
-
-    @pytest.fixture(autouse=True)
-    def _inline_shards(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SHARD_INLINE", "1")
-
-    def test_single_task_kill_recovers_by_retry(self):
-        collection = random_collection(n=15, mean_points=5, seed=149)
-        truth = max(oracle_scores(collection, 2.0))
-        engine = ParallelMIOEngine(collection, cores=3, retries=1)
-        spec = FaultSpec("shard_task", match=(2,), max_triggers=1)
-        with faults.injected(FaultInjector([spec])) as injector:
-            result = engine.query(2.0)
-        assert injector.fired["shard_task"] == 1
-        assert result.score == truth
-        assert result.algorithm == "bigrid-sharded"
-        assert "serial_fallback" not in result.counters
-
-    def test_persistent_task_kill_falls_back_to_serial(self):
-        collection = random_collection(n=15, mean_points=5, seed=149)
-        truth = max(oracle_scores(collection, 2.0))
-        engine = ParallelMIOEngine(collection, cores=3, retries=2)
-        spec = FaultSpec("shard_task", match=(2,))
-        with faults.injected(FaultInjector([spec])) as injector:
-            result = engine.query(2.0)
-        assert injector.fired["shard_task"] == 3  # first attempt + 2 retries
-        assert result.score == truth
-        assert result.counters["serial_fallback"] == 1
-        assert result.counters["failed_task_index"] == 2
-        assert "serial_fallback" in result.notes
-
-    def test_fallback_disabled_propagates_error(self):
-        from repro.errors import PartitionTaskError
-
-        collection = random_collection(n=15, mean_points=5, seed=149)
-        engine = ParallelMIOEngine(
-            collection, cores=3, retries=0, serial_fallback=False
-        )
-        spec = FaultSpec("shard_task", match=(2,))
-        with faults.injected(FaultInjector([spec])):
-            with pytest.raises(PartitionTaskError) as info:
-                engine.query(2.0)
-        assert info.value.task_index == 2
-
-    def test_fault_outcome_deterministic_under_fixed_seed(self):
-        collection = random_collection(n=15, mean_points=5, seed=150)
-
-        def run_once():
-            engine = ParallelMIOEngine(collection, cores=3, retries=1)
-            injector = FaultInjector([FaultSpec("shard_task", rate=0.3)], seed=99)
-            with faults.injected(injector):
-                result = engine.query(2.0)
-            return (
-                result.score,
-                result.counters.get("serial_fallback", 0),
-                result.counters.get("failed_task_index"),
-                injector.fired.get("shard_task", 0),
-            )
-
-        outcomes = {run_once() for _ in range(3)}
-        assert len(outcomes) == 1
-        (outcome,) = outcomes
-        assert outcome[0] == max(oracle_scores(collection, 2.0))
-        assert outcome[3] >= 1  # the seed does fire
-
-
 def _chaos_seeds():
     seeds = faults.env_seeds(os.environ.get("REPRO_FAULTS"))
     return seeds or [0, 1, 2]
@@ -534,19 +453,14 @@ class TestChaos:
         specs = [
             FaultSpec(point, rate=0.15)
             for point in ("grid_mapping", "lower_bounding", "upper_bounding",
-                          "verification", "shard_task", "backend")
+                          "verification", "backend")
         ]
-        parallel = ParallelMIOEngine(collection, cores=3, retries=1)
-        try:
-            for engine in (MIOEngine(collection), parallel):
-                with faults.injected(FaultInjector(specs, seed=seed)):
-                    try:
-                        result = engine.query(2.0)
-                    except ReproError:
-                        continue
-                    if result.exact:
-                        assert result.score == max(oracle)
-                    else:
-                        assert result.score <= max(oracle)
-        finally:
-            parallel.close()
+        with faults.injected(FaultInjector(specs, seed=seed)):
+            try:
+                result = MIOEngine(collection).query(2.0)
+            except ReproError:
+                return
+        if result.exact:
+            assert result.score == max(oracle)
+        else:
+            assert result.score <= max(oracle)

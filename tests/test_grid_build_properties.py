@@ -20,8 +20,7 @@ of an object's points.
 * A per-query view of a grid another view already ran on shares the
   arrays, the bulk adjacency matrix and the neighbour table, starts
   with nothing memoized, and materializes the reference layout of its
-  own; a pool scorer shell shares the table too and scores without
-  ever computing the adjacency matrix.
+  own.
 """
 
 import numpy as np
@@ -31,7 +30,6 @@ from hypothesis import strategies as st
 
 from repro.core.labels import GRID_BIT, PointLabels
 from repro.core.objects import ObjectCollection
-from repro.core.verification import box_bound
 from repro.grid.bigrid import BIGrid
 from repro.grid.keys import cell_and_adjacent_keys, key_tuples
 from repro.kernels import numpy_kernel_available
@@ -202,8 +200,6 @@ def test_bulk_adjacency_is_the_neighbourhood_union(dimension, data):
 @pytest.mark.parametrize("dimension", [2, 3])
 @given(data=st.data())
 def test_neighbor_table_is_the_neighbourhood_walk(dimension, data):
-    from repro.kernels.numpy_backend import scorer_arrays, scorer_grid
-
     collection, r, labels = data.draw(builds(dimension, sparse=True))
     kernel = numpy_kernel()
     fresh = kernel.build_bigrid(collection, r, labels=labels)
@@ -221,48 +217,6 @@ def test_neighbor_table_is_the_neighbourhood_walk(dimension, data):
     table = view.large_grid.neighbor_table()
     assert kernel.grid_view(resident).large_grid.neighbor_table() is table
     assert resident.large_grid.neighbor_table() is table
-    kernel.upper_bounds(view, 0)
-    shell = scorer_grid(collection, r, scorer_arrays(view))
-    assert shell.large_grid.neighbor_table() is table
-
-
-@pytest.mark.parametrize("dimension", [2, 3])
-@given(data=st.data())
-def test_pool_shell_scores_without_adjacency(dimension, data):
-    """The pool's scorer shell reads the published neighbour table and
-    never builds the adjacency matrix; the coordinator's box bounds over
-    the same query's grid read the table the upper pass built."""
-    from repro.kernels.numpy_backend import (
-        PackedLargeGrid,
-        label_free_bounds,
-        label_free_scorer,
-        scorer_arrays,
-        scorer_grid,
-    )
-
-    collection, r, _ = data.draw(builds(dimension, sparse=True))
-    kernel = numpy_kernel()
-    grid = kernel.build_bigrid(collection, r)
-    kernel.upper_bounds(grid, 0)
-    reference = reference_build(collection, r, None)
-    tables = grid.large_grid.tables
-    adjacency, table = tables.adjacency, tables.neighbors
-    shell = scorer_grid(collection, r, scorer_arrays(grid))
-    oids = list(range(collection.n))
-
-    def no_rebuild(self):
-        raise AssertionError("bulk_adjacency recomputed")
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(PackedLargeGrid, "bulk_adjacency", no_rebuild)
-        score = label_free_scorer(shell, r)
-        shell_scores = [score(oid) for oid in oids]
-        bounds, _ = label_free_bounds(grid, r)
-        box_bounds = bounds(oids)
-    assert shell.large_grid.tables.adjacency is None
-    assert shell_scores == [label_free_scorer(grid, r)(oid) for oid in oids]
-    assert box_bounds == [box_bound(reference, oid, r) for oid in oids]
-    assert tables.adjacency is adjacency and tables.neighbors is table
 
 
 @pytest.mark.parametrize("dimension", [2, 3])

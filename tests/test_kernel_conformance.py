@@ -677,14 +677,6 @@ class TestNumpyPathNeverMaterializes:
         session.topk(2.8, k=2)
         self.assert_untouched(grids, 3)
 
-    def test_inline_shard_worker(self, grids, monkeypatch):
-        monkeypatch.setenv("REPRO_SHARD_INLINE", "1")
-        collection = random_collection(n=60, mean_points=6, seed=3)
-        engine = ParallelMIOEngine(collection, cores=2, kernel="numpy", shards=3)
-        assert engine.query(3.0).algorithm == "bigrid-sharded"
-        assert grids
-        self.assert_untouched(grids, len(grids))
-
     def test_memory_bytes(self, grids):
         collection = random_collection(n=90, mean_points=6, seed=5)
         grid = numpy_kernel().build_bigrid(collection, 2.5)

@@ -11,11 +11,10 @@ job, so a violating import fails fast with the offending file:line):
 * **observability is freestanding** -- ``repro.obs`` imports nothing
   from the query machinery, so it can be reasoned about (and reused)
   independently;
-* **sharding sits below the orchestrators** -- ``repro.shard`` (executor,
-  router, curves) is plumbing that ``repro.parallel`` drives;
-  it must never import the session/service/CLI layers, nor
-  ``repro.parallel`` itself, or the worker processes would drag the
-  whole application stack into every fork;
+* **sharding sits below the orchestrators** -- ``repro.shard`` (router,
+  curves) is plumbing only the end-to-end benchmark's probe still
+  calls; it must never import the session/service/CLI layers, nor
+  ``repro.parallel``;
 * **no private cross-module imports** -- ``from repro.x import _name``
   couples a module to another's internals; everything shared is public
   (this is what forced :func:`~repro.core.verification.bits_of` and
@@ -52,10 +51,8 @@ QUERY_MACHINERY = (
     "repro.session",
 )
 
-#: Layers the shard plumbing must never reach up into.  ``repro.parallel``
-#: is in the list on purpose: the dependency points the other way (the
-#: parallel engine drives the shard executor), and keeping workers free of
-#: the orchestrators keeps the fork image small.
+#: Layers the shard plumbing must never reach up into, ``repro.parallel``
+#: included: the router is freestanding plumbing below every engine.
 SHARD_FORBIDDEN = ORCHESTRATION + ("repro.service",)
 
 

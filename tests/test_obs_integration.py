@@ -9,7 +9,7 @@ The load-bearing guarantees:
   trace sum to ``MIOResult.total_time`` exactly (the engines derive
   ``phases`` from the trace when one is attached);
 * the registry sees every subsystem: engines, the three cache tiers,
-  deadlines, fallbacks, mutations.
+  deadlines, mutations.
 """
 
 import json
@@ -96,10 +96,7 @@ class TestTraceIsThePhaseBreakdown:
         )
         assert all(name in PHASE_SPAN_NAMES for name in result.phases)
 
-    def test_sharded_phases_match_the_trace(
-        self, collection, fresh_registry, monkeypatch
-    ):
-        monkeypatch.setenv("REPRO_SHARD_INLINE", "1")
+    def test_sharded_phases_match_the_trace(self, collection, fresh_registry):
         tracer = Tracer()
         result = ParallelMIOEngine(collection, cores=4, tracer=tracer).query(R)
         assert result.phases == phase_durations(tracer.root)
@@ -169,18 +166,14 @@ class TestMemoryReporting:
 
 
 class TestRegistryFeeds:
-    def test_engines_feed_queries_and_phase_histograms(
-        self, collection, fresh_registry, monkeypatch
-    ):
-        monkeypatch.setenv("REPRO_SHARD_INLINE", "1")
+    def test_engines_feed_queries_and_phase_histograms(self, collection, fresh_registry):
         MIOEngine(collection).query(R)
+        # The former multi-core name is the serial engine.
         ParallelMIOEngine(collection, cores=2).query(R)
         queries = fresh_registry.get("repro_queries_total")
-        assert queries.value(engine="serial", algorithm="bigrid") == 1
-        assert queries.value(engine="parallel", algorithm="bigrid-sharded") == 1
+        assert queries.value(engine="serial", algorithm="bigrid") == 2
         latency = fresh_registry.get("repro_query_seconds")
-        assert latency.snapshot(engine="serial")["count"] == 1
-        assert latency.snapshot(engine="parallel")["count"] == 1
+        assert latency.snapshot(engine="serial")["count"] == 2
         assert fresh_registry.get("repro_phase_seconds") is not None
 
     @pytest.mark.skipif(
@@ -227,29 +220,16 @@ class TestRegistryFeeds:
         assert mutations.value(op="add") == 1
         assert mutations.value(op="remove") == 1
 
-    def test_serial_fallback_reports_and_traces(
-        self, collection, fresh_registry, monkeypatch
-    ):
+    def test_injected_faults_report(self, collection, fresh_registry):
+        from repro.errors import InjectedFault
         from repro.faults import FaultInjector, FaultSpec, injected
 
-        monkeypatch.setenv("REPRO_SHARD_INLINE", "1")
-        tracer = Tracer()
-        engine = ParallelMIOEngine(collection, cores=2, retries=0, tracer=tracer)
-        with injected(FaultInjector([FaultSpec("shard_task")])):
-            result = engine.query(R)
-        assert result.counters.get("serial_fallback") == 1
-        assert fresh_registry.get("repro_serial_fallbacks_total").value() == 1
+        with injected(FaultInjector([FaultSpec("verification")])):
+            with pytest.raises(InjectedFault):
+                MIOEngine(collection).query(R)
         assert fresh_registry.get("repro_faults_injected_total").value(
-            point="shard_task", kind="fail"
-        ) >= 1
-        queries = fresh_registry.get("repro_queries_total")
-        assert queries.value(engine="serial", algorithm="bigrid") == 1
-        root = tracer.roots[0]
-        assert root.attributes.get("serial_fallback") is True
-        # The nested serial query span holds the real phase breakdown.
-        nested = [span for span in root.walk() if span is not root and span.name == "query"]
-        assert len(nested) == 1
-        assert result.phases == phase_durations(nested[0])
+            point="verification", kind="fail"
+        ) == 1
 
 
 class TestCliSurfaces:
@@ -288,11 +268,6 @@ class TestCliSurfaces:
         assert "span tree:" in out
         assert "pruning funnel:" in out
         assert "objects" in out and "candidates" in out and "settled" in out
-
-    def test_explain_parallel_shows_cores(self, dataset, capsys, fresh_registry):
-        assert main(["explain", dataset, "-r", str(R), "--cores", "3"]) == 0
-        out = capsys.readouterr().out
-        assert "engine=parallel" in out
 
     @pytest.fixture
     def workload(self, tmp_path, dataset):

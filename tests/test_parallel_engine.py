@@ -1,11 +1,16 @@
-"""Tests for the parallel MIO engine and the Section IV schedule study.
+"""Tests for ``ParallelMIOEngine`` and the Section IV schedule study.
 
-The sharded engine is checked for exactness; the partitioning strategies,
-label consumption, and makespan reporting are properties of the schedule
-study (:mod:`repro.bench.schedule`), checked through ``simulate_query``
-and the parallel competitors.
+``ParallelMIOEngine`` is the serial engine under its former multi-core
+name: it is checked for exactness and for answering exactly as
+:class:`MIOEngine`.  The partitioning strategies, label consumption, and
+makespan reporting are properties of the schedule study
+(:mod:`repro.bench.schedule`), checked through ``simulate_query`` and
+the parallel competitors.
 """
 
+import multiprocessing
+
+import numpy as np
 import pytest
 
 from repro.bench.schedule import (
@@ -15,9 +20,16 @@ from repro.bench.schedule import (
 )
 from repro.core.engine import MIOEngine
 from repro.core.labels import LabelStore
+from repro.core.objects import ObjectCollection
+from repro.errors import InvalidQueryError, QueryTimeout
+from repro.kernels import numpy_kernel_available
 from repro.parallel.engine import ParallelMIOEngine
+from repro.resilience import Deadline, ManualClock
 
 from conftest import oracle_scores, random_collection
+from test_kernel_conformance import assert_results_equal
+
+KERNELS = ("python",) + (("numpy",) if numpy_kernel_available() else ())
 
 
 @pytest.fixture(scope="module")
@@ -179,3 +191,59 @@ class TestParallelTopK:
     def test_query_has_no_topk_field(self, collection):
         assert ParallelMIOEngine(collection, cores=2).query(2.0).topk is None
         assert simulate_query(collection, 2.0, 2).topk is None
+
+
+def _lattice_collection():
+    """Two-point objects on a 4x3 lattice of pitch 3: at r = 3.2 each
+    object interacts with its lattice 4-neighbours only, so the scores
+    tie in groups (corners 2, edges 3, interior 4)."""
+    return ObjectCollection.from_point_arrays(
+        [
+            np.array([[x * 3.0, y * 3.0], [x * 3.0 + 0.5, y * 3.0]])
+            for y in range(3)
+            for x in range(4)
+        ]
+    )
+
+
+class TestSerialEngineUnderTheFormerName:
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_answers_exactly_as_the_serial_engine(self, collection, kernel):
+        for data, r, k in ((_lattice_collection(), 3.2, 7), (collection, 2.0, 5)):
+            serial = MIOEngine(data, kernel=kernel)
+            engine = ParallelMIOEngine(data, cores=2, mode="sharded", kernel=kernel)
+            assert_results_equal(serial.query(r), engine.query(r))
+            assert_results_equal(serial.query_topk(r, k), engine.query_topk(r, k))
+            assert engine.last_bigrid is None  # no grid kept between queries
+
+            # Deadlines that expire inside verification: one clock tick per
+            # read, so both engines stop at the same candidate and return
+            # the same anytime prefix.
+            def run(target, budget):
+                deadline = Deadline(float(budget), clock=ManualClock(step=1.0))
+                return target.query_topk(r, k, deadline=deadline)
+
+            anytime = 0
+            for budget in range(1, 4000, 7):
+                try:
+                    expected = run(serial, budget)
+                except QueryTimeout:
+                    with pytest.raises(QueryTimeout):
+                        run(engine, budget)
+                    continue
+                got = run(engine, budget)
+                assert_results_equal(expected, got)
+                if expected.exact:
+                    break
+                anytime += 1
+            assert anytime
+            assert multiprocessing.active_children() == []
+
+        engine.close()
+        engine.close()
+        assert_results_equal(serial.query(r), engine.query(r))
+        with pytest.raises(InvalidQueryError, match="repro.bench.schedule"):
+            ParallelMIOEngine(data, cores=2, mode="simulated", kernel=kernel)
+        with pytest.raises(InvalidQueryError):
+            ParallelMIOEngine(data, cores=0, kernel=kernel)
+

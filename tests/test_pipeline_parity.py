@@ -1,7 +1,8 @@
 """Pipeline parity: the refactored engines answer exactly as before.
 
-The serial, parallel, and variant engines all run through the one
-:class:`~repro.core.pipeline.PhasePipeline` orchestrator now; this suite
+The serial engine (also under its former name ``ParallelMIOEngine``) and
+the variant engines all run through the one
+:class:`~repro.core.pipeline.PhasePipeline` orchestrator; this suite
 pins the refactor three ways:
 
 * **golden answers** -- winners, scores, and top-k rankings captured
@@ -36,8 +37,8 @@ BACKENDS = ("ewah", "plain", "roaring")
 
 #: Answers captured from the pre-refactor engines (commit 33bc27e) on
 #: ``random_collection(n=40, mean_points=8, seed=4242)``.  They are
-#: backend-independent, and serial == sharded == the schedule study by
-#: Section IV exactness.
+#: backend-independent, and the schedule study matches them by Section IV
+#: exactness.
 GOLDEN = {
     2.0: {"winner": (5, 15), "topk": [(5, 15), (18, 15), (22, 15)]},
     3.5: {"winner": (15, 15), "topk": [(15, 15), (20, 15), (36, 15)]},
@@ -82,18 +83,13 @@ class TestGoldenAnswers:
 
     @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("r", sorted(GOLDEN))
-    def test_sharded_matches_prerefactor(
-        self, golden_collection, backend, r, monkeypatch
-    ):
-        # Real shard-parallel execution hits the same golden answers --
+    def test_sharded_matches_prerefactor(self, golden_collection, backend, r):
+        # The former multi-core name hits the same golden answers --
         # including the top-k order and its tie-breaks.
-        monkeypatch.setenv("REPRO_SHARD_INLINE", "1")
-        engine = ParallelMIOEngine(
-            golden_collection, cores=2, backend=backend, shards=3
-        )
+        engine = ParallelMIOEngine(golden_collection, cores=2, backend=backend)
         result = engine.query(r)
         assert (result.winner, result.score) == GOLDEN[r]["winner"]
-        assert result.algorithm == "bigrid-sharded"
+        assert result.algorithm == "bigrid"
         assert engine.query_topk(r, k=3).topk == GOLDEN[r]["topk"]
 
 
@@ -144,8 +140,7 @@ class TestTracedEqualsUntraced:
             ]
             assert traced.phases is not None  # derived from the trace tree
 
-    def test_parallel(self, golden_collection, monkeypatch):
-        monkeypatch.setenv("REPRO_SHARD_INLINE", "1")
+    def test_parallel(self, golden_collection):
         tracer = Tracer()
         plain = ParallelMIOEngine(golden_collection, cores=4).query(2.0)
         traced = ParallelMIOEngine(
@@ -196,29 +191,6 @@ class TestFaultsThroughPipeline:
             with pytest.raises(InjectedFault) as info:
                 MIOEngine(golden_collection).query(2.0)
         assert info.value.point == point
-
-    def test_parallel_task_fault_falls_back_to_serial(
-        self, golden_collection, monkeypatch
-    ):
-        monkeypatch.setenv("REPRO_SHARD_INLINE", "1")
-        engine = ParallelMIOEngine(golden_collection, cores=4, retries=0)
-        with faults.injected(FaultInjector([FaultSpec("shard_task")])):
-            result = engine.query(2.0)
-        assert result.counters.get("serial_fallback") == 1
-        assert "serial_fallback" in result.notes
-        assert (result.winner, result.score) == GOLDEN[2.0]["winner"]
-        assert result.exact
-
-    def test_parallel_fallback_disabled_raises(self, golden_collection, monkeypatch):
-        from repro.errors import PartitionTaskError
-
-        monkeypatch.setenv("REPRO_SHARD_INLINE", "1")
-        engine = ParallelMIOEngine(
-            golden_collection, cores=4, retries=0, serial_fallback=False
-        )
-        with faults.injected(FaultInjector([FaultSpec("shard_task")])):
-            with pytest.raises(PartitionTaskError):
-                engine.query(2.0)
 
 
 # ----------------------------------------------------------------------

@@ -30,20 +30,6 @@ ARTIFACTS = sorted(str(p) for p in RESULTS.glob("BENCH_*.json"))
 PROVENANCE = {"cpu_count": 4, "cores": 1, "parallel_mode": "serial", "shards": 0}
 
 
-def shard_scaling_artifact(**overrides):
-    base = {
-        "bench": "shard_scaling",
-        "speedup": 2.6,
-        "floor": 2.0,
-        "identical_answers": True,
-        "provenance": {
-            "cpu_count": 8, "cores": 4, "parallel_mode": "sharded", "shards": 4,
-        },
-    }
-    base.update(overrides)
-    return base
-
-
 def profile_line(
     engine="serial", seconds=0.002, exact=True, sampled=False,
     phases=None, counters=None, notes=None, trace_id="trace-1",
@@ -163,7 +149,7 @@ class TestSummarize:
 
 class TestBenchFloors:
     def test_committed_artifacts_pass_their_floors(self):
-        assert len(ARTIFACTS) == 4, "expected the four committed BENCH artifacts"
+        assert len(ARTIFACTS) == 3, "expected the three committed BENCH artifacts"
         assert check_bench_artifacts(ARTIFACTS) == []
 
     def test_committed_artifacts_all_carry_provenance(self):
@@ -238,34 +224,6 @@ class TestBenchFloors:
         ))
         assert check_bench_artifact(str(artifact), margin=0.8) == []
         assert check_bench_artifact(str(artifact), margin=1.0) != []
-
-    def test_shard_scaling_floor_and_parity(self, tmp_path):
-        clean = tmp_path / "s.json"
-        clean.write_text(json.dumps(shard_scaling_artifact()))
-        assert check_bench_artifact(str(clean)) == []
-        # Diverged answers are flagged regardless of speed.
-        bad = tmp_path / "diverged.json"
-        bad.write_text(json.dumps(shard_scaling_artifact(identical_answers=False)))
-        assert any("diverged" in f for f in check_bench_artifact(str(bad)))
-        # A slow run on capable hardware trips the floor...
-        slow = tmp_path / "slow.json"
-        slow.write_text(json.dumps(shard_scaling_artifact(speedup=1.1)))
-        assert any("below" in f for f in check_bench_artifact(str(slow)))
-        # ...but the same ratio on a one-core recorder is honestly waived.
-        narrow = tmp_path / "narrow.json"
-        narrow.write_text(json.dumps(shard_scaling_artifact(
-            speedup=0.9,
-            provenance={"cpu_count": 1, "cores": 1,
-                        "parallel_mode": "sharded", "shards": 1},
-        )))
-        assert check_bench_artifact(str(narrow)) == []
-        # A sharded artifact recorded in the wrong mode is suspect.
-        wrong = tmp_path / "wrong.json"
-        wrong.write_text(json.dumps(shard_scaling_artifact(
-            provenance={"cpu_count": 8, "cores": 4,
-                        "parallel_mode": "simulated", "shards": 4},
-        )))
-        assert any("parallel_mode" in f for f in check_bench_artifact(str(wrong)))
 
     def test_unrecognized_schema_and_unreadable_file_are_failures(self, tmp_path):
         odd = tmp_path / "odd.json"

@@ -115,10 +115,10 @@ class TestFaultInjector:
         assert info.value.point == "io"
 
     def test_match_gates_on_detail(self):
-        injector = FaultInjector([FaultSpec("shard_task", match=3)])
-        injector.trip("shard_task", detail=1)  # no match: silent
+        injector = FaultInjector([FaultSpec("verification", match=3)])
+        injector.trip("verification", detail=1)  # no match: silent
         with pytest.raises(InjectedFault):
-            injector.trip("shard_task", detail=3)
+            injector.trip("verification", detail=3)
 
     def test_max_triggers_limits_firing(self):
         injector = FaultInjector([FaultSpec("io", max_triggers=2)])
@@ -157,7 +157,7 @@ class TestEnvParsing:
         assert second.match == "x.npz"
 
     def test_integer_match_parses_as_int(self):
-        injector = from_env("shard_task:fail:1:0:2")
+        injector = from_env("verification:fail:1:0:2")
         assert injector.specs[0].match == 2
 
     def test_empty_and_seeds_only_yield_none(self):

@@ -15,7 +15,6 @@ from repro.errors import (
     CorruptDataError,
     InjectedFault,
     InvalidQueryError,
-    PartitionTaskError,
     QueryTimeout,
     ReproError,
     ServiceOverloadedError,
@@ -31,7 +30,6 @@ TAXONOMY = [
     (CorruptDataError, 12, 422),
     (QueryTimeout, 13, 504),
     (BackendUnavailableError, 14, 503),
-    (PartitionTaskError, 15, 500),
     (InjectedFault, 16, 500),
     (ServiceOverloadedError, 17, 429),
 ]

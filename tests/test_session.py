@@ -158,7 +158,7 @@ class TestResidentGrids:
     def _reference(collection, calls):
         """Each call's result on a session whose every query builds."""
         session = QuerySession(collection, kernel="numpy")
-        session._serial.grid_cache = None
+        session._engine.grid_cache = None
         return [
             session.query(r) if k == 1 else session.topk(r, k) for r, k in calls
         ]
@@ -291,23 +291,16 @@ class TestBatchPlanning:
         fresh = MIOEngine(clustered_collection).query_topk(4.2, 3)
         assert results[1].topk == fresh.topk
 
-    def test_sharded_session_matches_serial(self, clustered_collection, monkeypatch):
-        monkeypatch.setenv("REPRO_SHARD_INLINE", "1")
-        serial = QuerySession(clustered_collection)
-        sharded = QuerySession(clustered_collection, cores=2, shards=2)
-        try:
-            rs = [4.9, 4.1, 4.3]
-            got_serial = serial.query_many(rs)
-            got_sharded = sharded.query_many(rs)
-            for a, b in zip(got_serial, got_sharded):
-                assert (a.winner, a.score) == (b.winner, b.score)
-            # The labeling run stays serial; later same-ceiling queries
-            # run on the parallel engine.
-            assert sharded.stats()["parallel_queries"] == 2
-            assert got_sharded[1].algorithm == "bigrid-sharded"
-            assert got_sharded[1].counters["shards"] == 2
-        finally:
-            sharded.close()
+    def test_sharded_session_matches_serial(self, clustered_collection):
+        # ``cores`` is validated and ignored: a multi-core session runs the
+        # serial engine, labeled ceilings included.
+        rs = [4.9, 4.1, 4.3]
+        got_serial = QuerySession(clustered_collection).query_many(rs)
+        got_cores = QuerySession(clustered_collection, cores=2).query_many(rs)
+        for a, b in zip(got_serial, got_cores):
+            assert (a.algorithm, a.winner, a.score) == (b.algorithm, b.winner, b.score)
+            assert a.counters == b.counters
+        assert got_cores[1].algorithm == "bigrid-label"
 
 
 class TestEdgeCaseDifferentials:

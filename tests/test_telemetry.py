@@ -188,7 +188,7 @@ class TestBuildProfile:
         assert set(profile) == {
             "trace_id", "ts", "engine", "algorithm", "r", "k", "ceil_r", "n",
             "seconds", "exact", "sampled", "phases", "counters", "notes",
-            "memory_bytes", "shards",
+            "memory_bytes",
         }
         assert profile["notes"]["verification_path"] == "numpy-fused"
         json.dumps(profile)
@@ -444,9 +444,10 @@ class TestPipelineIntegration:
     ):
         from repro.parallel.engine import ParallelMIOEngine
 
+        # The former multi-core name is the serial engine.
         ParallelMIOEngine(collection, cores=2).query(R)
         (profile,) = fresh_telemetry.profiles.snapshot()
-        assert profile["engine"] == "parallel"
+        assert profile["engine"] == "serial"
 
 
 class TestSessionIntegration:
