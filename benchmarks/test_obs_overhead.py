@@ -61,7 +61,7 @@ def uninstrumented_query(collection, r, backend="ewah"):
     faults.trip("lower_bounding")
     checkpoint(None, "lower_bounding")
     started = time.perf_counter()
-    lower = compute_lower_bounds(bigrid, keep_bitsets=False, stats=stats)
+    lower = compute_lower_bounds(bigrid, stats=stats)
     stats.add_time("lower_bounding", time.perf_counter() - started)
 
     faults.trip("upper_bounding")
@@ -72,10 +72,10 @@ def uninstrumented_query(collection, r, backend="ewah"):
 
     faults.trip("verification")
     started = time.perf_counter()
-    verification = verify_candidates(bigrid, upper.candidates, r, k=1, stats=stats)
+    verification = verify_candidates(
+        bigrid, upper.candidates, r, k=1, seeds=lower.seeds, stats=stats
+    )
     stats.add_time("verification", time.perf_counter() - started)
-    stats.set_count("candidates_total", len(upper.candidates))
-    stats.set_count("candidates_settled", verification.verified)
 
     winner, score = verification.ranking[0]
     MIOResult(

@@ -18,8 +18,10 @@ When the engine owns a :class:`~repro.core.labels.LabelStore`, the first
 query for each ``ceil(r)`` additionally produces point labels, and later
 queries with the same ceiling run the WITH-LABEL variants of every phase
 (Section III-D): labeled-useless points are never mapped, upper-bounding
-skips ``label != 11*`` points, and verification seeds its bitset with the
-lower-bounding union and skips ``label != 1*1`` points.
+skips ``label != 11*`` points, and verification skips ``label != 1*1``
+points.  Every query, labeled or not, seeds verification with the
+lower-bounding unions (objects certain to interact are never
+distance-checked).
 """
 
 from __future__ import annotations
@@ -63,10 +65,9 @@ class MIOEngine:
         query built instead of building its own.
     lower_cache:
         Optional :class:`~repro.core.lower_bound.LowerBoundCache`: repeating
-        an exact ``r`` skips lower-bounding entirely.  When present, the
-        engine always keeps the lower-bound union bitsets and seeds
-        verification with them (sound: union members certainly interact),
-        so cached entries serve label-free and with-label queries alike.
+        an exact ``r`` skips lower-bounding entirely.  An entry keeps the
+        unions that seed verification, so it serves label-free and
+        with-label queries alike, and a hit verifies exactly as a miss.
     tracer:
         Optional :class:`~repro.obs.trace.Tracer`.  When attached, every
         query records a span tree (one ``query`` span with one child per

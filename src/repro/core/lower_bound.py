@@ -9,67 +9,131 @@ computed.
 ``o_i.L`` only lists cells shared by at least two objects -- single-object
 cells cannot contribute to the bound, and Algorithm 3 never put them in the
 key lists -- so objects in sparse space touch no cell at all here.
+
+The unions themselves are kept (:class:`UnionSeeds`): every verification
+starts a candidate's confirmed set from its union, so the objects lower
+bounding already proved are never distance-checked again.
 """
 
 from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Type
+from typing import Dict, List, Optional
 
-from repro.bitset.base import Bitset
+import numpy as np
+
 from repro.core.query import PhaseStats
 from repro.grid.bigrid import BIGrid
 from repro.obs.recorders import observe_cache, observe_cache_invalidation
 from repro.resilience import Deadline, checkpoint
 
 
+class UnionSeeds:
+    """Every object's lower-bounding union ``b(o_i)``, bit ``i`` included.
+
+    Its members certainly interact with ``o_i`` (Lemma 1), so
+    verification starts each candidate's confirmed set from it and
+    distance-checks only the rest.  A kernel keeps the unions in the
+    form it computed them in; both forms answer the same reads:
+
+    * :meth:`to_int` -- one object's union as a big int (0 for an object
+      that shares no small cell), for the per-candidate reference walk;
+    * :meth:`confirmed` -- a block of objects' unions as a ``(B, n)``
+      bool matrix, for the batched scorer.
+
+    Seeds are immutable once computed, so a cached result's seeds serve
+    every later hit as they are.
+    """
+
+    __slots__ = ()
+
+    def __len__(self) -> int:
+        raise NotImplementedError
+
+    def to_int(self, oid: int) -> int:
+        raise NotImplementedError
+
+    def confirmed(self, oids: np.ndarray, n: int) -> np.ndarray:
+        """A fresh ``(len(oids), n)`` bool matrix: row ``j`` holds the union
+        of ``oids[j]``."""
+        width = (n + 7) // 8
+        rows = b"".join(
+            self.to_int(oid).to_bytes(width, "little") for oid in oids.tolist()
+        )
+        packed = np.frombuffer(rows, dtype=np.uint8).reshape(len(oids), width)
+        return np.unpackbits(packed, axis=1, count=n, bitorder="little").view(bool)
+
+
+class IntSeeds(UnionSeeds):
+    """Unions held as one big int per object (the reference kernel's form)."""
+
+    __slots__ = ("ints",)
+
+    def __init__(self, ints: List[int]) -> None:
+        self.ints = ints
+
+    def __len__(self) -> int:
+        return len(self.ints)
+
+    def to_int(self, oid: int) -> int:
+        return self.ints[oid]
+
+
+class PackedSeeds(UnionSeeds):
+    """Unions held as packed rows: ``rows`` is a ``(m, words)`` uint64
+    matrix (word ``w`` holds bits ``64w..64w+63``) and ``index[oid]`` is
+    the row of ``oid``'s union, or -1 for an object that shares no small
+    cell.  :meth:`confirmed` gathers a block's rows and unpacks them in
+    one call each; no per-object big int or bitset is built."""
+
+    __slots__ = ("rows", "index")
+
+    def __init__(self, rows: np.ndarray, index: np.ndarray) -> None:
+        self.rows = rows
+        self.index = index
+
+    def __len__(self) -> int:
+        return len(self.index)
+
+    def to_int(self, oid: int) -> int:
+        row = int(self.index[oid])
+        if row < 0:
+            return 0
+        return int.from_bytes(
+            self.rows[row].astype("<u8", copy=False).tobytes(), "little"
+        )
+
+    def confirmed(self, oids: np.ndarray, n: int) -> np.ndarray:
+        index = self.index.take(oids)
+        present = index >= 0
+        if present.all():
+            words = self.rows.take(index, axis=0)
+        else:
+            words = np.zeros((len(oids), self.rows.shape[1]), dtype=np.uint64)
+            words[present] = self.rows.take(index[present], axis=0)
+        return np.unpackbits(
+            words.astype("<u8", copy=False).view(np.uint8),
+            axis=1,
+            count=n,
+            bitorder="little",
+        ).view(bool)
+
+
 @dataclass
 class LowerBoundResult:
-    """Per-object lower bounds and their maximum ``tau_max_low``."""
+    """Per-object lower bounds, their maximum ``tau_max_low`` and the
+    unions behind them."""
 
     values: List[int]
     tau_max: int
-    #: The union bitsets ``b(o_i)`` (bit ``i`` included), kept only when the
-    #: caller needs them to seed verification in with-label mode.  On a
-    #: cache hit, a :class:`CachedSeeds` that builds each on first read.
-    bitsets: Optional[Sequence]
+    #: The union ``b(o_i)`` of every object, which seeds verification.
+    seeds: UnionSeeds
     #: Which implementation produced the bounds (``reference``, or a
     #: kernel-specific label such as ``numpy-seq`` / ``numpy-reduceat``).
     #: Purely observational -- every path is bit-identical.
     path: str = "reference"
-
-
-class CachedSeeds(Sequence):
-    """A cache hit's union bitsets, each built on its first read.
-
-    ``seeds[oid]`` is what the miss computed for ``oid`` (None for an
-    empty union), rebuilt from the entry's big int with the querying
-    backend's class.  Verification reads the seeds of the candidates it
-    bounds or scores only, so the other objects' bitsets are never built.
-    One instance serves one query.
-    """
-
-    __slots__ = ("_ints", "_bitset_cls", "_built")
-
-    def __init__(self, bitset_ints: List[int], bitset_cls: Type[Bitset]) -> None:
-        self._ints = bitset_ints
-        self._bitset_cls = bitset_cls
-        self._built: Dict[int, Optional[Bitset]] = {}
-
-    def __len__(self) -> int:
-        return len(self._ints)
-
-    def __getitem__(self, oid: int) -> Optional[Bitset]:
-        try:
-            return self._built[oid]
-        except KeyError:
-            value = self._ints[oid]
-            bitset = self._bitset_cls.from_int(value) if value else None
-            self._built[oid] = bitset
-            return bitset
 
 
 class LowerBoundCache:
@@ -84,31 +148,29 @@ class LowerBoundCache:
     their large-cell neighborhood holds no other object, hence neither does
     any contained small cell), leaving every key-list union unchanged.
 
-    Bitsets are stored as backend-agnostic big ints and rebuilt with the
-    querying backend's class, so a mid-session backend degradation cannot
-    poison the cache.  A hit rebuilds only the seeds verification reads
-    (:class:`CachedSeeds`): one per candidate it bounds or scores, not
-    one per object.  Entries are complete results only: the engine stores
-    after ``compute_lower_bounds`` returns, never on a timeout.  An LRU cap
-    bounds memory across long threshold sweeps.
+    An entry keeps the result's :class:`UnionSeeds` as computed (packed
+    rows or big ints, never bitsets of one backend), and a hit returns
+    that same object: seeds are immutable, and a mid-session backend
+    degradation cannot poison them.  Entries are complete results only:
+    the engine stores after lower bounding returns, never on a timeout.
+    An LRU cap bounds memory across long threshold sweeps.
 
     The cache is thread-safe: the concurrent query service shares one
     instance across worker threads.  The LRU order mutates on every
-    lookup (``move_to_end``), so reads lock too; the per-object bitset
-    rebuild happens outside the lock on an immutable entry tuple.
+    lookup (``move_to_end``), so reads lock too.
     """
 
     __slots__ = ("max_entries", "_entries", "_lock", "hits", "misses")
 
     def __init__(self, max_entries: int = 8) -> None:
         self.max_entries = max_entries
-        #: ``r -> (values, tau_max, bitset_ints, path)`` in LRU order.
+        #: ``r -> (values, tau_max, seeds, path)`` in LRU order.
         self._entries: "OrderedDict[float, tuple]" = OrderedDict()
         self._lock = threading.RLock()
         self.hits = 0
         self.misses = 0
 
-    def get(self, r: float, bitset_cls: Type[Bitset]) -> Optional[LowerBoundResult]:
+    def get(self, r: float) -> Optional[LowerBoundResult]:
         with self._lock:
             entry = self._entries.get(r)
             if entry is None:
@@ -120,26 +182,19 @@ class LowerBoundCache:
             observe_cache("lower_bounds", hit=False)
             return None
         observe_cache("lower_bounds", hit=True)
-        values, tau_max, bitset_ints, path = entry
+        values, tau_max, seeds, path = entry
         return LowerBoundResult(
             values=list(values),
             tau_max=tau_max,
-            bitsets=CachedSeeds(bitset_ints, bitset_cls),
+            seeds=seeds,
             # A hit reports the implementation that produced the entry.
             path=path,
         )
 
     def put(self, r: float, result: LowerBoundResult) -> None:
-        if result.bitsets is None:
-            # Without the union bitsets a cached entry could not seed
-            # verification; only complete keep-bitsets results are stored.
-            return
-        bitset_ints = [
-            bitset.to_int() if bitset is not None else 0 for bitset in result.bitsets
-        ]
         with self._lock:
             self._entries[r] = (
-                list(result.values), result.tau_max, bitset_ints, result.path
+                list(result.values), result.tau_max, result.seeds, result.path
             )
             self._entries.move_to_end(r)
             while len(self._entries) > self.max_entries:
@@ -159,19 +214,19 @@ class LowerBoundCache:
 
 def compute_lower_bounds(
     bigrid: BIGrid,
-    keep_bitsets: bool = False,
     stats: Optional[PhaseStats] = None,
     deadline: Optional[Deadline] = None,
 ) -> LowerBoundResult:
     """LOWER-BOUNDING(O, r): one bitwise-OR pass over the key lists.
 
-    An expired ``deadline`` raises ``QueryTimeout`` between objects (bounds
-    for a prefix of the collection prune nothing soundly on their own).
+    The unions are kept as big ints (:class:`IntSeeds`) to seed
+    verification.  An expired ``deadline`` raises ``QueryTimeout``
+    between objects (bounds for a prefix of the collection prune nothing
+    soundly on their own).
     """
     small_grid = bigrid.small_grid
-    bitset_cls = small_grid.bitset_cls
     values: List[int] = []
-    bitsets: Optional[List[Optional[Bitset]]] = [] if keep_bitsets else None
+    unions: List[int] = []
     tau_max = 0
     or_operations = 0
 
@@ -191,10 +246,9 @@ def compute_lower_bounds(
         values.append(lower)
         if lower > tau_max:
             tau_max = lower
-        if bitsets is not None:
-            bitsets.append(bitset_cls.from_int(union) if cardinality else None)
+        unions.append(union)
 
     if stats is not None:
         stats.set_count("lower_or_operations", or_operations)
         stats.set_count("tau_max_low", tau_max)
-    return LowerBoundResult(values=values, tau_max=tau_max, bitsets=bitsets)
+    return LowerBoundResult(values=values, tau_max=tau_max, seeds=IntSeeds(unions))

@@ -177,7 +177,6 @@ class QueryContext:
         self.upper = None
         self.verification = None
         self.lower_values: Optional[List[int]] = None
-        self.lower_bitsets: Optional[List] = None
         self.candidates: Optional[List[Tuple[int, int]]] = None
         self.ranking: Optional[List[Tuple[int, int]]] = None
         self.verified: int = 0
@@ -343,31 +342,23 @@ class GridMappingStage(Stage):
 class LowerBoundingStage(Stage):
     """LOWER-BOUNDING (Algorithm 4), with the exact-``r`` cache in front.
 
-    The WITH-LABEL variant keeps the union bitsets to seed verification;
-    so does any query under a :class:`~repro.core.lower_bound.
-    LowerBoundCache`, which makes cached entries serve label-free and
-    with-label queries alike.  Also derives the pruning threshold (the
-    top-k variant keeps the k-th best lower bound).
+    The result keeps every object's union as seeds for verification, so a
+    cached entry serves label-free and with-label queries alike.  Also
+    derives the pruning threshold (the top-k variant keeps the k-th best
+    lower bound).
     """
 
     name = "lower_bounding"
 
     def run(self, ctx: QueryContext, span) -> None:
-        lower = (
-            ctx.lower_cache.get(ctx.r, ctx.bigrid.small_grid.bitset_cls)
-            if ctx.lower_cache is not None
-            else None
-        )
+        lower = ctx.lower_cache.get(ctx.r) if ctx.lower_cache is not None else None
         if lower is not None:
             ctx.stats.set_count("lower_cache_hit", 1)
             ctx.stats.set_count("tau_max_low", lower.tau_max)
             span.set_attribute("cache_hit", True)
         else:
             lower = ctx.kernel.lower_bounds(
-                ctx.bigrid,
-                keep_bitsets=ctx.labels is not None or ctx.lower_cache is not None,
-                stats=ctx.stats,
-                deadline=ctx.deadline,
+                ctx.bigrid, stats=ctx.stats, deadline=ctx.deadline
             )
             if ctx.lower_cache is not None:
                 ctx.lower_cache.put(ctx.r, lower)
@@ -413,17 +404,12 @@ class VerificationStage(Stage):
         # Scores computed ahead in a block but dropped at the loop's break
         # are reported as ``extra["speculative_scores"]`` (every counter
         # stays the reference's).
-        lower = ctx.lower
         verification = ctx.kernel.verify_candidates(
             ctx.bigrid,
             ctx.upper.candidates,
             ctx.r,
             k=ctx.k,
-            initial_bitsets=(
-                (lambda oid: lower.bitsets[oid])
-                if lower.bitsets is not None
-                else None
-            ),
+            seeds=ctx.lower.seeds,
             verify_masks=verify_mask_provider(ctx.labels, ctx.r, ctx.label_reuse),
             labeler=ctx.labeler,
             stats=ctx.stats,
@@ -432,8 +418,6 @@ class VerificationStage(Stage):
         ctx.extra["speculative_scores"] = verification.speculative
         ctx.verification = verification
         ctx.notes["verification_path"] = verification.path
-        ctx.stats.set_count("candidates_total", len(ctx.upper.candidates))
-        ctx.stats.set_count("candidates_settled", verification.verified)
         span.set_attributes(
             candidates=len(ctx.upper.candidates),
             settled=verification.verified,

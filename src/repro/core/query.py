@@ -55,7 +55,7 @@ class MIOResult:
     #: False for an *anytime* answer returned under an expired deadline:
     #: ``score`` is then a verified lower bound on the true optimum (the
     #: best-first loop's intermediate state is correct by Corollary 1) and
-    #: ``counters["candidates_settled"]`` says how far verification got.
+    #: ``counters["verified_objects"]`` says how far verification got.
     exact: bool = True
     #: Degradation notes, e.g. ``notes["degraded_backend"] = "roaring->ewah"``
     #: when the requested bitset backend was unavailable and a fallback ran.

@@ -17,9 +17,9 @@ or dequeue, only the work counters.
 
 Labeling-3 (Definition 4) is performed here when a labeler is supplied:
 points whose remaining-candidate set was already empty are marked skippable
-for future queries.  The WITH-LABEL variant seeds ``b(o_i)`` with the
-lower-bounding union bitset (objects certainly interacting need no distance
-check at all) and skips points labeled ``1*0``.
+for future queries.  Every query seeds ``b(o_i)`` with the lower-bounding
+union (objects certainly interacting need no distance check at all); the
+WITH-LABEL variant also skips points labeled ``1*0``.
 """
 
 from __future__ import annotations
@@ -32,9 +32,9 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.bitset.base import Bitset
 from repro.core.geometry import boxes_within
 from repro.core.labels import PointLabels
+from repro.core.lower_bound import UnionSeeds
 from repro.core.query import PhaseStats
 from repro.core.upper_bound import Candidate
 from repro.errors import InvalidQueryError, QueryTimeout
@@ -75,7 +75,6 @@ class VerificationResult:
 
 
 MaskProvider = Callable[[int], np.ndarray]
-BitsetProvider = Callable[[int], Optional[Bitset]]
 #: Applies one scored candidate's effects and returns its exact score.
 Settle = Callable[[], int]
 
@@ -286,7 +285,7 @@ def verify_candidates(
     candidates: List[Candidate],
     r: float,
     k: int = 1,
-    initial_bitsets: Optional[BitsetProvider] = None,
+    seeds: Optional[UnionSeeds] = None,
     verify_masks: Optional[MaskProvider] = None,
     labeler: Optional[PointLabels] = None,
     stats: Optional[PhaseStats] = None,
@@ -314,10 +313,10 @@ def verify_candidates(
         k,
         PerCandidateScorer(
             lambda oid: _exact_score(
-                bigrid, oid, r, initial_bitsets, verify_masks, labeler,
+                bigrid, oid, r, seeds, verify_masks, labeler,
                 counters, deadline, kernel,
             ),
-            lambda oids: [box_bound(bigrid, oid, r, initial_bitsets) for oid in oids],
+            lambda oids: [box_bound(bigrid, oid, r, seeds) for oid in oids],
         ),
         counters,
         stats=stats,
@@ -330,7 +329,7 @@ def _exact_score(
     bigrid: BIGrid,
     oid: int,
     r: float,
-    initial_bitsets: Optional[BitsetProvider],
+    seeds: Optional[UnionSeeds],
     verify_masks: Optional[MaskProvider],
     labeler: Optional[PointLabels],
     counters: VerifyCounters,
@@ -345,11 +344,7 @@ def _exact_score(
 
     # ``confirmed`` is the candidate's b(o_i), held as a big int so the
     # per-point set difference (line 10 of Algorithm 6) is one C-level op.
-    confirmed = 0
-    if initial_bitsets is not None:
-        seed = initial_bitsets(oid)
-        if seed is not None:
-            confirmed = seed.to_int()
+    confirmed = seeds.to_int(oid) if seeds is not None else 0
     confirmed |= 1 << oid
 
     mask = verify_masks(oid).tolist() if verify_masks is not None else None
@@ -396,7 +391,7 @@ def box_bound(
     bigrid: BIGrid,
     oid: int,
     r: float,
-    initial_bitsets: Optional[BitsetProvider] = None,
+    seeds: Optional[UnionSeeds] = None,
 ) -> int:
     """An upper bound on ``tau(o_i)`` from posting-segment boxes.
 
@@ -412,11 +407,7 @@ def box_bound(
     collection = bigrid.collection
     cells = bigrid.large_grid.cells
     points = collection[oid].points
-    found = 0
-    if initial_bitsets is not None:
-        seed = initial_bitsets(oid)
-        if seed is not None:
-            found = seed.to_int()
+    found = seeds.to_int(oid) if seeds is not None else 0
     found |= 1 << oid
     for key, point_indices in bigrid.object_groups[oid].items():
         own = points[point_indices]

@@ -76,17 +76,15 @@ class KernelBackend:
         """
         return None
 
-    def lower_bounds(
-        self,
-        bigrid,
-        keep_bitsets: bool = False,
-        stats=None,
-        deadline=None,
-    ):
+    def lower_bounds(self, bigrid, stats=None, deadline=None):
         """LOWER-BOUNDING (Algorithm 4) over the key lists ``o_i.L``.
 
-        A backend with several bit-identical implementations picks one
-        by input size; the result's ``path`` names the one that ran.
+        The result carries every object's union as a
+        :class:`~repro.core.lower_bound.UnionSeeds`, in whatever form the
+        backend computed it (the reference keeps big ints, the numpy
+        backend its packed rows); the unions must be bit-identical.  A
+        backend with several bit-identical implementations picks one by
+        input size; the result's ``path`` names the one that ran.
         """
         raise NotImplementedError
 
@@ -114,7 +112,7 @@ class KernelBackend:
         candidates,
         r: float,
         k: int = 1,
-        initial_bitsets=None,
+        seeds=None,
         verify_masks=None,
         labeler=None,
         stats=None,
@@ -124,7 +122,11 @@ class KernelBackend:
 
         Dequeues ``candidates`` (``(upper, oid)`` pairs, already sorted by
         descending upper bound) and computes exact scores until the next
-        upper bound cannot beat the k-th best exact score.  Backends must
+        upper bound cannot beat the k-th best exact score.  ``seeds`` (a
+        :class:`~repro.core.lower_bound.UnionSeeds`, the lower-bounding
+        unions) starts each candidate's confirmed set, so its members are
+        never distance-checked; any backend must accept either seeds
+        form.  Backends must
         preserve the reference semantics *exactly*: the early-termination
         threshold, the box-bound skips, the per-candidate deadline check
         and per-group checkpoint order, the Labeling-3 marks, and the

@@ -92,7 +92,7 @@ from repro.bitset.roaring import (
 )
 from repro.core.geometry import boxes_within
 from repro.core.labels import GRID_BIT, UPPER_BIT
-from repro.core.lower_bound import LowerBoundResult
+from repro.core.lower_bound import LowerBoundResult, PackedSeeds
 from repro.core.upper_bound import Candidate, UpperBoundResult
 from repro.core.verification import Settle, VerifyCounters, best_first_verification
 from repro.grid.bigrid import BIGrid
@@ -1009,16 +1009,13 @@ class NumpyKernel(KernelBackend):
     # LOWER-BOUNDING (Algorithm 4), packed
     # ------------------------------------------------------------------
 
-    def lower_bounds(self, bigrid, keep_bitsets=False, stats=None, deadline=None):
+    def lower_bounds(self, bigrid, stats=None, deadline=None):
         if not isinstance(bigrid, PackedBIGrid):
-            return PYTHON_KERNEL.lower_bounds(
-                bigrid, keep_bitsets=keep_bitsets, stats=stats, deadline=deadline
-            )
+            return PYTHON_KERNEL.lower_bounds(bigrid, stats=stats, deadline=deadline)
         n = bigrid.collection.n
         counts = bigrid.shared_counts
         words_matrix = bigrid.shared_words
         total_rows = int(words_matrix.shape[0])
-        bitset_cls = bigrid.small_grid.bitset_cls
         one_word = words_matrix.shape[1] == 1
 
         # Both paths are bit-identical (tests/test_lower_bound.py pins
@@ -1035,19 +1032,21 @@ class NumpyKernel(KernelBackend):
             # materialization that delegating to the python kernel would
             # trigger on a packed grid.
             return self._lower_bounds_seq(
-                bigrid, counts, words_matrix, keep_bitsets, stats, deadline
+                bigrid, counts, words_matrix, stats, deadline
             )
 
         # One reduceat over every object's rows at once: OR-unions and
-        # popcounts for all n objects in two array passes.
+        # popcounts for all n objects in two array passes.  The union
+        # rows are the seeds, indexed by oid.
         nonzero = np.flatnonzero(counts)
         offsets = np.zeros(len(nonzero), dtype=np.int64)
         offsets[1:] = np.cumsum(counts[nonzero])[:-1]
         unions = np.bitwise_or.reduceat(words_matrix, offsets, axis=0)
         cards = np.bitwise_count(unions).sum(axis=1).astype(np.int64).tolist()
+        index = np.full(n, -1, dtype=np.int64)
+        index[nonzero] = np.arange(len(nonzero))
 
         values: List[int] = []
-        bitsets: Optional[List] = [] if keep_bitsets else None
         tau_max = 0
         position = 0
         counts_list = counts.tolist()
@@ -1055,48 +1054,39 @@ class NumpyKernel(KernelBackend):
             checkpoint(deadline, "lower_bounding")
             if counts_list[oid] == 0:
                 values.append(0)
-                if bitsets is not None:
-                    bitsets.append(None)
                 continue
             cardinality = cards[position]
             lower = cardinality - 1 if cardinality else 0
             values.append(lower)
             if lower > tau_max:
                 tau_max = lower
-            if bitsets is not None:
-                bitsets.append(
-                    bitset_cls.from_int(_row_int(unions[position]))
-                    if cardinality
-                    else None
-                )
             position += 1
 
         if stats is not None:
             stats.set_count("lower_or_operations", total_rows)
             stats.set_count("tau_max_low", tau_max)
         return LowerBoundResult(
-            values=values, tau_max=tau_max, bitsets=bitsets,
+            values=values, tau_max=tau_max, seeds=PackedSeeds(unions, index),
             path="numpy-reduceat",
         )
 
     @staticmethod
-    def _lower_bounds_seq(
-        bigrid, counts, words_matrix, keep_bitsets, stats, deadline
-    ):
+    def _lower_bounds_seq(bigrid, counts, words_matrix, stats, deadline):
         """Reference-order lower bounds over the packed rows (tiny grids).
 
         Same sequential per-object union the python backend performs,
         expressed as big-int ORs over the build-time word gather -- no
         per-call numpy dispatch, no lazy cell materialization.  Only used
         when every bitset fits one word (or there are no shared rows at
-        all), so each row *is* its big-int value.
+        all), so each row *is* its big-int value, and the unions pack
+        back into one-word seed rows in a single array call.
         """
         n = bigrid.collection.n
-        bitset_cls = bigrid.small_grid.bitset_cls
         row_vals = words_matrix[:, 0].tolist() if words_matrix.size else []
         counts_list = counts.tolist()
         values: List[int] = []
-        bitsets: Optional[List] = [] if keep_bitsets else None
+        unions: List[int] = []
+        index: List[int] = []
         tau_max = 0
         position = 0
         for oid in range(n):
@@ -1104,8 +1094,7 @@ class NumpyKernel(KernelBackend):
             count = counts_list[oid]
             if count == 0:
                 values.append(0)
-                if bitsets is not None:
-                    bitsets.append(None)
+                index.append(-1)
                 continue
             union = 0
             for value in row_vals[position : position + count]:
@@ -1116,15 +1105,19 @@ class NumpyKernel(KernelBackend):
             values.append(lower)
             if lower > tau_max:
                 tau_max = lower
-            if bitsets is not None:
-                bitsets.append(
-                    bitset_cls.from_int(union) if cardinality else None
-                )
+            index.append(len(unions))
+            unions.append(union)
         if stats is not None:
             stats.set_count("lower_or_operations", len(row_vals))
             stats.set_count("tau_max_low", tau_max)
+        rows = np.array(unions, dtype=np.uint64).reshape(
+            len(unions), words_matrix.shape[1]
+        )
         return LowerBoundResult(
-            values=values, tau_max=tau_max, bitsets=bitsets, path="numpy-seq",
+            values=values,
+            tau_max=tau_max,
+            seeds=PackedSeeds(rows, np.array(index, dtype=np.int64)),
+            path="numpy-seq",
         )
 
     # ------------------------------------------------------------------
@@ -1211,7 +1204,7 @@ class NumpyKernel(KernelBackend):
         candidates,
         r,
         k=1,
-        initial_bitsets=None,
+        seeds=None,
         verify_masks=None,
         labeler=None,
         stats=None,
@@ -1223,7 +1216,7 @@ class NumpyKernel(KernelBackend):
                 candidates,
                 r,
                 k=k,
-                initial_bitsets=initial_bitsets,
+                seeds=seeds,
                 verify_masks=verify_masks,
                 labeler=labeler,
                 stats=stats,
@@ -1231,7 +1224,7 @@ class NumpyKernel(KernelBackend):
             )
         counters = VerifyCounters()
         scorer = _BatchedVerifier(
-            bigrid, r, initial_bitsets, verify_masks, labeler, counters, deadline
+            bigrid, r, seeds, verify_masks, labeler, counters, deadline
         )
         return best_first_verification(
             candidates,
@@ -1511,7 +1504,7 @@ class _BatchedVerifier:
         "large_grid",
         "r",
         "r_squared",
-        "initial_bitsets",
+        "seeds",
         "verify_masks",
         "labeler",
         "counters",
@@ -1528,7 +1521,7 @@ class _BatchedVerifier:
         self,
         bigrid: PackedBIGrid,
         r: float,
-        initial_bitsets,
+        seeds,
         verify_masks,
         labeler,
         counters: VerifyCounters,
@@ -1539,7 +1532,7 @@ class _BatchedVerifier:
         self.large_grid = bigrid.large_grid
         self.r = r
         self.r_squared = r * r
-        self.initial_bitsets = initial_bitsets
+        self.seeds = seeds
         self.verify_masks = verify_masks
         self.labeler = labeler
         self.counters = counters
@@ -1758,19 +1751,10 @@ class _BatchedVerifier:
         """The ``(B, n)`` confirmed matrix at the start: each candidate's
         seed set plus the candidate itself."""
         n = self.collection.n
-        confirmed = np.zeros((len(oids), n), dtype=bool)
-        if self.initial_bitsets is not None:
-            for slot, oid in enumerate(oids):
-                seed = self.initial_bitsets(oid)
-                if seed is not None:
-                    confirmed[slot] = np.unpackbits(
-                        np.frombuffer(
-                            seed.to_int().to_bytes((n + 7) // 8, "little"),
-                            np.uint8,
-                        ),
-                        count=n,
-                        bitorder="little",
-                    ).view(bool)
+        if self.seeds is not None:
+            confirmed = self.seeds.confirmed(oid_array, n)
+        else:
+            confirmed = np.zeros((len(oids), n), dtype=bool)
         confirmed.reshape(-1)[self.key_base[: len(oids)] + oid_array] = True
         return confirmed
 

@@ -46,10 +46,8 @@ class PythonKernel(KernelBackend):
             deadline=deadline,
         )
 
-    def lower_bounds(self, bigrid, keep_bitsets=False, stats=None, deadline=None):
-        return compute_lower_bounds(
-            bigrid, keep_bitsets=keep_bitsets, stats=stats, deadline=deadline
-        )
+    def lower_bounds(self, bigrid, stats=None, deadline=None):
+        return compute_lower_bounds(bigrid, stats=stats, deadline=deadline)
 
     def upper_bounds(
         self, bigrid, tau_max_low, labels=None, labeler=None, stats=None,
@@ -70,7 +68,7 @@ class PythonKernel(KernelBackend):
         candidates,
         r,
         k=1,
-        initial_bitsets=None,
+        seeds=None,
         verify_masks=None,
         labeler=None,
         stats=None,
@@ -81,7 +79,7 @@ class PythonKernel(KernelBackend):
             candidates,
             r,
             k=k,
-            initial_bitsets=initial_bitsets,
+            seeds=seeds,
             verify_masks=verify_masks,
             labeler=labeler,
             stats=stats,

@@ -74,13 +74,13 @@ def render_funnel(stages: Sequence[Tuple[str, int]], width: int = 30) -> str:
 def funnel_stages(result, total_objects: int) -> List[Tuple[str, int]]:
     """Objects -> candidates -> settled, read off an ``MIOResult``.
 
-    Works for every result: the serial engine reports
-    ``candidates_total``/``candidates_settled``, the schedule study
-    (:mod:`repro.bench.schedule`) ``candidates``/``verified_objects``.
+    Works for every result: the serial engine and the schedule study
+    (:mod:`repro.bench.schedule`) both report ``candidates`` and
+    ``verified_objects``.
     """
     counters = result.counters
-    candidates = counters.get("candidates_total", counters.get("candidates", 0))
-    settled = counters.get("candidates_settled", counters.get("verified_objects", 0))
+    candidates = counters.get("candidates", 0)
+    settled = counters.get("verified_objects", 0)
     return [
         ("objects", total_objects),
         ("candidates", candidates),

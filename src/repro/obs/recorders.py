@@ -36,8 +36,8 @@ def observe_query(result, engine: str) -> None:
     for phase, seconds in result.phases.items():
         phase_seconds.observe(seconds, engine=engine, phase=phase)
     counters = result.counters
-    generated = counters.get("candidates_total", counters.get("candidates"))
-    settled = counters.get("candidates_settled", counters.get("verified_objects"))
+    generated = counters.get("candidates")
+    settled = counters.get("verified_objects")
     if generated is not None:
         metrics.counter(
             "repro_candidates_total",

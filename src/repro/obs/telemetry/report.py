@@ -123,8 +123,8 @@ def summarize(profiles: Iterable[Dict[str, object]]) -> Dict[str, object]:
                     paths.setdefault(op, {})
                     paths[op][str(path)] = paths[op].get(str(path), 0) + 1
             counters = p.get("counters") or {}
-            funnel_total += int(counters.get("candidates_total", 0))
-            funnel_settled += int(counters.get("candidates_settled", 0))
+            funnel_total += int(counters.get("candidates", 0))
+            funnel_settled += int(counters.get("verified_objects", 0))
             for key in cache_hits:
                 cache_hits[key] += int(counters.get(key, 0))
             if not p.get("exact", True):

@@ -114,7 +114,9 @@ def query_progressive(
             return  # the last yielded state stands as the anytime answer
         # Verify exactly one candidate by scoring it in isolation (through
         # the kernel seam, so the batched scorer serves progressive too).
-        result = ctx.kernel.verify_candidates(bigrid, [(upper_bound, oid)], r, k=1)
+        result = ctx.kernel.verify_candidates(
+            bigrid, [(upper_bound, oid)], r, k=1, seeds=lower.seeds
+        )
         score = result.ranking[0][1]
         verified += 1
         if score > best_score or (score == best_score and oid < best_oid):

@@ -61,18 +61,15 @@ def check_with_label(collection, r):
     verify_candidates(first, produced.candidates, r, labeler=labels)
 
     grid = BIGrid.build(collection, r, point_filter=labels.grid_mask)
-    lower = compute_lower_bounds(grid, keep_bitsets=True)
-    seeds = lambda oid: lower.bitsets[oid]  # noqa: E731
+    seeds = compute_lower_bounds(grid).seeds
     upper = compute_upper_bounds(grid, tau_max_low=0).values
     bounds = [box_bound(grid, oid, r, seeds) for oid in range(collection.n)]
     for oid, bound in enumerate(bounds):
         assert exact[oid] <= bound <= upper[oid], oid
     if numpy_kernel_available():
         packed = NUMPY_KERNEL.build_bigrid(collection, r, labels=labels)
-        packed_lower = NUMPY_KERNEL.lower_bounds(packed, keep_bitsets=True)
-        assert numpy_bounds(
-            packed, r, lambda oid: packed_lower.bitsets[oid]
-        ) == bounds
+        packed_seeds = NUMPY_KERNEL.lower_bounds(packed).seeds
+        assert numpy_bounds(packed, r, packed_seeds) == bounds
 
 
 @given(collection=collections(), r=radii)

@@ -16,7 +16,7 @@ import pytest
 from repro.bitset.plain import PlainBitset
 from repro.core.engine import MIOEngine
 from repro.core.labels import LabelStore, PointLabels
-from repro.core.lower_bound import LowerBoundCache, LowerBoundResult
+from repro.core.lower_bound import IntSeeds, LowerBoundCache, LowerBoundResult
 from repro.kernels import numpy_kernel_available
 from repro.session import QuerySession
 
@@ -154,11 +154,9 @@ class TestResidentGridConcurrency:
 class TestLowerBoundCacheConcurrency:
     @staticmethod
     def _result(slot):
-        bitset = PlainBitset()
-        for member in range(slot, slot + 10):
-            bitset.set(member)
+        union = sum(1 << member for member in range(slot, slot + 10))
         return LowerBoundResult(
-            values=[slot] * 4, tau_max=slot, bitsets=[bitset, None]
+            values=[slot] * 4, tau_max=slot, seeds=IntSeeds([union, 0])
         )
 
     def test_concurrent_get_put_preserves_entries(self):
@@ -168,15 +166,15 @@ class TestLowerBoundCacheConcurrency:
 
         def worker(index, round_index):
             r = float(round_index % 4)
-            hit = cache.get(r, PlainBitset)
+            hit = cache.get(r)
             if hit is not None:
                 slot = int(r)
                 assert hit.tau_max == slot
                 assert hit.values == [slot] * 4
-                assert list(hit.bitsets[0].iter_set_bits()) == list(
-                    range(slot, slot + 10)
-                )
-                assert hit.bitsets[1] is None
+                assert list(
+                    PlainBitset.from_int(hit.seeds.to_int(0)).iter_set_bits()
+                ) == list(range(slot, slot + 10))
+                assert hit.seeds.to_int(1) == 0
 
         hammer(worker)
 
@@ -185,7 +183,7 @@ class TestLowerBoundCacheConcurrency:
 
         def worker(index, round_index):
             cache.put(float(index * 100 + round_index), self._result(index))
-            cache.get(float(round_index % 7), PlainBitset)
+            cache.get(float(round_index % 7))
 
         hammer(worker)
         assert len(cache) <= 3

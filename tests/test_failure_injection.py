@@ -347,8 +347,8 @@ class TestDeadlines:
                     assert result.score <= max(oracle)
                     assert oracle[result.winner] >= result.score
                     assert result.notes["anytime"]
-                    assert result.counters["candidates_settled"] <= (
-                        result.counters["candidates_total"]
+                    assert result.counters["verified_objects"] <= (
+                        result.counters["candidates"]
                     )
             assert anytime_seen, f"seed {seed}: no budget hit the anytime path"
 

@@ -17,6 +17,7 @@ so in the commit.
 import pytest
 
 from repro.core.engine import MIOEngine
+from repro.core.lower_bound import LowerBoundCache
 from repro.core.temporal import TemporalMIOEngine
 from repro.kernels import numpy_kernel_available
 from repro.progressive import query_progressive
@@ -65,10 +66,13 @@ PROGRESSIVE_GOLDEN = {
 # cross-checked against the oracle.  Verification skips the candidates
 # whose per-segment box bound cannot beat the best score, so
 # verified_objects + box_skipped is the number dequeued before the break.
+# Every verification is seeded with the lower-bounding unions, so the
+# distance work is what an engine holding a LowerBoundCache does
+# (``test_cacheless_engine_verifies_as_the_lower_cache_engine``).
 VERIFY_HEAVY_GOLDEN = {
-    5.0: (4, 18, 19, 1, 3, 94, 60, 0, 1),
-    8.0: (4, 20, 24, 1, 15, 117, 67, 0, 1),
-    12.0: (4, 21, 28, 2, 23, 766, 251, 0, 1),
+    5.0: (4, 18, 19, 1, 3, 2, 2, 0, 1),
+    8.0: (4, 20, 24, 1, 15, 51, 31, 0, 1),
+    12.0: (4, 21, 28, 2, 23, 630, 225, 0, 1),
 }
 
 # The with-label session path on the same collection: repeated ceilings
@@ -125,6 +129,30 @@ class TestVerificationHeavyGolden:
         assert [
             result.counters[key] for key in _VERIFY_COUNTER_KEYS
         ] == counters
+
+    @pytest.mark.parametrize("kernel", KERNELS)
+    @pytest.mark.parametrize("backend", BITSET_BACKENDS)
+    @pytest.mark.parametrize("r", sorted(VERIFY_HEAVY_GOLDEN))
+    def test_cacheless_engine_verifies_as_the_lower_cache_engine(
+        self, verify_heavy_collection, r, backend, kernel
+    ):
+        # The golden counters are not frozen numbers alone: a cache-less
+        # engine seeds verification exactly as one whose lower bounds pass
+        # through a LowerBoundCache, on a miss and on a hit.
+        cacheless = MIOEngine(
+            verify_heavy_collection, backend=backend, kernel=kernel
+        ).query(r)
+        cached_engine = MIOEngine(
+            verify_heavy_collection, backend=backend, kernel=kernel,
+            lower_cache=LowerBoundCache(),
+        )
+        winner, score, *counters = VERIFY_HEAVY_GOLDEN[r]
+        for cached in (cached_engine.query(r), cached_engine.query(r)):
+            assert (cached.winner, cached.score) == (winner, score)
+            assert [cached.counters[key] for key in _VERIFY_COUNTER_KEYS] == [
+                cacheless.counters[key] for key in _VERIFY_COUNTER_KEYS
+            ] == counters
+        assert cached.counters["lower_cache_hit"] == 1
 
     @pytest.mark.parametrize("kernel", KERNELS)
     @pytest.mark.parametrize("backend", BITSET_BACKENDS)

@@ -163,14 +163,14 @@ class TestOperationConformance:
         ref_grid = PYTHON_KERNEL.build_bigrid(collection, r)
         got_grid = numpy_kernel().build_bigrid(collection, r)
         ref_stats, got_stats = PhaseStats("lower"), PhaseStats("lower")
-        ref = PYTHON_KERNEL.lower_bounds(ref_grid, keep_bitsets=True, stats=ref_stats)
-        got = numpy_kernel().lower_bounds(got_grid, keep_bitsets=True, stats=got_stats)
+        ref = PYTHON_KERNEL.lower_bounds(ref_grid, stats=ref_stats)
+        got = numpy_kernel().lower_bounds(got_grid, stats=got_stats)
         assert ref.values == got.values
         assert ref.tau_max == got.tau_max
         assert ref_stats.counters == got_stats.counters
-        assert [
-            0 if bits is None else bits.to_int() for bits in ref.bitsets
-        ] == [0 if bits is None else bits.to_int() for bits in got.bitsets]
+        assert [ref.seeds.to_int(oid) for oid in range(collection.n)] == [
+            got.seeds.to_int(oid) for oid in range(collection.n)
+        ]
 
     @pytest.mark.parametrize("r", [0.8, 3.0])
     def test_upper_bounds_bit_exact(self, r):
@@ -721,18 +721,18 @@ def run_verify(kernel, collection, r, backend="ewah", k=1, seed_bitsets=False,
 
     Returns ``(result, stats, visited_oids)``.  ``candidates`` overrides the
     upper-bounding output (for hand-built degenerate candidate sets);
-    ``seed_bitsets`` exercises the with-label seeding path by feeding the
-    lower-bounding union bitsets into verification.
+    ``seed_bitsets`` feeds the lower-bounding unions into verification, as
+    every engine query does.
     """
     grid = kernel.build_bigrid(collection, r, backend=backend)
-    lower = kernel.lower_bounds(grid, keep_bitsets=seed_bitsets)
+    lower = kernel.lower_bounds(grid)
     if candidates is None:
         candidates = kernel.upper_bounds(grid, lower.tau_max).candidates
     recorder = RecordingCandidates(candidates)
     stats = PhaseStats("verification")
-    initial = (lambda oid: lower.bitsets[oid]) if seed_bitsets else None
     result = kernel.verify_candidates(
-        grid, recorder, r, k=k, initial_bitsets=initial, stats=stats,
+        grid, recorder, r, k=k, seeds=lower.seeds if seed_bitsets else None,
+        stats=stats,
         deadline=deadline,
     )
     return result, stats, recorder.visited
@@ -845,7 +845,7 @@ class _VerifyCasesBySize:
         outcomes = []
         for kernel in (PYTHON_KERNEL, numpy_kernel()):
             grid = kernel.build_bigrid(collection, r)
-            lower = kernel.lower_bounds(grid, keep_bitsets=True)
+            lower = kernel.lower_bounds(grid)
             candidates = kernel.upper_bounds(
                 grid, lower.tau_max, labels=upper_labels_for(collection, seed=5)
             ).candidates
@@ -853,7 +853,7 @@ class _VerifyCasesBySize:
             stats = PhaseStats("verification")
             result = kernel.verify_candidates(
                 grid, candidates, r,
-                initial_bitsets=lambda oid: lower.bitsets[oid],
+                seeds=lower.seeds,
                 verify_masks=upper_labels_for(collection, seed=7).upper_mask,
                 labeler=labels,
                 stats=stats,
@@ -961,7 +961,7 @@ def run_labeled_verify(kernel, collection, r, k, deadline=None):
     Returns ``(grid, result, stats, labels, visited_oids)``.
     """
     grid = kernel.build_bigrid(collection, r)
-    lower = kernel.lower_bounds(grid, keep_bitsets=True)
+    lower = kernel.lower_bounds(grid)
     candidates = RecordingCandidates(
         kernel.upper_bounds(
             grid, lower.tau_max, labels=upper_labels_for(collection, seed=5)
@@ -971,7 +971,7 @@ def run_labeled_verify(kernel, collection, r, k, deadline=None):
     stats = PhaseStats("verification")
     result = kernel.verify_candidates(
         grid, candidates, r, k=k,
-        initial_bitsets=lambda oid: lower.bitsets[oid],
+        seeds=lower.seeds,
         verify_masks=upper_labels_for(collection, seed=7).upper_mask,
         labeler=labels,
         stats=stats,

@@ -3,7 +3,12 @@
 import numpy as np
 import pytest
 
-from repro.core.lower_bound import compute_lower_bounds
+from repro.core.lower_bound import (
+    IntSeeds,
+    LowerBoundCache,
+    PackedSeeds,
+    compute_lower_bounds,
+)
 from repro.core.objects import ObjectCollection
 from repro.core.query import PhaseStats
 from repro.grid.bigrid import BIGrid
@@ -44,30 +49,29 @@ class TestSoundness:
 
 
 class TestBitsets:
-    def test_bitsets_kept_on_request(self):
+    def test_unions_always_kept_as_seeds(self):
         collection = random_collection(n=15, mean_points=5, seed=23)
         bigrid = BIGrid.build(collection, r=3.0)
-        without = compute_lower_bounds(bigrid)
-        with_bitsets = compute_lower_bounds(bigrid, keep_bitsets=True)
-        assert without.bitsets is None
-        assert with_bitsets.bitsets is not None
-        for oid, bitset in enumerate(with_bitsets.bitsets):
-            if bitset is None:
-                assert with_bitsets.values[oid] == 0
+        result = compute_lower_bounds(bigrid)
+        assert isinstance(result.seeds, IntSeeds)
+        assert len(result.seeds) == collection.n
+        for oid in range(collection.n):
+            union = result.seeds.to_int(oid)
+            if not union:
+                assert result.values[oid] == 0
             else:
-                assert bitset.get(oid)
-                assert bitset.cardinality() - 1 == with_bitsets.values[oid]
+                assert union >> oid & 1
+                assert union.bit_count() - 1 == result.values[oid]
 
     def test_bitset_members_certainly_interact(self):
         collection = random_collection(n=20, mean_points=6, seed=24)
         r = 2.0
         bigrid = BIGrid.build(collection, r=r)
-        result = compute_lower_bounds(bigrid, keep_bitsets=True)
+        result = compute_lower_bounds(bigrid)
         truth = oracle_scores(collection, r)
-        for oid, bitset in enumerate(result.bitsets):
-            if bitset is None:
-                continue
-            members = [b for b in bitset.iter_set_bits() if b != oid]
+        for oid in range(collection.n):
+            union = result.seeds.to_int(oid)
+            members = [b for b in range(collection.n) if b != oid and union >> b & 1]
             # Every member must truly interact: check via the oracle pairs.
             for member in members:
                 from scipy.spatial.distance import cdist
@@ -168,9 +172,7 @@ class TestNumpyDispatch:
             monkeypatch.setattr(
                 backend, "LOWER_BOUND_DISPATCH_MIN_ROWS", threshold
             )
-            result = self._kernel().lower_bounds(
-                grid, keep_bitsets=True, stats=stats
-            )
+            result = self._kernel().lower_bounds(grid, stats=stats)
             results[label] = (result, stats)
         seq, seq_stats = results["seq"]
         vec, vec_stats = results["vec"]
@@ -178,17 +180,14 @@ class TestNumpyDispatch:
         assert seq.values == vec.values
         assert seq.tau_max == vec.tau_max
         assert seq_stats.counters == vec_stats.counters
-        assert [
-            0 if bits is None else bits.to_int() for bits in seq.bitsets
-        ] == [0 if bits is None else bits.to_int() for bits in vec.bitsets]
+        assert seed_ints(seq.seeds) == seed_ints(vec.seeds)
 
         # Both must also match the pure-python reference on its own grid.
-        reference = compute_lower_bounds(
-            BIGrid.build(collection, r=r), keep_bitsets=True
-        )
+        reference = compute_lower_bounds(BIGrid.build(collection, r=r))
         assert reference.path == "reference"
         assert seq.values == reference.values
         assert seq.tau_max == reference.tau_max
+        assert seed_ints(seq.seeds) == seed_ints(reference.seeds)
 
     @pytest.mark.parametrize(
         "n, path", [(20, "numpy-seq"), (70, "numpy-reduceat")]
@@ -205,33 +204,107 @@ class TestNumpyDispatch:
         assert repeat.notes["lower_bound_path"] == path
 
 
-class TestCachedSeeds:
-    def test_hit_builds_only_the_seeds_read(self):
-        from repro.bitset.plain import PlainBitset
-        from repro.core.lower_bound import LowerBoundCache
+def seed_ints(seeds):
+    return [seeds.to_int(oid) for oid in range(len(seeds))]
 
-        built = []
 
-        class CountingBitset(PlainBitset):
-            @classmethod
-            def from_int(cls, value):
-                built.append(value)
-                return super().from_int(value)
+def assert_seeds_equal_reference(seeds, reference, n):
+    """``seeds`` reads as ``reference`` (big ints) through both accessors:
+    per object, and as confirmed-matrix rows for any block of oids
+    (repeats and empty unions included)."""
+    assert len(seeds) == n
+    assert seed_ints(seeds) == seed_ints(reference)
+    blocks = [np.arange(n), np.arange(n)[::-1], np.array([0, 0, n - 1]), np.arange(0)]
+    for oids in blocks:
+        matrix = seeds.confirmed(oids, n)
+        assert matrix.shape == (len(oids), n) and matrix.dtype == bool
+        for row, oid in zip(matrix, oids.tolist()):
+            assert sum(1 << bit for bit in np.flatnonzero(row).tolist()) == (
+                reference.to_int(oid)
+            )
+        # A fresh, writable matrix: the scorer marks its candidates in it.
+        matrix[...] = True
 
+
+class TestSeedsCache:
+    def test_hit_returns_the_stored_seeds(self):
         collection = random_collection(n=20, mean_points=5, seed=66)
-        computed = compute_lower_bounds(
-            BIGrid.build(collection, r=3.0), keep_bitsets=True
-        )
+        computed = compute_lower_bounds(BIGrid.build(collection, r=3.0))
         cache = LowerBoundCache()
         cache.put(3.0, computed)
-        hit = cache.get(3.0, CountingBitset)
-        assert built == []
-        assert len(hit.bitsets) == collection.n
-        reads = [oid for oid, bitset in enumerate(computed.bitsets) if bitset][:2]
-        for oid in reads + reads:
-            assert hit.bitsets[oid].to_int() == computed.bitsets[oid].to_int()
-        # Each read oid built once; no other object's bitset was built.
-        assert built == [computed.bitsets[oid].to_int() for oid in reads]
-        assert [
-            None if bitset is None else bitset.to_int() for bitset in hit.bitsets
-        ] == [None if bitset is None else bitset.to_int() for bitset in computed.bitsets]
+        hit = cache.get(3.0)
+        assert hit.seeds is computed.seeds
+        assert hit.values == computed.values and hit.values is not computed.values
+        assert (hit.tau_max, hit.path) == (computed.tau_max, computed.path)
+        assert_seeds_equal_reference(hit.seeds, computed.seeds, collection.n)
+
+
+@pytest.mark.skipif(
+    not numpy_kernel_available(), reason="numpy kernel unavailable here"
+)
+class TestPackedSeeds:
+    """The numpy kernel keeps its unions as packed rows; they must read
+    exactly as the reference's big ints on both dispatch paths and across
+    a cache hit."""
+
+    @pytest.mark.parametrize(
+        "n, r, path",
+        [
+            (20, 2.0, "numpy-seq"),
+            (35, 5.0, "numpy-seq"),
+            (70, 3.0, "numpy-reduceat"),
+            (150, 2.5, "numpy-reduceat"),
+        ],
+    )
+    def test_rows_equal_reference_ints(self, n, r, path):
+        from repro.kernels.numpy_backend import NUMPY_KERNEL
+
+        collection = random_collection(n=n, mean_points=5, seed=n)
+        got = NUMPY_KERNEL.lower_bounds(NUMPY_KERNEL.build_bigrid(collection, r))
+        reference = compute_lower_bounds(BIGrid.build(collection, r=r))
+        assert got.path == path
+        assert isinstance(got.seeds, PackedSeeds)
+        assert got.seeds.rows.dtype == np.uint64
+        assert_seeds_equal_reference(got.seeds, reference.seeds, n)
+
+    @pytest.mark.parametrize("path", ["numpy-seq", "numpy-reduceat"])
+    def test_forced_paths_give_equal_rows(self, path, monkeypatch):
+        from repro.kernels import numpy_backend
+        from repro.kernels.numpy_backend import NUMPY_KERNEL
+
+        monkeypatch.setattr(
+            numpy_backend,
+            "LOWER_BOUND_DISPATCH_MIN_ROWS",
+            1 << 30 if path == "numpy-seq" else 0,
+        )
+        collection = random_collection(n=40, mean_points=6, seed=67)
+        got = NUMPY_KERNEL.lower_bounds(NUMPY_KERNEL.build_bigrid(collection, 2.5))
+        reference = compute_lower_bounds(BIGrid.build(collection, r=2.5))
+        assert got.path == path
+        assert_seeds_equal_reference(got.seeds, reference.seeds, collection.n)
+
+    def test_isolated_objects_have_no_row(self):
+        from repro.kernels.numpy_backend import NUMPY_KERNEL
+
+        collection = ObjectCollection.from_point_arrays(
+            [np.array([[0.0, 0.0]]), np.array([[500.0, 500.0]])]
+        )
+        seeds = NUMPY_KERNEL.lower_bounds(
+            NUMPY_KERNEL.build_bigrid(collection, 1.0)
+        ).seeds
+        assert seeds.rows.shape[0] == 0
+        assert seeds.index.tolist() == [-1, -1]
+        assert seed_ints(seeds) == [0, 0]
+        assert not seeds.confirmed(np.array([0, 1]), 2).any()
+
+    @pytest.mark.parametrize("n", [20, 70])
+    def test_session_hit_serves_the_missed_rows(self, n):
+        from repro.session import QuerySession
+
+        collection = random_collection(n=n, mean_points=4, seed=65)
+        session = QuerySession(collection, kernel="numpy")
+        session.query(3.0)
+        stored = session.lower_cache.get(3.0)
+        reference = compute_lower_bounds(BIGrid.build(collection, r=3.0))
+        assert isinstance(stored.seeds, PackedSeeds)
+        assert_seeds_equal_reference(stored.seeds, reference.seeds, n)

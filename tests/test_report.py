@@ -42,7 +42,7 @@ def profile_line(
             "grid_mapping": seconds / 2, "verification": seconds / 2,
         },
         "counters": counters if counters is not None else {
-            "candidates_total": 10, "candidates_settled": 6,
+            "candidates": 10, "verified_objects": 6,
         },
         "notes": notes if notes is not None else {},
         "memory_bytes": 4096,
@@ -98,7 +98,7 @@ class TestSummarize:
             profile_line(
                 seconds=0.001 * (index + 1),
                 counters={
-                    "candidates_total": 10, "candidates_settled": 5,
+                    "candidates": 10, "verified_objects": 5,
                     "lower_cache_hit": 1 if index else 0,
                 },
                 notes={"verification_path": "numpy-fused",

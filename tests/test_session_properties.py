@@ -146,12 +146,13 @@ def test_paper_mode_equals_hand_threaded_caches(collection, rs):
     ``label_reuse="paper"`` applies Labeling-3 across the whole ceiling
     bucket and is *documented* to possibly under-count for ``r' != r``
     (DESIGN.md §3); the under-count's exact shape depends on which points
-    verification happened to skip during the labeling run, which the
-    lower-bound seeding legitimately changes.  The oracle (and a cache-less
-    engine) are therefore not the right references.  The invariant is
-    instead: a session behaves exactly like the manual idiom it replaces --
-    the store and both caches hand-threaded through bare engine calls in
-    the session's own execution order.
+    verification happened to skip during the labeling run.  The oracle is
+    therefore not the right reference.  The invariant is instead: a
+    session behaves exactly like the manual idiom it replaces -- the store
+    and both caches hand-threaded through bare engine calls in the
+    session's own execution order -- and, since every verification is
+    seeded from the lower-bound unions, like a cache-less engine sharing
+    only the label store.
     """
     from repro.core.labels import LabelStore
     from repro.core.lower_bound import LowerBoundCache
@@ -171,6 +172,17 @@ def test_paper_mode_equals_hand_threaded_caches(collection, rs):
         )
         manual[index] = engine.query(rs[index])
 
+    cacheless_store = LabelStore()
+    cacheless = [None] * len(rs)
+    for index in order:
+        engine = MIOEngine(
+            collection, label_store=cacheless_store, label_reuse="paper"
+        )
+        cacheless[index] = engine.query(rs[index])
+
     session = QuerySession(collection, label_reuse="paper")
-    for manual_result, session_result in zip(manual, session.query_many(rs)):
+    for manual_result, cacheless_result, session_result in zip(
+        manual, cacheless, session.query_many(rs)
+    ):
         assert _fingerprint(session_result) == _fingerprint(manual_result)
+        assert _fingerprint(cacheless_result) == _fingerprint(manual_result)

@@ -41,7 +41,7 @@ def fake_result(
     return types.SimpleNamespace(
         algorithm=algorithm,
         phases=dict(phases or {"grid_mapping": seconds / 2, "verification": seconds / 2}),
-        counters={"candidates_total": 10, "candidates_settled": 7},
+        counters={"candidates": 10, "verified_objects": 7},
         notes=dict(notes or {}),
         exact=exact,
         total_time=seconds,
