@@ -218,7 +218,7 @@ def simulate_query(
 
     bigrid, report = _grid_mapping(study, r, labels)
     charge("grid_mapping", report)
-    values, bitsets, report = _lower_bounding(study, bigrid, labels)
+    values, bitsets, report = _lower_bounding(study, bigrid)
     charge("lower_bounding", report)
     candidates, report = _upper_bounding(
         study, bigrid, kth_largest(values, top), labels
@@ -318,22 +318,24 @@ def _grid_mapping(
 
 
 def _lower_bounding(
-    study: _Study, bigrid: BIGrid, labels: Optional[PointLabels]
-) -> Tuple[List[int], Optional[List], CoreReport]:
-    keep_bitsets = labels is not None
+    study: _Study, bigrid: BIGrid
+) -> Tuple[List[int], List, CoreReport]:
+    """Every object's lower bound and union ``b(o_i)`` (None if empty):
+    verification seeds every query with the unions, as the serial
+    engine does."""
     if study.lb_strategy == "greedy-d":
-        return _lower_bounding_greedy_d(study, bigrid, keep_bitsets)
-    return _lower_bounding_hash_p(study, bigrid, keep_bitsets)
+        return _lower_bounding_greedy_d(study, bigrid)
+    return _lower_bounding_hash_p(study, bigrid)
 
 
 def _lower_bounding_greedy_d(
-    study: _Study, bigrid: BIGrid, keep_bitsets: bool
-) -> Tuple[List[int], Optional[List], CoreReport]:
+    study: _Study, bigrid: BIGrid
+) -> Tuple[List[int], List, CoreReport]:
     """Objects split by ``|o_i.L|``; no synchronization, no merge."""
     plan = plan_lower_bounding_greedy_d(bigrid, study.cores)
     small_grid = bigrid.small_grid
     values = [0] * bigrid.collection.n
-    bitsets = [None] * bigrid.collection.n if keep_bitsets else None
+    bitsets = [None] * bigrid.collection.n
 
     def make_task(oid: int):
         def task() -> None:
@@ -342,7 +344,7 @@ def _lower_bounding_greedy_d(
                 union |= small_grid.cells[key].bitset.to_int()
             cardinality = union.bit_count()
             values[oid] = cardinality - 1 if cardinality else 0
-            if bitsets is not None and cardinality:
+            if cardinality:
                 bitsets[oid] = union
         return task
 
@@ -352,12 +354,12 @@ def _lower_bounding_greedy_d(
 
 
 def _lower_bounding_hash_p(
-    study: _Study, bigrid: BIGrid, keep_bitsets: bool
-) -> Tuple[List[int], Optional[List], CoreReport]:
+    study: _Study, bigrid: BIGrid
+) -> Tuple[List[int], List, CoreReport]:
     """Per-object key split with per-core local bitsets merged at a barrier."""
     small_grid = bigrid.small_grid
     values = [0] * bigrid.collection.n
-    bitsets = [None] * bigrid.collection.n if keep_bitsets else None
+    bitsets = [None] * bigrid.collection.n
     report = CoreReport(study.cores)
 
     with gc_paused():
@@ -385,7 +387,7 @@ def _lower_bounding_hash_p(
                     merged |= local
             cardinality = merged.bit_count()
             values[oid] = cardinality - 1 if cardinality else 0
-            if bitsets is not None and cardinality:
+            if cardinality:
                 bitsets[oid] = merged
             merge_elapsed = time.perf_counter() - started
             report.serial_seconds += merge_elapsed
@@ -499,7 +501,7 @@ def _verification(
     bigrid: BIGrid,
     candidates: List[Tuple[int, int]],
     r: float,
-    lower_bitsets: Optional[List],
+    lower_bitsets: List,
     mask_labels: Optional[PointLabels],
     k: int,
 ) -> Tuple[List[Tuple[int, int]], CoreReport, int]:
@@ -522,7 +524,7 @@ def _verification(
                     for key, points in groups.items()
                 }
                 groups = {key: points for key, points in groups.items() if points}
-            seed = lower_bitsets[oid] if lower_bitsets is not None else None
+            seed = lower_bitsets[oid]
             locals_: List = [None] * study.cores
             round_max = 0.0
             per_core = plan_verification_chunks(groups, study.cores)

@@ -136,3 +136,12 @@ def boxes_within(
     else:
         within = box_gap_squared(lo_a, hi_a, lo_b, hi_b) <= r * r
     return bool(within) if within.ndim == 0 else within
+
+
+def points_near_box(
+    points: np.ndarray, lo: np.ndarray, hi: np.ndarray, r: float
+) -> bool:
+    """Whether some row of ``points`` lies within ``r`` of the box ``[lo,
+    hi]``: :func:`box_gap_squared` with each point as a degenerate box, so
+    a point within ``r`` of any point of the box passes."""
+    return bool(box_gap_squared(points, points, lo, hi).min() <= r * r)

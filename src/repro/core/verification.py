@@ -11,9 +11,15 @@ its adjacent cells need distance checks.  Confirmed objects are accumulated
 in a bitset, so repeated near misses cost nothing.
 
 Once k exact scores are in hand, a dequeued candidate whose per-segment
-box bound (:func:`box_bound`) cannot enter the top-k is skipped without
+bound (:func:`box_bound`) cannot enter the top-k is skipped without
 scoring -- an extension of Algorithm 6 that moves no answer, threshold
-or dequeue, only the work counters.
+or dequeue, only the work counters.  The bound counts the owners with a
+posting segment whose box lies within ``r`` of one of the candidate's
+own segments.  In a query whose first ``k`` scores cost at least
+``REFINE_MIN_ROWS`` distance rows each, the bound of every candidate the
+box test alone does not skip is refined with point-to-box tests: the
+owner counts only if, on the same pair of segments, some point of each
+lies within ``r`` of the other's box.
 
 Labeling-3 (Definition 4) is performed here when a labeler is supplied:
 points whose remaining-candidate set was already empty are marked skippable
@@ -32,7 +38,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.geometry import boxes_within
+from repro.core.geometry import boxes_within, points_near_box
 from repro.core.labels import PointLabels
 from repro.core.lower_bound import UnionSeeds
 from repro.core.query import PhaseStats
@@ -74,6 +80,16 @@ class VerificationResult:
     box_skipped: int = 0
 
 
+#: Refine the skip bounds of a query only if its first ``k`` settled
+#: candidates read at least this many distance rows each.  A refinement
+#: costs a second pass over a bound batch and pays only where it spares
+#: costly scores.  Measured with the numpy kernel on a 2-vCPU host: cold
+#: bird (s=0.4) at r=8/10 reads 662/839 rows per first candidate and
+#: the refinement cut its queries from 25/31 to 17/19 ms; a warm
+#: bird-2 (s=0.2) session reads at most 529 and lost 0.04-0.9 ms per
+#: query to it.  Read at call time, so tests can change it.
+REFINE_MIN_ROWS = 600
+
 MaskProvider = Callable[[int], np.ndarray]
 #: Applies one scored candidate's effects and returns its exact score.
 Settle = Callable[[], int]
@@ -93,17 +109,21 @@ class VerifyCounters:
 class PerCandidateScorer:
     """A block scorer that scores one candidate per block, on settling.
 
-    The best-first loop asks a scorer for blocks and for box bounds:
+    The best-first loop asks a scorer for blocks and for skip bounds:
     ``capacity()`` is the most candidates the next block may hold (at
     least 1), ``block(oids)`` returns one settle callable per oid, in
-    order, ``bound_capacity()`` is the most candidates one ``bounds(oids)``
-    call may hold, and ``bounds(oids)`` returns the box bound of each oid
-    (see :func:`box_bound`).  A settle applies its candidate's effects
-    (counters, labels, memoized unions) and returns the exact score; it
-    may raise :class:`QueryTimeout`.  A bound has no effect at all.  This
-    one wraps a per-candidate ``exact_score(oid)``, which runs only when
-    the loop settles that candidate, and a batch ``bounds(oids)`` taking
-    up to ``limit`` oids.
+    order, ``bound_capacity()`` is the most candidates one ``bounds(oids,
+    floor)`` call may hold, and ``bounds(oids, floor)`` returns a bound
+    of each oid (see :func:`box_bound`): the box-only bound if ``floor``
+    is None; otherwise, for the heap floor ``floor = (score, -oid)``,
+    the box-only bound of a candidate it puts below the floor and the
+    refined bound of any other (:func:`skip_bound`).  A settle applies
+    its candidate's effects (counters, labels, memoized unions) and
+    returns the exact score; it may raise :class:`QueryTimeout`.  A bound
+    has no effect at all.  This one wraps a per-candidate
+    ``exact_score(oid)``, which runs only when the loop settles that
+    candidate, and a batch ``bounds(oids, floor)`` taking up to ``limit``
+    oids.
     """
 
     __slots__ = ("exact_score", "bounds", "limit")
@@ -111,7 +131,7 @@ class PerCandidateScorer:
     def __init__(
         self,
         exact_score: Callable[[int], int],
-        bounds: Callable[[Sequence[int]], List[int]],
+        bounds: Callable[[Sequence[int], Optional[Tuple[int, int]]], List[int]],
         limit: int = 1,
     ) -> None:
         self.exact_score = exact_score
@@ -147,7 +167,7 @@ def best_first_verification(
     Candidates are dequeued lazily, one per iteration, in queue order.
     Each dequeue checks the Lemma 2 threshold, then reads the deadline
     once.  Then, once the heap holds ``k`` entries, the candidate is
-    skipped if its box bound cannot enter the heap: ``(bound, -oid) <
+    skipped if its bound cannot enter the heap: ``(bound, -oid) <
     best_heap[0]``, the heap's own admission test, so the tie rule
     (smaller oid wins) is kept.  A skipped candidate could never have
     changed the heap, so the ranking, the threshold and the break are
@@ -157,6 +177,13 @@ def best_first_verification(
     without dequeuing) of candidates whose upper bound beats the
     threshold; a batch at most doubles the larger of the previous batch
     and block, and holds at most the scorer's ``bound_capacity()``.
+    The first batch decides, once per query, whether bounds are refined:
+    only if the ``k`` candidates settled by then read at least
+    ``REFINE_MIN_ROWS`` distance rows each.  Every kernel settles the
+    same ``k`` candidates with the same counters before it, so all make
+    the same decision, and every batch gets ``best_heap[0]`` as its floor
+    (or None) -- a bound depends on the floor only where both values
+    skip.
 
     Every other candidate is settled, one at a time.  When no scored
     candidate is waiting, the dequeued one opens a block: the first
@@ -184,9 +211,11 @@ def best_first_verification(
     #: ``(oid, settle)`` of the current block not yet applied, in queue order.
     waiting: deque = deque()
     block_size = 0
-    #: Box bounds computed so far, by oid.
+    #: Skip bounds computed so far, by oid.
     bounds: Dict[int, int] = {}
     bound_batch = 0
+    #: Whether skip bounds are refined; decided at the first batch.
+    refine: Optional[bool] = None
 
     def read_ahead(index: int, limit: int, threshold: int) -> List[int]:
         """Oids after ``index`` in queue order, up to ``limit`` of them,
@@ -221,7 +250,10 @@ def best_first_verification(
                     for ahead_oid in read_ahead(index, bound_batch, threshold)
                     if ahead_oid not in bounds
                 ]
-                bounds.update(zip(batch, scorer.bounds(batch)))
+                if refine is None:
+                    refine = counters.distance_rows >= REFINE_MIN_ROWS * verified
+                floor = best_heap[0] if refine else None
+                bounds.update(zip(batch, scorer.bounds(batch, floor)))
             if skips(oid):
                 box_skipped += 1
                 if waiting and waiting[0][0] == oid:
@@ -316,7 +348,9 @@ def verify_candidates(
                 bigrid, oid, r, seeds, verify_masks, labeler,
                 counters, deadline, kernel,
             ),
-            lambda oids: [box_bound(bigrid, oid, r, seeds) for oid in oids],
+            lambda oids, floor: [
+                skip_bound(bigrid, oid, r, seeds, floor) for oid in oids
+            ],
         ),
         counters,
         stats=stats,
@@ -392,17 +426,29 @@ def box_bound(
     oid: int,
     r: float,
     seeds: Optional[UnionSeeds] = None,
+    refine: bool = False,
 ) -> int:
-    """An upper bound on ``tau(o_i)`` from posting-segment boxes.
+    """An upper bound on ``tau(o_i)`` from posting segments and their boxes.
 
-    ``|seed(o_i) | {o_i} | N(o_i)| - 1``, where ``N(o_i)`` holds every
-    object with a posting list in the ``3^d`` neighbourhood of one of
-    ``o_i``'s cells whose bounding box lies within ``r`` of ``o_i``'s own
-    posting box in that cell (:func:`repro.core.geometry.boxes_within`).
-    Sound: a pair of points within ``r`` puts their two segment boxes
-    within ``r``, and verification confirms objects only through grid
-    points and seeds.  Walks the cells without memoizing an adjacent
-    union, marking a label, polling a deadline or counting work.
+    ``|seed(o_i) | {o_i} | N(o_i)| - 1``.  ``N(o_i)`` holds every object
+    ``q`` with a posting segment ``s`` in the ``3^d`` neighbourhood of one
+    of ``o_i``'s groups ``g`` (its posting segment in one cell) such that,
+    for the same pair ``(g, s)``:
+
+    * the boxes of ``g`` and ``s`` are within ``r``
+      (:func:`repro.core.geometry.boxes_within`);
+    * if ``refine``: some point of ``g`` is within ``r`` of ``box(s)``,
+      and some point of ``s`` within ``r`` of ``box(g)``
+      (:func:`repro.core.geometry.points_near_box`).
+
+    Sound either way: verification confirms ``q`` only through seeds or
+    a pair of points within ``r``, one in ``g`` and one in a segment
+    ``s`` of ``q`` in ``g``'s neighbourhood.  Each per-axis gap between
+    two boxes, or between a point and a box, holding that pair is at
+    most the gap between the two points, and rounding is monotone, so
+    the pair passes all three tests.  Walks the cells without
+    memoizing an adjacent union, marking a label, polling a deadline or
+    counting work.
     """
     collection = bigrid.collection
     cells = bigrid.large_grid.cells
@@ -420,16 +466,36 @@ def box_bound(
             if not owners:
                 continue
             boxes = [cell.posting_box(q, collection[q].points) for q in owners]
-            near = boxes_within(
-                lo,
-                hi,
-                np.array([box_lo for box_lo, _ in boxes]),
-                np.array([box_hi for _, box_hi in boxes]),
-                r,
-            )
-            for q in np.asarray(owners)[near].tolist():
+            owner_lo = np.array([box_lo for box_lo, _ in boxes])
+            owner_hi = np.array([box_hi for _, box_hi in boxes])
+            near = boxes_within(lo, hi, owner_lo, owner_hi, r)
+            for index in near.nonzero()[0].tolist():
+                q = owners[index]
+                if refine and not (
+                    points_near_box(own, owner_lo[index], owner_hi[index], r)
+                    and points_near_box(
+                        cell.posting_points(q, collection[q].points), lo, hi, r
+                    )
+                ):
+                    continue
                 found |= 1 << q
     return found.bit_count() - 1
+
+
+def skip_bound(
+    bigrid: BIGrid,
+    oid: int,
+    r: float,
+    seeds: Optional[UnionSeeds],
+    floor: Optional[Tuple[int, int]],
+) -> int:
+    """The bound the loop skips on, as the scorer contract defines it:
+    the box-only :func:`box_bound` if ``floor`` is None or the box bound
+    already puts ``oid`` below it, the refined one otherwise."""
+    bound = box_bound(bigrid, oid, r, seeds)
+    if floor is None or (bound, -oid) < floor:
+        return bound
+    return box_bound(bigrid, oid, r, seeds, refine=True)
 
 
 def bits_of(value: int) -> set:

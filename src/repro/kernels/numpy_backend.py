@@ -47,10 +47,12 @@ structures and results (the conformance suite enforces it):
   still settles one candidate at a time, and only a settle applies
   counters, memo rows and labels: scores computed past the break are
   discarded without a trace, and clock reads stay one per dequeue plus
-  one per visited group.  The loop's box-bound skips read
+  one per visited group.  The loop's skips read
   ``_BatchedVerifier.bounds``: per-segment boxes (one
   ``minimum/maximum.reduceat`` over the posting coordinates) tested
-  against each group's own box in flat slices, own cells first.
+  against each group's own box in flat slices, own cells first, then,
+  for the candidates the boxes do not skip, point-to-box tests on the
+  box-near pairs.
 * **Memory accounting** sizes every cell bitset and memoized adjacent
   union from its packed row (:func:`packed_bitset_bytes`: the EWAH, plain and
   Roaring ``size_in_bytes`` formulas evaluated over whole matrices), so
@@ -90,7 +92,7 @@ from repro.bitset.roaring import (
     CONTAINER_HEADER,
     RoaringBitset,
 )
-from repro.core.geometry import boxes_within
+from repro.core.geometry import box_gap_squared, boxes_within
 from repro.core.labels import GRID_BIT, UPPER_BIT
 from repro.core.lower_bound import LowerBoundResult, PackedSeeds
 from repro.core.upper_bound import Candidate, UpperBoundResult
@@ -1493,9 +1495,9 @@ class _BatchedVerifier:
     the blocks scored so far, and its ``B x n`` confirmed matrix within
     the same budget.
 
-    ``bounds(oids)`` gives the loop its box bounds, vectorized over a
-    batch of up to ``bound_capacity()`` candidates and without side
-    effects.
+    ``bounds(oids, floor)`` gives the loop its skip bounds, box-only or
+    refined, vectorized over a batch of up to ``bound_capacity()``
+    candidates and without side effects.
     """
 
     __slots__ = (
@@ -1592,14 +1594,16 @@ class _BatchedVerifier:
         valid.sum(axis=1).cumsum(out=cell_bounds[1:])
         return _ragged_arange(starts, sizes), seg_before.take(cell_bounds)
 
-    def _hits(self, coords, entry_point, entry_seg) -> np.ndarray:
-        """Whether point ``coords[entry_point[e]]`` lies within ``r`` of a
-        row of posting segment ``entry_seg[e]``, for every entry ``e``."""
+    def _segment_rows(self, segs):
+        """The posting rows of segments ``segs``, one after another, in
+        slices of whole segments with at most ``VERIFY_BATCH_PAIRS`` rows
+        (or one segment): yields ``(low, high, coords, sizes, offsets)``
+        for entries ``low:high``, their gathered coordinate rows, each
+        entry's row count and first row within the slice."""
         grid = self.large_grid
-        lengths = self.tables["seg_lengths"].take(entry_seg)
-        starts = grid.seg_bounds.take(entry_seg)
+        lengths = self.tables["seg_lengths"].take(segs)
+        starts = grid.seg_bounds.take(segs)
         ends = lengths.cumsum()
-        hits = np.empty(len(ends), dtype=bool)
         low = 0
         while low < len(ends):
             base = int(ends[low - 1]) if low else 0
@@ -1608,18 +1612,22 @@ class _BatchedVerifier:
                 int(ends.searchsorted(base + VERIFY_BATCH_PAIRS, side="right")),
             )
             sizes = lengths[low:high]
-            # The reference's ``candidate_points - point``, one pair per
-            # row (``take``: row gathers far cheaper than fancy indexing).
-            diff = grid.seg_coords.take(
+            # Row gathers with ``take``: far cheaper than fancy indexing.
+            coords = grid.seg_coords.take(
                 _ragged_arange(starts[low:high], sizes), axis=0
             )
+            yield low, high, coords, sizes, ends[low:high] - sizes - base
+            low = high
+
+    def _hits(self, coords, entry_point, entry_seg) -> np.ndarray:
+        """Whether point ``coords[entry_point[e]]`` lies within ``r`` of a
+        row of posting segment ``entry_seg[e]``, for every entry ``e``."""
+        hits = np.empty(len(entry_seg), dtype=bool)
+        for low, high, diff, sizes, offsets in self._segment_rows(entry_seg):
+            # The reference's ``candidate_points - point``, one pair per row.
             diff -= coords.take(np.repeat(entry_point[low:high], sizes), axis=0)
             squared = np.einsum("ij,ij->i", diff, diff)
-            hits[low:high] = (
-                np.minimum.reduceat(squared, ends[low:high] - sizes - base)
-                <= self.r_squared
-            )
-            low = high
+            hits[low:high] = np.minimum.reduceat(squared, offsets) <= self.r_squared
         return hits
 
     def _boxes(self) -> Tuple[np.ndarray, np.ndarray]:
@@ -1635,24 +1643,33 @@ class _BatchedVerifier:
             )
         return tables["boxes"]
 
-    def bounds(self, oids: List[int]) -> List[int]:
-        """Each candidate's box bound, equal to
-        :func:`repro.core.verification.box_bound` bit for bit.
+    def bounds(self, oids: List[int], floor=None) -> List[int]:
+        """Each candidate's skip bound: the box-only bound if ``floor``
+        is None; otherwise the box-only bound of a candidate it already
+        puts below the heap floor ``floor = (score, -oid)`` and the
+        refined bound of any other (the floor only rises, so a candidate
+        below it is skipped at every later dequeue too).  Each equals
+        :func:`repro.core.verification.box_bound` (``refine=False`` and
+        ``refine=True``) bit for bit.
 
         Owners are keyed by (candidate, object) as in :meth:`block`.
-        Neighbour cells whose bitset holds no owner outside the
-        candidate's seed are dropped; of the rest, every group's own cell
-        is tested first, then the rest of its ``3^d`` neighbourhood, in
-        slices that skip the owners found so far -- most owners near a
-        candidate share one of its cells.  Candidates are taken in runs whose ``groups x 3^d`` cell pairs
-        stay within ``VERIFY_BATCH_PAIRS``.  Reads the packed arrays
+        The box pass (:meth:`_mark_run`) takes candidates in runs whose
+        ``groups x 3^d`` cell pairs stay within ``VERIFY_BATCH_PAIRS`` and
+        returns the box-near pairs it tests.  The point-to-box tests then
+        run on those pairs of the candidates left to refine.  The box
+        pass stops testing an owner once one slice finds it near, so an
+        owner whose returned pairs all fail has its other pairs listed
+        and tested too (:meth:`_owner_pairs`).  Reads the packed arrays
         only: no memo row, label, counter or clock read."""
+        n = self.collection.n
         oid_array = np.array(oids, dtype=np.int64)
         found = self._seeded(oids, oid_array)
-        tables = self.tables
-        group_starts = tables["group_bounds"].take(oid_array)
-        group_counts = tables["group_bounds"].take(oid_array + 1) - group_starts
+        refined = None if floor is None else found.copy()
+        group_bounds = self.tables["group_bounds"]
+        group_starts = group_bounds.take(oid_array)
+        group_counts = group_bounds.take(oid_array + 1) - group_starts
         ends = (group_counts * len(self.neighbors)).cumsum()
+        near = None if floor is None else []
         low = 0
         while low < len(oids):
             top = int(ends[low - 1]) if low else 0
@@ -1664,14 +1681,125 @@ class _BatchedVerifier:
                 found.reshape(-1),
                 np.arange(low, high).repeat(group_counts[low:high]),
                 _ragged_arange(group_starts[low:high], group_counts[low:high]),
+                near,
             )
             low = high
-        return (found.sum(axis=1) - 1).tolist()
+        bound = found.sum(axis=1) - 1
+        if not near:
+            return bound.tolist()
+        score, neg_oid = floor
+        refine = (bound > score) | ((bound == score) & (-oid_array >= neg_oid))
+        if not refine.any():
+            return bound.tolist()
+        own, seg, key = (np.concatenate(column) for column in zip(*near))
+        keep = refine.take(key // n).nonzero()[0]
+        self._refine(refined, own.take(keep), seg.take(keep), key.take(keep))
+        doubtful = (found & ~refined & refine[:, None]).nonzero()
+        if len(doubtful[0]):
+            self._refine(refined, *self._owner_pairs(oid_array, *doubtful))
+        return np.where(refine, refined.sum(axis=1) - 1, bound).tolist()
 
-    def _mark_run(self, found, slot, group_index) -> None:
+    def _refine(self, refined, own, seg, key) -> None:
+        """Set ``refined`` for the owner key of every pair where some
+        point of group segment ``own[e]`` lies within ``r`` of segment
+        ``seg[e]``'s box and some point of ``seg[e]`` within ``r`` of
+        ``own[e]``'s box."""
+        near = self._points_near(
+            np.concatenate((own, seg)), np.concatenate((seg, own))
+        ).reshape(2, -1)
+        refined.reshape(-1)[key[near[0] & near[1]]] = True
+
+    def _owner_pairs(self, oid_array, slot, owner) -> Tuple:
+        """``(own segment, segment, owner key)`` of every pair of a group
+        of candidate slot ``slot[i]`` and a segment of object
+        ``owner[i]`` in the group's ``3^d`` neighbourhood whose boxes lie
+        within ``r``, for runs of ``(slot, owner)`` whose ``groups x
+        3^d`` lookups stay within ``VERIFY_BATCH_PAIRS``.  Object ``q``
+        reaches group ``g`` iff bit ``q`` of ``b_adj(g)`` is set, and has
+        a segment in cell ``c`` iff bit ``q`` of ``c``'s packed row is
+        set: ``c``'s first segment plus the set bits of the row below
+        ``q``."""
+        n = self.collection.n
+        grid = self.large_grid
+        tables = self.tables
+        words = grid.packed.shape[1]
+        if "word_rank" not in tables:
+            # Set bits of cell ``row``'s packed row before word ``w``, at
+            # ``row * words + w``.
+            counts = np.bitwise_count(grid.packed).astype(np.int64)
+            tables["word_rank"] = (counts.cumsum(axis=1) - counts).ravel()
+        adjacency, packed = grid.bulk_adjacency().reshape(-1), grid.packed.reshape(-1)
+        seg_lo, seg_hi = self._boxes()
+        group_bounds = tables["group_bounds"]
+        oids = oid_array.take(slot)
+        starts = group_bounds.take(oids)
+        counts = group_bounds.take(oids + 1) - starts
+        ends = (counts * len(self.neighbors)).cumsum()
+        out = []
+        low = 0
+        while low < len(slot):
+            top = int(ends[low - 1]) if low else 0
+            high = max(
+                low + 1,
+                int(ends.searchsorted(top + VERIFY_BATCH_PAIRS, side="right")),
+            )
+            sizes = counts[low:high]
+            group = _ragged_arange(starts[low:high], sizes)
+            objects = owner[low:high].repeat(sizes)
+            keys = (slot[low:high] * n + owner[low:high]).repeat(sizes)
+            low = high
+            rows = self.bigrid.group_flat.take(group)
+            word, bit = objects >> 6, (objects & 63).astype(np.uint64)
+            reach = (
+                (adjacency.take(rows * words + word) >> bit) & np.uint64(1)
+            ).nonzero()[0]
+            cells = self.neighbors.take(rows.take(reach), axis=1).ravel()
+            entry = (cells >= 0).nonzero()[0]
+            cell = cells.take(entry)
+            entry = reach.take(entry % max(1, len(reach)))
+            at = cell * words + word.take(entry)
+            value = packed.take(at)
+            bit = bit.take(entry)
+            hit = ((value >> bit) & np.uint64(1)).nonzero()[0]
+            entry, cell, at = entry.take(hit), cell.take(hit), at.take(hit)
+            segments = (
+                tables["cell_segs"].take(cell)
+                + tables["word_rank"].take(at)
+                + np.bitwise_count(
+                    value.take(hit) & ((np.uint64(1) << bit.take(hit)) - np.uint64(1))
+                )
+            )
+            own = self.bigrid.group_segments.take(group.take(entry))
+            within = boxes_within(
+                seg_lo.take(own, axis=0),
+                seg_hi.take(own, axis=0),
+                seg_lo.take(segments, axis=0),
+                seg_hi.take(segments, axis=0),
+                self.r,
+            )
+            out.append((own[within], segments[within], keys.take(entry)[within]))
+        return tuple(np.concatenate(column) for column in zip(*out))
+
+    def _points_near(self, point_segs, box_segs) -> np.ndarray:
+        """Whether some point of segment ``point_segs[e]`` lies within
+        ``r`` of segment ``box_segs[e]``'s box, for every entry ``e``
+        (:func:`repro.core.geometry.points_near_box`, row for row)."""
+        seg_lo, seg_hi = self._boxes()
+        near = np.empty(len(point_segs), dtype=bool)
+        for low, high, coords, sizes, offsets in self._segment_rows(point_segs):
+            boxes = box_segs[low:high].repeat(sizes)
+            gap = box_gap_squared(
+                coords, coords, seg_lo.take(boxes, axis=0), seg_hi.take(boxes, axis=0)
+            )
+            near[low:high] = np.minimum.reduceat(gap, offsets) <= self.r_squared
+        return near
+
+    def _mark_run(self, found, slot, group_index, near=None) -> None:
         """Set ``found`` for every owner with a posting segment within
         ``r`` of one of groups ``group_index`` (of candidate slots
-        ``slot``), in its ``3^d`` neighbourhood.
+        ``slot``), in its ``3^d`` neighbourhood.  If ``near`` is a list,
+        append to it the ``(own segment, segment, owner key)`` arrays of
+        the near pairs tested, one triple per slice.
 
         Box pairs are listed neighbour-major, so every group's own cell
         comes first, and tested in slices whose gathered corner rows
@@ -1730,6 +1858,8 @@ class _BatchedVerifier:
                 self.r,
             )
             found[keys[within]] = True
+            if near is not None:
+                near.append((own.take(mine[within]), segments[within], keys[within]))
 
     def bound_capacity(self) -> int:
         """The most candidates one :meth:`bounds` call may hold: its

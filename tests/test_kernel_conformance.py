@@ -22,6 +22,7 @@ from repro.core.engine import MIOEngine
 from repro.core.labels import GRID_BIT, UPPER_BIT, PointLabels
 from repro.core.objects import ObjectCollection
 from repro.core.query import PhaseStats
+from repro.core import verification
 from repro.core.verification import (
     PerCandidateScorer,
     VerifyCounters,
@@ -1076,21 +1077,30 @@ class TestVerifyBlockConformance:
         assert_labeled_verifications_equal(ref, got)
 
 
-def tie_case(k, skipped_oid_smaller):
+def tie_case(k, skipped_oid_smaller, refined=False):
     """A collection where, with the heap full, a candidate's box bound
     equals the k-th best score, and a hand-built queue reaching it.
 
     ``k + 1`` single-point objects sit in one tight cluster (each scores
     ``k``), and the queue opens with ``k`` of them.  Object ``B`` has two
     points at opposite corners of one large cell (r = 0.5, width 1):
-    ``k`` single-point objects ``Q`` sit inside its box but beyond ``r``
-    of both points.  So ``B`` scores 0 but its box bound is ``k``, and
-    each ``Q`` scores ``k - 1`` with box bound ``k``.  ``B`` is given the
+    ``k`` objects ``Q`` sit inside its box but beyond ``r`` of both
+    points.  So ``B`` scores 0 but its box bound is ``k``, and each ``Q``
+    scores ``k - 1`` with box bound ``k``.  A single-point ``Q`` is also
+    beyond ``r`` of ``B``'s box points, so ``B``'s refined bound is 0;
+    with ``refined``, each ``Q`` gets a second point, mirrored across the
+    diagonal, which stretches its box to within ``r`` of ``B``'s corner
+    and keeps ``B``'s refined bound at ``k``.  ``B`` is given the
     smallest oid, or the largest.  Returns ``(collection, r, candidates,
     b_oid)``.
     """
     cluster = [np.array([[20.5 + 0.05 * i, 20.5]]) for i in range(k + 1)]
-    inner = [np.array([[0.9 - 0.02 * i, 0.1 + 0.02 * i]]) for i in range(k)]
+    inner = []
+    for i in range(k):
+        points = [[0.9 - 0.02 * i, 0.1 + 0.02 * i]]
+        if refined:
+            points.append([0.1 + 0.02 * i, 0.9 - 0.02 * i])
+        inner.append(np.array(points))
     box = [np.array([[0.05, 0.05], [0.95, 0.95]])]
     objects = box + cluster + inner if skipped_oid_smaller else cluster + inner + box
     collection = ObjectCollection.from_point_arrays(objects)
@@ -1159,7 +1169,7 @@ class TestBoxSkipConformance:
                 lambda oid: _exact_score(
                     grid, oid, BLOCK_R, None, None, None, counters
                 ),
-                lambda oids: [collection.n - 1] * len(oids),
+                lambda oids, floor: [collection.n - 1] * len(oids),
             ),
             counters,
         )
@@ -1203,6 +1213,97 @@ class TestBoxSkipConformance:
                 assert ref[0].settled == full.settled[: len(ref[0].settled)]
                 cuts_on_skipped += ref[2][-1] in skipped
         assert cuts_on_skipped > 0
+
+
+class _RefineAlways:
+    """Refine every skip bound, whatever the first scores cost."""
+
+    @pytest.fixture(autouse=True)
+    def refine_always(self, monkeypatch):
+        monkeypatch.setattr(verification, "REFINE_MIN_ROWS", 0)
+
+
+@needs_numpy
+class TestRefinedVerifyConformance(_RefineAlways, _VerifyCasesBySize):
+    """The size-dependent verify cases with refined skip bounds: box skips,
+    settled prefixes, counters, Labeling-3 marks and deadline cuts stay
+    bit-exact across kernels and bitset backends."""
+
+    @pytest.fixture
+    def n(self):
+        return 40
+
+    def test_refinement_skips_more(self, monkeypatch):
+        # Guard against vacuity: on this case the refined bounds skip
+        # candidates the box bounds verify, and nothing else moves.
+        collection = random_collection(n=60, mean_points=8, seed=11)
+        refined = run_verify(numpy_kernel(), collection, 6.0, seed_bitsets=True)
+        assert_verifications_equal(
+            run_verify(PYTHON_KERNEL, collection, 6.0, seed_bitsets=True), refined
+        )
+        monkeypatch.setattr(verification, "REFINE_MIN_ROWS", float("inf"))
+        boxed = run_verify(numpy_kernel(), collection, 6.0, seed_bitsets=True)
+        assert refined[0].box_skipped > boxed[0].box_skipped
+        assert refined[0].ranking == boxed[0].ranking
+        assert refined[2] == boxed[2]
+        assert (
+            refined[0].verified + refined[0].box_skipped
+            == boxed[0].verified + boxed[0].box_skipped
+        )
+
+
+@needs_numpy
+class TestRefinedVerifyMultiWordConformance(_RefineAlways, _VerifyCasesBySize):
+    """The size-dependent verify cases over two-word bitsets, refined."""
+
+    @pytest.fixture
+    def n(self):
+        return 90
+
+
+@needs_numpy
+class TestRefinedBlockConformance(_RefineAlways, TestVerifyBlockConformance):
+    """The block cases (breaks and deadlines inside a block) with refined
+    skip bounds."""
+
+
+@needs_numpy
+class TestRefinedSkipConformance(_RefineAlways):
+    """The tie rule on refined bounds: a refined bound equal to the k-th
+    best score is verified with a smaller oid and skipped with a larger
+    one, and a refined skip moves no answer, threshold or clock read."""
+
+    @pytest.mark.parametrize("k", [1, 5])
+    @pytest.mark.parametrize("smaller", [True, False])
+    def test_refined_bound_tied_with_the_kth_best(self, k, smaller):
+        collection, r, queue, b_oid = tie_case(k, smaller, refined=True)
+        ref = run_verify(PYTHON_KERNEL, collection, r, k=k, candidates=list(queue))
+        got = run_verify(numpy_kernel(), collection, r, k=k, candidates=list(queue))
+        assert_verifications_equal(ref, got)
+        assert ref[0].settled == got[0].settled
+        grid = PYTHON_KERNEL.build_bigrid(collection, r)
+        assert box_bound(grid, b_oid, r, refine=True) == k
+        assert ((b_oid, 0) in ref[0].settled) == smaller
+        assert ref[0].verified == k + smaller
+        assert [score for _, score in ref[0].ranking] == [k] * k
+
+    @pytest.mark.parametrize("k", [1, 5])
+    def test_single_point_neighbours_are_refined_away(self, k):
+        # The box-only tie case: B's refined bound is 0, so B is skipped
+        # whatever its oid.
+        collection, r, queue, b_oid = tie_case(k, skipped_oid_smaller=True)
+        ref = run_verify(PYTHON_KERNEL, collection, r, k=k, candidates=list(queue))
+        got = run_verify(numpy_kernel(), collection, r, k=k, candidates=list(queue))
+        assert_verifications_equal(ref, got)
+        assert box_bound(PYTHON_KERNEL.build_bigrid(collection, r), b_oid, r, refine=True) == 0
+        assert b_oid not in {oid for oid, _ in ref[0].settled}
+
+    test_skips_move_nothing_but_the_skipped = (
+        TestBoxSkipConformance.test_skips_move_nothing_but_the_skipped
+    )
+    test_deadline_sweep_cuts_on_skipped_candidates = (
+        TestBoxSkipConformance.test_deadline_sweep_cuts_on_skipped_candidates
+    )
 
 
 # ----------------------------------------------------------------------
