@@ -62,7 +62,7 @@ class PointLabels:
 
     @classmethod
     def for_collection(cls, collection: ObjectCollection, r: float) -> "PointLabels":
-        return cls([obj.num_points for obj in collection], r)
+        return cls(collection.point_counts, r)
 
     @classmethod
     def from_arrays(cls, arrays: Sequence[np.ndarray], r: float) -> "PointLabels":
@@ -169,13 +169,10 @@ def labels_match_collection(labels: "PointLabels", collection: ObjectCollection)
 
     Labels are positional, so a store from a different (or mutated)
     collection must never be consumed; both engines check this on load.
+    One array compare: each object's label count is the step between its
+    offsets.
     """
-    if len(labels.arrays) != collection.n:
-        return False
-    return all(
-        len(array) == obj.num_points
-        for array, obj in zip(labels.arrays, collection)
-    )
+    return np.array_equal(np.diff(labels.offsets), collection.point_counts)
 
 
 class LabelStore:

@@ -83,10 +83,11 @@ class ObjectCollection:
     """An immutable, memory-resident collection ``O`` of spatial objects.
 
     Object ids are the positions in the collection (``0 .. n-1``), which is
-    what the per-cell bitsets index.
+    what the per-cell bitsets index.  ``point_counts`` holds every
+    object's ``|P_i|`` as a read-only int64 array, counted once.
     """
 
-    __slots__ = ("objects", "dimension")
+    __slots__ = ("objects", "dimension", "point_counts")
 
     def __init__(self, objects: Sequence[SpatialObject]) -> None:
         objects = list(objects)
@@ -111,6 +112,11 @@ class ObjectCollection:
                 )
         self.objects: List[SpatialObject] = objects
         self.dimension = dimension
+        counts = np.fromiter(
+            (obj.num_points for obj in objects), dtype=np.int64, count=len(objects)
+        )
+        counts.flags.writeable = False
+        self.point_counts = counts
 
     # ------------------------------------------------------------------
     # Construction helpers
@@ -153,7 +159,7 @@ class ObjectCollection:
     @property
     def total_points(self) -> int:
         """``nm``: total number of points across all objects."""
-        return sum(obj.num_points for obj in self.objects)
+        return int(self.point_counts.sum())
 
     @property
     def mean_points(self) -> float:

@@ -93,7 +93,7 @@ from repro.bitset.roaring import (
     RoaringBitset,
 )
 from repro.core.geometry import box_gap_squared, boxes_within
-from repro.core.labels import GRID_BIT, UPPER_BIT
+from repro.core.labels import GRID_BIT, UPPER_BIT, VERIFY_BIT, PointLabels
 from repro.core.lower_bound import LowerBoundResult, PackedSeeds
 from repro.core.upper_bound import Candidate, UpperBoundResult
 from repro.core.verification import Settle, VerifyCounters, best_first_verification
@@ -150,7 +150,12 @@ _ALL_ONES = np.uint64(0xFFFFFFFFFFFFFFFF)
 _ROARING_CHUNK_WORDS = CHUNK_SIZE // 64
 
 
-def _ewah_bytes(words: np.ndarray) -> int:
+def _counter(per_row: bool):
+    """``count_nonzero`` over a whole 2-D mask, or per row."""
+    return partial(np.count_nonzero, axis=1) if per_row else np.count_nonzero
+
+
+def _ewah_bytes(words: np.ndarray, per_row: bool = False):
     """Stream bytes (markers + dirty words) of every row's EWAH encoding.
 
     ``from_int`` opens a marker at each clean word (all zeros or all ones)
@@ -160,26 +165,27 @@ def _ewah_bytes(words: np.ndarray) -> int:
     marker only splits past 2^32 clean or 2^31 dirty words, far wider
     than any row of ``n`` bits can be.
     """
+    count = _counter(per_row)
     clean = (words == 0) | (words == _ALL_ONES)
     run_starts = clean.copy()
     run_starts[:, 1:] &= words[:, 1:] != words[:, :-1]
     dirty = ~clean
     markers = (
-        int(np.count_nonzero(run_starts))
-        - int(np.count_nonzero(words[:, -1] == 0))
-        + int(np.count_nonzero(dirty[:, 0]))
+        count(run_starts) - count(words[:, -1:] == 0) + count(dirty[:, :1])
     )
-    return 8 * (markers + int(np.count_nonzero(dirty)))
+    sizes = 8 * (markers + count(dirty))
+    return sizes if per_row else int(sizes)
 
 
-def _plain_bytes(words: np.ndarray) -> int:
-    """Whole words up to each row's highest set bit, summed over rows."""
+def _plain_bytes(words: np.ndarray, per_row: bool = False):
+    """Whole words up to each row's highest set bit."""
     nonzero = words != 0
     last = words.shape[1] - np.argmax(nonzero[:, ::-1], axis=1)
-    return 8 * int(np.where(nonzero.any(axis=1), last, 0).sum())
+    sizes = 8 * np.where(nonzero.any(axis=1), last, 0)
+    return sizes if per_row else int(sizes.sum())
 
 
-def _roaring_bytes(words: np.ndarray) -> int:
+def _roaring_bytes(words: np.ndarray, per_row: bool = False):
     """Container bytes of every row's Roaring encoding.
 
     Per non-empty 1024-word chunk: the header plus the cheapest of an
@@ -204,7 +210,8 @@ def _roaring_bytes(words: np.ndarray) -> int:
     payload = np.where(
         cards <= ARRAY_LIMIT, np.minimum(payload, 2 * cards), payload
     )
-    return int(np.where(cards > 0, CONTAINER_HEADER + payload, 0).sum())
+    sizes = np.where(cards > 0, CONTAINER_HEADER + payload, 0)
+    return sizes.sum(axis=1) if per_row else int(sizes.sum())
 
 
 #: ``size_in_bytes`` of each registered bitset backend, over packed rows.
@@ -215,16 +222,19 @@ _PACKED_BYTES = {
 }
 
 
-def packed_bitset_bytes(bitset_cls, words: np.ndarray) -> int:
+def packed_bitset_bytes(bitset_cls, words: np.ndarray, per_row: bool = False):
     """``sum(bitset_cls.from_int(row).size_in_bytes())`` over packed rows.
 
     Memory accounting for numpy-built grids: the same sizes the bitset
     classes report, evaluated in bulk over a ``(rows, words)`` uint64
     matrix (word ``i`` holds bits ``64i..64i+63``) so no bitset is built.
+    With ``per_row`` the result is each row's size, an int64 array (about
+    ten times slower than the total on narrow rows: the resident memo
+    sizes each adjacency row once, the total path sizes whole matrices).
     """
     if words.shape[0] == 0:
-        return 0
-    return _PACKED_BYTES[bitset_cls](words)
+        return np.zeros(0, dtype=np.int64) if per_row else 0
+    return _PACKED_BYTES[bitset_cls](words, per_row)
 
 
 def encode_keys(keys: np.ndarray) -> Optional[Tuple[np.ndarray, np.ndarray]]:
@@ -300,15 +310,80 @@ class _GridTables:
     on the grid's immutable arrays alone and are lookup aids, not index
     structures, so ``memory_bytes`` charges none of them.  Whichever view
     needs one first computes it; two concurrent first computations store
-    equal values, so the last store wins harmlessly.
+    equal values, so the last store wins harmlessly.  ``memo`` is the
+    resident grid's :class:`_ResidentMemo`, made by the first
+    :meth:`PackedBIGrid.view`: a grid that is never viewed memoizes
+    nothing.
     """
 
-    __slots__ = ("adjacency", "neighbors", "verify")
+    __slots__ = ("adjacency", "neighbors", "verify", "memo")
 
     def __init__(self) -> None:
         self.adjacency: Optional[np.ndarray] = None
         self.neighbors: Optional[np.ndarray] = None
         self.verify: Optional[dict] = None
+        self.memo: Optional[_ResidentMemo] = None
+
+
+class _ResidentMemo:
+    """What a query on a resident grid computes but cannot change.
+
+    * ``upper``: the last :class:`_UpperPass` of a query that armed no
+      labeler, valid for the label object it was run under;
+    * ``bounds``: ``(seeds, r, box, refined)``, each candidate's box-only
+      and refined skip bound (int64 per oid, -1 until first computed),
+      valid for that seeds object and ``r``;
+    * ``small_bytes`` / ``large_bytes``: the encoded size of every cell
+      bitset of each grid;
+    * ``adj_bytes``: each adjacency row's encoded size (-1 until a view
+      first sizes it).
+
+    Every value is a pure function of the grid and its key, so whichever
+    view computes one first stores it.  Arrays are replaced, never
+    written in place: concurrent stores are equal, and the last one wins.
+    The memo lives and dies with the grid, under the resident tier's LRU.
+    """
+
+    __slots__ = ("upper", "bounds", "small_bytes", "large_bytes", "adj_bytes")
+
+    def __init__(self) -> None:
+        self.upper: Optional[_UpperPass] = None
+        self.bounds: Optional[Tuple] = None
+        self.small_bytes: Optional[int] = None
+        self.large_bytes: Optional[int] = None
+        self.adj_bytes: Optional[np.ndarray] = None
+
+
+class _UpperPass:
+    """One upper-bounding pass that armed no labeler, kept for replay.
+
+    ``values`` are the per-object upper bounds, ``visited`` the rows the
+    pass memoizes (None: every row) and ``groups`` the groups it
+    processed.  ``ranked`` lists every ``(upper, oid)`` in candidate
+    order, built on the first replay: a pass is re-filtered per query,
+    since the pruning threshold depends on ``k``.
+    """
+
+    __slots__ = ("labels", "values", "visited", "groups", "ranked")
+
+    def __init__(self, labels, values, visited, groups) -> None:
+        self.labels = labels
+        self.values = values
+        self.visited = visited
+        self.groups = groups
+        self.ranked: Optional[Tuple[np.ndarray, List[Candidate]]] = None
+
+    def candidates(self, threshold: int) -> List[Candidate]:
+        """The candidates at this pruning threshold, in queue order."""
+        ranked = self.ranked
+        if ranked is None:
+            negated = -np.array(self.values, dtype=np.int64)
+            order = np.argsort(negated, kind="stable")
+            negated = negated[order]
+            ranked = (negated, list(zip((-negated).tolist(), order.tolist())))
+            self.ranked = ranked
+        negated, entries = ranked
+        return entries[: int(negated.searchsorted(-threshold, side="right"))]
 
 
 class _Adjacency:
@@ -395,16 +470,19 @@ class PackedSmallGrid(SmallGrid):
     first and last oid sit at the ends of its run.  The vectorized phases
     read only these arrays; the inherited ``cells`` slot stays unset until
     something asks for it (:meth:`__getattr__`), and then holds the
-    reference build's cells, listed in ascending key order.
+    reference build's cells, listed in ascending key order.  A view of a
+    resident grid reads its bitset bytes from the grid's ``memo``.
     """
 
-    __slots__ = ARRAYS = ("packed", "key_rows", "cell_objects", "pair_oid")
+    ARRAYS = ("packed", "key_rows", "cell_objects", "pair_oid")
+    __slots__ = ARRAYS + ("memo",)
 
     def __init__(self, width: float, dimension: int, bitset_cls) -> None:
         # Deliberately skip the parent __init__: ``cells`` stays unset.
         self.width = width
         self.dimension = dimension
         self.bitset_cls = bitset_cls
+        self.memo: Optional[_ResidentMemo] = None
 
     def __getattr__(self, name: str):
         if name != "cells":
@@ -413,10 +491,12 @@ class PackedSmallGrid(SmallGrid):
         self.cells = cells
         return cells
 
-    def view(self) -> "PackedSmallGrid":
-        """The same arrays, with cells of its own still unmaterialized."""
+    def view(self, memo: "_ResidentMemo") -> "PackedSmallGrid":
+        """The same arrays and resident ``memo``, with cells of its own
+        still unmaterialized."""
         view = PackedSmallGrid(self.width, self.dimension, self.bitset_cls)
         _share(self, view)
+        view.memo = memo
         return view
 
     def _materialize_cells(self) -> Dict:
@@ -442,7 +522,12 @@ class PackedSmallGrid(SmallGrid):
 
     def bitset_bytes(self) -> int:
         # Row ``i`` is cell ``i``'s bitset: size the rows, build nothing.
-        return packed_bitset_bytes(self.bitset_cls, self.packed)
+        memo = self.memo
+        if memo is None:
+            return packed_bitset_bytes(self.bitset_cls, self.packed)
+        if memo.small_bytes is None:
+            memo.small_bytes = packed_bitset_bytes(self.bitset_cls, self.packed)
+        return memo.small_bytes
 
 
 class PackedLargeGrid(LargeGrid):
@@ -642,7 +727,12 @@ class PackedLargeGrid(LargeGrid):
     # terms, with no cell bitset or adjacent union materialized.
 
     def bitset_bytes(self) -> int:
-        return packed_bitset_bytes(self.bitset_cls, self.packed)
+        resident = self.tables.memo
+        if resident is None:
+            return packed_bitset_bytes(self.bitset_cls, self.packed)
+        if resident.large_bytes is None:
+            resident.large_bytes = packed_bitset_bytes(self.bitset_cls, self.packed)
+        return resident.large_bytes
 
     def adjacency_bytes(self) -> int:
         # The memoized unions only, as the reference sizes them.
@@ -650,9 +740,23 @@ class PackedLargeGrid(LargeGrid):
         if not memo.any():
             return 0
         words = self._adjacency.words
-        return packed_bitset_bytes(
-            self.bitset_cls, words if memo.all() else words[memo]
-        )
+        resident = self.tables.memo
+        if resident is None:
+            return packed_bitset_bytes(
+                self.bitset_cls, words if memo.all() else words[memo]
+            )
+        # A resident grid sizes each row once, for every view.
+        sizes = resident.adj_bytes
+        if sizes is None:
+            sizes = np.full(len(memo), -1, dtype=np.int64)
+        missing = memo & (sizes < 0)
+        if missing.any():
+            sizes = sizes.copy()
+            sizes[missing] = packed_bitset_bytes(
+                self.bitset_cls, words[missing], per_row=True
+            )
+            resident.adj_bytes = sizes
+        return int(sizes[memo].sum())
 
     def posting_counts(self) -> Tuple[int, int]:
         # One posting list per (cell, oid) segment.
@@ -711,11 +815,15 @@ class PackedBIGrid(BIGrid):
     def view(self) -> "PackedBIGrid":
         """A per-query view: the same immutable arrays and shared tables,
         with per-query state (adjacency memo, cells, key lists, groups) of
-        its own, as after a fresh build."""
+        its own, as after a fresh build.  The first view gives the grid
+        its :class:`_ResidentMemo`."""
+        tables = self.large_grid.tables
+        if tables.memo is None:
+            tables.memo = _ResidentMemo()
         view = PackedBIGrid(
             self.collection,
             self.r,
-            self.small_grid.view(),
+            self.small_grid.view(tables.memo),
             self.large_grid.view(),
             self.mapped_points,
         )
@@ -845,9 +953,8 @@ class NumpyKernel(KernelBackend):
         # Every object's points, concatenated once in oid-major scan order,
         # with each point's oid and index within its object.
         checkpoint(deadline, "grid_mapping")
-        blocks = [obj.points for obj in collection]
-        sizes = np.fromiter(map(len, blocks), np.int64, n)
-        points = np.concatenate(blocks)
+        sizes = collection.point_counts
+        points = np.concatenate([obj.points for obj in collection])
         oids = np.repeat(np.arange(n, dtype=np.int64), sizes)
         point_idx = np.arange(len(oids), dtype=np.int64) - np.repeat(
             np.cumsum(sizes) - sizes, sizes
@@ -1144,24 +1251,30 @@ class NumpyKernel(KernelBackend):
         large_grid = bigrid.large_grid
         n = bigrid.collection.n
         checkpoint(deadline, "upper_bounding")
+        resident = large_grid.tables.memo if labeler is None else None
+        if resident is not None:
+            replay = resident.upper
+            if replay is not None and replay.labels is labels:
+                return _replay_upper_pass(
+                    replay, large_grid.adj_memo, n, tau_max_low, stats, deadline
+                )
 
         # b_adj for every cell at once.  The matrix stays on the grid;
         # per-cell ``adj_int`` big ints resolve lazily from its rows only
         # if verification actually reads them.
         adjacency = large_grid.bulk_adjacency()
-        memo = large_grid.adj_memo
         if labels is None and labeler is None:
             # Every group is processed, so the reference pass unions every
-            # cell it has not already memoized (each holds a posting).
-            fresh_unions = len(memo) - int(np.count_nonzero(memo))
-            memo[:] = True
+            # cell (each holds a posting).
+            visited = None
             flat = bigrid.group_flat
             counts = bigrid.group_counts
             group_words = adjacency[flat]
         else:
-            flat, counts, group_words, fresh_unions = _labeled_upper_pass(
+            flat, counts, group_words, visited = _labeled_upper_pass(
                 bigrid, adjacency, labels, labeler
             )
+        fresh_unions = _memoize_rows(large_grid.adj_memo, visited)
 
         groups_processed = int(flat.shape[0])
         nonzero = np.flatnonzero(counts)
@@ -1189,11 +1302,11 @@ class NumpyKernel(KernelBackend):
                 candidates.append((upper, oid))
 
         candidates.sort(key=lambda entry: (-entry[0], entry[1]))
-        if stats is not None:
-            stats.set_count("upper_groups_processed", groups_processed)
-            stats.set_count("adj_unions_computed", fresh_unions)
-            stats.set_count("candidates", len(candidates))
-            stats.set_count("pruned_objects", bigrid.collection.n - len(candidates))
+        if resident is not None:
+            resident.upper = _UpperPass(
+                labels, tuple(values), visited, groups_processed
+            )
+        _upper_counts(stats, groups_processed, fresh_unions, len(candidates), n)
         return UpperBoundResult(candidates=candidates, values=values)
 
     # ------------------------------------------------------------------
@@ -1256,6 +1369,43 @@ class NumpyKernel(KernelBackend):
         return False
 
 
+def _memoize_rows(memo: np.ndarray, visited: Optional[np.ndarray]) -> int:
+    """Mark the rows a pass visits (None: every row) as memoized, in
+    place; returns how many were not memoized before: the pass's fresh
+    unions."""
+    if visited is None:
+        fresh = len(memo) - int(np.count_nonzero(memo))
+        memo[:] = True
+    else:
+        fresh = int(np.count_nonzero(visited & ~memo))
+        memo |= visited
+    return fresh
+
+
+def _upper_counts(stats, groups: int, fresh: int, candidates: int, n: int) -> None:
+    if stats is not None:
+        stats.set_count("upper_groups_processed", groups)
+        stats.set_count("adj_unions_computed", fresh)
+        stats.set_count("candidates", candidates)
+        stats.set_count("pruned_objects", n - candidates)
+
+
+def _replay_upper_pass(replay, memo, n, tau_max_low, stats, deadline):
+    """An upper-bounding pass on a resident grid, from its memo.
+
+    The pass's effects on this view, in the pass's order: its rows
+    memoized, then one clock read per object under a deadline, then
+    its counters; the candidates are re-filtered for ``tau_max_low``.
+    """
+    fresh = _memoize_rows(memo, replay.visited)
+    if deadline is not None:
+        for _ in range(n):
+            checkpoint(deadline, "upper_bounding")
+    candidates = replay.candidates(tau_max_low)
+    _upper_counts(stats, replay.groups, fresh, len(candidates), n)
+    return UpperBoundResult(candidates=candidates, values=list(replay.values))
+
+
 def _labeled_upper_pass(bigrid, adjacency, labels, labeler):
     """Group selection and Labeling-1/2 of one upper-bounding pass.
 
@@ -1275,9 +1425,11 @@ def _labeled_upper_pass(bigrid, adjacency, labels, labeler):
       union of its object's earlier processed groups clears
       ``UPPER_BIT`` on all its points, any other on all but the first.
 
-    Returns ``(rows, counts, group_words, fresh_unions)``: the cell rows
-    of the processed groups in group order, processed groups per object,
-    their adjacency rows, and the number of unions memoized fresh.
+    Returns ``(rows, counts, group_words, visited)``: the cell rows of
+    the processed groups in group order, processed groups per object,
+    their adjacency rows, and a flag per cell row: whether a processed
+    group lies in it.  The caller memoizes the visited rows; Labeling-1
+    reads the rows the view had not memoized yet.
     """
     large_grid = bigrid.large_grid
     n = bigrid.collection.n
@@ -1308,11 +1460,9 @@ def _labeled_upper_pass(bigrid, adjacency, labels, labeler):
     memo = large_grid.adj_memo
     visited = np.zeros(len(memo), dtype=bool)
     visited[rows] = True
-    fresh = visited & ~memo
-    memo |= visited
 
     if labeler is not None:
-        fresh_rows = np.flatnonzero(fresh)
+        fresh_rows = np.flatnonzero(visited & ~memo)
         lone = fresh_rows[np.bitwise_count(adjacency[fresh_rows]).sum(axis=1) == 1]
         if len(lone):
             lone_cells = np.zeros(len(memo), dtype=bool)
@@ -1327,7 +1477,7 @@ def _labeled_upper_pass(bigrid, adjacency, labels, labeler):
         cleared = np.repeat(cleared, seg_lengths)
         cleared[seg_starts[segments[changed]]] = False
         labeler.clear_flat(UPPER_BIT, point_flat[cleared])
-    return rows, counts, group_words, int(np.count_nonzero(fresh))
+    return rows, counts, group_words, visited
 
 
 def _extends_prefix(group_words: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -1360,6 +1510,14 @@ def _ragged_arange(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     empty."""
     ends = counts.cumsum()
     return np.arange(ends[-1]) + (starts - ends + counts).repeat(counts)
+
+
+def _above(bound: np.ndarray, oid_array: np.ndarray, floor) -> np.ndarray:
+    """Whether each candidate's ``(bound, -oid)`` is not below the heap
+    floor ``floor = (score, -oid)``: the candidates whose skip bound is
+    the refined one."""
+    score, neg_oid = floor
+    return (bound > score) | ((bound == score) & (-oid_array >= neg_oid))
 
 
 def first_hit_scan(
@@ -1508,6 +1666,7 @@ class _BatchedVerifier:
         "r_squared",
         "seeds",
         "verify_masks",
+        "flat_mask",
         "labeler",
         "counters",
         "deadline",
@@ -1536,6 +1695,7 @@ class _BatchedVerifier:
         self.r_squared = r * r
         self.seeds = seeds
         self.verify_masks = verify_masks
+        self.flat_mask: Optional[np.ndarray] = None
         self.labeler = labeler
         self.counters = counters
         self.deadline = deadline
@@ -1650,7 +1810,53 @@ class _BatchedVerifier:
         refined bound of any other (the floor only rises, so a candidate
         below it is skipped at every later dequeue too).  Each equals
         :func:`repro.core.verification.box_bound` (``refine=False`` and
-        ``refine=True``) bit for bit.
+        ``refine=True``) bit for bit.  On a resident grid both bounds
+        are read from its memo once some query computed them for these
+        seeds (:meth:`_memo_bounds`).  Reads the packed arrays only: no
+        memo row, label, counter or clock read."""
+        oid_array = np.array(oids, dtype=np.int64)
+        resident = self.large_grid.tables.memo
+        if resident is None:
+            box, refined = self._bounds(oid_array, floor)
+        else:
+            box, refined = self._memo_bounds(resident, oid_array, floor)
+        if floor is None:
+            return box.tolist()
+        return np.where(_above(box, oid_array, floor), refined, box).tolist()
+
+    def _memo_bounds(self, resident, oid_array, floor) -> Tuple:
+        """:meth:`_bounds` through the resident memo: only candidates
+        whose box bound, or (above ``floor``) refined bound, no query has
+        computed yet for these seeds and ``r`` are bounded here."""
+        memo = resident.bounds
+        if memo is None or memo[0] is not self.seeds or memo[1] != self.r:
+            unknown = np.full(self.collection.n, -1, dtype=np.int64)
+            memo = (self.seeds, self.r, unknown, unknown)
+        box_memo, refined_memo = memo[2], memo[3]
+        box = box_memo.take(oid_array)
+        refined = refined_memo.take(oid_array)
+        missing = box < 0
+        if floor is not None:
+            missing |= (refined < 0) & _above(box, oid_array, floor)
+        if missing.any():
+            rows = missing.nonzero()[0]
+            fill = oid_array.take(rows)
+            fill_box, fill_refined = self._bounds(fill, floor)
+            box[rows] = fill_box
+            box_memo = box_memo.copy()
+            box_memo[fill] = fill_box
+            if fill_refined is not None:
+                done = (fill_refined >= 0).nonzero()[0]
+                refined[rows.take(done)] = fill_refined.take(done)
+                refined_memo = refined_memo.copy()
+                refined_memo[fill.take(done)] = fill_refined.take(done)
+            resident.bounds = (self.seeds, self.r, box_memo, refined_memo)
+        return box, refined
+
+    def _bounds(self, oid_array, floor) -> Tuple:
+        """``(box, refined)``: each candidate's box-only bound and, if
+        ``floor`` is not None, its refined bound where the box bound does
+        not put it below the floor (-1 elsewhere; None without a floor).
 
         Owners are keyed by (candidate, object) as in :meth:`block`.
         The box pass (:meth:`_mark_run`) takes candidates in runs whose
@@ -1659,11 +1865,10 @@ class _BatchedVerifier:
         run on those pairs of the candidates left to refine.  The box
         pass stops testing an owner once one slice finds it near, so an
         owner whose returned pairs all fail has its other pairs listed
-        and tested too (:meth:`_owner_pairs`).  Reads the packed arrays
-        only: no memo row, label, counter or clock read."""
+        and tested too (:meth:`_owner_pairs`)."""
         n = self.collection.n
-        oid_array = np.array(oids, dtype=np.int64)
-        found = self._seeded(oids, oid_array)
+        count = len(oid_array)
+        found = self._seeded(oid_array)
         refined = None if floor is None else found.copy()
         group_bounds = self.tables["group_bounds"]
         group_starts = group_bounds.take(oid_array)
@@ -1671,7 +1876,7 @@ class _BatchedVerifier:
         ends = (group_counts * len(self.neighbors)).cumsum()
         near = None if floor is None else []
         low = 0
-        while low < len(oids):
+        while low < count:
             top = int(ends[low - 1]) if low else 0
             high = max(
                 low + 1,
@@ -1685,19 +1890,20 @@ class _BatchedVerifier:
             )
             low = high
         bound = found.sum(axis=1) - 1
-        if not near:
-            return bound.tolist()
-        score, neg_oid = floor
-        refine = (bound > score) | ((bound == score) & (-oid_array >= neg_oid))
-        if not refine.any():
-            return bound.tolist()
+        if floor is None:
+            return bound, None
+        refine = _above(bound, oid_array, floor)
+        if not (near and refine.any()):
+            # With no near pair, nothing was found beyond the seeds: the
+            # refined bound is the box bound.
+            return bound, np.where(refine, bound, -1)
         own, seg, key = (np.concatenate(column) for column in zip(*near))
         keep = refine.take(key // n).nonzero()[0]
         self._refine(refined, own.take(keep), seg.take(keep), key.take(keep))
         doubtful = (found & ~refined & refine[:, None]).nonzero()
         if len(doubtful[0]):
             self._refine(refined, *self._owner_pairs(oid_array, *doubtful))
-        return np.where(refine, refined.sum(axis=1) - 1, bound).tolist()
+        return bound, np.where(refine, refined.sum(axis=1) - 1, -1)
 
     def _refine(self, refined, own, seg, key) -> None:
         """Set ``refined`` for the owner key of every pair where some
@@ -1877,16 +2083,35 @@ class _BatchedVerifier:
             limit = max(1, min(limit, by_entries))
         return limit
 
-    def _seeded(self, oids: List[int], oid_array: np.ndarray) -> np.ndarray:
+    def _seeded(self, oid_array: np.ndarray) -> np.ndarray:
         """The ``(B, n)`` confirmed matrix at the start: each candidate's
         seed set plus the candidate itself."""
         n = self.collection.n
+        count = len(oid_array)
         if self.seeds is not None:
             confirmed = self.seeds.confirmed(oid_array, n)
         else:
-            confirmed = np.zeros((len(oids), n), dtype=bool)
-        confirmed.reshape(-1)[self.key_base[: len(oids)] + oid_array] = True
+            confirmed = np.zeros((count, n), dtype=bool)
+        confirmed.reshape(-1)[self.key_base[:count] + oid_array] = True
         return confirmed
+
+    def _masks(self, oid_array: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """``(flat, starts)``: the candidates' masks in one flat array
+        and each candidate's first point in it.  A mask method of
+        :class:`PointLabels` reads one flat mask of every point, made on
+        the first block and indexed through ``PointLabels.offsets``; any
+        other provider is called per candidate."""
+        provider = self.verify_masks
+        labels = getattr(provider, "__self__", None)
+        wanted = _FLAT_MASKS.get(getattr(provider, "__func__", None))
+        if wanted is None or not isinstance(labels, PointLabels):
+            masks = [provider(oid) for oid in oid_array.tolist()]
+            starts = np.zeros(len(masks), dtype=np.int64)
+            np.cumsum([len(mask) for mask in masks[:-1]], out=starts[1:])
+            return np.concatenate(masks), starts
+        if self.flat_mask is None:
+            self.flat_mask = labels.flat_mask(wanted)
+        return self.flat_mask, labels.offsets.take(oid_array)
 
     def block(self, oids: List[int]) -> List[Settle]:
         """Score ``oids`` as one block; one settle per candidate, in order.
@@ -1897,7 +2122,7 @@ class _BatchedVerifier:
         count = len(oids)
         self.scored += count
         oid_array = np.array(oids, dtype=np.int64)
-        confirmed = self._seeded(oids, oid_array)
+        confirmed = self._seeded(oid_array)
         bounds = self.tables["group_bounds"]
         group_starts = bounds.take(oid_array)
         group_counts = bounds.take(oid_array + 1) - group_starts
@@ -1919,11 +2144,9 @@ class _BatchedVerifier:
         point_index = grid.seg_points.take(point_rows)
         masked = None
         if self.verify_masks is not None:
-            masks = [self.verify_masks(oid) for oid in oids]
-            mask_starts = np.zeros(count, dtype=np.int64)
-            np.cumsum([len(mask) for mask in masks[:-1]], out=mask_starts[1:])
-            keep = np.concatenate(masks).take(
-                mask_starts.take(group_candidate.take(point_group)) + point_index
+            flat, starts = self._masks(oid_array)
+            keep = flat.take(
+                starts.take(group_candidate.take(point_group)) + point_index
             )
             point_rows = point_rows[keep]
             point_group = point_group[keep]
@@ -2018,6 +2241,13 @@ class _BatchedVerifier:
 
         return [partial(settle, slot) for slot in range(count)]
 
+
+#: The :class:`PointLabels` mask methods a verifier reads as one flat
+#: mask: each one's ``flat_mask`` bits.
+_FLAT_MASKS = {
+    PointLabels.upper_mask: GRID_BIT | UPPER_BIT,
+    PointLabels.verify_mask: GRID_BIT | VERIFY_BIT,
+}
 
 #: The shared vectorized instance.
 NUMPY_KERNEL = NumpyKernel()

@@ -120,6 +120,39 @@ class TestResidentGridConcurrency:
         assert max(sizes) <= capacity
         assert session.stats()["grid_key_cache_hits"] > 0
 
+    def test_cold_entry_memos_fill_concurrently(self):
+        """Four threads start together on a resident entry whose memo is
+        still empty, so its upper-bounding pass, skip bounds and row sizes
+        are filled and read at the same time (and the lower-bound misses
+        race to bring different seeds objects).  Every result equals the
+        sequential reference."""
+        from repro.kernels.numpy_backend import NUMPY_KERNEL
+
+        collection = random_collection(30, 6, seed=53)
+        label_r, r = 3.9, 3.6
+        reference = _sequential_references(collection, label_r, (r,))
+        for _ in range(4):
+            session = QuerySession(collection, kernel="numpy")
+            session.query(label_r)
+            labels = session.label_store.get(4)
+            grid = NUMPY_KERNEL.build_bigrid(collection, r, labels=labels)
+            session.grid_cache.put(r, "ewah", labels, grid)
+            start = threading.Barrier(4)
+
+            def worker(index, round_index):
+                if round_index == 0:
+                    start.wait(timeout=30.0)
+                k = 1 if (index + round_index) % 2 else 3
+                result = _run(session, r, k)
+                hit = bool(result.counters.get("lower_cache_hit"))
+                assert_results_equal(result, reference[(r, k, hit)])
+
+            _with_fast_switching(lambda: hammer(worker, rounds=4, workers=4))
+            assert session.stats()["grid_key_cache_hits"] == 16
+            memo = grid.large_grid.tables.memo
+            assert memo.upper is not None and memo.bounds is not None
+            assert memo.adj_bytes is not None
+
     def test_concurrent_clear_is_safe(self):
         """One of four querying threads drops every resident grid before each
         of its queries: a query whose grid is cleared away mid-run still answers

@@ -880,6 +880,28 @@ class _VerifyCasesBySize:
             got_keys[row] for row in np.flatnonzero(got_grid.large_grid.adj_memo)
         }
 
+    def test_mask_callable_matches_mask_method(self, n):
+        # The numpy verifier reads a PointLabels mask method as one flat
+        # mask and calls any other provider per candidate: both agree.
+        collection = random_collection(n=n, mean_points=8, seed=61)
+        masks = upper_labels_for(collection, seed=7)
+        outcomes = []
+        for provider in (masks.upper_mask, lambda oid: masks.upper_mask(oid)):
+            grid = numpy_kernel().build_bigrid(collection, 3.0)
+            lower = numpy_kernel().lower_bounds(grid)
+            stats = PhaseStats("verification")
+            result = numpy_kernel().verify_candidates(
+                grid,
+                numpy_kernel().upper_bounds(grid, lower.tau_max).candidates,
+                3.0,
+                seeds=lower.seeds,
+                verify_masks=provider,
+                stats=stats,
+            )
+            outcomes.append((result.settled, stats.counters))
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[0][1]["verify_points_skipped"] > 0
+
 
 @needs_numpy
 class TestVerifyCandidatesConformance(_VerifyCasesBySize):

@@ -3,7 +3,8 @@
 Numpy-built grids size their cell bitsets and adjacent unions in bulk
 instead of building one bitset per row.  The helper must agree exactly
 with ``sum(bitset_cls.from_int(row).size_in_bytes())`` for every
-registered backend: EWAH marker/dirty-word counts, plain trimmed length,
+registered backend, in total and row by row (the resident memo sums
+per-row sizes): EWAH marker/dirty-word counts, plain trimmed length,
 and Roaring's per-chunk array/run/bitmap choice.  The oracle here builds
 each row's big int in pure python, independently of the kernel.
 """
@@ -27,21 +28,24 @@ CHUNK_WORDS = 1024
 
 
 def reference_bytes(bitset_cls, rows):
-    """What the bitset classes report, row by row."""
-    total = 0
-    for row in rows:
-        value = sum(word << (64 * index) for index, word in enumerate(row))
-        total += bitset_cls.from_int(value).size_in_bytes()
-    return total
+    """What the bitset classes report, for each row."""
+    return [
+        bitset_cls.from_int(
+            sum(word << (64 * index) for index, word in enumerate(row))
+        ).size_in_bytes()
+        for row in rows
+    ]
 
 
 def assert_matches(rows):
+    """The total and the per-row sizes both match, for every backend."""
     matrix = np.array(rows, dtype=np.uint64).reshape(len(rows), -1)
     for backend in BITSET_BACKENDS:
         bitset_cls = bitset_class(backend)
-        assert packed_bitset_bytes(bitset_cls, matrix) == reference_bytes(
-            bitset_cls, rows
-        ), backend
+        expected = reference_bytes(bitset_cls, rows)
+        assert packed_bitset_bytes(bitset_cls, matrix) == sum(expected), backend
+        per_row = packed_bitset_bytes(bitset_cls, matrix, per_row=True)
+        assert per_row.tolist() == expected, backend
 
 
 #: Clean words, random dirty words, and the sparse/low-run/high-run shapes
@@ -129,3 +133,6 @@ def test_no_rows_is_zero_bytes():
     empty = np.zeros((0, 3), dtype=np.uint64)
     for backend in BITSET_BACKENDS:
         assert packed_bitset_bytes(bitset_class(backend), empty) == 0
+        assert packed_bitset_bytes(
+            bitset_class(backend), empty, per_row=True
+        ).tolist() == []
