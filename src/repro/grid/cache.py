@@ -23,7 +23,8 @@ its per-query state, so answers, counters and ``memory_bytes`` equal a
 fresh build's, and concurrent queries sharing one entry cannot disturb
 each other.  The first view also gives the grid a memo of what its
 queries compute but cannot change (the numpy kernel's upper-bounding
-pass of queries that arm no labeler, skip bounds and encoded row sizes):
+pass of queries that arm no labeler, skip bounds, score records and
+encoded row sizes):
 later views replay it with the same effects on their own state.  The
 memo lives and dies with its entry under this tier's LRU.  The pipeline stores a grid only once its build completed,
 only when the kernel can view it, and never from a labeling query (its

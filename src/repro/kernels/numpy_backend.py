@@ -52,7 +52,10 @@ structures and results (the conformance suite enforces it):
   ``minimum/maximum.reduceat`` over the posting coordinates) tested
   against each group's own box in flat slices, own cells first, then,
   for the candidates the boxes do not skip, point-to-box tests on the
-  box-near pairs.
+  box-near pairs.  On a resident grid, each candidate's score and the
+  work it leaves behind are recorded once per seeds object, ``r`` and
+  masks (:class:`_ResidentMemo`): a later block settles its recorded
+  candidates from their records and scores only the rest.
 * **Memory accounting** sizes every cell bitset and memoized adjacent
   union from its packed row (:func:`packed_bitset_bytes`: the EWAH, plain and
   Roaring ``size_in_bytes`` formulas evaluated over whole matrices), so
@@ -336,19 +339,32 @@ class _ResidentMemo:
     * ``small_bytes`` / ``large_bytes``: the encoded size of every cell
       bitset of each grid;
     * ``adj_bytes``: each adjacency row's encoded size (-1 until a view
-      first sizes it).
+      first sizes it);
+    * ``scores``: ``(seeds, r, labels, method, records)``, each scored
+      candidate's score record ``(block scores, slot)`` by oid, valid for
+      that seeds object, ``r`` and masks (``labels`` and ``method`` are
+      the :class:`PointLabels` object and mask method, or both None for
+      no masks).  A record holds the candidate's score, first-hit entries
+      and per group its counters, adjacency row and whether it had an
+      unmasked point: everything a fresh block's settle applies
+      (:class:`_BlockScores`).  Queries that arm a labeler, or whose
+      masks come from another provider, neither read nor fill it.
 
     Every value is a pure function of the grid and its key, so whichever
-    view computes one first stores it.  Arrays are replaced, never
-    written in place: concurrent stores are equal, and the last one wins.
-    The memo lives and dies with the grid, under the resident tier's LRU.
+    view computes one first stores it.  Arrays and record tables are
+    replaced, never written in place: concurrent stores are equal, and
+    the last one wins.  The memo lives and dies with the grid, under the
+    resident tier's LRU.
     """
 
-    __slots__ = ("upper", "bounds", "small_bytes", "large_bytes", "adj_bytes")
+    __slots__ = (
+        "upper", "bounds", "small_bytes", "large_bytes", "adj_bytes", "scores"
+    )
 
     def __init__(self) -> None:
         self.upper: Optional[_UpperPass] = None
         self.bounds: Optional[Tuple] = None
+        self.scores: Optional[Tuple] = None
         self.small_bytes: Optional[int] = None
         self.large_bytes: Optional[int] = None
         self.adj_bytes: Optional[np.ndarray] = None
@@ -1562,19 +1578,20 @@ def first_hit_scan(
     ``confirmed`` is updated in place.  Returns ``(checked_point,
     checked_col, skippable, entries)``: the checked entries (each
     candidate's in key order), if ``marks`` a flag per point (else None),
-    and how many entries there were -- pairs of a point and a column of
-    an owner pending at the start.
+    and each group's columns of an owner pending at the start: the
+    group's entries are these times its points.
     """
     # Every point against each column of an owner pending at the start.
     live = ~confirmed.take(col_owner)
     live_before = np.zeros(len(live) + 1, dtype=np.int64)
     live.cumsum(out=live_before[1:])
     group_live = live_before.take(col_bounds)
-    counts = (group_live[1:] - group_live[:-1]).take(point_group)
+    live_cols = group_live[1:] - group_live[:-1]
+    counts = live_cols.take(point_group)
     skippable = counts == 0 if marks else None
     points = counts.nonzero()[0]
     if not len(points):
-        return points, points, skippable, 0
+        return points, points, skippable, live_cols
 
     # A candidate's live points form one run, led by its first live point.
     live_group = point_group.take(points)
@@ -1619,7 +1636,7 @@ def first_hit_scan(
             hit_point >= entry_point, entry_ends - counts
         )
     counted = entry_first_hit >= np.arange(len(hit))
-    return entry_point[counted], entry_col[counted], skippable, len(hit)
+    return entry_point[counted], entry_col[counted], skippable, live_cols
 
 
 class _BatchedVerifier:
@@ -1647,6 +1664,12 @@ class _BatchedVerifier:
     its candidate's effects in bulk; under a deadline it applies them
     group by group after each group's ``checkpoint``, so clock reads and
     the counters left behind by a ``QueryTimeout`` match the reference's.
+    A scored block is one :class:`_BlockScores`, and a settle applies
+    its candidate's slice of it.  On a resident grid, a query with a
+    ``score_key`` (no labeler armed, masks absent or a :class:`PointLabels`
+    mask method) keeps each candidate's slice as its score record in
+    the grid's :class:`_ResidentMemo`, and later blocks settle recorded
+    candidates from their records without scoring them again.
 
     ``capacity()`` keeps a block's first-hit entries within
     ``VERIFY_BATCH_PAIRS``, estimated from the entries per candidate of
@@ -1667,6 +1690,8 @@ class _BatchedVerifier:
         "seeds",
         "verify_masks",
         "flat_mask",
+        "mask_key",
+        "score_key",
         "labeler",
         "counters",
         "deadline",
@@ -1696,6 +1721,21 @@ class _BatchedVerifier:
         self.seeds = seeds
         self.verify_masks = verify_masks
         self.flat_mask: Optional[np.ndarray] = None
+        labels = getattr(verify_masks, "__self__", None)
+        method = getattr(verify_masks, "__func__", None)
+        self.mask_key = None
+        if method in _FLAT_MASKS and isinstance(labels, PointLabels):
+            self.mask_key = (labels, method)
+        # Exact scores are memoized on a resident grid, keyed by the seeds,
+        # ``r`` and the masks, unless a labeler is armed (its Labeling-3
+        # marks are effects) or the masks come from another provider.
+        self.score_key = None
+        if (
+            self.large_grid.tables.memo is not None
+            and labeler is None
+            and (verify_masks is None or self.mask_key is not None)
+        ):
+            self.score_key = (seeds, r, *(self.mask_key or (None, None)))
         self.labeler = labeler
         self.counters = counters
         self.deadline = deadline
@@ -2098,19 +2138,19 @@ class _BatchedVerifier:
     def _masks(self, oid_array: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """``(flat, starts)``: the candidates' masks in one flat array
         and each candidate's first point in it.  A mask method of
-        :class:`PointLabels` reads one flat mask of every point, made on
-        the first block and indexed through ``PointLabels.offsets``; any
-        other provider is called per candidate."""
-        provider = self.verify_masks
-        labels = getattr(provider, "__self__", None)
-        wanted = _FLAT_MASKS.get(getattr(provider, "__func__", None))
-        if wanted is None or not isinstance(labels, PointLabels):
+        :class:`PointLabels` (``mask_key``) reads one flat mask of every
+        point, made on the first block and indexed through
+        ``PointLabels.offsets``; any other provider is called per
+        candidate."""
+        if self.mask_key is None:
+            provider = self.verify_masks
             masks = [provider(oid) for oid in oid_array.tolist()]
             starts = np.zeros(len(masks), dtype=np.int64)
             np.cumsum([len(mask) for mask in masks[:-1]], out=starts[1:])
             return np.concatenate(masks), starts
+        labels, method = self.mask_key
         if self.flat_mask is None:
-            self.flat_mask = labels.flat_mask(wanted)
+            self.flat_mask = labels.flat_mask(_FLAT_MASKS[method])
         return self.flat_mask, labels.offsets.take(oid_array)
 
     def block(self, oids: List[int]) -> List[Settle]:
@@ -2118,9 +2158,48 @@ class _BatchedVerifier:
 
         Each settle applies its candidate's counters, memo rows and
         Labeling-3 marks and returns ``tau(o_i)``, matching
-        ``_exact_score`` bit-for-bit."""
+        ``_exact_score`` bit-for-bit.  Through the resident memo
+        (:meth:`_memo_scores`), only candidates it holds no score record
+        of are scored."""
+        if self.score_key is None:
+            scored = self._score(oids)
+            records = [(scored, slot) for slot in range(len(oids))]
+        else:
+            records = self._memo_scores(oids)
+        self.scored += len(oids)
+        self.entries += sum(scored.totals[slot][0] for scored, slot in records)
+        return [
+            partial(self._settle, oid, scored, slot)
+            for oid, (scored, slot) in zip(oids, records)
+        ]
+
+    def _memo_scores(self, oids: List[int]) -> List[Tuple]:
+        """Each candidate's score record, ``(block scores, slot)``, from
+        the resident memo under ``score_key``.  The candidates no query
+        has recorded under that key are scored here as one block, and
+        their records stored."""
+        resident = self.large_grid.tables.memo
+        seeds, r, labels, method = self.score_key
+        stored = resident.scores
+        if stored is None or not (
+            stored[0] is seeds
+            and stored[1] == r
+            and stored[2] is labels
+            and stored[3] is method
+        ):
+            stored = (seeds, r, labels, method, {})
+        known = stored[4]
+        misses = [oid for oid in oids if oid not in known]
+        if misses:
+            scored = self._score(misses)
+            known = dict(known)
+            known.update((oid, (scored, slot)) for slot, oid in enumerate(misses))
+            resident.scores = (seeds, r, labels, method, known)
+        return [known[oid] for oid in oids]
+
+    def _score(self, oids: List[int]) -> "_BlockScores":
+        """Score ``oids`` as one block, with no effect on the query."""
         count = len(oids)
-        self.scored += count
         oid_array = np.array(oids, dtype=np.int64)
         confirmed = self._seeded(oid_array)
         bounds = self.tables["group_bounds"]
@@ -2128,9 +2207,13 @@ class _BatchedVerifier:
         group_counts = bounds.take(oid_array + 1) - group_starts
         group_index = _ragged_arange(group_starts, group_counts)
         groups = len(group_index)
+        # Per group: entries, posting checks, distance rows, points skipped.
+        work = np.zeros((groups, 4), dtype=np.int64)
+        visited = np.ones(groups, dtype=bool)
         if not groups:
-            scores = confirmed.sum(axis=1).tolist()
-            return [partial(int, score - 1) for score in scores]
+            return _BlockScores(
+                confirmed.sum(axis=1) - 1, group_counts, group_index, visited, work
+            )
 
         grid = self.large_grid
         seg_lengths = self.tables["seg_lengths"]
@@ -2142,7 +2225,6 @@ class _BatchedVerifier:
         point_rows = _ragged_arange(grid.seg_bounds.take(segments), sizes)
         point_group = np.arange(groups).repeat(sizes)
         point_index = grid.seg_points.take(point_rows)
-        masked = None
         if self.verify_masks is not None:
             flat, starts = self._masks(oid_array)
             keep = flat.take(
@@ -2151,7 +2233,10 @@ class _BatchedVerifier:
             point_rows = point_rows[keep]
             point_group = point_group[keep]
             point_index = point_index[keep]
-            masked = sizes - np.bincount(point_group, minlength=groups)
+            work[:, 3] = sizes - np.bincount(point_group, minlength=groups)
+            # The reference memoizes the union of each group it visits a
+            # point of.
+            visited = work[:, 3] < sizes
         coords = grid.seg_coords.take(point_rows, axis=0)
 
         col_seg, col_bounds = self._columns(rows)
@@ -2162,7 +2247,7 @@ class _BatchedVerifier:
                 col_bounds[1:] - col_bounds[:-1]
             )
         labeler = self.labeler
-        checked_point, checked_col, skippable, entries = first_hit_scan(
+        checked_point, checked_col, skippable, live_cols = first_hit_scan(
             point_group,
             group_candidate,
             col_bounds,
@@ -2173,73 +2258,100 @@ class _BatchedVerifier:
             ),
             marks=labeler is not None,
         )
-        self.entries += entries
-        scores = confirmed.sum(axis=1).tolist()
-
-        # Work totals per candidate, or per group behind each group's
-        # checkpoint under a deadline.
-        deadline = self.deadline
+        # Entries: each visited point against its group's pending columns.
+        work[:, 0] = live_cols * (sizes - work[:, 3])
         unit = point_group.take(checked_point)
-        if deadline is None:
-            unit, units = group_candidate.take(unit), count
-        else:
-            units = groups
-        checks = np.bincount(unit, minlength=units).tolist()
-        distance_rows = np.bincount(
-            unit, weights=seg_lengths.take(col_seg.take(checked_col)), minlength=units
-        ).tolist()
-        skipped = visited = None
-        if masked is not None:
-            skipped = masked
-            if deadline is None:
-                skipped = np.bincount(group_candidate, weights=masked, minlength=units)
-            skipped = skipped.tolist()
-            # The reference memoizes the union of each group it visits a
-            # point of.
-            visited = masked < sizes
-        group_bounds = [0, *accumulate(group_counts.tolist())]
-        point_bounds = None
-        if labeler is not None or deadline is not None:
+        work[:, 1] = np.bincount(unit, minlength=groups)
+        work[:, 2] = np.bincount(
+            unit, weights=seg_lengths.take(col_seg.take(checked_col)), minlength=groups
+        )
+        marks = None
+        if labeler is not None:
             point_bounds = point_group.searchsorted(np.arange(groups + 1)).tolist()
+            marks = (point_index, skippable, point_bounds)
+        return _BlockScores(
+            confirmed.sum(axis=1) - 1, group_counts, rows, visited, work, marks
+        )
+
+    def _settle(self, oid: int, scored: "_BlockScores", slot: int) -> int:
+        """Apply the effects of candidate ``slot`` of ``scored`` to this
+        query and return its score: in bulk, or under a deadline group
+        by group behind each group's ``checkpoint``, as the reference
+        walks."""
         counters = self.counters
         memo = self.memo
+        labeler = self.labeler
+        low, high = scored.bounds[slot], scored.bounds[slot + 1]
+        deadline = self.deadline
+        if deadline is None:
+            _, checks, distance_rows, skipped = scored.totals[slot]
+            counters.posting_checks += checks
+            counters.distance_rows += distance_rows
+            counters.points_skipped += skipped
+            if memo is not None:
+                memo[scored.rows[low:high][scored.visited[low:high]]] = True
+            if labeler is not None:
+                labeler.mark_verify_skippable(oid, scored.skippable(low, high))
+            return scored.scores[slot]
+        rows = scored.rows[low:high].tolist()
+        visited = scored.visited[low:high].tolist()
+        work = scored.work[low:high].tolist()
+        for group in range(high - low):
+            checkpoint(deadline, "verification")
+            _, checks, distance_rows, skipped = work[group]
+            counters.points_skipped += skipped
+            if not visited[group]:
+                continue
+            if memo is not None:
+                memo[rows[group]] = True
+            counters.posting_checks += checks
+            counters.distance_rows += distance_rows
+            if labeler is not None:
+                own = low + group
+                labeler.mark_verify_skippable(oid, scored.skippable(own, own + 1))
+        return scored.scores[slot]
 
-        def settle(slot: int) -> int:
-            oid = oids[slot]
-            low, high = group_bounds[slot], group_bounds[slot + 1]
-            if deadline is None:
-                counters.posting_checks += checks[slot]
-                counters.distance_rows += int(distance_rows[slot])
-                if skipped is not None:
-                    counters.points_skipped += int(skipped[slot])
-                if memo is not None:
-                    own = rows[low:high]
-                    memo[own if visited is None else own[visited[low:high]]] = True
-                if labeler is not None:
-                    first, last = point_bounds[low], point_bounds[high]
-                    labeler.mark_verify_skippable(
-                        oid, point_index[first:last][skippable[first:last]]
-                    )
-                return scores[slot] - 1
-            # Group by group behind each checkpoint, as the reference walks.
-            for group in range(low, high):
-                checkpoint(deadline, "verification")
-                if skipped is not None:
-                    counters.points_skipped += skipped[group]
-                first, last = point_bounds[group], point_bounds[group + 1]
-                if first == last:
-                    continue
-                if memo is not None:
-                    memo[rows[group]] = True
-                counters.posting_checks += checks[group]
-                counters.distance_rows += int(distance_rows[group])
-                if labeler is not None:
-                    labeler.mark_verify_skippable(
-                        oid, point_index[first:last][skippable[first:last]]
-                    )
-            return scores[slot] - 1
 
-        return [partial(settle, slot) for slot in range(count)]
+class _BlockScores:
+    """One scored block: what each of its candidates' settles applies.
+
+    Candidate ``slot`` scores ``scores[slot]``; its groups are
+    ``bounds[slot]:bounds[slot + 1]``, each with its adjacency row
+    (``rows``) and whether it has an unmasked point (``visited``).
+    ``work[g]`` and ``totals[slot]`` are ``[entries, posting_checks,
+    distance_rows, points_skipped]`` of a group and of a candidate;
+    ``work`` stays an array, read per group only by a settle under a
+    deadline.  ``marks`` holds the Labeling-3 inputs ``(point_index,
+    skippable, point_bounds)`` if a labeler was armed, else None.  Never
+    written after it is built, so a resident memo's score records share
+    it.
+    """
+
+    __slots__ = ("scores", "bounds", "rows", "visited", "work", "totals", "marks")
+
+    def __init__(self, scores, group_counts, rows, visited, work, marks=None):
+        counts = group_counts.tolist()
+        bounds = [0, *accumulate(counts)]
+        if len(work) and 0 not in counts:
+            totals = np.add.reduceat(work, bounds[:-1]).tolist()
+        else:
+            totals = [
+                work[low:high].sum(axis=0).tolist()
+                for low, high in zip(bounds, bounds[1:])
+            ]
+        self.scores = scores.tolist()
+        self.bounds = bounds
+        self.rows = rows
+        self.visited = visited
+        self.work = work
+        self.totals = totals
+        self.marks = marks
+
+    def skippable(self, low: int, high: int) -> np.ndarray:
+        """The Labeling-3 skippable points of groups ``low:high``."""
+        point_index, skippable, point_bounds = self.marks
+        first, last = point_bounds[low], point_bounds[high]
+        return point_index[first:last][skippable[first:last]]
 
 
 #: The :class:`PointLabels` mask methods a verifier reads as one flat

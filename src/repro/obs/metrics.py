@@ -41,13 +41,6 @@ DEFAULT_SECONDS_BUCKETS: Tuple[float, ...] = tuple(
 LabelKey = Tuple[Tuple[str, str], ...]
 
 
-def _label_key(labels: Dict[str, object]) -> LabelKey:
-    for name in labels:
-        if not _LABEL_NAME_RE.match(name):
-            raise ValueError(f"invalid label name {name!r}")
-    return tuple(sorted((name, str(value)) for name, value in labels.items()))
-
-
 class _Instrument:
     """Shared bookkeeping: name, help text, and per-label-set series."""
 
@@ -60,6 +53,21 @@ class _Instrument:
         self.help = help_text
         self._series: Dict[LabelKey, object] = {}
         self._lock = threading.Lock()
+        #: Each label-name tuple used so far, in call order, mapped to its
+        #: names sorted: a tuple is validated once, on its first use.
+        self._sorted_names: Dict[Tuple[str, ...], Tuple[str, ...]] = {}
+
+    def _key(self, labels: Dict[str, object]) -> LabelKey:
+        """The series key of ``labels``: ``(name, str(value))`` pairs
+        sorted by name."""
+        names = tuple(labels)
+        ordered = self._sorted_names.get(names)
+        if ordered is None:
+            for name in names:
+                if not _LABEL_NAME_RE.match(name):
+                    raise ValueError(f"invalid label name {name!r}")
+            ordered = self._sorted_names[names] = tuple(sorted(names))
+        return tuple([(name, str(labels[name])) for name in ordered])
 
     def label_sets(self) -> List[LabelKey]:
         return list(self._series)
@@ -73,16 +81,16 @@ class Counter(_Instrument):
     def inc(self, amount: float = 1.0, **labels: object) -> None:
         if amount < 0:
             raise ValueError("counters only go up")
-        key = _label_key(labels)
+        key = self._key(labels)
         with self._lock:
             self._series[key] = self._series.get(key, 0.0) + amount
 
     def labels(self, **labels: object) -> "_BoundCounter":
         """Bind one label combination for cheap repeated increments."""
-        return _BoundCounter(self, _label_key(labels))
+        return _BoundCounter(self, self._key(labels))
 
     def value(self, **labels: object) -> float:
-        return float(self._series.get(_label_key(labels), 0.0))
+        return float(self._series.get(self._key(labels), 0.0))
 
 
 class _BoundCounter:
@@ -103,15 +111,15 @@ class Gauge(_Instrument):
     kind = "gauge"
 
     def set(self, value: float, **labels: object) -> None:
-        self._series[_label_key(labels)] = float(value)
+        self._series[self._key(labels)] = float(value)
 
     def inc(self, amount: float = 1.0, **labels: object) -> None:
-        key = _label_key(labels)
+        key = self._key(labels)
         with self._lock:
             self._series[key] = self._series.get(key, 0.0) + amount
 
     def value(self, **labels: object) -> float:
-        return float(self._series.get(_label_key(labels), 0.0))
+        return float(self._series.get(self._key(labels), 0.0))
 
 
 class _HistogramSeries:
@@ -148,7 +156,7 @@ class Histogram(_Instrument):
         self.buckets: Tuple[float, ...] = tuple(bounds)
 
     def observe(self, value: float, **labels: object) -> None:
-        key = _label_key(labels)
+        key = self._key(labels)
         with self._lock:
             series = self._series.get(key)
             if series is None:
@@ -159,7 +167,7 @@ class Histogram(_Instrument):
 
     def snapshot(self, **labels: object) -> Dict[str, object]:
         """Cumulative bucket counts plus sum/count for one label set."""
-        series = self._series.get(_label_key(labels))
+        series = self._series.get(self._key(labels))
         if series is None:
             return {"buckets": {}, "sum": 0.0, "count": 0}
         cumulative: Dict[str, int] = {}

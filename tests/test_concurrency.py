@@ -153,6 +153,38 @@ class TestResidentGridConcurrency:
             assert memo.upper is not None and memo.bounds is not None
             assert memo.adj_bytes is not None
 
+    def test_empty_score_memo_fills_concurrently(self):
+        """Four threads start together on a resident entry whose upper
+        pass and skip bounds are memoized but whose score memo is empty,
+        under labels of the same ``r`` (the memo is keyed by their verify
+        mask).  They score, record and replay the same candidates at
+        once; every result equals the sequential reference and the memo
+        ends up holding records."""
+        collection = random_collection(30, 6, seed=59)
+        r = 3.6
+        reference = _sequential_references(collection, r, (r,))
+        for _ in range(4):
+            session = QuerySession(collection, kernel="numpy")
+            session.query(r)
+            session.topk(r, 3)
+            memo = session.grid_cache._entries[r][0].large_grid.tables.memo
+            assert memo.upper is not None and memo.scores is not None
+            memo.scores = None
+            start = threading.Barrier(4)
+
+            def worker(index, round_index):
+                if round_index == 0:
+                    start.wait(timeout=30.0)
+                k = 1 if (index + round_index) % 2 else 3
+                result = _run(session, r, k)
+                hit = bool(result.counters.get("lower_cache_hit"))
+                assert_results_equal(result, reference[(r, k, hit)])
+
+            _with_fast_switching(lambda: hammer(worker, rounds=4, workers=4))
+            seeds, memo_r, labels, _, records = memo.scores
+            assert memo_r == r and labels is session.label_store.get(4)
+            assert seeds is session.lower_cache._entries[r][2] and records
+
     def test_concurrent_clear_is_safe(self):
         """One of four querying threads drops every resident grid before each
         of its queries: a query whose grid is cleared away mid-run still answers

@@ -151,7 +151,7 @@ def test_first_hit_scan_equals_the_per_point_replay(block):
 
     hits = block["hits"]
     confirmed = block["seed"].copy()
-    checked_point, checked_col, skippable, entries = first_hit_scan(
+    checked_point, checked_col, skippable, live_cols = first_hit_scan(
         block["point_group"],
         block["group_candidate"],
         block["col_bounds"],
@@ -179,9 +179,17 @@ def test_first_hit_scan_equals_the_per_point_replay(block):
         points = len(member["point_group"])
         own_skippable = skippable[member["points"] : member["points"] + points]
         assert np.flatnonzero(own_skippable).tolist() == member_skippable
-    # The entry count the block budget is estimated from covers every
-    # checked pair.
-    assert len(checked) <= entries
+    # Each group's columns of owners pending at the start; its points
+    # times those, the entries the block budget is estimated from, cover
+    # every checked pair of the group.
+    groups = len(block["col_bounds"]) - 1
+    pending = np.append(0, np.cumsum(~block["seed"][block["col_owner"]]))
+    assert live_cols.tolist() == np.diff(pending[block["col_bounds"]]).tolist()
+    points = np.bincount(block["point_group"], minlength=groups)
+    checked_per_group = np.bincount(
+        block["point_group"][checked_point], minlength=groups
+    )
+    assert (checked_per_group <= points * live_cols).all()
 
 
 @given(block=blocks())

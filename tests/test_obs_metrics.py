@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.obs import metrics
 from repro.obs.metrics import (
     DEFAULT_SECONDS_BUCKETS,
     Counter,
@@ -46,6 +47,43 @@ class TestCounter:
         counter = Counter("ok_total", "test")
         with pytest.raises(ValueError):
             counter.inc(**{"0bad": "x"})
+
+    def test_invalid_label_names_raise_on_every_call(self):
+        counter = Counter("ok_total", "test")
+        histogram = Histogram("ok_seconds", "test")
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                counter.inc(tier="grids", **{"bad-name": "x"})
+            with pytest.raises(ValueError):
+                histogram.observe(0.1, **{"0bad": "x"})
+        assert counter.label_sets() == [] and histogram.label_sets() == []
+
+    def test_label_names_are_validated_once_per_tuple(self, monkeypatch):
+        checked = []
+        pattern = metrics._LABEL_NAME_RE
+
+        class CountingPattern:
+            def match(self, name):
+                checked.append(name)
+                return pattern.match(name)
+
+        monkeypatch.setattr(metrics, "_LABEL_NAME_RE", CountingPattern())
+        counter = Counter("once_total", "test")
+        histogram = Histogram("once_seconds", "test")
+        for value in range(3):
+            counter.inc(tier="grids", outcome=value)
+            histogram.observe(0.1, tier="grids", outcome=value)
+        assert counter.value(tier="grids", outcome=0) == 1.0
+        # Once per instrument.
+        assert checked == ["tier", "outcome"] * 2
+        del checked[:]
+        # Another call order is another tuple, validated once and keyed
+        # to the same series.
+        counter.inc(outcome=2, tier="grids")
+        counter.inc(outcome=2, tier="grids")
+        assert checked == ["outcome", "tier"]
+        assert counter.value(tier="grids", outcome="2") == 3.0
+        assert counter.label_sets()[0] == (("outcome", "0"), ("tier", "grids"))
 
 
 class TestGauge:

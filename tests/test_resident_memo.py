@@ -2,10 +2,11 @@
 
 A resident grid's first view gives it a memo. The memo holds the
 upper-bounding pass of queries that arm no labeler, each candidate's
-box-only and refined skip bound, and the encoded row sizes that
-``memory_bytes`` sums.  Later views of the grid read these instead of
-computing them.  Every sequence below runs twice: on one resident entry,
-where the memo is filled and then read, and on builds that keep no grid.
+box-only and refined skip bound, each scored candidate's score record
+and the encoded row sizes that ``memory_bytes`` sums.  Later views of
+the grid read these instead of computing them.  Every sequence below
+runs twice: on one resident entry, where the memo is filled and then
+read, and on builds that keep no grid.
 Each pair of results must be equal: winner, score, top-k, every counter
 and ``memory_bytes`` (``assert_results_equal``).  The kernel-level cases
 compare whole phase outputs, clock reads included, against fresh builds.
@@ -18,14 +19,15 @@ import pytest
 import repro.core.verification as verification
 from repro import load_dataset
 from repro.core.engine import MIOEngine
-from repro.core.labels import LabelStore
-from repro.core.lower_bound import IntSeeds
+from repro.core.labels import VERIFY_BIT, LabelStore, PointLabels
+from repro.core.lower_bound import IntSeeds, LowerBoundCache
 from repro.core.pipeline import kth_largest, verify_mask_provider
 from repro.core.query import PhaseStats
+from repro.core.verification import VerifyCounters
 from repro.errors import QueryTimeout
 from repro.grid.cache import ResidentGridCache
 from repro.kernels import numpy_kernel_available
-from repro.kernels.numpy_backend import NUMPY_KERNEL
+from repro.kernels.numpy_backend import NUMPY_KERNEL, _BatchedVerifier
 from repro.resilience import Deadline, ManualClock
 from repro.session import QuerySession
 
@@ -59,10 +61,11 @@ def _call(target, r, k):
     return target.query(r) if k == 1 else target.query_topk(r, k)
 
 
-def _pair(collection, backend, with_label):
+def _pair(collection, backend, with_label, keep_lower=False):
     """``(resident, fresh)``: one target keeping its grids resident and
     one building every grid, otherwise alike.  With labels, both are
-    sessions that have labeled every ceiling used here."""
+    sessions that have labeled every ceiling used here; without, engines
+    that keep their lower bounds too if ``keep_lower``."""
     if with_label:
         resident = QuerySession(collection, kernel="numpy", backend=backend)
         fresh = QuerySession(collection, kernel="numpy", backend=backend)
@@ -71,16 +74,41 @@ def _pair(collection, backend, with_label):
             for r in (R, REFINED_R):
                 session.query(r)  # the labeling run keeps no grid
         return resident, fresh
+    def lower():
+        return LowerBoundCache() if keep_lower else None
+
     resident = MIOEngine(
-        collection, kernel="numpy", backend=backend, grid_cache=ResidentGridCache()
+        collection,
+        kernel="numpy",
+        backend=backend,
+        grid_cache=ResidentGridCache(),
+        lower_cache=lower(),
     )
-    return resident, MIOEngine(collection, kernel="numpy", backend=backend)
+    fresh = MIOEngine(collection, kernel="numpy", backend=backend, lower_cache=lower())
+    return resident, fresh
 
 
 def _memo(target, r):
     """The memo of ``target``'s resident grid for ``r``."""
     grid = target.grid_cache._entries[r][0]
     return grid.large_grid.tables.memo
+
+
+@pytest.fixture
+def memo_scored(monkeypatch):
+    """How many candidates each block on a resident grid scores afresh,
+    one entry per ``_BatchedVerifier._score`` call on a grid with a memo
+    (fresh builds have none and are not counted)."""
+    calls = []
+    score = _BatchedVerifier._score
+
+    def counting(self, oids):
+        if self.large_grid.tables.memo is not None:
+            calls.append(len(oids))
+        return score(self, oids)
+
+    monkeypatch.setattr(_BatchedVerifier, "_score", counting)
+    return calls
 
 
 def _assert_same(resident, fresh, calls):
@@ -113,6 +141,32 @@ class TestUpperPassMemo:
     def test_threshold_narrows_the_memoized_pass(self, bird, backend, with_label):
         resident, fresh = _pair(bird, backend, with_label)
         _assert_same(resident, fresh, [(R, 5), (R, 1), (R, 5), (REFINED_R, 1)])
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("with_label", [False, True], ids=["label-free", "with-label"])
+@pytest.mark.parametrize("ks", [(1, 5, 1), (5, 1, 5)], ids=["k=1/5/1", "k=5/1/5"])
+def test_score_records_replay_fresh_scores(bird, backend, with_label, ks, memo_scored):
+    """Each query equals a fresh build's; the last repeats the first, so
+    every block it forms is made of records and scores nothing.  The
+    records are keyed to the query's seeds, ``r`` and masks: with labels
+    at this ``r``, the labels' ``verify_mask``."""
+    resident, fresh = _pair(bird, backend, with_label, keep_lower=True)
+    scored = []
+    for k in ks:
+        del memo_scored[:]
+        (result,) = _assert_same(resident, fresh, [(R, k)])
+        scored.append(sum(memo_scored))
+        assert result.counters["verified_objects"] > 0
+    assert scored[0] > 0 and scored[2] == 0
+    seeds, r, labels, method, records = _memo(resident, R).scores
+    assert seeds is resident.lower_cache._entries[R][2] and r == R
+    if with_label:
+        assert labels is resident.label_store.get(math.ceil(R))
+        assert method is PointLabels.verify_mask
+    else:
+        assert labels is None and method is None
+    assert len(records) >= scored[0]
 
 
 @pytest.mark.parametrize(
@@ -151,10 +205,12 @@ def test_lower_cache_eviction_rekeys_the_bounds(bird):
     assert _memo(resident, R).bounds[0] is first_seeds
     for session in (resident, fresh):
         session.lower_cache.clear()
+    assert _memo(resident, R).scores[0] is first_seeds
     _assert_same(resident, fresh, [(R, 5), (R, 1)])
     seeds = resident.lower_cache._entries[R][2]
     assert seeds is not first_seeds
     assert _memo(resident, R).bounds[0] is seeds
+    assert _memo(resident, R).scores[0] is seeds
 
 
 # ----------------------------------------------------------------------
@@ -162,17 +218,25 @@ def test_lower_cache_eviction_rekeys_the_bounds(bird):
 # ----------------------------------------------------------------------
 
 
-def _phases(grid, lower, labels, r, k, seeds=None, budget=None):
+def _phases(
+    grid, lower, labels, r, k, seeds=None, budget=None, masks=None, labeler=None
+):
     """Upper bounding and verification on ``grid`` from ``lower``, as
     the pipeline runs them after a lower-cache hit: their results (or
-    the phase a timeout cut), counters, clock reads and memory."""
+    the phase a timeout cut), counters, clock reads and memory.  The
+    verify masks are ``labels``' unless ``masks`` is given."""
     clock = ManualClock(step=1.0)
     deadline = None if budget is None else Deadline(budget, clock=clock)
     stats = PhaseStats()
     threshold = lower.tau_max if k == 1 else kth_largest(lower.values, k)
     try:
         upper = NUMPY_KERNEL.upper_bounds(
-            grid, threshold, labels=labels, stats=stats, deadline=deadline
+            grid,
+            threshold,
+            labels=labels,
+            labeler=labeler,
+            stats=stats,
+            deadline=deadline,
         )
         result = NUMPY_KERNEL.verify_candidates(
             grid,
@@ -180,7 +244,10 @@ def _phases(grid, lower, labels, r, k, seeds=None, budget=None):
             r,
             k=k,
             seeds=lower.seeds if seeds is None else seeds,
-            verify_masks=verify_mask_provider(labels, r, "safe"),
+            verify_masks=(
+                verify_mask_provider(labels, r, "safe") if masks is None else masks
+            ),
+            labeler=labeler,
             stats=stats,
             deadline=deadline,
         )
@@ -191,6 +258,7 @@ def _phases(grid, lower, labels, r, k, seeds=None, budget=None):
             result.settled,
             result.timed_out,
             result.box_skipped,
+            result.speculative,
         )
     except QueryTimeout as exc:
         outcome = ("timeout", exc.phase)
@@ -250,5 +318,144 @@ def test_bounds_are_keyed_to_their_seeds(bird):
         want = _phases(fresh, lower, None, R, 5, seeds=seeds)
         got = _phases(resident.view(), lower, None, R, 5, seeds=seeds)
         assert got == want
+        assert resident.large_grid.tables.memo.scores[0] is seeds
         results[id(seeds)] = want
     assert results[id(claimed)][0] != results[id(lower.seeds)][0]
+
+
+@pytest.mark.parametrize(
+    "k, with_label", [(1, True), (5, False)], ids=["k=1-with-label", "k=5-label-free"]
+)
+def test_deadline_sweep_on_score_records_matches_fresh_builds(
+    bird, k, with_label, memo_scored
+):
+    """Every ``ManualClock`` budget on a view whose blocks are all score
+    records: each replays one clock read per group before that group's
+    counters, as a fresh block's settle does, so timeouts cut it at the
+    same point with the same partial counters."""
+    labels = _labels(bird, R) if with_label else None
+    resident = _build(bird, R, labels)
+    lower = NUMPY_KERNEL.lower_bounds(resident.view())
+    _phases(resident.view(), lower, labels, R, k)
+    del memo_scored[:]
+    outcomes = set()
+    budget = 0
+    while True:
+        fresh = _build(bird, R, labels)
+        fresh_lower = NUMPY_KERNEL.lower_bounds(fresh)
+        want = _phases(fresh, fresh_lower, labels, R, k, budget=budget)
+        got = _phases(resident.view(), lower, labels, R, k, budget=budget)
+        assert got == want, budget
+        outcomes.add(want[0][0] if want[0][0] == "timeout" else want[0][4])
+        if want[0][0] != "timeout" and not want[0][4]:
+            break
+        budget += 1
+    assert outcomes == {"timeout", True, False}
+    assert memo_scored == []
+
+
+@pytest.mark.parametrize("budget", [None, 10 ** 6], ids=["no-deadline", "deadline"])
+def test_blocks_of_records_leave_what_fresh_blocks_leave(bird, budget, memo_scored):
+    """Blocks of 1, 2, 4, ... candidates in queue order, half of them
+    recorded: after each block the verifier's ``scored``, ``entries``
+    and ``capacity()`` equal a fresh build's, and its settles return the
+    same scores and leave the same counters, memoized rows and clock
+    reads.  A mixed block scores only the candidates with no record."""
+    labels = _labels(bird, R)
+    resident = _build(bird, R, labels)
+    lower = NUMPY_KERNEL.lower_bounds(resident.view())
+    upper = NUMPY_KERNEL.upper_bounds(resident, 0, labels=labels)
+    oids = [oid for _, oid in upper.candidates]
+    filler = resident.view()
+    NUMPY_KERNEL.upper_bounds(filler, 0, labels=labels)
+    filling = _BatchedVerifier(
+        filler, R, lower.seeds, labels.verify_mask, None, VerifyCounters(), None
+    )
+    for settle in filling.block(oids[::2]):
+        settle()
+    del memo_scored[:]
+
+    def run(grid):
+        clock = ManualClock(step=1.0)
+        deadline = None if budget is None else Deadline(budget, clock=clock)
+        NUMPY_KERNEL.upper_bounds(grid, 0, labels=labels)
+        counters = VerifyCounters()
+        scorer = _BatchedVerifier(
+            grid, R, lower.seeds, labels.verify_mask, None, counters, deadline
+        )
+        trace = []
+        low, size = 0, 1
+        while low < len(oids):
+            settles = scorer.block(oids[low : low + size])
+            state = (scorer.scored, scorer.entries, scorer.capacity())
+            scores = [settle() for settle in settles]
+            trace.append(
+                (
+                    state,
+                    scores,
+                    counters.posting_checks,
+                    counters.distance_rows,
+                    counters.points_skipped,
+                    grid.large_grid.adj_memo.tolist(),
+                    clock.now,
+                )
+            )
+            low, size = low + size, 2 * size
+        return trace
+
+    want = run(_build(bird, R, labels))
+    got = run(resident.view())
+    assert got == want
+    assert sum(memo_scored) == len(oids[1::2]) > 0
+    assert max(len(scores) for _, scores, *_ in want) > 2
+    assert want[-1][2] > 0 and want[-1][4] > 0
+
+
+def test_new_labels_object_rekeys_the_scores(bird):
+    """Labels that mask other points are another key: a grid's score
+    records are never served to another labels object, even one whose
+    grid and upper bits are the same."""
+    labels = _labels(bird, R)
+    unmasked = PointLabels.from_arrays(
+        [array | VERIFY_BIT for array in labels.arrays], labels.r
+    )
+    resident = _build(bird, R, labels)
+    lower = NUMPY_KERNEL.lower_bounds(resident.view())
+    results = {}
+    for current in (labels, unmasked, labels):
+        fresh = _build(bird, R, current)
+        want = _phases(fresh, lower, current, R, 5)
+        got = _phases(resident.view(), lower, current, R, 5)
+        assert got == want
+        assert resident.large_grid.tables.memo.scores[2] is current
+        results[id(current)] = want
+    assert (
+        results[id(labels)][1]["verify_points_skipped"]
+        > results[id(unmasked)][1]["verify_points_skipped"]
+        == 0
+    )
+
+
+def test_labeling_query_neither_reads_nor_fills_the_scores(bird, memo_scored):
+    """A query that arms a labeler scores every candidate it settles and
+    marks the labels a fresh build's labeling query marks, on a grid
+    with score records; on a grid without any, it records none."""
+    resident = _build(bird, R, None)
+    lower = NUMPY_KERNEL.lower_bounds(resident.view())
+    _phases(resident.view(), lower, None, R, 5)
+    records = resident.large_grid.tables.memo.scores
+    assert records is not None
+    del memo_scored[:]
+    marked = []
+    for grid in (_build(bird, R, None), resident.view()):
+        labeler = PointLabels.for_collection(bird, R)
+        outcome = _phases(grid, lower, None, R, 5, labeler=labeler)
+        marked.append((outcome, labeler.flat_mask(VERIFY_BIT).tolist()))
+    assert marked[0] == marked[1]
+    assert sum(memo_scored) >= marked[1][0][1]["verified_objects"] > 0
+    assert resident.large_grid.tables.memo.scores is records
+
+    empty = _build(bird, R, None)
+    labeler = PointLabels.for_collection(bird, R)
+    _phases(empty.view(), lower, None, R, 5, labeler=labeler)
+    assert empty.large_grid.tables.memo.scores is None

@@ -1,6 +1,6 @@
 """Property suites for :class:`repro.session.QuerySession` (Satellites 1-2).
 
-Two invariants, checked over randomized collections, kernels, backends, and
+Three invariants, checked over randomized collections, kernels, backends, and
 threshold sequences:
 
 1. **Session equivalence** -- ``query_many`` over a warm session returns
@@ -17,6 +17,10 @@ threshold sequences:
    objects.  The generator deliberately produces coincident/duplicate
    points, single-point objects, ceiling-colliding thresholds, and 3-D
    collections, the edge cases Section III-D's labels must survive.
+
+3. **Counter-exact replay** -- with the numpy kernel, a third pass,
+   which the resident grids' memos serve, equals the second in every
+   counter and ``extra``, not just in its answers.
 
 The generator biases thresholds to share one ``ceil(r)`` (so label reuse
 actually triggers) and repeats exact values (so the lower-bound cache
@@ -124,6 +128,26 @@ def test_query_many_matches_fresh_engines(backend, collection, rs, k, kernel):
         assert fresh.exact and cold_result.exact and warm_result.exact
         assert _fingerprint(cold_result) == _fingerprint(fresh), f"cold r={r}"
         assert _fingerprint(warm_result) == _fingerprint(fresh), f"warm r={r}"
+
+
+@pytest.mark.skipif(
+    not numpy_kernel_available(), reason="numpy kernel unavailable here"
+)
+@pytest.mark.parametrize("backend", BACKENDS)
+@given(collection=collections(), rs=r_sequences(), k=st.sampled_from((1, 3)))
+def test_memo_served_pass_is_counter_exact(backend, collection, rs, k):
+    """A third numpy pass, whose verifications replay the scores its
+    resident grids memoized, equals the second in its answers, every
+    counter and ``extra``."""
+    requests = [{"r": r, "k": k} for r in rs]
+    session = QuerySession(collection, backend=backend, kernel="numpy")
+    session.query_many(requests)
+    warm = session.query_many(requests)
+    served = session.query_many(requests)
+    for r, warm_result, served_result in zip(rs, warm, served):
+        assert _fingerprint(served_result) == _fingerprint(warm_result), r
+        assert served_result.counters == warm_result.counters, r
+        assert served_result.extra == warm_result.extra, r
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
