@@ -62,7 +62,9 @@ class MIOEngine:
         Optional :class:`~repro.grid.cache.ResidentGridCache` shared by a
         :class:`~repro.session.QuerySession`: a query repeating an exact
         ``r`` under the same labels runs on a view of the grid an earlier
-        query built instead of building its own.
+        query built instead of building its own.  With a tier, a query at
+        the ``r`` its ceiling's labels were produced at runs label-free,
+        on the labeling query's grid.
     lower_cache:
         Optional :class:`~repro.core.lower_bound.LowerBoundCache`: repeating
         an exact ``r`` skips lower-bounding entirely.  An entry keeps the

@@ -217,35 +217,41 @@ class LabelStore:
     def get(self, ceil_r: int) -> Optional[PointLabels]:
         """Load labels for ``ceil(r)``, or None if no query produced them yet."""
         with self._lock:
-            cached = self._cache.get(ceil_r)
-            if cached is not None:
+            labels = self._load(ceil_r)
+            if labels is None:
+                self.misses += 1
+            else:
                 self.hits += 1
-                observe_cache("labels", hit=True)
-                return cached
-            if self.directory is None:
-                self.misses += 1
-                observe_cache("labels", hit=False)
-                return None
-            path = self._path(ceil_r)
-            if not path.exists():
-                self.misses += 1
-                observe_cache("labels", hit=False)
-                return None
-            try:
-                with np.load(path) as archive:
-                    count = int(archive["count"])
-                    labels = PointLabels.from_arrays(
-                        [archive[f"o{i}"] for i in range(count)],
-                        float(archive["r"]),
-                    )
-            except Exception as exc:
-                raise CorruptDataError(
-                    f"{path}: not a valid label archive ({exc})"
-                ) from exc
-            self._cache[ceil_r] = labels
-            self.hits += 1
-            observe_cache("labels", hit=True)
-            return labels
+        observe_cache("labels", hit=labels is not None)
+        return labels
+
+    def peek(self, ceil_r: int) -> Optional[PointLabels]:
+        """:meth:`get` without the lookup accounting: for a caller that
+        only asks at which ``r`` the ceiling's labels were produced."""
+        with self._lock:
+            return self._load(ceil_r)
+
+    def _load(self, ceil_r: int) -> Optional[PointLabels]:
+        """The ceiling's labels from memory, else from disk into memory."""
+        cached = self._cache.get(ceil_r)
+        if cached is not None or self.directory is None:
+            return cached
+        path = self._path(ceil_r)
+        if not path.exists():
+            return None
+        try:
+            with np.load(path) as archive:
+                count = int(archive["count"])
+                labels = PointLabels.from_arrays(
+                    [archive[f"o{i}"] for i in range(count)],
+                    float(archive["r"]),
+                )
+        except Exception as exc:
+            raise CorruptDataError(
+                f"{path}: not a valid label archive ({exc})"
+            ) from exc
+        self._cache[ceil_r] = labels
+        return labels
 
     def ceilings(self) -> list:
         """Sorted ``ceil(r)`` values with labels available (memory or disk).

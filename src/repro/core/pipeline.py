@@ -261,6 +261,12 @@ class LabelInputStage(Stage):
     (``phase_durations`` must mirror the untraced ``PhaseStats``
     semantics), and a fresh labeler is armed so this query produces the
     group's labels.
+
+    Under a resident-grid tier, a query whose ``r`` is the one the
+    ceiling's labels were produced at reads no labels either: the
+    labeling query kept its label-free grid, and the memo it filled
+    answers the repeat (an uncounted :meth:`~repro.core.labels.
+    LabelStore.peek` decides).
     """
 
     name = "label_input"
@@ -273,6 +279,12 @@ class LabelInputStage(Stage):
 
     def run(self, ctx: QueryContext, span) -> None:
         started = time.perf_counter()
+        if ctx.grid_cache is not None:
+            stored = ctx.label_store.peek(ctx.ceil_r)
+            if stored is not None and stored.r == ctx.r:
+                span.rename("label_lookup")
+                span.set_attributes(cache_hit=False, label_free_repeat=True)
+                return
         labels = ctx.label_store.get(ctx.ceil_r)
         if labels is not None and not labels_match_collection(labels, ctx.collection):
             # Stored labels describe a different collection (stale store);
@@ -294,8 +306,9 @@ class GridMappingStage(Stage):
     Under a :class:`~repro.grid.cache.ResidentGridCache` the query takes
     a kernel view of the resident grid for its exact ``r`` and labels
     instead of building one.  A build is kept resident -- and the query
-    runs on a view of it -- when the kernel can view it and the query
-    arms no labeler (its labels, stored at the end, make the grid stale).
+    runs on a view of it -- when the kernel can view it.  A labeling
+    query's grid is label-free, so it is kept under no labels: later
+    queries at its ``r`` run label-free on it (:class:`LabelInputStage`).
     A build cut short by a deadline or a fault raises before the store.
     """
 
@@ -317,11 +330,7 @@ class GridMappingStage(Stage):
                 labels=ctx.labels,
                 deadline=ctx.deadline,
             )
-            view = (
-                ctx.kernel.grid_view(bigrid)
-                if tier is not None and ctx.labeler is None
-                else None
-            )
+            view = ctx.kernel.grid_view(bigrid) if tier is not None else None
             if view is not None:
                 tier.put(ctx.r, ctx.resolved_backend, ctx.labels, bigrid)
                 bigrid = view

@@ -24,6 +24,7 @@ and the label-reuse lifecycle.
 
 from __future__ import annotations
 
+import threading
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -39,7 +40,10 @@ class DynamicMIO:
     """An updatable collection with exact MIO queries.
 
     Handles returned by :meth:`add_object` are stable across removals;
-    query results are translated back to handles.
+    query results are translated back to handles.  A lock orders
+    mutations and snapshots, so a snapshot taken while another thread
+    mutates is one whole version, and :meth:`versioned_snapshot` names
+    that version.
     """
 
     def __init__(self, backend: str = "ewah", use_labels: bool = True) -> None:
@@ -56,6 +60,7 @@ class DynamicMIO:
         #: collection can alias positions, so shape checks alone
         #: (``labels_match_collection``) cannot detect the staleness.
         self.version = 0
+        self._lock = threading.Lock()
 
     # ------------------------------------------------------------------
     # Mutation
@@ -68,28 +73,28 @@ class DynamicMIO:
         points = np.ascontiguousarray(points, dtype=np.float64)
         if points.ndim != 2 or len(points) == 0:
             raise ValueError("an object must be a non-empty (m, d) array")
-        handle = self._next_handle
-        self._next_handle += 1
-        self._points[handle] = points
-        self._timestamps[handle] = (
-            np.ascontiguousarray(timestamps, dtype=np.float64)
-            if timestamps is not None
-            else None
-        )
+        if timestamps is not None:
+            timestamps = np.ascontiguousarray(timestamps, dtype=np.float64)
+        with self._lock:
+            handle = self._next_handle
+            self._next_handle += 1
+            self._points[handle] = points
+            self._timestamps[handle] = timestamps
+            self._invalidate()
         obs_metrics.counter(
             "repro_mutations_total", "DynamicMIO collection mutations"
         ).inc(op="add")
-        self._invalidate()
         return handle
 
     def remove_object(self, handle: int) -> None:
         """Remove an object by handle; raises ``KeyError`` if absent."""
-        del self._points[handle]
-        del self._timestamps[handle]
+        with self._lock:
+            del self._points[handle]
+            del self._timestamps[handle]
+            self._invalidate()
         obs_metrics.counter(
             "repro_mutations_total", "DynamicMIO collection mutations"
         ).inc(op="remove")
-        self._invalidate()
 
     def _invalidate(self) -> None:
         # Labels are positional; any mutation makes stored labels unsound.
@@ -123,16 +128,22 @@ class DynamicMIO:
 
         Returns ``(collection, handle_of_position)``; positions in the
         collection map back to stable handles through the second element.
-        Sessions pair this with :attr:`version` to know when a snapshot
-        (and every positional cache derived from it) has gone stale.
+        Sessions pair it with its version (:meth:`versioned_snapshot`) to
+        know when a snapshot (and every positional cache derived from it)
+        has gone stale.
         """
-        if len(self._points) < 2:
-            raise ValueError("MIO queries need at least two objects")
-        handles = sorted(self._points)
-        collection = ObjectCollection.from_point_arrays(
-            [self._points[handle] for handle in handles]
-        )
+        collection, handles, _ = self.versioned_snapshot()
         return collection, handles
+
+    def versioned_snapshot(self) -> Tuple[ObjectCollection, List[int], int]:
+        """:meth:`snapshot` plus the :attr:`version` it compiles."""
+        with self._lock:
+            if len(self._points) < 2:
+                raise ValueError("MIO queries need at least two objects")
+            handles = sorted(self._points)
+            arrays = [self._points[handle] for handle in handles]
+            version = self.version
+        return ObjectCollection.from_point_arrays(arrays), handles, version
 
     def _compile(self) -> MIOEngine:
         if self._engine is None:

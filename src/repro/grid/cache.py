@@ -23,12 +23,15 @@ its per-query state, so answers, counters and ``memory_bytes`` equal a
 fresh build's, and concurrent queries sharing one entry cannot disturb
 each other.  The first view also gives the grid a memo of what its
 queries compute but cannot change (the numpy kernel's upper-bounding
-pass of queries that arm no labeler, skip bounds, score records and
-encoded row sizes):
-later views replay it with the same effects on their own state.  The
-memo lives and dies with its entry under this tier's LRU.  The pipeline stores a grid only once its build completed,
-only when the kernel can view it, and never from a labeling query (its
-labels are stored at the end of the query, which makes the grid stale).
+pass, skip bounds, score records and encoded row sizes): later views
+replay it with the same effects on their own state, except that a query
+arming a labeler fills it without reading it.  The memo lives and dies
+with its entry under this tier's LRU.  The pipeline stores a grid only
+once its build completed and only when the kernel can view it.  A
+labeling query's grid is stored under no labels: the repeats of its
+threshold run label-free on it (:class:`~repro.core.pipeline.
+LabelInputStage` routes them without a lookup here, so each query counts
+one hit or miss).
 
 Like every session tier the cache is positional (object ids) and must be
 cleared whenever the collection changes; :class:`~repro.session.

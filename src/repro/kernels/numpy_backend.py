@@ -331,15 +331,17 @@ class _GridTables:
 class _ResidentMemo:
     """What a query on a resident grid computes but cannot change.
 
-    * ``upper``: the last :class:`_UpperPass` of a query that armed no
-      labeler, valid for the label object it was run under;
+    * ``upper``: the last :class:`_UpperPass`, valid for the label
+      object it was run under;
     * ``bounds``: ``(seeds, r, box, refined)``, each candidate's box-only
       and refined skip bound (int64 per oid, -1 until first computed),
       valid for that seeds object and ``r``;
     * ``small_bytes`` / ``large_bytes``: the encoded size of every cell
       bitset of each grid;
+    * ``adj_total``: the encoded size of every adjacency row together,
+      for views that memoized every row (a label-free or labeling pass);
     * ``adj_bytes``: each adjacency row's encoded size (-1 until a view
-      first sizes it);
+      that memoized only some rows first sizes it);
     * ``scores``: ``(seeds, r, labels, method, records)``, each scored
       candidate's score record ``(block scores, slot)`` by oid, valid for
       that seeds object, ``r`` and masks (``labels`` and ``method`` are
@@ -347,8 +349,12 @@ class _ResidentMemo:
       no masks).  A record holds the candidate's score, first-hit entries
       and per group its counters, adjacency row and whether it had an
       unmasked point: everything a fresh block's settle applies
-      (:class:`_BlockScores`).  Queries that arm a labeler, or whose
-      masks come from another provider, neither read nor fill it.
+      (:class:`_BlockScores`).  Queries whose masks come from another
+      provider neither read nor fill it.
+
+    A query that arms a labeler fills ``upper`` and ``scores`` but never
+    reads them: its Labeling marks are effects, while its pass values,
+    counters, scores and per-group work do not depend on them.
 
     Every value is a pure function of the grid and its key, so whichever
     view computes one first stores it.  Arrays and record tables are
@@ -358,7 +364,13 @@ class _ResidentMemo:
     """
 
     __slots__ = (
-        "upper", "bounds", "small_bytes", "large_bytes", "adj_bytes", "scores"
+        "upper",
+        "bounds",
+        "small_bytes",
+        "large_bytes",
+        "adj_total",
+        "adj_bytes",
+        "scores",
     )
 
     def __init__(self) -> None:
@@ -367,11 +379,13 @@ class _ResidentMemo:
         self.scores: Optional[Tuple] = None
         self.small_bytes: Optional[int] = None
         self.large_bytes: Optional[int] = None
+        self.adj_total: Optional[int] = None
         self.adj_bytes: Optional[np.ndarray] = None
 
 
 class _UpperPass:
-    """One upper-bounding pass that armed no labeler, kept for replay.
+    """One upper-bounding pass, kept for replay by queries that arm no
+    labeler.
 
     ``values`` are the per-object upper bounds, ``visited`` the rows the
     pass memoizes (None: every row) and ``groups`` the groups it
@@ -757,11 +771,17 @@ class PackedLargeGrid(LargeGrid):
             return 0
         words = self._adjacency.words
         resident = self.tables.memo
+        every_row = memo.all()
         if resident is None:
             return packed_bitset_bytes(
-                self.bitset_cls, words if memo.all() else words[memo]
+                self.bitset_cls, words if every_row else words[memo]
             )
-        # A resident grid sizes each row once, for every view.
+        # A resident grid sizes its rows once, for every view: all of
+        # them at once (the cheap whole-matrix total), or row by row.
+        if every_row:
+            if resident.adj_total is None:
+                resident.adj_total = packed_bitset_bytes(self.bitset_cls, words)
+            return resident.adj_total
         sizes = resident.adj_bytes
         if sizes is None:
             sizes = np.full(len(memo), -1, dtype=np.int64)
@@ -1267,8 +1287,8 @@ class NumpyKernel(KernelBackend):
         large_grid = bigrid.large_grid
         n = bigrid.collection.n
         checkpoint(deadline, "upper_bounding")
-        resident = large_grid.tables.memo if labeler is None else None
-        if resident is not None:
+        resident = large_grid.tables.memo
+        if resident is not None and labeler is None:
             replay = resident.upper
             if replay is not None and replay.labels is labels:
                 return _replay_upper_pass(
@@ -1319,8 +1339,12 @@ class NumpyKernel(KernelBackend):
 
         candidates.sort(key=lambda entry: (-entry[0], entry[1]))
         if resident is not None:
+            # A labeling pass without labels processes every group, as a
+            # label-free pass does: it fills the label-free memo (its
+            # marks are this query's effects and are never replayed).
             resident.upper = _UpperPass(
-                labels, tuple(values), visited, groups_processed
+                labels, tuple(values), None if labels is None else visited,
+                groups_processed,
             )
         _upper_counts(stats, groups_processed, fresh_unions, len(candidates), n)
         return UpperBoundResult(candidates=candidates, values=values)
@@ -1666,10 +1690,11 @@ class _BatchedVerifier:
     the counters left behind by a ``QueryTimeout`` match the reference's.
     A scored block is one :class:`_BlockScores`, and a settle applies
     its candidate's slice of it.  On a resident grid, a query with a
-    ``score_key`` (no labeler armed, masks absent or a :class:`PointLabels`
-    mask method) keeps each candidate's slice as its score record in
-    the grid's :class:`_ResidentMemo`, and later blocks settle recorded
-    candidates from their records without scoring them again.
+    ``score_key`` (masks absent or a :class:`PointLabels` mask method)
+    keeps each candidate's slice as its score record in the grid's
+    :class:`_ResidentMemo`, and later blocks of queries that arm no
+    labeler settle recorded candidates from their records without
+    scoring them again.
 
     ``capacity()`` keeps a block's first-hit entries within
     ``VERIFY_BATCH_PAIRS``, estimated from the entries per candidate of
@@ -1727,13 +1752,12 @@ class _BatchedVerifier:
         if method in _FLAT_MASKS and isinstance(labels, PointLabels):
             self.mask_key = (labels, method)
         # Exact scores are memoized on a resident grid, keyed by the seeds,
-        # ``r`` and the masks, unless a labeler is armed (its Labeling-3
-        # marks are effects) or the masks come from another provider.
+        # ``r`` and the masks, unless the masks come from another provider.
+        # A query that arms a labeler fills the records but never reads
+        # them: its Labeling-3 marks are effects.
         self.score_key = None
-        if (
-            self.large_grid.tables.memo is not None
-            and labeler is None
-            and (verify_masks is None or self.mask_key is not None)
+        if self.large_grid.tables.memo is not None and (
+            verify_masks is None or self.mask_key is not None
         ):
             self.score_key = (seeds, r, *(self.mask_key or (None, None)))
         self.labeler = labeler
@@ -1870,8 +1894,15 @@ class _BatchedVerifier:
         computed yet for these seeds and ``r`` are bounded here."""
         memo = resident.bounds
         if memo is None or memo[0] is not self.seeds or memo[1] != self.r:
-            unknown = np.full(self.collection.n, -1, dtype=np.int64)
-            memo = (self.seeds, self.r, unknown, unknown)
+            # Nothing is known for these seeds and ``r`` yet.
+            box, refined = self._bounds(oid_array, floor)
+            box_memo = np.full(self.collection.n, -1, dtype=np.int64)
+            box_memo[oid_array] = box
+            refined_memo = np.full(self.collection.n, -1, dtype=np.int64)
+            if refined is not None:
+                refined_memo[oid_array] = refined
+            resident.bounds = (self.seeds, self.r, box_memo, refined_memo)
+            return box, refined
         box_memo, refined_memo = memo[2], memo[3]
         box = box_memo.take(oid_array)
         refined = refined_memo.take(oid_array)
@@ -2176,8 +2207,8 @@ class _BatchedVerifier:
     def _memo_scores(self, oids: List[int]) -> List[Tuple]:
         """Each candidate's score record, ``(block scores, slot)``, from
         the resident memo under ``score_key``.  The candidates no query
-        has recorded under that key are scored here as one block, and
-        their records stored."""
+        has recorded under that key (under a labeler: every candidate)
+        are scored here as one block, and their records stored."""
         resident = self.large_grid.tables.memo
         seeds, r, labels, method = self.score_key
         stored = resident.scores
@@ -2189,7 +2220,10 @@ class _BatchedVerifier:
         ):
             stored = (seeds, r, labels, method, {})
         known = stored[4]
-        misses = [oid for oid in oids if oid not in known]
+        if self.labeler is None:
+            misses = [oid for oid in oids if oid not in known]
+        else:
+            misses = oids
         if misses:
             scored = self._score(misses)
             known = dict(known)

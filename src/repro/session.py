@@ -13,18 +13,22 @@ cache                keyed by                 sound because
 ===================  =======================  ==============================
 point labels         ``ceil(r)``              Definition 4 / Section III-D
 resident grids       exact ``r``, label       the BIGrid is a pure function
-                     identity, backend        of ``r``, the bitset backend
-                                              and the grid-mapping label
-                                              filter (Algorithm 3)
+                     identity (none for a     of ``r``, the bitset backend
+                     labeling query's         and the grid-mapping label
+                     grid), backend           filter (Algorithm 3)
 lower-bound state    exact ``r``              small width = ``r / sqrt(d)``;
                                               Labeling-1 points never enter
                                               shared small cells (Lemma 3)
 ===================  =======================  ==============================
 
 Both exact-``r`` tiers share the ``lower_cache_entries`` LRU capacity.  A
-resident grid is kept only from a query that armed no labeler, and every
-query runs on its own kernel view of it (:mod:`repro.grid.cache`), so
-its answer, counters and ``memory_bytes`` are a fresh build's.
+resident grid is kept from every completed build, the labeling query's
+label-free one included, and every query runs on its own kernel view of
+it (:mod:`repro.grid.cache`), so its answer, counters and
+``memory_bytes`` are a fresh build's.  A query whose ``r`` is the one its
+ceiling's labels were produced at runs label-free on the labeling
+query's grid and the memo that query filled: it equals a fresh
+label-free run.
 ``stats()`` reports the resident-grid tier as ``grid_key_cache_hits``
 (queries that reused a grid) and ``grid_key_cache_misses`` (queries that
 built one), key names kept from the large-key cache it replaced.
@@ -39,7 +43,8 @@ objects, the unsound-reuse scenario ``dynamic.py`` documents.
 :meth:`QuerySession.query_many` plans a batch the way Section III-D's
 analyst workload wants: requests grouped by ``ceil(r)``, largest ``r``
 first within each group, so the group's first query produces labels at the
-most general threshold and every other query runs the WITH-LABEL pipeline.
+most general threshold, every query at a smaller ``r`` runs the WITH-LABEL
+pipeline, and a repeat of the labeling ``r`` runs label-free on its grid.
 Each request keeps its own deadline (PR 1 semantics); a request that times
 out degrades to an ``exact=False`` result *for that request only* and never
 poisons the rest of the batch.
@@ -202,11 +207,11 @@ class QuerySession:
         #: produce one ``batch`` root span with a ``request`` child per
         #: query, each containing that query's full phase tree.
         self.tracer = tracer
-        self.label_store = LabelStore(label_dir)
-        # Both exact-``r`` tiers share one capacity, so they hold the same
-        # set of thresholds.
-        self.grid_cache = ResidentGridCache(lower_cache_entries)
-        self.lower_cache = LowerBoundCache(lower_cache_entries)
+        self._label_dir = label_dir
+        self._tier_entries = lower_cache_entries
+        self._new_tiers()
+        #: Lookup counters of the tiers earlier snapshots used.
+        self._retired: Dict[str, int] = {}
         register_cache_metrics()
         # Concurrent use (the query service): the cache tiers are
         # individually thread-safe; these two locks cover the session's own
@@ -247,18 +252,41 @@ class QuerySession:
     # Cache lifecycle
     # ------------------------------------------------------------------
 
+    def _new_tiers(self) -> None:
+        self.label_store = LabelStore(self._label_dir)
+        # Both exact-``r`` tiers share one capacity, so they hold the same
+        # set of thresholds.
+        self.grid_cache = ResidentGridCache(self._tier_entries)
+        self.lower_cache = LowerBoundCache(self._tier_entries)
+
+    def _tier_counters(self) -> Dict[str, int]:
+        merged = dict(self.grid_cache.counters())
+        merged.update(self.lower_cache.counters())
+        merged["label_store_hits"] = self.label_store.hits
+        merged["label_store_misses"] = self.label_store.misses
+        return merged
+
     def invalidate(self) -> None:
         """Drop every cross-query cache (labels, resident grids, lower bounds).
 
         Called automatically when a :class:`DynamicMIO` source mutates;
         callable directly when the caller knows its data changed under a
         static collection (e.g. after rebuilding the session's input).
+
+        The tiers are cleared and replaced, and the engine rebuilt on the
+        new ones: a query still running on the previous engine stores its
+        labels, grid and lower bounds into tiers no later query reads.
         """
+        with self._stats_lock:
+            for key, value in self._tier_counters().items():
+                self._retired[key] = self._retired.get(key, 0) + value
+            self.counters["invalidations"] += 1
         self.label_store.clear()
         self.grid_cache.clear()
         self.lower_cache.clear()
-        with self._stats_lock:
-            self.counters["invalidations"] += 1
+        self._new_tiers()
+        if self._engine is not None:
+            self._build_engine()
 
     def _build_engine(self) -> None:
         self._engine = MIOEngine(
@@ -287,16 +315,19 @@ class QuerySession:
         with self._refresh_lock:
             if self._engine is not None and self._seen_version == self._dynamic.version:
                 return  # another worker already re-snapshotted this version
-            collection, handles = self._dynamic.snapshot()
+            collection, handles, version = self._dynamic.versioned_snapshot()
+            self.collection = collection
+            self.handle_of_position = handles
             if self._engine is not None:
                 # The previous snapshot's positional caches are unsound for
                 # the re-compacted collection even when every shape
                 # coincides.
                 self.invalidate()
-            self.collection = collection
-            self.handle_of_position = handles
-            self._seen_version = self._dynamic.version
-            self._build_engine()
+            else:
+                self._build_engine()
+            # Published last: a worker that sees this version finds the
+            # engine of its snapshot.
+            self._seen_version = version
 
     def handle_of(self, position: int) -> int:
         """Map a result's winner position to the source's stable handle."""
@@ -343,7 +374,9 @@ class QuerySession:
 
         Execution order groups requests by ``ceil(r)`` (ascending) and runs
         the largest ``r`` of each group first, so one labeling run serves
-        the whole group; ties keep submission order.  Results come back in
+        the whole group: smaller thresholds run with its labels, and
+        repeats of its ``r`` run label-free on the grid and memo it left
+        resident.  Ties keep submission order.  Results come back in
         the *caller's* order.  A request whose deadline expires before
         verification yields an ``exact=False`` result with ``winner == -1``
         (no verified answer exists yet) instead of raising, so one slow
@@ -503,10 +536,10 @@ class QuerySession:
     def stats(self) -> Dict[str, int]:
         """Merged session counters: reuse, cache hit/miss, degradations."""
         merged = dict(self.counters)
-        merged.update(self.grid_cache.counters())
-        merged.update(self.lower_cache.counters())
-        merged["label_store_hits"] = self.label_store.hits
-        merged["label_store_misses"] = self.label_store.misses
+        with self._stats_lock:
+            retired = dict(self._retired)
+        for key, value in self._tier_counters().items():
+            merged[key] = retired.get(key, 0) + value
         merged["label_ceilings"] = len(self.label_store.ceilings())
         return merged
 

@@ -4,23 +4,32 @@ Satellite: the three cross-query cache tiers (LabelStore,
 ResidentGridCache, LowerBoundCache) are hammered from many threads and
 must neither corrupt state nor change answers.  The closing tests drive
 one shared QuerySession -- the service's deployment shape -- from a
-thread pool and check every answer against a serial reference.
+thread pool and check every answer against a serial reference, and the
+chaos test drives the service over a DynamicMIO that another thread
+mutates, checking every answer against the brute-force oracle.
 """
 
+import json
+import random
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
+import numpy as np
 import pytest
 
 from repro.bitset.plain import PlainBitset
 from repro.core.engine import MIOEngine
 from repro.core.labels import LabelStore, PointLabels
 from repro.core.lower_bound import IntSeeds, LowerBoundCache, LowerBoundResult
+from repro.core.pipeline import GridMappingStage
+from repro.dynamic import DynamicMIO
 from repro.kernels import numpy_kernel_available
+from repro.service.app import ServiceApp
+from repro.service.config import ServiceConfig
 from repro.session import QuerySession
 
-from conftest import random_collection
+from conftest import oracle_scores, random_collection
 from test_kernel_conformance import assert_results_equal
 
 WORKERS = 8
@@ -50,14 +59,14 @@ def _run(session, r, k):
     return session.query(r) if k == 1 else session.topk(r, k)
 
 
-def _sequential_references(collection, label_r, thresholds):
+def _sequential_references(collection, label_r, thresholds, label_reuse="safe"):
     """Each ``(r, k, lower_hit)`` call on a fresh numpy session run
     sequentially after the labeling run at ``label_r``, with the call's
     lower-bound entry resident or not (the only counters that state
     changes; grid residency changes none)."""
 
     def sequential(r, k, lower_hit):
-        fresh = QuerySession(collection, kernel="numpy")
+        fresh = QuerySession(collection, kernel="numpy", label_reuse=label_reuse)
         fresh.query(label_r)
         if lower_hit:
             fresh.query(r)
@@ -156,15 +165,19 @@ class TestResidentGridConcurrency:
     def test_empty_score_memo_fills_concurrently(self):
         """Four threads start together on a resident entry whose upper
         pass and skip bounds are memoized but whose score memo is empty,
-        under labels of the same ``r`` (the memo is keyed by their verify
-        mask).  They score, record and replay the same candidates at
-        once; every result equals the sequential reference and the memo
-        ends up holding records."""
+        under the bucket's labels, which ``label_reuse="paper"`` applies
+        in verification too (the memo is keyed by their verify mask).
+        They score, record and replay the same candidates at once; every
+        result equals the sequential reference and the memo ends up
+        holding records."""
         collection = random_collection(30, 6, seed=59)
-        r = 3.6
-        reference = _sequential_references(collection, r, (r,))
+        label_r, r = 3.9, 3.6
+        reference = _sequential_references(
+            collection, label_r, (r,), label_reuse="paper"
+        )
         for _ in range(4):
-            session = QuerySession(collection, kernel="numpy")
+            session = QuerySession(collection, kernel="numpy", label_reuse="paper")
+            session.query(label_r)
             session.query(r)
             session.topk(r, 3)
             memo = session.grid_cache._entries[r][0].large_grid.tables.memo
@@ -309,3 +322,99 @@ class TestSharedSessionConcurrency:
                 assert result.score == expected.score
 
         hammer(worker, rounds=10)
+
+
+class TestDynamicServiceChaos:
+    """ROADMAP item 7's chaos test: ``/query`` and ``/topk`` through
+    :meth:`ServiceApp.handle` over a :class:`DynamicMIO` while another
+    thread moves objects.  Every answer must be the brute-force answer of
+    some collection version between that request's start and its end:
+    no request may be served from a snapshot older than its start."""
+
+    THRESHOLDS = (3.0, 2.6, 3.0, 2.2, 2.6, 3.0)
+
+    @staticmethod
+    def _matches(collection, r, k, payload) -> bool:
+        scores = oracle_scores(collection, r)
+        best = max(scores)
+        if k == 1:
+            winner = payload["winner"]
+            return (
+                0 <= winner < len(scores)
+                and payload["score"] == best == scores[winner]
+            )
+        topk = payload["topk"]
+        return (
+            all(0 <= oid < len(scores) and scores[oid] == score for oid, score in topk)
+            and len({oid for oid, _ in topk}) == len(topk)
+            and [score for _, score in topk] == sorted(scores, reverse=True)[:k]
+        )
+
+    def test_answers_match_a_version_within_each_request(self, monkeypatch):
+        base = random_collection(24, 5, seed=61)
+        dynamic = DynamicMIO()
+        handles = [dynamic.add_object(obj.points) for obj in base]
+        app = ServiceApp(dynamic, ServiceConfig(port=0, default_timeout_ms=60000.0))
+        versions = {dynamic.version: dynamic.snapshot()[0]}
+        labeled_tables = set()
+        served_from_labeling = []
+        run = GridMappingStage.run
+
+        def spying(stage, ctx, span):
+            # Which resident entries a labeling query built, and which
+            # later queries ran on one of them.
+            run(stage, ctx, span)
+            tables = getattr(ctx.bigrid.large_grid, "tables", None)
+            if ctx.grid_cache is None or tables is None:
+                return
+            if ctx.labeler is not None:
+                labeled_tables.add(id(tables))
+            elif id(tables) in labeled_tables:
+                served_from_labeling.append(ctx.r)
+
+        monkeypatch.setattr(GridMappingStage, "run", spying)
+        stop = threading.Event()
+        rng = random.Random(61)
+
+        def mover():
+            while not stop.is_set():
+                handle = handles.pop(rng.randrange(len(handles)))
+                points = dynamic.get_points(handle)
+                shift = np.array([rng.gauss(0.0, 1.5), rng.gauss(0.0, 1.5)])
+                dynamic.remove_object(handle)
+                versions[dynamic.version] = dynamic.snapshot()[0]
+                handles.append(dynamic.add_object(points + shift))
+                versions[dynamic.version] = dynamic.snapshot()[0]
+                stop.wait(0.001)
+
+        answers = []
+
+        def client(index, round_index):
+            r = self.THRESHOLDS[(index + round_index) % len(self.THRESHOLDS)]
+            k = 3 if (index + round_index) % 3 == 0 else 1
+            body = {"r": r} if k == 1 else {"r": r, "k": k}
+            start = dynamic.version
+            response = app.handle(
+                "POST", "/query" if k == 1 else "/topk", None,
+                json.dumps(body).encode(),
+            )
+            answers.append((r, k, start, dynamic.version, response))
+
+        moving = threading.Thread(target=mover)
+        moving.start()
+        try:
+            _with_fast_switching(lambda: hammer(client, rounds=30, workers=3))
+        finally:
+            stop.set()
+            moving.join(timeout=60.0)
+        assert not moving.is_alive()
+        assert len(versions) > 10
+        for r, k, start, end, response in answers:
+            assert response.status == 200, response.payload
+            assert response.payload["exact"] is True, response.payload
+            assert any(
+                self._matches(versions[version], r, k, response.payload)
+                for version in range(start, end + 1)
+            ), (r, k, start, end, response.payload)
+        if numpy_kernel_available():
+            assert labeled_tables and served_from_labeling

@@ -17,13 +17,14 @@ so in the commit.
 import pytest
 
 from repro.core.engine import MIOEngine
+from repro.core.labels import LabelStore
 from repro.core.lower_bound import LowerBoundCache
 from repro.core.temporal import TemporalMIOEngine
 from repro.kernels import numpy_kernel_available
 from repro.progressive import query_progressive
 from repro.session import QuerySession
 
-from conftest import random_collection
+from conftest import oracle_scores, random_collection
 
 KERNELS = ("python", "numpy") if numpy_kernel_available() else ("python",)
 BITSET_BACKENDS = ("ewah", "plain", "roaring")
@@ -75,16 +76,31 @@ VERIFY_HEAVY_GOLDEN = {
     12.0: (4, 21, 28, 2, 23, 630, 225, 0, 1),
 }
 
-# The with-label session path on the same collection: repeated ceilings
-# replay labels, so later queries skip labeled points (2 and 22 of ~320
-# points: only verified candidates leave Labeling-3 marks) while the
-# answers and distance work stay pinned.  Tuples as above, preceded by
-# the algorithm that must run.
-SESSION_LABEL_GOLDEN = [
+# The with-label path of an engine holding a label store (and no grid
+# tier) on the same collection: repeated thresholds replay labels, so
+# later queries skip labeled points (2 and 22 of ~320 points: only
+# verified candidates leave Labeling-3 marks) while the answers and
+# distance work stay pinned.  Tuples as above, preceded by the algorithm
+# that must run.
+ENGINE_LABEL_GOLDEN = [
     (12.0, "bigrid", (4, 21, 28, 2, 23, 630, 225, 0, 1)),
     (9.0, "bigrid", (4, 20, 27, 3, 10, 281, 109, 0, 1)),
     (12.0, "bigrid-label", (4, 21, 28, 2, 23, 630, 225, 2, 1)),
     (9.0, "bigrid-label", (4, 20, 27, 3, 10, 281, 109, 22, 1)),
+]
+
+# The same sequence through a session, whose grid tier runs a repeat of
+# a labeling threshold label-free on the labeling query's grid: 12.0 and
+# 9.0 repeat their label-free goldens.  The other thresholds of each
+# bucket (11.5, 8.5) run with the labels; under ``label_reuse="safe"``
+# Labeling-3 is withheld there, so no point is skipped in verification.
+SESSION_LABEL_GOLDEN = [
+    (12.0, "bigrid", (4, 21, 28, 2, 23, 630, 225, 0, 1)),
+    (9.0, "bigrid", (4, 20, 27, 3, 10, 281, 109, 0, 1)),
+    (12.0, "bigrid", (4, 21, 28, 2, 23, 630, 225, 0, 1)),
+    (9.0, "bigrid", (4, 20, 27, 3, 10, 281, 109, 0, 1)),
+    (11.5, "bigrid-label", (4, 21, 28, 2, 23, 712, 252, 0, 1)),
+    (8.5, "bigrid-label", (4, 20, 14, 3, 10, 251, 107, 0, 1)),
 ]
 
 _VERIFY_COUNTER_KEYS = (
@@ -162,12 +178,29 @@ class TestVerificationHeavyGolden:
         session = QuerySession(
             verify_heavy_collection, backend=backend, kernel=kernel
         )
-        for r, algorithm, golden in SESSION_LABEL_GOLDEN:
-            result = session.query(r)
+        self._check_sequence(verify_heavy_collection, session, SESSION_LABEL_GOLDEN)
+
+    @pytest.mark.parametrize("kernel", KERNELS)
+    @pytest.mark.parametrize("backend", BITSET_BACKENDS)
+    def test_engine_label_sequence_matches_golden(
+        self, verify_heavy_collection, backend, kernel
+    ):
+        engine = MIOEngine(
+            verify_heavy_collection, backend=backend, kernel=kernel,
+            label_store=LabelStore(),
+        )
+        self._check_sequence(verify_heavy_collection, engine, ENGINE_LABEL_GOLDEN)
+
+    @staticmethod
+    def _check_sequence(collection, target, sequence):
+        for r, algorithm, golden in sequence:
+            result = target.query(r)
             winner, score, *counters = golden
             assert result.algorithm == algorithm, r
             assert result.exact
             assert (result.winner, result.score) == (winner, score), r
+            scores = oracle_scores(collection, r)
+            assert score == max(scores) == scores[winner], r
             assert [
                 result.counters[key] for key in _VERIFY_COUNTER_KEYS
             ] == counters, r

@@ -1364,20 +1364,45 @@ class TestEngineConformance:
             assert ref == got
 
     def test_session_label_path_matches(self):
-        # Second same-ceiling query runs bigrid-label; the label replay and
-        # its filtered rebuild must agree across kernels too, on every
-        # bitset backend, and so must every query served by a resident
-        # grid.
+        # The second same-ceiling threshold runs bigrid-label; the label
+        # replay and its filtered rebuild must agree across kernels too,
+        # on every bitset backend, and so must every query served by a
+        # resident grid.  Repeats of the labeling threshold run label-free
+        # on both kernels: on the labeling query's grid (numpy), or on a
+        # label-free build (python).
         collection = random_collection(n=40, mean_points=8, seed=31)
         for backend in BITSET_BACKENDS:
             ref_session = QuerySession(collection, backend=backend, kernel="python")
             got_session = QuerySession(collection, backend=backend, kernel="numpy")
+            algorithms = []
             for r in (3.0, 2.6, 3.0, 2.6, 3.0, 2.6):
-                assert_results_equal(ref_session.query(r), got_session.query(r))
+                got = got_session.query(r)
+                assert_results_equal(ref_session.query(r), got)
+                algorithms.append(got.algorithm)
+            assert algorithms == ["bigrid", "bigrid-label"] * 3
             # Repeated thresholds run on views of resident grids on the
             # numpy side only; the reference kernel builds every time.
-            assert got_session.stats()["grid_key_cache_hits"] > 0
+            assert got_session.stats()["grid_key_cache_hits"] == 4
             assert ref_session.stats()["grid_key_cache_hits"] == 0
+
+    @pytest.mark.parametrize("backend", BITSET_BACKENDS)
+    @pytest.mark.parametrize("ks", [(1, 5, 1), (5, 1, 5)], ids=["k=1/5/1", "k=5/1/5"])
+    def test_labeling_threshold_repeats_match(self, backend, ks):
+        # A labeling query, repeats of its threshold (label-free, on the
+        # labeling-filled entry on the numpy side) and a with-label
+        # threshold of the bucket between them.
+        collection = random_collection(n=40, mean_points=8, seed=31)
+        ref_session = QuerySession(collection, backend=backend, kernel="python")
+        got_session = QuerySession(collection, backend=backend, kernel="numpy")
+        calls = [(3.0, ks[0]), (3.0, ks[1]), (2.6, ks[1]), (3.0, ks[2])]
+        for r, k in calls:
+            ref, got = (
+                session.query(r) if k == 1 else session.topk(r, k)
+                for session in (ref_session, got_session)
+            )
+            assert_results_equal(ref, got)
+            assert got.algorithm == ("bigrid-label" if r == 2.6 else "bigrid")
+        assert got_session.stats()["grid_key_cache_hits"] == 2
 
     def test_traced_run_matches_untraced(self):
         collection = random_collection(n=30, mean_points=6, seed=33)

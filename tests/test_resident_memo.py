@@ -10,6 +10,10 @@ read, and on builds that keep no grid.
 Each pair of results must be equal: winner, score, top-k, every counter
 and ``memory_bytes`` (``assert_results_equal``).  The kernel-level cases
 compare whole phase outputs, clock reads included, against fresh builds.
+
+A labeling query keeps its label-free grid and fills its memo, but never
+replays it (its Labeling marks are effects).  A repeat of its threshold
+runs label-free on that entry and must equal a fresh label-free run.
 """
 
 import math
@@ -42,6 +46,10 @@ BACKENDS = ("ewah", "plain", "roaring")
 #: whose refined bounds skip more than the box-only ones.
 R = 6.0
 REFINED_R = 8.0
+#: Where the with-label sessions label each threshold's ceiling: another
+#: ``r`` of the bucket, since a session runs a repeat of the labeling
+#: threshold itself label-free.
+LABEL_R = {R: 5.5, REFINED_R: 7.5}
 
 
 @pytest.fixture(scope="module")
@@ -64,15 +72,21 @@ def _call(target, r, k):
 def _pair(collection, backend, with_label, keep_lower=False):
     """``(resident, fresh)``: one target keeping its grids resident and
     one building every grid, otherwise alike.  With labels, both are
-    sessions that have labeled every ceiling used here; without, engines
+    sessions that have labeled every ceiling used here at ``LABEL_R``,
+    under ``label_reuse="paper"`` so that the queries at ``R`` and
+    ``REFINED_R`` read the labels' Labeling-3 masks too; without, engines
     that keep their lower bounds too if ``keep_lower``."""
     if with_label:
-        resident = QuerySession(collection, kernel="numpy", backend=backend)
-        fresh = QuerySession(collection, kernel="numpy", backend=backend)
+        resident, fresh = (
+            QuerySession(
+                collection, kernel="numpy", backend=backend, label_reuse="paper"
+            )
+            for _ in range(2)
+        )
         fresh._engine.grid_cache = None
         for session in (resident, fresh):
             for r in (R, REFINED_R):
-                session.query(r)  # the labeling run keeps no grid
+                session.query(LABEL_R[r])
         return resident, fresh
     def lower():
         return LowerBoundCache() if keep_lower else None
@@ -135,7 +149,13 @@ class TestUpperPassMemo:
         assert memo.upper is not None and memo.upper.labels is (
             resident.label_store.get(math.ceil(R)) if with_label else None
         )
-        assert memo.bounds is not None and memo.adj_bytes is not None
+        assert memo.bounds is not None
+        # A label-free pass memoizes every adjacency row, which are sized
+        # together; a masked one memoizes some, sized row by row.
+        if with_label:
+            assert memo.adj_bytes is not None and memo.adj_total is None
+        else:
+            assert memo.adj_total is not None and memo.adj_bytes is None
         assert resident.grid_cache.hits == 2
 
     def test_threshold_narrows_the_memoized_pass(self, bird, backend, with_label):
@@ -275,31 +295,38 @@ def _build(collection, r, labels):
     return NUMPY_KERNEL.build_bigrid(collection, r, labels=labels)
 
 
-def test_deadline_sweep_on_a_hit_matches_fresh_builds(bird):
+def _budget_sweep(collection, resident, lower, labels, k):
     """Every budget of a ``ManualClock`` deadline, from a timeout in the
-    upper-bounding pass to a complete run: a view whose memo replays the
-    pass and its skip bounds reads the clock as often, and leaves the
-    same anytime prefix, counters and memory, as a fresh build."""
+    upper-bounding pass to a complete run, on a view of ``resident``
+    against a fresh build: the same outcome, counters, clock reads and
+    memory at each.  The sweep must reach timeouts in upper bounding,
+    anytime prefixes and a complete run."""
+    outcomes = set()
+    budget = 0
+    while True:
+        fresh = _build(collection, R, labels)
+        fresh_lower = NUMPY_KERNEL.lower_bounds(fresh)
+        want = _phases(fresh, fresh_lower, labels, R, k, budget=budget)
+        got = _phases(resident.view(), lower, labels, R, k, budget=budget)
+        assert got == want, budget
+        outcomes.add(want[0][0] if want[0][0] == "timeout" else want[0][4])
+        if want[0][0] != "timeout" and not want[0][4]:
+            break
+        budget += 1
+    assert outcomes == {"timeout", True, False}
+
+
+def test_deadline_sweep_on_a_hit_matches_fresh_builds(bird):
+    """A view whose memo replays the pass and its skip bounds reads the
+    clock as often, and leaves the same anytime prefix, counters and
+    memory, as a fresh build."""
     labels = _labels(bird, R)
     resident = _build(bird, R, labels)
     filler = resident.view()
     lower = NUMPY_KERNEL.lower_bounds(filler)
     _phases(filler, lower, labels, R, k=5)
     assert resident.large_grid.tables.memo.upper is not None
-    outcomes = set()
-    budget = 0
-    while True:
-        fresh = _build(bird, R, labels)
-        fresh_lower = NUMPY_KERNEL.lower_bounds(fresh)
-        want = _phases(fresh, fresh_lower, labels, R, 5, budget=budget)
-        got = _phases(resident.view(), lower, labels, R, 5, budget=budget)
-        assert got == want, budget
-        outcomes.add(want[0][0] if want[0][0] == "timeout" else want[0][4])
-        if want[0][0] != "timeout" and not want[0][4]:
-            break
-        budget += 1
-    # Timeouts in upper bounding, anytime prefixes, and a complete run.
-    assert outcomes == {"timeout", True, False}
+    _budget_sweep(bird, resident, lower, labels, 5)
 
 
 def test_bounds_are_keyed_to_their_seeds(bird):
@@ -338,19 +365,27 @@ def test_deadline_sweep_on_score_records_matches_fresh_builds(
     lower = NUMPY_KERNEL.lower_bounds(resident.view())
     _phases(resident.view(), lower, labels, R, k)
     del memo_scored[:]
-    outcomes = set()
-    budget = 0
-    while True:
-        fresh = _build(bird, R, labels)
-        fresh_lower = NUMPY_KERNEL.lower_bounds(fresh)
-        want = _phases(fresh, fresh_lower, labels, R, k, budget=budget)
-        got = _phases(resident.view(), lower, labels, R, k, budget=budget)
-        assert got == want, budget
-        outcomes.add(want[0][0] if want[0][0] == "timeout" else want[0][4])
-        if want[0][0] != "timeout" and not want[0][4]:
-            break
-        budget += 1
-    assert outcomes == {"timeout", True, False}
+    _budget_sweep(bird, resident, lower, labels, k)
+    assert memo_scored == []
+
+
+@pytest.mark.parametrize("k", [1, 5])
+def test_deadline_sweep_on_a_labeling_filled_entry_matches_fresh_builds(
+    bird, k, memo_scored
+):
+    """A labeling query fills a grid's upper pass and score records with
+    what a label-free query computes; every budget on a later label-free
+    view then matches a fresh label-free build, clock reads included,
+    and scores nothing."""
+    resident = _build(bird, R, None)
+    filler = resident.view()
+    lower = NUMPY_KERNEL.lower_bounds(filler)
+    _phases(filler, lower, None, R, k, labeler=PointLabels.for_collection(bird, R))
+    memo = resident.large_grid.tables.memo
+    assert memo.upper.labels is None and memo.upper.visited is None
+    assert memo.scores[:4] == (lower.seeds, R, None, None)
+    del memo_scored[:]
+    _budget_sweep(bird, resident, lower, None, k)
     assert memo_scored == []
 
 
@@ -436,26 +471,82 @@ def test_new_labels_object_rekeys_the_scores(bird):
     )
 
 
-def test_labeling_query_neither_reads_nor_fills_the_scores(bird, memo_scored):
-    """A query that arms a labeler scores every candidate it settles and
-    marks the labels a fresh build's labeling query marks, on a grid
-    with score records; on a grid without any, it records none."""
+def test_labeling_query_fills_but_never_reads_the_memo(bird, memo_scored):
+    """On a grid whose memo holds a label-free query's upper pass and score
+    records, a labeling query still runs its own pass and scores every
+    candidate it settles: its outcome and every label bit equal a fresh
+    build's labeling query.  On an empty memo it fills both with what a
+    label-free query computes (its marks do not change them), and a
+    label-free view then replays them as a fresh build runs."""
     resident = _build(bird, R, None)
     lower = NUMPY_KERNEL.lower_bounds(resident.view())
     _phases(resident.view(), lower, None, R, 5)
-    records = resident.large_grid.tables.memo.scores
-    assert records is not None
     del memo_scored[:]
     marked = []
     for grid in (_build(bird, R, None), resident.view()):
         labeler = PointLabels.for_collection(bird, R)
         outcome = _phases(grid, lower, None, R, 5, labeler=labeler)
-        marked.append((outcome, labeler.flat_mask(VERIFY_BIT).tolist()))
+        marked.append((outcome, [array.tolist() for array in labeler.arrays]))
     assert marked[0] == marked[1]
     assert sum(memo_scored) >= marked[1][0][1]["verified_objects"] > 0
-    assert resident.large_grid.tables.memo.scores is records
+    # Every Labeling bit was cleared somewhere: none of the marks came
+    # from a replay, which would leave them set.
+    assert all(labeler.count_cleared().values())
 
     empty = _build(bird, R, None)
     labeler = PointLabels.for_collection(bird, R)
-    _phases(empty.view(), lower, None, R, 5, labeler=labeler)
-    assert empty.large_grid.tables.memo.scores is None
+    filled = _phases(empty.view(), lower, None, R, 5, labeler=labeler)
+    memo = empty.large_grid.tables.memo
+    assert memo.upper.labels is None and memo.upper.visited is None
+    assert memo.scores[:4] == (lower.seeds, R, None, None) and memo.scores[4]
+    del memo_scored[:]
+    replayed = _phases(empty.view(), lower, None, R, 5)
+    assert memo_scored == []
+    assert replayed == _phases(_build(bird, R, None), lower, None, R, 5)
+    # The labeling run's own outcome and counters are a label-free run's.
+    assert filled == replayed
+
+
+def _label_free(collection, backend):
+    """A session that never labels and builds every grid: each query is a
+    fresh label-free run beside the session's lower-bound tier."""
+    session = QuerySession(collection, kernel="numpy", backend=backend)
+    session._engine.label_store = None
+    session._engine.grid_cache = None
+    return session
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("ks", [(1, 5, 1), (5, 1, 5)], ids=["k=1/5/1", "k=5/1/5"])
+def test_labeling_threshold_repeats_are_fresh_label_free_runs(
+    bird, backend, ks, memo_scored
+):
+    """The first query labels ``R``'s ceiling and keeps its grid.  Each
+    repeat of ``R`` is a grid hit that reads no labels and equals a fresh
+    label-free run in answers, ties, top-k, every counter, ``extra`` and
+    ``memory_bytes``; the last repeats the first's ``k`` and scores
+    nothing.  The labeling query itself differs from a label-free run
+    only in its ``labeled_*`` counts."""
+    session = QuerySession(bird, kernel="numpy", backend=backend)
+    fresh = _label_free(bird, backend)
+    scored = []
+    for index, k in enumerate(ks):
+        del memo_scored[:]
+        got, want = _call(session, R, k), _call(fresh, R, k)
+        scored.append(sum(memo_scored))
+        labeled = {key for key in got.counters if key.startswith("labeled_")}
+        if index == 0:
+            assert labeled == {"labeled_grid", "labeled_upper", "labeled_verify"}
+            for key in labeled:
+                del got.counters[key]
+        else:
+            assert labeled == set()
+        assert got.algorithm == "bigrid"
+        assert_results_equal(got, want)
+        assert got.extra == want.extra
+    stats = session.stats()
+    assert (stats["grid_key_cache_hits"], stats["grid_key_cache_misses"]) == (2, 1)
+    assert (stats["label_store_hits"], stats["label_store_misses"]) == (0, 1)
+    assert scored[0] > 0 and scored[2] == 0
+    memo = _memo(session, R)
+    assert memo.upper.labels is None and memo.scores[2] is None

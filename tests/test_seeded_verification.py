@@ -10,12 +10,16 @@ Labeling-3 marks, on both kernels, in 2-D and 3-D, for ``k`` in ``{1, 5}``
 and under a step-clock deadline.
 
 Each variant runs the same threshold twice over its own label store: the
-first query produces labels, the second runs WITH-LABEL (and, under a
-cache, hits it).  Without a deadline all three variants agree on both
-queries.  A step-clock deadline expires after a fixed number of clock
-reads, and a cache hit skips lower bounding's per-object reads, so under
-a deadline the variants that read the clock alike must agree exactly,
-and every settled prefix must be a prefix of the unhurried run's.
+first query produces labels, the second runs WITH-LABEL in the engines
+(and, under a cache, hits it).  A session runs that repeat label-free on
+the labeling query's grid, so it is compared against a fourth variant:
+an engine with a lower-bound cache and a grid tier but no label store,
+whose queries are the session's but for the labeling query's marks.
+Without a deadline the variants agree on both queries.  A step-clock
+deadline expires after a fixed number of clock reads, and a cache hit
+skips lower bounding's per-object reads, so under a deadline the
+variants that read the clock alike must agree exactly, and every settled
+prefix must be a prefix of the unhurried run's.
 """
 
 import math
@@ -30,6 +34,7 @@ from repro.core.labels import LabelStore
 from repro.core.lower_bound import LowerBoundCache
 from repro.core.objects import ObjectCollection
 from repro.errors import QueryTimeout
+from repro.grid.cache import ResidentGridCache
 from repro.kernels import numpy_kernel_available, resolve_kernel
 from repro.resilience import Deadline, ManualClock
 from repro.session import QuerySession
@@ -37,7 +42,7 @@ from repro.session import QuerySession
 from conftest import oracle_scores
 
 KERNELS = ("python", "numpy") if numpy_kernel_available() else ("python",)
-VARIANTS = ("cacheless", "lower_cache", "session")
+VARIANTS = ("cacheless", "lower_cache", "session", "label_free")
 COUNTER_KEYS = (
     "candidates",
     "verified_objects",
@@ -104,11 +109,12 @@ def run_variant(variant, collection, kernel_name, r, k, budget):
             lambda r, deadline: session.topk(r, k, deadline=deadline)
         )
     else:
-        store = LabelStore()
+        store = None if variant == "label_free" else LabelStore()
         engine = MIOEngine(
             collection,
             label_store=store,
-            lower_cache=LowerBoundCache() if variant == "lower_cache" else None,
+            lower_cache=None if variant == "cacheless" else LowerBoundCache(),
+            grid_cache=ResidentGridCache() if store is None else None,
             kernel=kernel,
         )
         ask = engine.query if k == 1 else (
@@ -126,7 +132,7 @@ def run_variant(variant, collection, kernel_name, r, k, budget):
             observations.append("timeout")
             continue
         verification = kernel.verifications[-1]
-        labels = store.get(math.ceil(r))
+        labels = None if store is None else store.get(math.ceil(r))
         observations.append({
             "answer": (
                 result.algorithm, result.winner, result.score, result.topk,
@@ -153,6 +159,18 @@ def clock_reads(collection, r, k, kernel):
     return int(clock.now)
 
 
+def _unlabeled(observation):
+    """An observation without the label store's contents."""
+    if observation == "timeout":
+        return observation
+    return {key: value for key, value in observation.items() if key != "labels"}
+
+
+def _labeled(observation):
+    """Whether a completed first query stored its labels."""
+    return observation != "timeout" and observation["answer"][4]
+
+
 def check_variants_agree(collection, r, k, cut, kernel):
     budget = (
         None if cut is None else max(1, clock_reads(collection, r, k, kernel) - cut)
@@ -161,29 +179,46 @@ def check_variants_agree(collection, r, k, cut, kernel):
         variant: run_variant(variant, collection, kernel, r, k, budget)
         for variant in VARIANTS
     }
+    session = runs["session"]
     if budget is None:
         best = max(oracle_scores(collection, r))
-        for variant, observations in runs.items():
-            assert observations == runs["cacheless"], variant
+        assert runs["lower_cache"] == runs["cacheless"]
+        assert session[0] == runs["cacheless"][0]
+        # The second query replays the first one's labels in an engine; a
+        # session runs it label-free, as an engine without labels does,
+        # and writes no labels.
+        assert runs["cacheless"][1]["answer"][0] == "bigrid-label"
+        assert session[1]["answer"][0] == "bigrid"
+        assert session[1]["labels"] == session[0]["labels"]
+        # The labeling query is a label-free run but for its marks.
+        assert list(map(_unlabeled, session)) == list(
+            map(_unlabeled, runs["label_free"])
+        )
+        for observations in runs.values():
             for observation in observations:
                 assert observation["answer"][2] == best
                 assert observation["answer"][4]
-            # The second query replays the first one's labels.
-            assert observations[1]["answer"][0] == "bigrid-label"
         return
     # A miss and a session's first query read the clock as a cache-less
-    # query does; a hit skips lower bounding in the engine and session alike.
+    # query does.  A session's second query -- the label-free repeat, or
+    # a labeling run if the first was cut short -- reads it as the
+    # label-free engine's does: both hit the lower-bound cache, and the
+    # grid tier, whenever the first query's build completed.
     assert runs["lower_cache"][0] == runs["cacheless"][0]
-    assert runs["session"][0] == runs["cacheless"][0]
-    assert runs["session"][1] == runs["lower_cache"][1]
+    assert session[0] == runs["cacheless"][0]
+    assert list(map(_unlabeled, session)) == list(map(_unlabeled, runs["label_free"]))
     unhurried = run_variant("cacheless", collection, kernel, r, k, None)
+    unhurried_free = run_variant("label_free", collection, kernel, r, k, None)
     for variant, observations in runs.items():
         # A first query cut short stores no labels: the second one labels.
-        labeled = observations[0] != "timeout" and observations[0]["answer"][4]
+        labeled = _labeled(observations[0])
         for query, observation in enumerate(observations):
             if observation == "timeout":
                 continue
-            full = unhurried[query if labeled else 0]
+            if variant in ("session", "label_free"):
+                full = unhurried_free[query]
+            else:
+                full = unhurried[query if labeled else 0]
             settled = observation["settled"]
             assert settled == full["settled"][: len(settled)], (variant, query)
             if observation["answer"][4]:

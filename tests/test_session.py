@@ -19,6 +19,7 @@ from repro.dynamic import DynamicMIO
 from repro import faults
 from repro.errors import InjectedFault, InvalidQueryError, QueryTimeout
 from repro.faults import FaultInjector, FaultSpec
+from repro.grid.cache import ResidentGridCache
 from repro.kernels import numpy_kernel_available
 from repro.resilience import Deadline, ManualClock
 from repro.session import QueryRequest, QuerySession, normalize_request as _normalize
@@ -118,9 +119,13 @@ class TestSessionBasics:
         stats = session.stats()
         assert stats["queries"] == 3
         assert stats["batches"] == 1
-        assert stats["label_misses"] == 1      # one labeling run
-        assert stats["label_hits"] == 2        # two WITH-LABEL runs
+        # The labeling run and its exact repeat, which runs label-free
+        # in a session (its grid tier makes the repeat a fresh label-free
+        # run), then one WITH-LABEL run.
+        assert stats["label_misses"] == 2
+        assert stats["label_hits"] == 1
         assert stats["lower_cache_hits"] == 1  # repeated exact r = 4.9
+        assert stats["label_store_hits"] == 1  # the repeat reads no labels
         # The python kernel keeps no grid resident: every query builds.
         assert stats["grid_key_cache_hits"] == 0
         assert stats["grid_key_cache_misses"] == 3
@@ -156,9 +161,11 @@ class TestResidentGrids:
 
     @staticmethod
     def _reference(collection, calls):
-        """Each call's result on a session whose every query builds."""
+        """Each call's result on a session whose every query builds: its
+        tier keeps nothing, so repeats of a labeling threshold still run
+        label-free."""
         session = QuerySession(collection, kernel="numpy")
-        session._engine.grid_cache = None
+        session._engine.grid_cache = ResidentGridCache(max_entries=0)
         return [
             session.query(r) if k == 1 else session.topk(r, k) for r, k in calls
         ]
@@ -172,15 +179,18 @@ class TestResidentGrids:
         for result, reference in zip(got, self._reference(clustered_collection, calls)):
             assert_results_equal(result, reference)
         stats = session.stats()
-        # The labeling run builds and keeps nothing, 4.9 builds, its top-3
-        # reuses, 4.1 builds, then 4.1 and 4.9 reuse.
-        assert (stats["grid_key_cache_hits"], stats["grid_key_cache_misses"]) == (3, 3)
+        # The labeling run builds and keeps its grid; the 4.9 repeat and
+        # its top-3 reuse it label-free, 4.1 builds, then 4.1 and 4.9
+        # reuse.
+        assert [result.algorithm for result in got] == [
+            "bigrid", "bigrid", "bigrid", "bigrid-label", "bigrid-label", "bigrid",
+        ]
+        assert (stats["grid_key_cache_hits"], stats["grid_key_cache_misses"]) == (4, 2)
         assert len(session.grid_cache) == 2
 
     def test_entry_needs_same_labels_backend_and_collection(self, clustered_collection):
         """A late store from a query on a previous snapshot (or under other
         labels or another backend) is never served, and is dropped."""
-        from repro.grid.cache import ResidentGridCache
         from repro.kernels.numpy_backend import NUMPY_KERNEL
 
         grid = NUMPY_KERNEL.build_bigrid(clustered_collection, 4.5)
@@ -199,12 +209,22 @@ class TestResidentGrids:
         assert tier.get(clustered_collection, 4.5, "ewah", labels) is grid
         assert tier.counters() == {"grid_key_cache_hits": 1, "grid_key_cache_misses": 3}
 
-    def test_labeling_query_keeps_no_grid(self, clustered_collection):
+    def test_labeling_query_keeps_its_grid(self, clustered_collection):
+        """The labeling query keeps its label-free grid; a repeat of its
+        threshold runs label-free on it, reading no labels, and the
+        bucket's other thresholds run with labels on grids of their own."""
         session = QuerySession(clustered_collection, kernel="numpy")
         assert session.query(4.9).algorithm == "bigrid"
-        assert len(session.grid_cache) == 0
-        assert session.query(4.9).algorithm == "bigrid-label"
         assert len(session.grid_cache) == 1
+        assert session.grid_cache._entries[4.9][2] is None
+        assert session.query(4.9).algorithm == "bigrid"
+        assert session.topk(4.9, 3).algorithm == "bigrid"
+        stats = session.stats()
+        assert (stats["grid_key_cache_hits"], stats["grid_key_cache_misses"]) == (2, 1)
+        assert (stats["label_store_hits"], stats["label_store_misses"]) == (0, 1)
+        assert session.query(4.5).algorithm == "bigrid-label"
+        assert session.grid_cache._entries[4.5][2] is session.label_store.get(5)
+        assert len(session.grid_cache) == 2
 
     def test_deadline_cut_build_stores_nothing(self, clustered_collection):
         session = QuerySession(clustered_collection, kernel="numpy")
@@ -214,7 +234,7 @@ class TestResidentGrids:
             # Past the stage boundary's check, inside the kernel's passes.
             session.query(4.5, deadline=Deadline(2.5, clock=clock))
         assert info.value.phase == "grid_mapping"
-        assert len(session.grid_cache) == 0
+        assert list(session.grid_cache._entries) == [4.9]
         result = session.query(4.5)
         assert result.exact
         fresh = self._reference(clustered_collection, [(4.9, 1), (4.5, 1)])[1]
@@ -229,23 +249,23 @@ class TestResidentGrids:
         with faults.injected(FaultInjector([FaultSpec("grid_mapping")])):
             with pytest.raises(InjectedFault):
                 session.query(4.5)
-        assert len(session.grid_cache) == 0
+        assert list(session.grid_cache._entries) == [4.9]
         result = session.query(4.5)
         winners, best = expected_answer(clustered_collection, 4.5)
         assert result.exact and result.winner in winners and result.score == best
-        assert len(session.grid_cache) == 1
+        assert len(session.grid_cache) == 2
 
     def test_invalidate_rebuilds(self, clustered_collection):
         session = QuerySession(clustered_collection, kernel="numpy")
         for _ in range(3):
             session.query(4.9)
-        assert session.stats()["grid_key_cache_hits"] == 1
+        assert session.stats()["grid_key_cache_hits"] == 2
         session.invalidate()
         assert len(session.grid_cache) == 0
-        session.query(4.9)  # relabels: builds
-        session.query(4.9)  # builds under the new labels
+        session.query(4.9)  # relabels: builds and keeps its grid
+        session.query(4.9)  # the repeat reuses it
         stats = session.stats()
-        assert (stats["grid_key_cache_hits"], stats["grid_key_cache_misses"]) == (1, 4)
+        assert (stats["grid_key_cache_hits"], stats["grid_key_cache_misses"]) == (3, 2)
 
     def test_lru_bound_holds_over_many_r(self, clustered_collection):
         session = QuerySession(
@@ -429,16 +449,20 @@ class TestDynamicInvalidation:
     def test_every_cache_layer_is_dropped(self):
         dynamic, handles = self._build()
         session = QuerySession(dynamic, kernel="numpy")
+        session.query(1.5)  # labels and keeps its grid resident
         session.query(1.5)
-        session.query(1.5)  # with labels: keeps its grid resident
         assert len(session.grid_cache) == 1
         assert len(session.lower_cache) == 1
+        old_grid = session.grid_cache._entries[1.5][0]
         dynamic.add_object(np.array([[30.0, 30.0], [31.0, 30.0]]))
         session.query(1.5)
         # Caches were cleared and repopulated for the new snapshot only
-        # (the relabeling query keeps no grid).
+        # (the relabeling query keeps its new grid).
         assert session.stats()["invalidations"] == 1
-        assert len(session.grid_cache) == 0
+        assert len(session.grid_cache) == 1
+        new_grid = session.grid_cache._entries[1.5][0]
+        assert new_grid is not old_grid
+        assert new_grid.collection is session.collection
         assert len(session.lower_cache) == 1
         assert session.label_store.ceilings() == [2]
 
@@ -450,16 +474,39 @@ class TestDynamicInvalidation:
         session = QuerySession(dynamic, kernel="numpy")
         session.query(1.5)
         session.query(1.5)
-        assert session.stats()["grid_key_cache_hits"] == 0
+        assert session.stats()["grid_key_cache_hits"] == 1
+        old_grid = session.grid_cache._entries[1.5][0]
         dynamic.remove_object(handles[0])
         dynamic.add_object(np.array([[0.2, 0.2], [1.2, 0.2]]))
         session.query(1.5)
+        assert session.grid_cache._entries[1.5][0] is not old_grid
         result = session.query(1.5)
         assert result.score == max(oracle_scores(session.collection, 1.5))
         stats = session.stats()
-        assert (stats["grid_key_cache_hits"], stats["grid_key_cache_misses"]) == (0, 4)
+        assert (stats["grid_key_cache_hits"], stats["grid_key_cache_misses"]) == (2, 2)
         assert session.query(1.5).score == result.score
-        assert session.stats()["grid_key_cache_hits"] == 1
+        assert session.stats()["grid_key_cache_hits"] == 3
+
+    def test_mutation_during_a_snapshot_is_seen_by_the_next_query(self, monkeypatch):
+        """A write landing between the session's snapshot and its
+        bookkeeping: the session records the version it compiled, so the
+        next query re-snapshots instead of serving the older contents."""
+        dynamic, _ = self._build()
+        session = QuerySession(dynamic)
+        snapshot = DynamicMIO.versioned_snapshot
+        written = []
+
+        def racing(source):
+            taken = snapshot(source)
+            if not written:
+                written.append(source.add_object(np.array([[0.4, 0.4], [1.4, 0.4]])))
+            return taken
+
+        monkeypatch.setattr(DynamicMIO, "versioned_snapshot", racing)
+        assert session.query(1.5).score == 1
+        result = session.query(1.5)
+        assert session.collection.n == 4
+        assert result.score == max(oracle_scores(session.collection, 1.5)) == 2
 
     def test_mutation_between_batches(self):
         dynamic, handles = self._build()
